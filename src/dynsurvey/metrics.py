@@ -10,6 +10,7 @@ zeros.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import Counter
@@ -27,6 +28,12 @@ BLEU_SMOOTHING_ID = "add-one-zero-orders"
 DEFAULT_ROUGE_BETA = 1.0
 DEFAULT_COHERENCE_WINDOW = 2
 DEFAULT_FIDELITY_TAU = 0.6
+
+# Distinct texts whose tokens stay memoised; room for every sentence of
+# a 120k-word survey plus its table cells.
+_TOKEN_MEMO_SIZE = 2 ** 14
+# First slice length a diagonal run is compared in.
+_SNAKE_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +63,34 @@ class TokenRegion:
     end: int  # exclusive
 
 
+def _snake(a: Sequence[str], b: Sequence[str], x: int, y: int) -> int:
+    """Follow the diagonal from ``(x, y)`` while ``a[x] == b[y]``; return the end x.
+
+    Compares whole slices, doubling the span while they match and halving
+    it after a mismatch, so a long common run costs a few C-level
+    comparisons instead of one Python iteration per token.
+    """
+    n, m = len(a), len(b)
+    step, grow = _SNAKE_CHUNK, True
+    while step and x < n and y < m:
+        span = min(step, n - x, m - y)
+        if a[x:x + span] == b[y:y + span]:
+            x += span
+            y += span
+            if grow:
+                step *= 2
+        else:
+            grow = False
+            step = span // 2
+    return x
+
+
 def _shortest_edit_trace(a: Sequence[str], b: Sequence[str]) -> list[dict[int, int]]:
-    """Forward pass of the greedy shortest-edit-script search."""
+    """Forward pass of the greedy shortest-edit-script search.
+
+    The d=0 snake is the common prefix of ``a`` and ``b``, so that prefix
+    is skipped by chunked slice comparisons before any edit is considered.
+    """
     n, m = len(a), len(b)
     trace: list[dict[int, int]] = []
     prev: dict[int, int] = {1: 0}
@@ -74,9 +107,9 @@ def _shortest_edit_trace(a: Sequence[str], b: Sequence[str]) -> list[dict[int, i
                 else:
                     x = prev[k - 1] + 1
             y = x - k
-            while x < n and y < m and a[x] == b[y]:
-                x += 1
-                y += 1
+            if x < n and y < m and a[x] == b[y]:
+                x = _snake(a, b, x + 1, y + 1)
+                y = x - k
             current[k] = x
             if x >= n and y >= m:
                 trace.append(current)
@@ -92,8 +125,21 @@ def token_edit_script(before: Sequence[str], after: Sequence[str]) -> EditScript
     Only insert and delete operations are emitted; a substitution appears
     as one delete plus one insert. The script length equals
     ``len(before) + len(after) - 2 * LCS``.
+
+    The common prefix is skipped before the search (it is the search's
+    own first diagonal run), but the common suffix is not trimmed: the
+    search breaks ties between equally short scripts using the tokens
+    after the edit, so trimming the suffix can pick another script,
+    moving op positions and with them the regions ``delta_out`` charges.
+    ``['b','a','a','a'] -> ['a','a']`` gives ``delete@0, delete@3`` here
+    but ``delete@0, delete@1`` once the suffix is trimmed.
     """
-    if list(before) == list(after):
+    if type(before) is not type(after):
+        # Slice comparison in ``_snake`` needs both sides of one type.
+        before, after = list(before), list(after)
+    if before == after:
+        # Cheaper than the search for the many unchanged sections that
+        # derive_inserted_sentences diffs; no cost when the lengths differ.
         return EditScript(ops=())
     trace = _shortest_edit_trace(before, after)
     ops: list[EditOp] = []
@@ -101,16 +147,13 @@ def token_edit_script(before: Sequence[str], after: Sequence[str]) -> EditScript
     for d in range(len(trace) - 1, 0, -1):
         prev = trace[d - 1]
         k = x - y
-        if k == -d or (k != d and prev.get(k - 1, -1) < prev.get(k + 1, -1)):
-            prev_k = k + 1
-        else:
-            prev_k = k - 1
+        # Arriving from diagonal k+1 is an insert, from k-1 a delete; the
+        # diagonal run between that edit and (x, y) needs no walking.
+        inserted = k == -d or (k != d and prev.get(k - 1, -1) < prev.get(k + 1, -1))
+        prev_k = k + 1 if inserted else k - 1
         prev_x = prev[prev_k]
         prev_y = prev_x - prev_k
-        while x > prev_x and y > prev_y:
-            x -= 1
-            y -= 1
-        if y > prev_y:
+        if inserted:
             ops.append(EditOp("insert", prev_x, prev_y, after[prev_y]))
         else:
             ops.append(EditOp("delete", prev_x, prev_y, before[prev_x]))
@@ -134,6 +177,12 @@ def apply_edit_script(before: Sequence[str], script: EditScript) -> list[str]:
     return out
 
 
+@functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
+def _memo_tokens(text: str) -> tuple[str, ...]:
+    """``tokenize`` memoised per text; a tuple, so callers cannot alter it."""
+    return tuple(tokenize(text))
+
+
 def document_token_stream(doc: SurveyDocument) -> tuple[list[str], list[TokenRegion]]:
     """Tokenize the maintained body of a document with region boundaries.
 
@@ -146,14 +195,14 @@ def document_token_stream(doc: SurveyDocument) -> tuple[list[str], list[TokenReg
     for section in doc.sections:
         start = len(tokens)
         for sentence in section.sentences:
-            tokens.extend(tokenize(sentence.text))
+            tokens.extend(_memo_tokens(sentence.text))
         regions.append(TokenRegion(f"section:{section.id}", start, len(tokens)))
     for table in doc.tables:
         start = len(tokens)
-        tokens.extend(tokenize(table.title))
+        tokens.extend(_memo_tokens(table.title))
         for row in table.rows:
             for column in table.schema:
-                tokens.extend(tokenize(str(row.get(column.name, ""))))
+                tokens.extend(_memo_tokens(str(row.get(column.name, ""))))
         regions.append(TokenRegion(f"table:{table.id}", start, len(tokens)))
     return tokens, regions
 
@@ -198,18 +247,6 @@ def delta_out(
         if region not in scope:
             outside += 1
     return outside
-
-
-def scoped_disruption(
-    before: SurveyDocument,
-    after: SurveyDocument,
-    scope: set[str],
-) -> tuple[int, int]:
-    """Convenience wrapper returning (delta_tokens, delta_out)."""
-    before_tokens, before_regions = document_token_stream(before)
-    after_tokens, after_regions = document_token_stream(after)
-    script = token_edit_script(before_tokens, after_tokens)
-    return delta_tokens(script), delta_out(script, scope, before_regions, after_regions)
 
 
 def derive_inserted_sentences(
@@ -378,8 +415,9 @@ def local_coherence(
         return None
     positions: dict[str, tuple[list[Sentence], int]] = {}
     for section in post_document.sections:
-        for index, sentence in enumerate(section.sentences):
-            positions[sentence.id] = (list(section.sentences), index)
+        siblings = list(section.sentences)
+        for index, sentence in enumerate(siblings):
+            positions[sentence.id] = (siblings, index)
     pairs: list[tuple[str, list[str]]] = []
     for sentence in update_sentences:
         if sentence.id not in positions:

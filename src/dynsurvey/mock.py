@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -73,6 +74,10 @@ class HashEmbedding:
     seed: int = 0
     dimension: int = 64
     model_id: str = "hash-embedding"
+    # Token -> vector memo. It belongs to this instance, so every run that
+    # builds its own embedder starts empty; arrays keep the floats unboxed.
+    _token_vectors: dict[str, array] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         return [self._vector(text) for text in texts]
@@ -85,15 +90,20 @@ class HashEmbedding:
             return sentinel
         total = [0.0] * self.dimension
         for token in tokens:
-            for i, value in enumerate(self._token_vector(token)):
-                total[i] += value
+            total = [t + v for t, v in zip(total, self._token_vector(token))]
         norm = math.sqrt(math.fsum(v * v for v in total))
         if norm == 0.0:  # astronomically unlikely with hashed components
             total[0] = 1.0
             norm = 1.0
         return [v / norm for v in total]
 
-    def _token_vector(self, token: str) -> list[float]:
+    def _token_vector(self, token: str) -> array:
+        vector = self._token_vectors.get(token)
+        if vector is None:
+            vector = self._token_vectors[token] = array("d", self._hashed_values(token))
+        return vector
+
+    def _hashed_values(self, token: str) -> list[float]:
         values: list[float] = []
         block = 0
         while len(values) < self.dimension:

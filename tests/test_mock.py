@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import pytest
 
 from dynsurvey.endpoints import GenerationRequest
@@ -13,6 +16,7 @@ from dynsurvey.mock import (
     hash_embedding_from_scenario,
     scripted_generation_from_scenario,
 )
+from dynsurvey.text import tokenize
 
 
 def test_scripted_lookup():
@@ -99,3 +103,51 @@ def test_seed_changes_vectors():
     one = HashEmbedding(seed=1, dimension=16).embed(["abc"])[0]
     two = HashEmbedding(seed=2, dimension=16).embed(["abc"])[0]
     assert one != two
+
+
+def _uncached_vector(seed: int, dimension: int, text: str) -> list[float]:
+    """The hash-embedding formula recomputed directly, with no memo."""
+    total = [0.0] * dimension
+    for token in tokenize(text):
+        values: list[float] = []
+        block = 0
+        while len(values) < dimension:
+            digest = hashlib.sha256(f"{seed}|{token}|{block}".encode("utf-8")).digest()
+            values.extend(int.from_bytes(digest[i:i + 8], "big") / 2 ** 63 - 1.0
+                          for i in range(0, len(digest), 8))
+            block += 1
+        for i in range(dimension):
+            total[i] += values[i]
+    norm = math.sqrt(math.fsum(v * v for v in total))
+    return [v / norm for v in total]
+
+
+def test_memoised_vectors_are_bit_identical_to_the_formula():
+    texts = ["residual refinement for image denoising",
+             "residual refinement for video denoising",
+             "image image denoising, denoising.",
+             "residual refinement for image denoising"]
+    for dimension in (5, 64):
+        embedder = HashEmbedding(seed=7, dimension=dimension)
+        # Twice over, so the second round is served from the memo.
+        for vectors in (embedder.embed(texts), embedder.embed(texts[::-1])[::-1]):
+            for text, vector in zip(texts, vectors):
+                assert vector == _uncached_vector(7, dimension, text)
+
+
+def test_equal_settings_stay_equal_after_use():
+    used, fresh = HashEmbedding(seed=3, dimension=16), HashEmbedding(seed=3, dimension=16)
+    used.embed(["some tokens here", "more tokens"])
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert "_token_vectors" not in repr(used)
+
+
+def test_instances_never_share_cached_vectors():
+    base = HashEmbedding(seed=1, dimension=16)
+    base.embed(["abc def"])
+    other_seed = HashEmbedding(seed=2, dimension=16)
+    other_dimension = HashEmbedding(seed=1, dimension=8)
+    assert other_seed.embed(["abc def"])[0] == _uncached_vector(2, 16, "abc def")
+    assert other_dimension.embed(["abc def"])[0] == _uncached_vector(1, 8, "abc def")
+    assert base.embed(["abc def"])[0] == _uncached_vector(1, 16, "abc def")
