@@ -18,11 +18,10 @@ from .corpus import PaperRecord, PaperSummary, SurveyScope
 from .document import (
     ColumnSpec,
     Section,
-    SectionEntry,
     StructuredOutline,
     SurveyDocument,
     SurveyTable,
-    TableEntry,
+    outline_entries_from_dict,
 )
 from .endpoints import GenerationRequest, TextGenerator
 from .errors import (
@@ -139,27 +138,11 @@ def run_outline_agent(
         if not isinstance(data, dict):
             raise ParseFailure("output must be a JSON object with sections and tables arrays")
         try:
-            section_entries = {
-                str(e["id"]): SectionEntry(
-                    id=str(e["id"]),
-                    section_title=str(e["section_title"]),
-                    page_numbers=str(e.get("page_numbers", "")),
-                    table_relevant=tuple(int(v) for v in e.get("table_relevant", [])),
-                    summary=str(e.get("summary", "")),
-                )
-                for e in data.get("sections", [])
-            }
-            table_entries = {
-                str(e["id"]): TableEntry(
-                    id=str(e["id"]),
-                    title=str(e["title"]),
-                    page_numbers=str(e.get("page_numbers", "")),
-                    summary=str(e.get("summary", "")),
-                )
-                for e in data.get("tables", [])
-            }
+            sections, tables = outline_entries_from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"malformed outline entry: {exc}") from exc
+        section_entries = {e.id: e for e in sections}
+        table_entries = {e.id: e for e in tables}
         problems = []
         if set(section_entries) != set(allowed_sections):
             problems.append(
@@ -271,7 +254,6 @@ def run_section_routing(
     outline: StructuredOutline,
     doc: SurveyDocument,
     generator: TextGenerator,
-    survey_topic: str = "",
 ) -> RoutingDecision:
     """Two-stage routing: rank three sections, then pick an insertion sentence.
 
@@ -281,7 +263,7 @@ def run_section_routing(
     """
     if not outline.approved:
         raise OutlineNotApprovedError("section routing requires an approved outline")
-    topic = survey_topic or (outline.scope.title if outline.scope else "")
+    topic = outline.scope.title if outline.scope else ""
     section_list = "\n".join(
         f"{e.id}: {e.section_title} -- {e.summary}" for e in outline.section_entries)
     prompt = prompts.render(
@@ -327,7 +309,6 @@ def run_table_routing(
     summary: PaperSummary,
     outline: StructuredOutline,
     generator: TextGenerator,
-    survey_topic: str = "",
 ) -> TableRoutingResult:
     """Ask the yes/no inclusion question independently for every table.
 
@@ -336,7 +317,7 @@ def run_table_routing(
     """
     if not outline.approved:
         raise OutlineNotApprovedError("table routing requires an approved outline")
-    topic = survey_topic or (outline.scope.title if outline.scope else "")
+    topic = outline.scope.title if outline.scope else ""
     votes: list[tuple[str, bool]] = []
     for entry in outline.table_entries:
         prompt = prompts.render(

@@ -266,28 +266,24 @@ def _baseline_step(
     span: GroundTruthSpan | None,
     generator: TextGenerator,
 ) -> tuple[SurveyDocument, StepResult]:
-    """One whole-document single-call update; fails closed on bad output."""
-    if method == ORACLE and span is not None:
-        prompt = prompts.render(
-            prompts.ORACLE_UPDATE,
-            target_section=span.section_id,
-            document=serialize_document(doc),
-            paper_title=paper.title,
-            paper_abstract=paper.abstract,
-        )
-    else:
-        prompt = prompts.render(
-            prompts.ONE_STEP_UPDATE,
-            document=serialize_document(doc),
-            paper_title=paper.title,
-            paper_abstract=paper.abstract,
-        )
+    """One whole-document single-call update; fails closed on bad output.
+
+    Oracle steps name the ground-truth section; an out-of-scope paper has
+    none, so its oracle step gets the one-step prompt.
+    """
+    document = serialize_document(doc)
+    oracle = method == ORACLE and span is not None
+    prompt = prompts.render(
+        prompts.ORACLE_UPDATE if oracle else prompts.ONE_STEP_UPDATE,
+        target_section=span.section_id if oracle else "",
+        document=document,
+        paper_title=paper.title,
+        paper_abstract=paper.abstract,
+    )
     error = None
-    new_doc = doc
     try:
         raw = generator.generate(GenerationRequest(method, paper.id, 0, prompt))
-        payload = extract_json_value(raw)
-        new_doc = document_from_dict(payload)
+        new_doc = document_from_dict(extract_json_value(raw))
     except (ParseFailure, DocumentParseError, DocumentIntegrityError,
             GenerationTransportError) as exc:
         # Fail closed: an unparseable full-document response must not
@@ -295,7 +291,7 @@ def _baseline_step(
         error = str(exc)
         new_doc = doc
         logger.warning("%s step for %s failed closed: %s", method, paper.id, exc)
-    unchanged = serialize_document(new_doc) == serialize_document(doc)
+    unchanged = new_doc is doc or serialize_document(new_doc) == document
     result = StepResult(
         method=method,
         paper_id=paper.id,
@@ -309,22 +305,6 @@ def _baseline_step(
         error=error,
     )
     return new_doc, result
-
-
-def run_one_step_baseline(
-    instance: BenchmarkInstance,
-    generator: TextGenerator,
-) -> list[StepResult]:
-    """Single-call updates with no routing, abstention or locality control."""
-    return _run_baseline(ONE_STEP, instance, generator)
-
-
-def run_oracle_baseline(
-    instance: BenchmarkInstance,
-    generator: TextGenerator,
-) -> list[StepResult]:
-    """Single-call updates with the ground-truth target section named."""
-    return _run_baseline(ORACLE, instance, generator)
 
 
 def _run_baseline(
@@ -351,8 +331,6 @@ def run_method(
 ) -> list[StepResult]:
     if method == FRAMEWORK:
         return run_framework_stream(instance, generator, clock=clock)
-    if method == ONE_STEP:
-        return run_one_step_baseline(instance, generator)
-    if method == ORACLE:
-        return run_oracle_baseline(instance, generator)
+    if method in (ONE_STEP, ORACLE):
+        return _run_baseline(method, instance, generator)
     raise ValueError(f"unknown method {method!r}")

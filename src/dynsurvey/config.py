@@ -25,6 +25,7 @@ from .endpoints import (
     TextGenerator,
 )
 from .errors import ConfigError
+from .metrics import DEFAULT_COHERENCE_WINDOW, DEFAULT_FIDELITY_TAU, DEFAULT_ROUGE_BETA
 from .mock import (
     hash_embedding_from_scenario,
     load_scenario,
@@ -52,9 +53,9 @@ def _interpolate(value):
 
 @dataclass(frozen=True)
 class MetricSettings:
-    coherence_window: int = 2
-    fidelity_tau: float = 0.6
-    rouge_beta: float = 1.0
+    coherence_window: int = DEFAULT_COHERENCE_WINDOW
+    fidelity_tau: float = DEFAULT_FIDELITY_TAU
+    rouge_beta: float = DEFAULT_ROUGE_BETA
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,6 @@ class RunConfig:
     embedding: EndpointChoice | None
     metrics: MetricSettings
     out_dir: Path
-    survey_topic: str = ""
     allowed_sections: tuple[str, ...] = ()
     allowed_tables: tuple[str, ...] = ()
     instances: tuple[InstanceSpec, ...] = ()
@@ -128,9 +128,9 @@ def load_config(path: str | Path) -> RunConfig:
 
     metrics_data = data.get("metrics", {})
     metrics = MetricSettings(
-        coherence_window=int(metrics_data.get("coherence_window", 2)),
-        fidelity_tau=float(metrics_data.get("fidelity_tau", 0.6)),
-        rouge_beta=float(metrics_data.get("rouge_beta", 1.0)),
+        coherence_window=int(metrics_data.get("coherence_window", DEFAULT_COHERENCE_WINDOW)),
+        fidelity_tau=float(metrics_data.get("fidelity_tau", DEFAULT_FIDELITY_TAU)),
+        rouge_beta=float(metrics_data.get("rouge_beta", DEFAULT_ROUGE_BETA)),
     )
 
     instances = []
@@ -158,7 +158,6 @@ def load_config(path: str | Path) -> RunConfig:
         embedding=embedding,
         metrics=metrics,
         out_dir=base / str(data.get("out_dir", "out")),
-        survey_topic=str(data.get("survey_topic", "")),
         allowed_sections=tuple(str(s) for s in data.get("allowed_sections", [])),
         allowed_tables=tuple(str(t) for t in data.get("allowed_tables", [])),
         instances=tuple(instances),

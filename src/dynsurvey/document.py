@@ -138,7 +138,10 @@ class SurveyDocument:
         problems = table.check_row(row)
         if problems:
             raise DocumentIntegrityError("; ".join(problems))
-        new_table = replace(table, rows=table.rows + (dict(row),))
+        # Schema column order, whatever order the row came in: the audit
+        # log stores rows with sorted keys, and replay must give the same bytes.
+        ordered = {column.name: row[column.name] for column in table.schema}
+        new_table = replace(table, rows=table.rows + (ordered,))
         tables = tuple(new_table if t.id == table_id else t for t in self.tables)
         return replace(self, tables=tables)
 
@@ -372,27 +375,38 @@ def save_document(doc: SurveyDocument, path: str | Path) -> None:
     Path(path).write_text(serialize_document(doc), encoding="utf-8")
 
 
+def outline_entries_from_dict(
+    data: dict,
+) -> tuple[tuple[SectionEntry, ...], tuple[TableEntry, ...]]:
+    """Section and table entries of an outline mapping, in input order.
+
+    A malformed entry raises KeyError, TypeError or ValueError for the caller to wrap.
+    """
+    section_entries = tuple(
+        SectionEntry(
+            id=str(e["id"]),
+            section_title=str(e["section_title"]),
+            page_numbers=str(e.get("page_numbers", "")),
+            table_relevant=tuple(int(v) for v in e.get("table_relevant", [])),
+            summary=str(e.get("summary", "")),
+        )
+        for e in data.get("sections", [])
+    )
+    table_entries = tuple(
+        TableEntry(
+            id=str(e["id"]),
+            title=str(e["title"]),
+            page_numbers=str(e.get("page_numbers", "")),
+            summary=str(e.get("summary", "")),
+        )
+        for e in data.get("tables", [])
+    )
+    return section_entries, table_entries
+
+
 def outline_from_dict(data: dict) -> StructuredOutline:
     try:
-        section_entries = tuple(
-            SectionEntry(
-                id=str(e["id"]),
-                section_title=str(e["section_title"]),
-                page_numbers=str(e.get("page_numbers", "")),
-                table_relevant=tuple(int(v) for v in e.get("table_relevant", [])),
-                summary=str(e.get("summary", "")),
-            )
-            for e in data.get("sections", [])
-        )
-        table_entries = tuple(
-            TableEntry(
-                id=str(e["id"]),
-                title=str(e["title"]),
-                page_numbers=str(e.get("page_numbers", "")),
-                summary=str(e.get("summary", "")),
-            )
-            for e in data.get("tables", [])
-        )
+        section_entries, table_entries = outline_entries_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentParseError(f"malformed outline entry: {exc}") from exc
     scope = scope_from_dict(data["scope"]) if data.get("scope") else None
@@ -467,8 +481,8 @@ __all__ = [
     "COLUMN_KINDS", "ColumnSpec", "Reference", "Section", "SectionEntry", "Sentence",
     "StructuredOutline", "SurveyDocument", "SurveyState", "SurveyTable", "TableEntry",
     "document_from_dict", "document_to_dict", "load_document", "load_outline",
-    "make_section", "normalize_document_text", "outline_fingerprint", "outline_from_dict",
-    "outline_to_dict", "parse_document", "parse_outline", "save_document", "save_outline",
-    "serialize_document", "serialize_outline", "start_new_epoch", "validate_document",
-    "validate_state",
+    "make_section", "normalize_document_text", "outline_entries_from_dict",
+    "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
+    "parse_outline", "save_document", "save_outline", "serialize_document",
+    "serialize_outline", "start_new_epoch", "validate_document", "validate_state",
 ]

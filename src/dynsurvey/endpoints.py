@@ -12,13 +12,15 @@ import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
 import requests
 
 from .errors import ConfigError, GenerationTransportError, MetricUnavailableError
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ class EmbeddingEndpoint:
     base_url: str
     model_id: str = "bert-base-uncased"
     dimension: int = 768
-    pooling: str = "mean"
     timeout_s: float = 60.0
     max_retries: int = 1
     api_key_env: str | None = None
@@ -99,6 +100,38 @@ def _auth_headers(api_key_env: str | None) -> dict[str, str]:
     return headers
 
 
+def _post_json(
+    endpoint: GenerationEndpoint | EmbeddingEndpoint,
+    path: str,
+    payload: dict,
+    read: Callable[[dict], _T],
+    what: str,
+    error_type: type[Exception],
+) -> _T:
+    """POST ``payload`` to ``endpoint`` and return ``read`` of the JSON reply.
+
+    A transport error, an error status, or a reply that ``read`` rejects
+    with KeyError, IndexError or ValueError is retried with exponential
+    backoff. When every attempt fails, ``error_type`` is raised.
+    """
+    url = endpoint.base_url.rstrip("/") + path
+    headers = _auth_headers(endpoint.api_key_env)
+    last_error: Exception | None = None
+    for attempt in range(endpoint.max_retries + 1):
+        try:
+            response = requests.post(url, json=payload, headers=headers,
+                                     timeout=endpoint.timeout_s)
+            response.raise_for_status()
+            return read(response.json())
+        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            last_error = exc
+            logger.warning("%s call failed (attempt %d): %s", what, attempt, exc)
+            if attempt < endpoint.max_retries:
+                time.sleep(min(2 ** attempt, 10))
+    raise error_type(
+        f"{what} endpoint failed after {endpoint.max_retries + 1} attempts: {last_error}")
+
+
 class ChatCompletionClient:
     """Synchronous chat-completion client with bounded transport retries."""
 
@@ -107,31 +140,16 @@ class ChatCompletionClient:
         self.max_retries = endpoint.max_retries
 
     def generate(self, request: GenerationRequest) -> str:
-        url = self.endpoint.base_url.rstrip("/") + "/chat/completions"
         payload = {
             "model": self.endpoint.model_id,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": self.endpoint.temperature,
             "max_tokens": self.endpoint.max_output_tokens,
         }
-        headers = _auth_headers(self.endpoint.api_key_env)
-        last_error: Exception | None = None
-        for attempt in range(self.endpoint.max_retries + 1):
-            try:
-                response = requests.post(
-                    url, json=payload, headers=headers, timeout=self.endpoint.timeout_s)
-                response.raise_for_status()
-                data = response.json()
-                return str(data["choices"][0]["message"]["content"])
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-                last_error = exc
-                logger.warning("generation call failed (%s, attempt %d): %s",
-                               request.role, attempt, exc)
-                if attempt < self.endpoint.max_retries:
-                    time.sleep(min(2 ** attempt, 10))
-        raise GenerationTransportError(
-            f"generation endpoint failed after {self.endpoint.max_retries + 1} attempts: "
-            f"{last_error}")
+        return _post_json(
+            self.endpoint, "/chat/completions", payload,
+            lambda data: str(data["choices"][0]["message"]["content"]),
+            "generation", GenerationTransportError)
 
 
 class EmbeddingClient:
@@ -145,30 +163,18 @@ class EmbeddingClient:
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         if not texts:
             return []
-        url = self.endpoint.base_url.rstrip("/") + "/embeddings"
+
+        def read(data: dict) -> list[list[float]]:
+            vectors = [[float(x) for x in item["embedding"]] for item in data["data"]]
+            for vector in vectors:
+                if len(vector) != self.endpoint.dimension:
+                    raise ValueError(
+                        f"embedding has {len(vector)} components, "
+                        f"expected {self.endpoint.dimension}")
+            if len(vectors) != len(texts):
+                raise ValueError(f"{len(vectors)} embeddings for {len(texts)} inputs")
+            return vectors
+
         payload = {"model": self.endpoint.model_id, "input": list(texts)}
-        headers = _auth_headers(self.endpoint.api_key_env)
-        last_error: Exception | None = None
-        for attempt in range(self.endpoint.max_retries + 1):
-            try:
-                response = requests.post(
-                    url, json=payload, headers=headers, timeout=self.endpoint.timeout_s)
-                response.raise_for_status()
-                data = response.json()
-                vectors = [[float(x) for x in item["embedding"]] for item in data["data"]]
-                for vector in vectors:
-                    if len(vector) != self.endpoint.dimension:
-                        raise ValueError(
-                            f"embedding has {len(vector)} components, "
-                            f"expected {self.endpoint.dimension}")
-                if len(vectors) != len(texts):
-                    raise ValueError(f"{len(vectors)} embeddings for {len(texts)} inputs")
-                return vectors
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_error = exc
-                logger.warning("embedding call failed (attempt %d): %s", attempt, exc)
-                if attempt < self.endpoint.max_retries:
-                    time.sleep(min(2 ** attempt, 10))
-        raise MetricUnavailableError(
-            f"embedding endpoint failed after {self.endpoint.max_retries + 1} attempts: "
-            f"{last_error}")
+        return _post_json(self.endpoint, "/embeddings", payload, read,
+                          "embedding", MetricUnavailableError)

@@ -316,13 +316,13 @@ def cited_numbers(doc: SurveyDocument) -> set[int]:
     return found
 
 
-def record_to_dict(record: UpdateRecord) -> dict:
+def update_record_to_dict(record: UpdateRecord) -> dict:
     data = asdict(record)
     data["table_votes"] = [[table_id, vote] for table_id, vote in record.table_votes]
     return data
 
 
-def record_from_dict(data: dict) -> UpdateRecord:
+def update_record_from_dict(data: dict) -> UpdateRecord:
     return UpdateRecord(
         paper_id=str(data["paper_id"]),
         decision=str(data["decision"]),
@@ -347,7 +347,8 @@ def write_audit_log(records: list[UpdateRecord], path: str | Path) -> None:
     """Store update records as newline-delimited JSON."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(record_to_dict(r), ensure_ascii=False, sort_keys=True) for r in records]
+    lines = [json.dumps(update_record_to_dict(r), ensure_ascii=False, sort_keys=True)
+             for r in records]
     out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -355,5 +356,5 @@ def read_audit_log(path: str | Path) -> list[UpdateRecord]:
     records = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.strip():
-            records.append(record_from_dict(json.loads(line)))
+            records.append(update_record_from_dict(json.loads(line)))
     return records

@@ -75,7 +75,6 @@ class MetricUnavailableError(EvaluationError):
     """An embedding-backed metric cannot be computed; report it absent."""
 
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_AGENT = 4

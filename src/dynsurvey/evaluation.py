@@ -19,6 +19,7 @@ from .errors import MetricUnavailableError
 from .metrics import (
     DEFAULT_COHERENCE_WINDOW,
     DEFAULT_ROUGE_BETA,
+    abstention_precision_recall,
     bert_similarity,
     bleu_4,
     delta_out,
@@ -158,7 +159,7 @@ class MetricSummary:
     count: int
 
 
-def summarize(values: Sequence[float]) -> MetricSummary | None:
+def summarize(values: Sequence[float | None]) -> MetricSummary | None:
     present = [v for v in values if v is not None]
     if not present:
         return None
@@ -167,28 +168,19 @@ def summarize(values: Sequence[float]) -> MetricSummary | None:
     return MetricSummary(mean=mean, std=math.sqrt(variance), count=len(present))
 
 
-def _metric_values(evals: Sequence[StepEvaluation], metric: str) -> list[float]:
-    return [getattr(e, metric) for e in evals if getattr(e, metric) is not None]
-
-
 def _group_summary(evals: Sequence[StepEvaluation]) -> dict[str, MetricSummary | None]:
-    summary: dict[str, MetricSummary | None] = {}
-    for metric in SCALAR_METRICS:
-        summary[metric] = summarize(_metric_values(evals, metric))
-    hits = [(e.routing_hit1, e.routing_hit3) for e in evals
-            if e.routing_hit1 is not None and e.routing_hit3 is not None]
-    summary["routing_hit1"] = summarize([h1 for h1, _ in hits])
-    summary["routing_hit3"] = summarize([h3 for _, h3 in hits])
+    summary: dict[str, MetricSummary | None] = {
+        metric: summarize([getattr(e, metric) for e in evals])
+        for metric in SCALAR_METRICS + ("routing_hit1", "routing_hit3")
+    }
     labels = [(e.out_of_scope, e.abstained) for e in evals]
-    abstained = [pair for pair in labels if pair[1] == 1]
-    out_of_scope = [pair for pair in labels if pair[0] == 1]
-    true_positives = sum(1 for y, a in labels if y == 1 and a == 1)
+    precision, recall = abstention_precision_recall(labels)
+    abstained = sum(a for _, a in labels)
+    out_of_scope = sum(y for y, _ in labels)
     summary["abstention_precision"] = (
-        MetricSummary(true_positives / len(abstained), 0.0, len(abstained))
-        if abstained else None)
+        None if precision is None else MetricSummary(precision, 0.0, abstained))
     summary["abstention_recall"] = (
-        MetricSummary(true_positives / len(out_of_scope), 0.0, len(out_of_scope))
-        if out_of_scope else None)
+        None if recall is None else MetricSummary(recall, 0.0, out_of_scope))
     return summary
 
 
@@ -196,10 +188,11 @@ REPORTED_METRICS = SCALAR_METRICS + (
     "routing_hit1", "routing_hit3", "abstention_precision", "abstention_recall",
 )
 
+# method -> group (survey name, "macro" or "micro") -> metric -> summary
+AggregateReport = dict[str, dict[str, dict[str, MetricSummary | None]]]
 
-def aggregate(
-    evals: Sequence[StepEvaluation],
-) -> dict[str, dict[str, dict[str, MetricSummary | None]]]:
+
+def aggregate(evals: Sequence[StepEvaluation]) -> AggregateReport:
     """Group per-step evaluations by method, then survey; add macro and micro.
 
     Per survey: plain means over steps. Macro: unweighted mean of the
@@ -207,7 +200,7 @@ def aggregate(
     everywhere stay absent at every level.
     """
     methods = sorted({e.method for e in evals})
-    report: dict[str, dict[str, dict[str, MetricSummary | None]]] = {}
+    report: AggregateReport = {}
     for method in methods:
         method_evals = [e for e in evals if e.method == method]
         surveys = sorted({e.survey for e in method_evals})

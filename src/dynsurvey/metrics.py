@@ -439,16 +439,7 @@ def local_coherence(
 
 
 # ---------------------------------------------------------------------------
-# Routing, abstention, table fidelity
-
-
-def routing_accuracy(hits: Sequence[tuple[int, int]]) -> tuple[float | None, float | None]:
-    """Average (hit@1, hit@3) indicator pairs over in-scope steps."""
-    if not hits:
-        return None, None
-    acc1 = sum(h1 for h1, _ in hits) / len(hits)
-    acc3 = sum(h3 for _, h3 in hits) / len(hits)
-    return acc1, acc3
+# Abstention, table fidelity
 
 
 def abstention_precision_recall(

@@ -56,10 +56,6 @@ class ScriptedGeneration:
             script[script_key(role, key, int(attempt))] = response
         return cls(script=script, max_retries=max_retries)
 
-    def to_flat(self) -> dict[str, str]:
-        return {f"{role}|{key}|{attempt}": text
-                for (role, key, attempt), text in self.script.items()}
-
 
 @dataclass(frozen=True)
 class HashEmbedding:

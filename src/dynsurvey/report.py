@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .evaluation import REPORTED_METRICS, MetricSummary, StepEvaluation, aggregate
+from .evaluation import REPORTED_METRICS, AggregateReport, MetricSummary, StepEvaluation, \
+    aggregate
 from .metrics import BLEU_SMOOTHING_ID, DEFAULT_COHERENCE_WINDOW, DEFAULT_FIDELITY_TAU, \
     DEFAULT_ROUGE_BETA
 from .text import TOKENIZER_ID
@@ -51,9 +52,8 @@ def _format(value: float | None) -> str:
     return "absent" if value is None else f"{value:.6f}"
 
 
-def render_csv(evals: Sequence[StepEvaluation], knobs: ReportKnobs) -> str:
+def render_csv(report: AggregateReport, knobs: ReportKnobs) -> str:
     """Aggregated metrics as CSV with knob-recording comment header."""
-    report = aggregate(evals)
     lines = knobs.header_lines()
     lines.append("method,group,metric,mean,std,count")
     for method in sorted(report):
@@ -77,10 +77,9 @@ def _summary_row(label: str, group: dict[str, MetricSummary | None]) -> str:
     return " ".join(cells)
 
 
-def render_text(evals: Sequence[StepEvaluation], knobs: ReportKnobs) -> str:
+def render_text(report: AggregateReport, knobs: ReportKnobs) -> str:
     """Human-readable summary: per-survey and macro rows per method, then
     routing and abstention blocks."""
-    report = aggregate(evals)
     lines = knobs.header_lines()
     header = " ".join([f"{'group':<16}"] + [f"{label:>12}" for _, label in SUMMARY_COLUMNS])
     for method in sorted(report):
@@ -117,6 +116,7 @@ def write_reports(
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "report.csv"
     text_path = out / "report.txt"
-    csv_path.write_text(render_csv(evals, knobs), encoding="utf-8")
-    text_path.write_text(render_text(evals, knobs), encoding="utf-8")
+    report = aggregate(evals)
+    csv_path.write_text(render_csv(report, knobs), encoding="utf-8")
+    text_path.write_text(render_text(report, knobs), encoding="utf-8")
     return csv_path, text_path

@@ -16,9 +16,10 @@ from conftest import make_paper
 from dynsurvey import demo
 from dynsurvey.benchmark import (
     BenchmarkInstance,
+    ONE_STEP,
     GroundTruthSpan,
     run_framework_stream,
-    run_one_step_baseline,
+    run_method,
 )
 from dynsurvey.document import (
     document_from_dict,
@@ -329,8 +330,8 @@ def test_c7_diff_round_trip_and_baseline_ordering(demo_instance):
             section["text"] = " ".join(words) + " Extra commentary lands everywhere."
         rewrite = json.dumps(data)
         script = {f"one_step|{p}|0": rewrite for p in ("lateA", "lateB", "oosA", "oosB")}
-        baseline = run_one_step_baseline(
-            demo_instance, ScriptedGeneration.from_flat(script))
+        baseline = run_method(
+            ONE_STEP, demo_instance, ScriptedGeneration.from_flat(script))
         baseline_eval = evaluate_step(baseline[0], "demo")
         assert baseline_eval.delta_tokens > framework_eval.delta_tokens
         assert baseline_eval.delta_out > framework_eval.delta_out

@@ -83,6 +83,19 @@ def test_outline_agent_rejects_renamed_section(full_state):
         run_outline_agent(full_state.document, ["1", "2", "3"], ["t1", "t2"], generator)
 
 
+def test_outline_agent_retries_malformed_entry_with_hint(full_state):
+    data = json.loads(_outline_response())
+    del data["sections"][1]["section_title"]
+    generator = RecordingGenerator(make_generator({
+        "outline|survey|0": json.dumps(data),
+        "outline|survey|1": _outline_response(),
+    }))
+    outline = run_outline_agent(full_state.document, ["1", "2", "3"], ["t1", "t2"], generator)
+    assert outline.section_ids() == ["1", "2", "3"]
+    assert [r.attempt for r in generator.requests] == [0, 1]
+    assert "CORRECTION: malformed outline entry: 'section_title'" in generator.requests[1].prompt
+
+
 def test_outline_agent_repairs_trailing_comma(full_state):
     raw = _outline_response()
     assert raw.endswith("}")

@@ -6,14 +6,15 @@ import json
 
 import pytest
 
-from conftest import make_paper
-from dynsurvey import demo
+from conftest import RecordingGenerator, make_paper
+from dynsurvey import demo, prompts
 from dynsurvey.benchmark import (
+    ONE_STEP,
+    ORACLE,
     SpanAnnotation,
     build_instance,
     run_framework_stream,
-    run_one_step_baseline,
-    run_oracle_baseline,
+    run_method,
 )
 from dynsurvey.document import serialize_document
 from dynsurvey.errors import BenchmarkConstructionError
@@ -175,14 +176,14 @@ def _echo_generator(instance, method: str) -> ScriptedGeneration:
 
 
 def test_one_step_echo_has_zero_delta(demo_instance):
-    results = run_one_step_baseline(demo_instance, _echo_generator(demo_instance, "one_step"))
+    results = run_method(ONE_STEP, demo_instance, _echo_generator(demo_instance, "one_step"))
     evals = evaluate_stream(results, "demo")
     assert all(e.delta_tokens == 0 for e in evals)
     assert all(r.abstained for r in results)
 
 
 def test_one_step_off_target_rewrite_leaks_out_of_scope(demo_instance, demo_generator):
-    results = run_one_step_baseline(demo_instance, demo_generator)
+    results = run_method(ONE_STEP, demo_instance, demo_generator)
     evals = {e.paper_id: e for e in evaluate_stream(results, "demo")}
     assert evals["lateA"].delta_out > 0
     assert evals["lateB"].delta_out == 0
@@ -202,7 +203,7 @@ def test_one_step_append_counts_inserted_tokens(demo_instance):
         "one_step|oosA|0": json.dumps(data),
         "one_step|oosB|0": json.dumps(data),
     }
-    results = run_one_step_baseline(demo_instance, ScriptedGeneration.from_flat(script))
+    results = run_method(ONE_STEP, demo_instance, ScriptedGeneration.from_flat(script))
     first = evaluate_step(results[0], "demo")
     assert first.delta_tokens == len(tokenize(extra))
     assert first.delta_out == 0  # lateA's ground-truth section is "2"
@@ -215,18 +216,43 @@ def test_unparseable_baseline_response_fails_closed(demo_instance):
         "one_step|oosA|0": "No.",
         "one_step|oosB|0": "No.",
     }
-    results = run_one_step_baseline(demo_instance, ScriptedGeneration.from_flat(script))
+    results = run_method(ONE_STEP, demo_instance, ScriptedGeneration.from_flat(script))
     assert all(r.error is not None for r in results)
     assert serialize_document(results[-1].after) == \
         serialize_document(demo_instance.early_state.document)
 
 
 def test_oracle_baseline_stays_in_named_scope(demo_instance, demo_generator):
-    results = run_oracle_baseline(demo_instance, demo_generator)
+    results = run_method(ORACLE, demo_instance, demo_generator)
     evals = evaluate_stream(results, "demo")
     assert all(e.delta_out == 0 for e in evals)
     late = [e for e in evals if not e.out_of_scope]
     assert all(e.delta_tokens > 0 for e in late)
+
+
+@pytest.mark.parametrize("method, oracle_keys", [
+    (ONE_STEP, set()),
+    (ORACLE, {"lateA", "lateB"}),  # out-of-scope papers have no target section
+])
+def test_baseline_prompt_renders_the_current_document(
+        demo_instance, demo_generator, method, oracle_keys):
+    recorder = RecordingGenerator(demo_generator)
+    results = run_method(method, demo_instance, recorder)
+    prompts_by_key = {r.key: r.prompt for r in recorder.requests}
+    papers = {p.id: p for p, _ in demo_instance.late_papers}
+    papers.update({p.id: p for p in demo_instance.out_of_scope_papers})
+    assert [r.paper_id for r in results] == ["lateA", "lateB", "oosA", "oosB"]
+    assert any(r.after != r.before for r in results)
+    for result in results:
+        paper = papers[result.paper_id]
+        values = {"document": serialize_document(result.before),
+                  "paper_title": paper.title, "paper_abstract": paper.abstract}
+        if result.paper_id in oracle_keys:
+            expected = prompts.render(prompts.ORACLE_UPDATE,
+                                      target_section=result.gt_span.section_id, **values)
+        else:
+            expected = prompts.render(prompts.ONE_STEP_UPDATE, **values)
+        assert prompts_by_key[result.paper_id] == expected
 
 
 def test_routing_hit1_never_exceeds_hit3(demo_instance, demo_generator, hash_embedder):

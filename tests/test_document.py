@@ -134,6 +134,13 @@ def test_outline_table_relevant_length_checked():
         outline_from_dict(data)
 
 
+def test_outline_malformed_entry_is_parse_error():
+    data = outline_to_dict(demo.demo_outline())
+    del data["sections"][1]["section_title"]
+    with pytest.raises(DocumentParseError, match="malformed outline entry: 'section_title'"):
+        outline_from_dict(data)
+
+
 def test_validate_state_rejects_unlisted_section(full_state):
     data = json.loads(serialize_document(full_state.document))
     data["sections"].append({"id": "9", "title": "Rogue", "text": "Rogue text."})

@@ -93,6 +93,15 @@ def test_chat_client_retries_then_raises(monkeypatch):
     assert calls["n"] == 3
 
 
+def test_chat_client_retries_a_reply_it_cannot_read(monkeypatch):
+    replies = [_Response({"choices": []}),
+               _Response({"choices": [{"message": {"content": "second"}}]})]
+    monkeypatch.setattr(endpoints.requests, "post", lambda *a, **k: replies.pop(0))
+    client = ChatCompletionClient(GenerationEndpoint(base_url="http://b", model_id="m"))
+    assert client.generate(GenerationRequest("analysis", "p1", 0, "x")) == "second"
+    assert replies == []
+
+
 def test_temperature_outside_unit_interval_rejected():
     with pytest.raises(ConfigError, match="temperature"):
         GenerationEndpoint(base_url="http://b", model_id="m", temperature=1.5)
@@ -101,7 +110,6 @@ def test_temperature_outside_unit_interval_rejected():
 def test_embedding_default_names_the_fixed_checkpoint():
     endpoint = EmbeddingEndpoint(base_url="http://b")
     assert endpoint.model_id == "bert-base-uncased"
-    assert endpoint.pooling == "mean"
 
 
 def test_embedding_client_parses_vectors(monkeypatch):

@@ -22,10 +22,10 @@ from dynsurvey.engine import (
     make_step_clock,
     publish,
     read_audit_log,
-    record_from_dict,
-    record_to_dict,
     replay_update,
     resolve_citations,
+    update_record_from_dict,
+    update_record_to_dict,
     write_audit_log,
 )
 from dynsurvey.errors import CitationError, ConfigError, OutlineNotApprovedError
@@ -330,7 +330,25 @@ def test_audit_log_round_trip(full_state, tmp_path):
     write_audit_log([record], path)
     loaded = read_audit_log(path)
     assert loaded == [record]
-    assert record_from_dict(record_to_dict(record)) == record
+    assert update_record_from_dict(update_record_to_dict(record)) == record
+
+
+def test_audit_replay_reproduces_published_bytes(full_state, tmp_path):
+    # The row lists its columns in neither schema nor sorted order; the
+    # audit log stores it with sorted keys.
+    draft = "Reordered Method [cite]: One claim."
+    row = '{"Supervision": "Supervised", "Method": "Reordered", "Score": 1, "Domain": "Spatial"}'
+    script = _framework_script("pO", "2", "append", {"t1": "yes", "t2": "no"}, draft, row)
+    paper = make_paper("pO")
+    state, record = apply_update(full_state, paper, make_generator(script))
+    published = publish(state, tmp_path / "survey.json").read_text(encoding="utf-8")
+    write_audit_log([record], tmp_path / "audit.ndjson")
+    replayed = full_state
+    for logged in read_audit_log(tmp_path / "audit.ndjson"):
+        replayed = replay_update(replayed, logged, paper)
+    assert serialize_document(replayed.document) == published
+    assert list(state.document.table("t1").rows[-1]) == [
+        "Method", "Domain", "Supervision", "Score"]
 
 
 def test_step_clock_is_deterministic():

@@ -26,7 +26,6 @@ from dynsurvey.metrics import (
     table_row_fidelity,
     token_diff,
     token_edit_script,
-    routing_accuracy,
     abstention_precision_recall,
 )
 from dynsurvey.text import tokenize
@@ -384,19 +383,37 @@ def test_coherence_empty_update_is_absent(hash_embedder):
 # --- routing, abstention, fidelity -------------------------------------------
 
 
+def _routing_accuracy(hits: list[tuple[int, int]]) -> tuple[float | None, float | None]:
+    """Acc@1 and Acc@3 as the report aggregates them from per-step hits.
+
+    One out-of-scope step, which has no routing hits, rides along and must
+    not count.
+    """
+    evals = [StepEvaluation(
+        survey="s1", method="framework", paper_id=f"p{i}", out_of_scope=0, abstained=0,
+        delta_tokens=0, delta_out=0, routing_hit1=h1, routing_hit3=h3)
+        for i, (h1, h3) in enumerate(hits)]
+    evals.append(StepEvaluation(
+        survey="s1", method="framework", paper_id="oos", out_of_scope=1, abstained=1,
+        delta_tokens=0, delta_out=0))
+    micro = aggregate(evals)["framework"]["micro"]
+    acc1, acc3 = micro["routing_hit1"], micro["routing_hit3"]
+    return (acc1.mean if acc1 else None), (acc3.mean if acc3 else None)
+
+
 def test_routing_all_correct():
-    assert routing_accuracy([(1, 1), (1, 1)]) == (1.0, 1.0)
+    assert _routing_accuracy([(1, 1), (1, 1)]) == (1.0, 1.0)
 
 
 def test_routing_rank_two_hit_counts_for_top3_only():
     hits = [(0, 1), (0, 0), (0, 0)]
-    acc1, acc3 = routing_accuracy(hits)
+    acc1, acc3 = _routing_accuracy(hits)
     assert acc1 == 0.0
     assert acc3 == pytest.approx(1 / 3)
 
 
 def test_routing_empty_is_absent():
-    assert routing_accuracy([]) == (None, None)
+    assert _routing_accuracy([]) == (None, None)
 
 
 def test_abstention_precision_recall_from_confusions():
