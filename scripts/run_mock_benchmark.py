@@ -16,6 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from dynsurvey.benchmark import METHODS
 from dynsurvey.cli import main as cli_main
 from dynsurvey.demo import write_demo_workspace
 
@@ -24,7 +25,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="demo_run",
                         help="directory for the generated workspace (default: demo_run)")
-    parser.add_argument("--methods", default="framework,one_step,oracle",
+    parser.add_argument("--methods", default=",".join(METHODS),
                         help="comma-separated methods to run")
     args = parser.parse_args()
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import prompts
-from .corpus import PaperRecord, SurveyScope
+from .corpus import PaperRecord
 from .document import (
     Reference,
     Sentence,
@@ -33,7 +33,6 @@ from .errors import (
     DocumentIntegrityError,
     DocumentParseError,
     GenerationTransportError,
-    OutlineNotApprovedError,
 )
 from .metrics import derive_inserted_sentences
 from .parsing import ParseFailure, extract_json_value
@@ -62,7 +61,6 @@ class GroundTruthSpan:
 
     section_id: str
     text: str
-    late_paper_id: str
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class BenchmarkInstance:
     early_state: SurveyState
     late_papers: tuple[tuple[PaperRecord, GroundTruthSpan], ...]
     out_of_scope_papers: tuple[PaperRecord, ...]
-    scope: SurveyScope
 
 
 @dataclass(frozen=True)
@@ -178,11 +175,7 @@ def build_instance(
         start, end = _find_span(list(section.sentences), span_texts, repr(paper.id))
         remaining = section.sentences[:start] + section.sentences[end:]
         doc = doc.replace_section(replace(section, sentences=remaining))
-        spans.append(GroundTruthSpan(
-            section_id=annotation.section_id,
-            text=" ".join(span_texts),
-            late_paper_id=paper.id,
-        ))
+        spans.append(GroundTruthSpan(section_id=annotation.section_id, text=" ".join(span_texts)))
 
     late_keys = {p.bib_key for p in late_papers if p.bib_key}
     kept = [r for r in doc.references if r.key not in late_keys]
@@ -191,15 +184,13 @@ def build_instance(
     doc = doc.with_references(renumbered)
     validate_document(doc)
 
-    early_state = SurveyState(
-        document=doc, outline=full_state.outline, epoch_id=full_state.epoch_id)
+    early_state = full_state.with_document(doc)
     validate_state(early_state)
     return BenchmarkInstance(
         name=name,
         early_state=early_state,
         late_papers=tuple(zip(late_papers, spans)),
         out_of_scope_papers=tuple(out_of_scope_papers),
-        scope=full_state.outline.scope,
     )
 
 
@@ -233,30 +224,6 @@ def _framework_step(
         error=record.error,
     )
     return new_state, result
-
-
-def run_framework_stream(
-    instance: BenchmarkInstance,
-    generator: TextGenerator,
-    clock: Clock | None = None,
-) -> list[StepResult]:
-    """Thread the update loop over late papers, then out-of-scope papers.
-
-    Per-step failures are recorded and the stream continues from the
-    unchanged state.
-    """
-    if not instance.early_state.outline.approved:
-        raise OutlineNotApprovedError("benchmark requires an approved outline")
-    tick = clock or make_step_clock()
-    state = instance.early_state
-    results: list[StepResult] = []
-    for paper, span in instance.late_papers:
-        state, result = _framework_step(state, paper, span, generator, tick)
-        results.append(result)
-    for paper in instance.out_of_scope_papers:
-        state, result = _framework_step(state, paper, None, generator, tick)
-        results.append(result)
-    return results
 
 
 def _baseline_step(
@@ -307,30 +274,28 @@ def _baseline_step(
     return new_doc, result
 
 
-def _run_baseline(
-    method: str,
-    instance: BenchmarkInstance,
-    generator: TextGenerator,
-) -> list[StepResult]:
-    doc = instance.early_state.document
-    results: list[StepResult] = []
-    for paper, span in instance.late_papers:
-        doc, result = _baseline_step(method, doc, paper, span, generator)
-        results.append(result)
-    for paper in instance.out_of_scope_papers:
-        doc, result = _baseline_step(method, doc, paper, None, generator)
-        results.append(result)
-    return results
-
-
 def run_method(
     method: str,
     instance: BenchmarkInstance,
     generator: TextGenerator,
     clock: Clock | None = None,
 ) -> list[StepResult]:
-    if method == FRAMEWORK:
-        return run_framework_stream(instance, generator, clock=clock)
-    if method in (ONE_STEP, ORACLE):
-        return _run_baseline(method, instance, generator)
-    raise ValueError(f"unknown method {method!r}")
+    """Thread one method over the late papers, then the out-of-scope papers.
+
+    Per-step failures are recorded and the stream continues from the
+    unchanged state.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    tick = clock or make_step_clock()
+    state = instance.early_state
+    results: list[StepResult] = []
+    stream = [*instance.late_papers, *((paper, None) for paper in instance.out_of_scope_papers)]
+    for paper, span in stream:
+        if method == FRAMEWORK:
+            state, result = _framework_step(state, paper, span, generator, tick)
+        else:
+            doc, result = _baseline_step(method, state.document, paper, span, generator)
+            state = state.with_document(doc)
+        results.append(result)
+    return results

@@ -29,7 +29,7 @@ from .document import (
 )
 from .engine import apply_update, make_step_clock, publish, utc_clock, write_audit_log
 from .errors import ConfigError, DynSurveyError, OutlineNotApprovedError, exit_code_for
-from .evaluation import evaluate_stream
+from .evaluation import evaluate_step
 from .report import ReportKnobs, write_reports
 
 logger = logging.getLogger(__name__)
@@ -127,10 +127,11 @@ def cmd_benchmark(config: RunConfig, methods: list[str]) -> int:
         instance = build_instance(spec.name, full_state, late, annotations, oos)
         for method in methods:
             results = run_method(method, instance, generator, clock=make_step_clock())
-            evaluations.extend(evaluate_stream(
-                results, spec.name, embedder=embedder,
-                coherence_window=config.metrics.coherence_window,
-                rouge_beta=config.metrics.rouge_beta))
+            evaluations.extend(
+                evaluate_step(result, spec.name, embedder=embedder,
+                              coherence_window=config.metrics.coherence_window,
+                              rouge_beta=config.metrics.rouge_beta)
+                for result in results)
             print(f"  {spec.name}/{method}: {len(results)} steps")
     knobs = ReportKnobs(
         rouge_beta=config.metrics.rouge_beta,

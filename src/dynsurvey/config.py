@@ -83,7 +83,6 @@ class InstanceSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    base_dir: Path
     survey_path: Path | None
     outline_path: Path | None
     scope: SurveyScope | None
@@ -148,7 +147,6 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"benchmark instance missing field {exc}") from exc
 
     return RunConfig(
-        base_dir=base,
         survey_path=base / str(data["survey"]) if data.get("survey") else None,
         outline_path=base / str(data["outline"]) if data.get("outline") else None,
         scope=scope_from_dict(data["scope"]) if data.get("scope") else None,

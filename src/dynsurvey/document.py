@@ -188,15 +188,9 @@ class SurveyState:
 
     document: SurveyDocument
     outline: StructuredOutline
-    epoch_id: str = "epoch-1"
 
     def with_document(self, document: SurveyDocument) -> "SurveyState":
         return replace(self, document=document)
-
-
-def start_new_epoch(state: SurveyState, outline: StructuredOutline, epoch_id: str) -> SurveyState:
-    """Replace the outline; the only sanctioned way a structure changes."""
-    return SurveyState(document=state.document, outline=outline, epoch_id=epoch_id)
 
 
 def validate_document(doc: SurveyDocument) -> None:
@@ -472,17 +466,12 @@ def outline_fingerprint(outline: StructuredOutline) -> str:
     return hashlib.sha256(serialize_outline(outline).encode("utf-8")).hexdigest()
 
 
-def normalize_document_text(raw: str) -> str:
-    """Canonical form of a document file: parse then serialize."""
-    return serialize_document(parse_document(raw))
-
-
 __all__ = [
     "COLUMN_KINDS", "ColumnSpec", "Reference", "Section", "SectionEntry", "Sentence",
     "StructuredOutline", "SurveyDocument", "SurveyState", "SurveyTable", "TableEntry",
     "document_from_dict", "document_to_dict", "load_document", "load_outline",
-    "make_section", "normalize_document_text", "outline_entries_from_dict",
+    "make_section", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
     "parse_outline", "save_document", "save_outline", "serialize_document",
-    "serialize_outline", "start_new_epoch", "validate_document", "validate_state",
+    "serialize_outline", "validate_document", "validate_state",
 ]

@@ -9,6 +9,7 @@ construction, not by checking.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -58,16 +59,10 @@ def utc_clock() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def make_step_clock(start: int = 0) -> Clock:
-    """Deterministic clock for mock-driven runs: one second per tick."""
-    counter = {"tick": start}
-
-    def tick() -> str:
-        stamp = datetime.fromtimestamp(counter["tick"], tz=timezone.utc).isoformat()
-        counter["tick"] += 1
-        return stamp
-
-    return tick
+def make_step_clock() -> Clock:
+    """Deterministic clock for mock-driven runs: one second per tick from 1970-01-01 UTC."""
+    seconds = itertools.count()
+    return lambda: datetime.fromtimestamp(next(seconds), tz=timezone.utc).isoformat()
 
 
 @dataclass(frozen=True)
@@ -201,9 +196,10 @@ def apply_update(
     """Run the full update loop for one paper against one survey state.
 
     Analysis, abstention, routing, synthesis, merge. Abstention returns
-    the state unchanged. Any agent failure after retries aborts the step
-    with the state unchanged and the error recorded; a table-synthesis
-    failure downgrades the step to text-only instead of aborting it.
+    the state unchanged. Any agent failure after retries, or a draft
+    whose citations cannot be resolved, aborts the step with the state
+    unchanged and the error recorded; a table-synthesis failure
+    downgrades the step to text-only instead of aborting it.
     """
     if not state.outline.approved:
         raise OutlineNotApprovedError("updates require an approved outline")
@@ -236,15 +232,15 @@ def apply_update(
                 table_error = str(exc)
                 logger.warning("table synthesis failed for %s; completing text-only: %s",
                                paper.id, exc)
-    except AgentError as exc:
+        new_doc, inserted_ids, resolved_keys, placeholder_count = _merge(
+            state.document, paper, routing.ranked_sections[0],
+            routing.insertion_sentence_id, draft, row, table_routing.table_id)
+    except (AgentError, CitationError) as exc:
         logger.warning("update step failed for %s: %s", paper.id, exc)
         return state, UpdateRecord(
             paper_id=paper.id, decision="failed", error=str(exc),
             started_at=started, finished_at=now())
 
-    new_doc, inserted_ids, resolved_keys, placeholder_count = _merge(
-        state.document, paper, routing.ranked_sections[0],
-        routing.insertion_sentence_id, draft, row, table_routing.table_id)
     if placeholder_count == 0:
         logger.info("draft for %s carries no [cite] placeholder", paper.id)
     record = UpdateRecord(

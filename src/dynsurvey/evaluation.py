@@ -138,20 +138,6 @@ def evaluate_step(
     )
 
 
-def evaluate_stream(
-    results: Sequence[StepResult],
-    survey: str,
-    embedder: TextEmbedder | None = None,
-    coherence_window: int = DEFAULT_COHERENCE_WINDOW,
-    rouge_beta: float = DEFAULT_ROUGE_BETA,
-) -> list[StepEvaluation]:
-    return [
-        evaluate_step(r, survey, embedder=embedder,
-                      coherence_window=coherence_window, rouge_beta=rouge_beta)
-        for r in results
-    ]
-
-
 @dataclass(frozen=True)
 class MetricSummary:
     mean: float

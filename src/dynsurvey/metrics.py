@@ -207,13 +207,6 @@ def document_token_stream(doc: SurveyDocument) -> tuple[list[str], list[TokenReg
     return tokens, regions
 
 
-def token_diff(before: SurveyDocument, after: SurveyDocument) -> EditScript:
-    """Minimal token edit script between two documents' body streams."""
-    before_tokens, _ = document_token_stream(before)
-    after_tokens, _ = document_token_stream(after)
-    return token_edit_script(before_tokens, after_tokens)
-
-
 def delta_tokens(script: EditScript) -> int:
     """Total edit magnitude: insertions plus deletions."""
     return len(script.ops)

@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .endpoints import GenerationRequest
 from .errors import ScriptGapError
@@ -69,7 +69,7 @@ class HashEmbedding:
 
     seed: int = 0
     dimension: int = 64
-    model_id: str = "hash-embedding"
+    model_id: ClassVar[str] = "hash-embedding"
     # Token -> vector memo. It belongs to this instance, so every run that
     # builds its own embedder starts empty; arrays keep the floats unboxed.
     _token_vectors: dict[str, array] = field(

@@ -1,12 +1,10 @@
 """Prompt templates for all agent roles.
 
-Templates are versioned text assets with ``{placeholder}`` substitution.
+Templates are text assets with ``{placeholder}`` substitution.
 Literal braces inside template text are doubled for ``str.format``.
 """
 
 from __future__ import annotations
-
-PROMPT_VERSION = "v1"
 
 OUTLINE = """You are assisting in updating and maintaining a technical survey
 on {survey_title}.

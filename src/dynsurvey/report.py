@@ -31,19 +31,17 @@ SUMMARY_COLUMNS = (
 @dataclass(frozen=True)
 class ReportKnobs:
     rouge_beta: float = DEFAULT_ROUGE_BETA
-    bleu_smoothing: str = BLEU_SMOOTHING_ID
     coherence_window: int = DEFAULT_COHERENCE_WINDOW
     fidelity_tau: float = DEFAULT_FIDELITY_TAU
-    tokenizer_id: str = TOKENIZER_ID
     embedding_model_id: str = "absent"
 
     def header_lines(self) -> list[str]:
         return [
             f"# rouge_beta={self.rouge_beta}",
-            f"# bleu_smoothing={self.bleu_smoothing}",
+            f"# bleu_smoothing={BLEU_SMOOTHING_ID}",
             f"# coherence_window={self.coherence_window}",
             f"# fidelity_tau={self.fidelity_tau}",
-            f"# tokenizer={self.tokenizer_id}",
+            f"# tokenizer={TOKENIZER_ID}",
             f"# embedding_model={self.embedding_model_id}",
         ]
 

@@ -16,9 +16,9 @@ from conftest import make_paper
 from dynsurvey import demo
 from dynsurvey.benchmark import (
     BenchmarkInstance,
+    FRAMEWORK,
     ONE_STEP,
     GroundTruthSpan,
-    run_framework_stream,
     run_method,
 )
 from dynsurvey.document import (
@@ -121,7 +121,7 @@ def _fifty_step_setup() -> tuple[BenchmarkInstance, ScriptedGeneration]:
             script[f"abstention|{paper_id}|0"] = "hard to tell"
             script[f"abstention|{paper_id}|1"] = "still unclear"
             late.append((paper, GroundTruthSpan(
-                section_id="2", text=f"Reference description {i}.", late_paper_id=paper_id)))
+                section_id="2", text=f"Reference description {i}.")))
             continue
         section = sections[i % 3]
         others = [s for s in sections if s != section]
@@ -144,13 +144,12 @@ def _fifty_step_setup() -> tuple[BenchmarkInstance, ScriptedGeneration]:
                 row = {"Dataset": f"Set{i}", "Scenes": 10 + i, "Noise": "Real"}
             script[f"table_synthesis|{paper_id}:{table_id}|0"] = json.dumps(row)
         late.append((paper, GroundTruthSpan(
-            section_id=section, text=f"Reference description {i}.", late_paper_id=paper_id)))
+            section_id=section, text=f"Reference description {i}.")))
     instance = BenchmarkInstance(
         name="stream-50",
         early_state=early,
         late_papers=tuple(late),
         out_of_scope_papers=tuple(oos),
-        scope=demo.demo_scope(),
     )
     return instance, ScriptedGeneration.from_flat(script)
 
@@ -159,7 +158,7 @@ def test_c1_locality_by_construction_over_fifty_steps():
     with criterion("C1 locality-by-construction"):
         started = time.perf_counter()
         instance, generator = _fifty_step_setup()
-        results = run_framework_stream(instance, generator)
+        results = run_method(FRAMEWORK, instance, generator)
         assert len(results) == 50
         updated = [r for r in results if r.record and r.record.decision == "updated"]
         abstained = [r for r in results if r.abstained]
@@ -316,8 +315,8 @@ def test_c7_diff_round_trip_and_baseline_ordering(demo_instance):
             assert apply_edit_script(before_tokens, script) == after_tokens
 
         # Framework scenario: the demo script inserts locally.
-        framework = run_framework_stream(
-            demo_instance, ScriptedGeneration.from_flat(demo.demo_framework_script()))
+        framework = run_method(
+            FRAMEWORK, demo_instance, ScriptedGeneration.from_flat(demo.demo_framework_script()))
         framework_eval = evaluate_step(framework[0], "demo")
         assert framework_eval.delta_out == 0
 
@@ -386,7 +385,7 @@ def test_c9_citation_construction():
     with criterion("C9 citation-construction"):
         started = time.perf_counter()
         instance, generator = _fifty_step_setup()
-        results = run_framework_stream(instance, generator)
+        results = run_method(FRAMEWORK, instance, generator)
         final = results[-1].after
         assert count_unresolved_placeholders(final) == 0
         numbers = [r.number for r in final.references]
@@ -403,7 +402,7 @@ def test_c9_citation_construction():
 
 
 def test_demo_stream_publishes_clean_citations(demo_instance, demo_generator, tmp_path):
-    results = run_framework_stream(demo_instance, demo_generator)
+    results = run_method(FRAMEWORK, demo_instance, demo_generator)
     final = results[-1].after
     assert count_unresolved_placeholders(final) == 0
     assert [r.number for r in final.references] == list(range(1, 11))

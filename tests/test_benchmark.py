@@ -3,22 +3,23 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from conftest import RecordingGenerator, make_paper
 from dynsurvey import demo, prompts
 from dynsurvey.benchmark import (
+    FRAMEWORK,
     ONE_STEP,
     ORACLE,
     SpanAnnotation,
     build_instance,
-    run_framework_stream,
     run_method,
 )
 from dynsurvey.document import serialize_document
-from dynsurvey.errors import BenchmarkConstructionError
-from dynsurvey.evaluation import evaluate_step, evaluate_stream
+from dynsurvey.errors import BenchmarkConstructionError, OutlineNotApprovedError
+from dynsurvey.evaluation import evaluate_step
 from dynsurvey.metrics import derive_inserted_sentences
 from dynsurvey.mock import ScriptedGeneration
 from dynsurvey.text import tokenize
@@ -50,7 +51,7 @@ def test_build_instance_removes_spans_and_references(full_state):
     assert len(early.section("3").sentences) == len(full.section("3").sentences) - 2
     assert early.section("1") == full.section("1")
     assert len(instance.late_papers) == 2
-    spans = {span.late_paper_id: span for _, span in instance.late_papers}
+    spans = {paper.id: span for paper, span in instance.late_papers}
     assert spans["lateA"].section_id == "2"
     assert "Residual refinement stacks a second stage" in spans["lateA"].text
     early_keys = {r.key for r in early.references}
@@ -106,14 +107,14 @@ def _all_abstain_generator(instance) -> ScriptedGeneration:
 
 
 def test_all_abstain_stream_leaves_document_unchanged(demo_instance):
-    results = run_framework_stream(demo_instance, _all_abstain_generator(demo_instance))
+    results = run_method(FRAMEWORK, demo_instance, _all_abstain_generator(demo_instance))
     assert all(r.abstained for r in results)
     final = results[-1].after
     assert serialize_document(final) == serialize_document(demo_instance.early_state.document)
 
 
 def test_framework_stream_grows_document_monotonically(demo_instance, demo_generator):
-    results = run_framework_stream(demo_instance, demo_generator)
+    results = run_method(FRAMEWORK, demo_instance, demo_generator)
     assert len(results) == 4
     sizes = []
     for result in results:
@@ -124,7 +125,7 @@ def test_framework_stream_grows_document_monotonically(demo_instance, demo_gener
 
 
 def test_out_of_scope_step_records_label_pair(demo_instance, demo_generator):
-    results = run_framework_stream(demo_instance, demo_generator)
+    results = run_method(FRAMEWORK, demo_instance, demo_generator)
     oos = [r for r in results if r.paper_id == "oosA"][0]
     assert oos.out_of_scope and oos.abstained
     evaluation = evaluate_step(oos, "demo")
@@ -137,14 +138,14 @@ def test_stream_determinism_under_identical_scripts(demo_instance):
     def fresh():
         return ScriptedGeneration.from_flat(scenario["generation"])
 
-    first = run_framework_stream(demo_instance, fresh())
-    second = run_framework_stream(demo_instance, fresh())
+    first = run_method(FRAMEWORK, demo_instance, fresh())
+    second = run_method(FRAMEWORK, demo_instance, fresh())
     assert [r.record for r in first] == [r.record for r in second]
     assert serialize_document(first[-1].after) == serialize_document(second[-1].after)
 
 
 def test_framework_inserted_matches_alignment_reconstruction(demo_instance, demo_generator):
-    results = run_framework_stream(demo_instance, demo_generator)
+    results = run_method(FRAMEWORK, demo_instance, demo_generator)
     for result in results:
         if result.abstained:
             continue
@@ -159,11 +160,25 @@ def test_framework_stream_continues_after_step_failure(demo_instance):
     script["text_synthesis|lateA|0"] = "broken.\n\ntwo paragraphs."
     script["text_synthesis|lateA|1"] = "still.\n\nbroken."
     generator = ScriptedGeneration.from_flat(script)
-    results = run_framework_stream(demo_instance, generator)
+    results = run_method(FRAMEWORK, demo_instance, generator)
     assert results[0].error is not None
     assert serialize_document(results[0].after) == \
         serialize_document(demo_instance.early_state.document)
     assert not results[1].abstained and results[1].error is None
+
+
+def test_unknown_method_is_rejected_before_any_step(demo_instance, demo_generator):
+    recorder = RecordingGenerator(demo_generator)
+    with pytest.raises(ValueError, match="nonsense"):
+        run_method("nonsense", demo_instance, recorder)
+    assert recorder.requests == []
+
+
+def test_framework_stream_requires_an_approved_outline(demo_instance, demo_generator):
+    early = replace(demo_instance.early_state, outline=demo.demo_outline(approved=False))
+    unapproved = replace(demo_instance, early_state=early)
+    with pytest.raises(OutlineNotApprovedError):
+        run_method(FRAMEWORK, unapproved, demo_generator)
 
 
 def _echo_generator(instance, method: str) -> ScriptedGeneration:
@@ -177,14 +192,14 @@ def _echo_generator(instance, method: str) -> ScriptedGeneration:
 
 def test_one_step_echo_has_zero_delta(demo_instance):
     results = run_method(ONE_STEP, demo_instance, _echo_generator(demo_instance, "one_step"))
-    evals = evaluate_stream(results, "demo")
+    evals = [evaluate_step(r, "demo") for r in results]
     assert all(e.delta_tokens == 0 for e in evals)
     assert all(r.abstained for r in results)
 
 
 def test_one_step_off_target_rewrite_leaks_out_of_scope(demo_instance, demo_generator):
     results = run_method(ONE_STEP, demo_instance, demo_generator)
-    evals = {e.paper_id: e for e in evaluate_stream(results, "demo")}
+    evals = {r.paper_id: evaluate_step(r, "demo") for r in results}
     assert evals["lateA"].delta_out > 0
     assert evals["lateB"].delta_out == 0
     assert evals["lateB"].delta_tokens > 0
@@ -224,7 +239,7 @@ def test_unparseable_baseline_response_fails_closed(demo_instance):
 
 def test_oracle_baseline_stays_in_named_scope(demo_instance, demo_generator):
     results = run_method(ORACLE, demo_instance, demo_generator)
-    evals = evaluate_stream(results, "demo")
+    evals = [evaluate_step(r, "demo") for r in results]
     assert all(e.delta_out == 0 for e in evals)
     late = [e for e in evals if not e.out_of_scope]
     assert all(e.delta_tokens > 0 for e in late)
@@ -256,8 +271,9 @@ def test_baseline_prompt_renders_the_current_document(
 
 
 def test_routing_hit1_never_exceeds_hit3(demo_instance, demo_generator, hash_embedder):
-    results = run_framework_stream(demo_instance, demo_generator)
-    for evaluation in evaluate_stream(results, "demo", embedder=hash_embedder):
+    results = run_method(FRAMEWORK, demo_instance, demo_generator)
+    for result in results:
+        evaluation = evaluate_step(result, "demo", embedder=hash_embedder)
         if evaluation.routing_hit1 is not None:
             assert evaluation.routing_hit1 <= evaluation.routing_hit3
 
@@ -267,7 +283,7 @@ def test_framework_abstained_late_paper_scores_zero_similarity(demo_instance):
     script = dict(scenario["generation"])
     script["abstention|lateA|0"] = "FALSE"
     generator = ScriptedGeneration.from_flat(script)
-    results = run_framework_stream(demo_instance, generator)
+    results = run_method(FRAMEWORK, demo_instance, generator)
     evaluation = evaluate_step(results[0], "demo")
     assert evaluation.abstained == 1 and evaluation.out_of_scope == 0
     assert evaluation.bleu4 == 0.0

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from dynsurvey.engine import read_audit_log
 from dynsurvey.errors import EXIT_CONFIG, EXIT_PARSE
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+ROOT = Path(__file__).parent.parent
 
 
 @pytest.fixture
@@ -30,6 +34,18 @@ def test_benchmark_matches_golden_reports(workspace):
     out = _config_dir(workspace) / "out"
     assert (out / "report.csv").read_text() == (GOLDEN / "report.csv").read_text()
     assert (out / "report.txt").read_text() == (GOLDEN / "report.txt").read_text()
+
+
+def test_mock_benchmark_script_reproduces_golden_reports(tmp_path):
+    workdir = tmp_path / "demo"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_mock_benchmark.py"),
+         "--workdir", str(workdir)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("report.csv", "report.txt"):
+        assert (workdir / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_benchmark_is_byte_deterministic(workspace, tmp_path):

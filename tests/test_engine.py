@@ -253,6 +253,17 @@ def test_update_refuses_unapproved_outline(full_state):
         apply_update(unapproved, make_paper("p1"), make_generator({}))
 
 
+def test_unresolvable_citation_fails_the_step_and_keeps_the_state(full_state):
+    draft = "Unbacked Method [cite]: One claim."
+    script = _framework_script("pB", "2", "append", {"t1": "no", "t2": "no"}, draft)
+    paper = make_paper("pB", bib={})
+    state, record = apply_update(full_state, paper, make_generator(script))
+    assert record.decision == "failed"
+    assert "no bib entry" in record.error
+    assert state is full_state
+    assert replay_update(full_state, record, paper) is full_state
+
+
 def test_update_requires_scope():
     outline = demo.demo_outline(approved=True)
     bare = SurveyState(

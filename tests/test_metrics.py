@@ -24,7 +24,6 @@ from dynsurvey.metrics import (
     rouge_l,
     semantic_alignment,
     table_row_fidelity,
-    token_diff,
     token_edit_script,
     abstention_precision_recall,
 )
@@ -196,6 +195,11 @@ def _doc(sections: dict[str, str], tables=None):
         "references": [],
     }
     return document_from_dict(data)
+
+
+def token_diff(before, after):
+    """Edit script between two documents' body token streams."""
+    return token_edit_script(document_token_stream(before)[0], document_token_stream(after)[0])
 
 
 def test_identical_documents_have_empty_script():
