@@ -1,9 +1,10 @@
 """Defensive parsing of structured agent output.
 
-Accepted irregularities: reasoning blocks in ``<think>`` tags, markdown
-code fences, leading or trailing prose around a JSON payload, and
-trailing commas. Anything else is rejected with a correction hint that
-the retry machinery feeds back into the prompt.
+Accepted irregularities: prose, markdown code fences and ``<think>``
+reasoning blocks around a JSON payload, which are skipped, not stripped,
+and trailing commas outside string literals. String contents are never
+altered. Anything else is rejected with a correction hint that the
+retry machinery feeds back into the prompt.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ class ParseFailure(Exception):
 
 
 _THINK_BLOCK = re.compile(r"<think>.*?</think>", re.DOTALL | re.IGNORECASE)
-_CODE_FENCE = re.compile(r"```[a-zA-Z0-9_-]*\n?|```")
-_TRAILING_COMMA = re.compile(r",(\s*[}\]])")
+_VALUE_START = re.compile(_THINK_BLOCK.pattern + r"|([{\[])", re.DOTALL | re.IGNORECASE)
+_STRING = r'"(?:[^"\\]|\\.)*"'
+_STRING_OR_TRAILING_COMMA = re.compile(rf"({_STRING})|,(?=\s*[}}\]])", re.DOTALL)
+_STRING_OR_BRACKET = re.compile(rf'{_STRING}|["{{}}\[\]]', re.DOTALL)
+_DECODER = json.JSONDecoder()
 _TRUE_FALSE = re.compile(r"\b(TRUE|FALSE)\b", re.IGNORECASE)
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 
@@ -35,70 +39,56 @@ def strip_reasoning(text: str) -> str:
     return _THINK_BLOCK.sub("", text)
 
 
-def strip_code_fences(text: str) -> str:
-    return _CODE_FENCE.sub("", text)
-
-
-def _balanced_slice(text: str, start: int) -> str | None:
-    """Return the balanced JSON value starting at ``start``, if closed."""
-    opener = text[start]
-    closer = {"{": "}", "[": "]"}[opener]
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        char = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif char == "\\":
-                escaped = True
-            elif char == '"':
-                in_string = False
-            continue
-        if char == '"':
-            in_string = True
-        elif char in "{[":
-            depth += 1
-        elif char in "}]":
-            depth -= 1
-            if depth == 0:
-                if char != closer and opener in "{[":
-                    return None
-                return text[start:i + 1]
-    return None
+def _brackets_pair_up(text: str) -> bool:
+    """Whether the value opening ``text`` closes, bracket for bracket."""
+    expected = []
+    for token in _STRING_OR_BRACKET.findall(text):
+        if token == '"':  # a string literal that never closes
+            return False
+        if token in ("{", "["):
+            expected.append("}" if token == "{" else "]")
+        elif token in ("}", "]"):
+            if not expected or expected.pop() != token:
+                return False
+            if not expected:
+                return True
+    return False
 
 
 def extract_json_value(text: str):
-    """Pull the first JSON object or array out of an agent response."""
-    cleaned = strip_code_fences(strip_reasoning(text)).strip()
-    starts = [i for i in (cleaned.find("{"), cleaned.find("[")) if i >= 0]
-    if not starts:
+    """Decode the first JSON object or array of an agent response.
+
+    Text around the value is never read. Only when the value fails to
+    decode are its trailing commas dropped and the decode tried again.
+    """
+    start = next((m.start() for m in _VALUE_START.finditer(text) if m.group(1)), None)
+    if start is None:
         raise ParseFailure("response contains no JSON object or array")
-    candidate = _balanced_slice(cleaned, min(starts))
-    if candidate is None:
-        raise ParseFailure("JSON payload is not balanced; close all brackets")
-    candidate = _TRAILING_COMMA.sub(r"\1", candidate)
     try:
-        return json.loads(candidate)
+        return _DECODER.raw_decode(text, start)[0]
+    except json.JSONDecodeError:
+        pass
+    repaired = _STRING_OR_TRAILING_COMMA.sub(r"\1", text[start:])
+    try:
+        return _DECODER.raw_decode(repaired)[0]
     except json.JSONDecodeError as exc:
+        if not _brackets_pair_up(repaired):
+            raise ParseFailure("JSON payload is not balanced; close all brackets") from exc
         raise ParseFailure(f"JSON payload failed to parse: {exc.msg}") from exc
 
 
+def _last_answer(pattern: re.Pattern, text: str, positive: str) -> bool | None:
+    """Lenient keyword extraction; the last occurrence wins."""
+    matches = pattern.findall(strip_reasoning(text))
+    return matches[-1].lower() == positive if matches else None
+
+
 def extract_true_false(text: str) -> bool | None:
-    """Lenient TRUE/FALSE extraction; the last occurrence wins."""
-    matches = _TRUE_FALSE.findall(strip_reasoning(text))
-    if not matches:
-        return None
-    return matches[-1].upper() == "TRUE"
+    return _last_answer(_TRUE_FALSE, text, "true")
 
 
 def extract_yes_no(text: str) -> bool | None:
-    """Lenient yes/no extraction; the last occurrence wins."""
-    matches = _YES_NO.findall(strip_reasoning(text))
-    if not matches:
-        return None
-    return matches[-1].lower() == "yes"
+    return _last_answer(_YES_NO, text, "yes")
 
 
 def parse_headed_summary(text: str, headings: tuple[str, ...]) -> dict[str, str]:

@@ -1,0 +1,168 @@
+"""Differential tests: JSON extraction against the bracket-scanning reference.
+
+The reference below strips reasoning blocks and code fences from the
+whole response, walks it one character at a time to cut out the first
+balanced value, drops every comma before a closing bracket and decodes
+the slice. On inputs where that stripping and dropping touch nothing
+inside the value's strings, the library's single decode must give the
+same value, or fail likewise.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dynsurvey.parsing import ParseFailure, extract_json_value
+
+# --- reference implementation -----------------------------------------------
+
+_THINK_BLOCK = re.compile(r"<think>.*?</think>", re.DOTALL | re.IGNORECASE)
+_CODE_FENCE = re.compile(r"```[a-zA-Z0-9_-]*\n?|```")
+_TRAILING_COMMA = re.compile(r",(\s*[}\]])")
+
+
+def _string_positions(text: str) -> list[bool]:
+    """Per character: whether the scan from ``text[0]`` is inside a string."""
+    inside = []
+    in_string = False
+    escaped = False
+    for char in text:
+        inside.append(in_string)
+        if in_string:
+            if escaped:
+                escaped = False
+            elif char == "\\":
+                escaped = True
+            elif char == '"':
+                in_string = False
+        elif char == '"':
+            in_string = True
+    return inside
+
+
+def _balanced_slice(text: str, start: int) -> str | None:
+    opener = text[start]
+    closer = {"{": "}", "[": "]"}[opener]
+    depth = 0
+    in_string = False
+    escaped = False
+    for i in range(start, len(text)):
+        char = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif char == "\\":
+                escaped = True
+            elif char == '"':
+                in_string = False
+            continue
+        if char == '"':
+            in_string = True
+        elif char in "{[":
+            depth += 1
+        elif char in "}]":
+            depth -= 1
+            if depth == 0:
+                if char != closer and opener in "{[":
+                    return None
+                return text[start:i + 1]
+    return None
+
+
+def reference_extract(text: str):
+    cleaned = _CODE_FENCE.sub("", _THINK_BLOCK.sub("", text)).strip()
+    starts = [i for i in (cleaned.find("{"), cleaned.find("[")) if i >= 0]
+    if not starts:
+        raise ParseFailure("response contains no JSON object or array")
+    candidate = _balanced_slice(cleaned, min(starts))
+    if candidate is None:
+        raise ParseFailure("JSON payload is not balanced; close all brackets")
+    candidate = _TRAILING_COMMA.sub(r"\1", candidate)
+    try:
+        return json.loads(candidate)
+    except json.JSONDecodeError as exc:
+        raise ParseFailure(f"JSON payload failed to parse: {exc.msg}") from exc
+
+
+def _reference_drops_a_comma_in_a_string(text: str) -> bool:
+    starts = [i for i in (text.find("{"), text.find("[")) if i >= 0]
+    if not starts:
+        return False
+    value = text[min(starts):]
+    inside = _string_positions(value)
+    return any(inside[m.start()] for m in _TRAILING_COMMA.finditer(value))
+
+
+def _outcome(extract, text: str):
+    try:
+        return "value", repr(extract(text))
+    except ParseFailure:
+        return "failure", None
+
+
+# --- inputs -------------------------------------------------------------------
+
+_SOUP_TOKENS = ("{", "}", "[", "]", '"', "\\", ",", ":", " ", "\n", "\t", "\u00a0",
+                "1", "-", ".", "e", "a", "u", "/", "`", "true", "null", '"k"',
+                '"v"', "Sure", "0.5")
+
+_json_text = st.text(max_size=8)
+_json_scalars = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False, allow_infinity=False) | _json_text)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(_json_text, children, max_size=4)),
+    max_leaves=8)
+_json_containers = (st.lists(_json_values, max_size=4)
+                    | st.dictionaries(_json_text, _json_values, max_size=4))
+
+
+@st.composite
+def _near_json(draw):
+    """A dumped JSON value with trailing commas and soup tokens inserted."""
+    text = json.dumps(draw(_json_containers), indent=draw(st.sampled_from([None, 1])))
+    closers = [i for i, char in enumerate(text) if char in "}]"]
+    commas = draw(st.sets(st.sampled_from(closers), max_size=2)) if closers else set()
+    for at in sorted(commas, reverse=True):
+        text = text[:at] + "," + text[at:]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_SOUP_TOKENS)) + text[at:]
+    return text
+
+
+_token_soup = st.lists(st.sampled_from(_SOUP_TOKENS), max_size=40).map("".join)
+
+
+# --- properties -------------------------------------------------------------------
+
+
+@settings(max_examples=500, deadline=None)
+@given(_token_soup | _near_json())
+def test_single_decode_matches_bracket_scanner(text):
+    assume("```" not in text and "<think>" not in text.lower())
+    assume(not _reference_drops_a_comma_in_a_string(text))
+    assert _outcome(extract_json_value, text) == _outcome(reference_extract, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    value=_json_containers,
+    indent=st.sampled_from([None, 2]),
+    ensure_ascii=st.booleans(),
+    before=st.text(st.characters(blacklist_characters="{[<")),
+    reasoning=st.sampled_from(["", "<think>first {draft} [1,</think>\n"]),
+    fenced=st.booleans(),
+    after=st.text(),
+)
+def test_dumped_value_round_trips_through_prose_and_fences(
+        value, indent, ensure_ascii, before, reasoning, fenced, after):
+    payload = json.dumps(value, indent=indent, ensure_ascii=ensure_ascii)
+    if fenced:
+        payload = f"```json\n{payload}\n```"
+    assert extract_json_value(before + reasoning + payload + after) == value

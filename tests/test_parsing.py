@@ -33,6 +33,26 @@ def test_trailing_comma_is_repaired():
     assert extract_json_value('{"a": 1, "b": [1, 2,],}') == {"a": 1, "b": [1, 2]}
 
 
+@pytest.mark.parametrize("raw, expected", [
+    ('{"a": "x, ]"}', {"a": "x, ]"}),
+    ('```json\n{"a": "run ```pip install x``` first"}\n```',
+     {"a": "run ```pip install x``` first"}),
+    ('{"a": "<think>x</think>"}', {"a": "<think>x</think>"}),
+])
+def test_string_contents_are_never_altered(raw, expected):
+    assert extract_json_value(raw) == expected
+
+
+@pytest.mark.parametrize("raw, hint", [
+    ('{"a": "never closed}', "not balanced"),
+    ('{"a": [1, 2]]', "not balanced"),
+    ('{"a" 1} and [', "failed to parse"),
+])
+def test_failure_hints(raw, hint):
+    with pytest.raises(ParseFailure, match=hint):
+        extract_json_value(raw)
+
+
 def test_array_payload():
     assert extract_json_value("ranked: [1, 2, 3]") == [1, 2, 3]
 
