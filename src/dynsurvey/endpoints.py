@@ -110,9 +110,10 @@ def _post_json(
 ) -> _T:
     """POST ``payload`` to ``endpoint`` and return ``read`` of the JSON reply.
 
-    A transport error, an error status, or a reply that ``read`` rejects
-    with KeyError, IndexError or ValueError is retried with exponential
-    backoff. When every attempt fails, ``error_type`` is raised.
+    A transport error, a 408, 429 or 5xx status, or a reply that ``read``
+    rejects with KeyError, IndexError or ValueError is retried with
+    exponential backoff. Any other 4xx status, or the last failed attempt,
+    raises ``error_type``.
     """
     url = endpoint.base_url.rstrip("/") + path
     headers = _auth_headers(endpoint.api_key_env)
@@ -123,11 +124,16 @@ def _post_json(
                                      timeout=endpoint.timeout_s)
             response.raise_for_status()
             return read(response.json())
+        except requests.HTTPError as exc:
+            status = getattr(exc.response, "status_code", 0)
+            if 400 <= status < 500 and status not in (408, 429):
+                raise error_type(f"{what} endpoint rejected the request: {exc}") from exc
+            last_error = exc
         except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
             last_error = exc
-            logger.warning("%s call failed (attempt %d): %s", what, attempt, exc)
-            if attempt < endpoint.max_retries:
-                time.sleep(min(2 ** attempt, 10))
+        logger.warning("%s call failed (attempt %d): %s", what, attempt, last_error)
+        if attempt < endpoint.max_retries:
+            time.sleep(min(2 ** attempt, 10))
     raise error_type(
         f"{what} endpoint failed after {endpoint.max_retries + 1} attempts: {last_error}")
 

@@ -16,11 +16,13 @@ from dynsurvey.errors import ConfigError, GenerationTransportError, MetricUnavai
 
 
 class _Response:
-    def __init__(self, payload):
+    def __init__(self, payload, status_code=200):
         self._payload = payload
+        self.status_code = status_code
 
     def raise_for_status(self):
-        return None
+        if self.status_code >= 400:
+            raise endpoints.requests.HTTPError(f"{self.status_code} error", response=self)
 
     def json(self):
         return self._payload
@@ -100,6 +102,46 @@ def test_chat_client_retries_a_reply_it_cannot_read(monkeypatch):
     client = ChatCompletionClient(GenerationEndpoint(base_url="http://b", model_id="m"))
     assert client.generate(GenerationRequest("analysis", "p1", 0, "x")) == "second"
     assert replies == []
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_chat_client_does_not_retry_a_rejected_request(monkeypatch, status):
+    calls = []
+
+    def rejected(url, json=None, headers=None, timeout=None):
+        calls.append(url)
+        return _Response({}, status_code=status)
+
+    monkeypatch.setattr(endpoints.requests, "post", rejected)
+    client = ChatCompletionClient(GenerationEndpoint(
+        base_url="http://b", model_id="m", max_retries=2))
+    with pytest.raises(GenerationTransportError, match=f"rejected the request: {status}"):
+        client.generate(GenerationRequest("analysis", "p1", 0, "x"))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("status", [408, 429, 503])
+def test_chat_client_retries_a_transient_status(monkeypatch, status):
+    replies = [_Response({}, status_code=status),
+               _Response({"choices": [{"message": {"content": "second"}}]})]
+    monkeypatch.setattr(endpoints.requests, "post", lambda *a, **k: replies.pop(0))
+    client = ChatCompletionClient(GenerationEndpoint(base_url="http://b", model_id="m"))
+    assert client.generate(GenerationRequest("analysis", "p1", 0, "x")) == "second"
+    assert replies == []
+
+
+def test_embedding_client_does_not_retry_a_rejected_request(monkeypatch):
+    calls = []
+
+    def rejected(url, json=None, headers=None, timeout=None):
+        calls.append(url)
+        return _Response({}, status_code=401)
+
+    monkeypatch.setattr(endpoints.requests, "post", rejected)
+    client = EmbeddingClient(EmbeddingEndpoint(base_url="http://b", max_retries=3))
+    with pytest.raises(MetricUnavailableError, match="rejected the request"):
+        client.embed(["a"])
+    assert len(calls) == 1
 
 
 def test_temperature_outside_unit_interval_rejected():
