@@ -258,12 +258,11 @@ def _baseline_step(
         error = str(exc)
         new_doc = doc
         logger.warning("%s step for %s failed closed: %s", method, paper.id, exc)
-    unchanged = new_doc is doc or serialize_document(new_doc) == document
     result = StepResult(
         method=method,
         paper_id=paper.id,
         out_of_scope=span is None,
-        abstained=unchanged,
+        abstained=error is None and serialize_document(new_doc) == document,
         before=doc,
         after=new_doc,
         gt_span=span,

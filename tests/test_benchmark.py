@@ -233,6 +233,7 @@ def test_unparseable_baseline_response_fails_closed(demo_instance):
     }
     results = run_method(ONE_STEP, demo_instance, ScriptedGeneration.from_flat(script))
     assert all(r.error is not None for r in results)
+    assert not any(r.abstained for r in results)
     assert serialize_document(results[-1].after) == \
         serialize_document(demo_instance.early_state.document)
 
