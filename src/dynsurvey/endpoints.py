@@ -171,7 +171,11 @@ class EmbeddingClient:
             return []
 
         def read(data: dict) -> list[list[float]]:
-            vectors = [[float(x) for x in item["embedding"]] for item in data["data"]]
+            # Replies may list items out of input order; an item without
+            # an "index" keeps its position.
+            items = sorted(enumerate(data["data"]),
+                           key=lambda pair: pair[1].get("index", pair[0]))
+            vectors = [[float(x) for x in item["embedding"]] for _, item in items]
             for vector in vectors:
                 if len(vector) != self.endpoint.dimension:
                     raise ValueError(

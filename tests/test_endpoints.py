@@ -166,6 +166,15 @@ def test_embedding_client_parses_vectors(monkeypatch):
     assert client.embed([]) == []
 
 
+def test_embedding_vectors_follow_the_reply_index(monkeypatch):
+    reply = {"data": [{"index": 2, "embedding": [0.0, 2.0]},
+                      {"index": 1, "embedding": [0.0, 1.0]},
+                      {"index": 0, "embedding": [1.0, 0.0]}]}
+    monkeypatch.setattr(endpoints.requests, "post", lambda *a, **k: _Response(reply))
+    client = EmbeddingClient(EmbeddingEndpoint(base_url="http://b", dimension=2))
+    assert client.embed(["a", "b", "c"]) == [[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]]
+
+
 def test_embedding_dimension_mismatch_is_metric_unavailable(monkeypatch):
     def fake_post(url, json=None, headers=None, timeout=None):
         return _Response({"data": [{"embedding": [1.0, 0.0, 0.0]}]})
