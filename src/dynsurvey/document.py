@@ -16,6 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 from .corpus import SurveyScope, scope_from_dict, scope_to_dict
 from .errors import DocumentIntegrityError, DocumentParseError
@@ -220,6 +221,48 @@ def validate_document(doc: SurveyDocument) -> None:
             problems = table.check_row(row)
             if problems:
                 raise DocumentIntegrityError(f"table {table.id!r} row {index}: " + "; ".join(problems))
+
+
+def validate_additions(
+    section: Section,
+    inserted_ids: Sequence[str],
+    references: Sequence[Reference],
+    appended_from: int,
+) -> None:
+    """Check what one additive step added to a valid document; raise on violation.
+
+    ``section`` is the routed section after the step and ``inserted_ids``
+    the ids of its new sentences; ``references[appended_from:]`` is the
+    appended tail of the reference list. Each new sentence id must occur
+    once in the section and its text must not be blank; the tail must
+    continue the dense numbering with keys not used before. Other
+    sections and the tables are not read (``append_table_row`` checks
+    its row). When the document before the step passed
+    ``validate_document``, this raises exactly when ``validate_document``
+    would raise on the result.
+    """
+    if inserted_ids:
+        wanted = set(inserted_ids)
+        seen: set[str] = set()
+        for sentence in section.sentences:
+            if sentence.id in wanted:
+                if sentence.id in seen:
+                    raise DocumentIntegrityError(
+                        f"duplicate sentence ids in section {section.id!r}")
+                seen.add(sentence.id)
+                if not sentence.text.strip():
+                    raise DocumentIntegrityError(
+                        f"empty sentence {sentence.id!r} in section {section.id!r}")
+    if appended_from < len(references):
+        keys = {r.key for r in references[:appended_from]}
+        for number, reference in enumerate(references[appended_from:], start=appended_from + 1):
+            if reference.number != number:
+                raise DocumentIntegrityError(
+                    f"appended reference {reference.key!r} has number {reference.number}, "
+                    f"expected {number} for dense 1..n")
+            if reference.key in keys:
+                raise DocumentIntegrityError(f"duplicate reference keys: {reference.key!r}")
+            keys.add(reference.key)
 
 
 def validate_state(state: SurveyState) -> None:
@@ -473,5 +516,5 @@ __all__ = [
     "make_section", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
     "parse_outline", "save_document", "save_outline", "serialize_document",
-    "serialize_outline", "validate_document", "validate_state",
+    "serialize_outline", "validate_additions", "validate_document", "validate_state",
 ]

@@ -5,6 +5,11 @@ routed section, append at most one row to the routed table, and append
 reference entries; it never rewrites, reorders or deletes existing
 content and never touches the outline. Those guarantees hold by
 construction, not by checking.
+
+A step checks only what it adds (``validate_additions`` on the new
+sentences and appended references, ``append_table_row`` on the row), so
+its cost follows its change, not the survey. The whole survey is checked
+where it enters (``document_from_dict``) and once more in ``publish``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,6 +39,7 @@ from .document import (
     SurveyDocument,
     SurveyState,
     serialize_document,
+    validate_additions,
     validate_document,
 )
 from .endpoints import TextGenerator
@@ -99,18 +104,20 @@ def insert_paragraph(
     pre-existing sentence keeps its id, text and relative order. An empty
     paragraph is a no-op.
     """
-    if after != APPEND and after not in section.sentence_ids():
-        raise ValueError(f"insertion point {after!r} does not exist in section {section.id!r}")
+    if after == APPEND:
+        position = len(section.sentences)
+    else:
+        position = next(
+            (i for i, s in enumerate(section.sentences, start=1) if s.id == after), None)
+        if position is None:
+            raise ValueError(
+                f"insertion point {after!r} does not exist in section {section.id!r}")
     texts = segment_sentences(paragraph)
     if not texts:
         return section, ()
     counter = section.next_sentence_counter()
     inserted = tuple(
         Sentence(id=f"{section.id}:{counter + i}", text=text) for i, text in enumerate(texts))
-    if after == APPEND:
-        position = len(section.sentences)
-    else:
-        position = section.sentence_ids().index(after) + 1
     sentences = section.sentences[:position] + inserted + section.sentences[position:]
     new_section = Section(
         id=section.id, title=section.title, sentences=sentences,
@@ -180,10 +187,10 @@ def _merge(
         draft, [paper.bib] if paper.bib else [], doc)
     section = doc.section(routed_section)
     new_section, inserted_ids = insert_paragraph(section, insertion, resolved_text)
+    validate_additions(new_section, inserted_ids, references, len(doc.references))
     new_doc = doc.replace_section(new_section).with_references(references)
     if row is not None and routed_table is not None:
         new_doc = new_doc.append_table_row(routed_table, row)
-    validate_document(new_doc)
     return new_doc, inserted_ids, resolved_keys, placeholder_count
 
 
@@ -196,9 +203,10 @@ def apply_update(
     """Run the full update loop for one paper against one survey state.
 
     Analysis, abstention, routing, synthesis, merge. Abstention returns
-    the state unchanged. Any agent failure after retries, or a draft
-    whose citations cannot be resolved, aborts the step with the state
-    unchanged and the error recorded; a table-synthesis failure
+    the state unchanged. Any agent failure after retries, a draft whose
+    citations cannot be resolved, or a merge that fails its integrity
+    check aborts the step with the state unchanged and the error
+    recorded; a table-synthesis failure
     downgrades the step to text-only instead of aborting it.
     """
     if not state.outline.approved:
@@ -235,7 +243,7 @@ def apply_update(
         new_doc, inserted_ids, resolved_keys, placeholder_count = _merge(
             state.document, paper, routing.ranked_sections[0],
             routing.insertion_sentence_id, draft, row, table_routing.table_id)
-    except (AgentError, CitationError) as exc:
+    except (AgentError, CitationError, DocumentIntegrityError) as exc:
         logger.warning("update step failed for %s: %s", paper.id, exc)
         return state, UpdateRecord(
             paper_id=paper.id, decision="failed", error=str(exc),
@@ -284,32 +292,12 @@ def replay_update(
 
 
 def publish(state: SurveyState, out: str | Path) -> Path:
-    """Write the canonical document file; same state, same bytes."""
+    """Check the whole document, then write its canonical file; same state, same bytes."""
+    validate_document(state.document)
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(serialize_document(state.document), encoding="utf-8")
     return path
-
-
-def count_unresolved_placeholders(doc: SurveyDocument) -> int:
-    total = 0
-    for section in doc.sections:
-        for sentence in section.sentences:
-            total += sentence.text.count(CITE_PLACEHOLDER)
-    return total
-
-
-_NUMERIC_MARKER = re.compile(r"\[(\d+)\]")
-
-
-def cited_numbers(doc: SurveyDocument) -> set[int]:
-    """All numeric citation markers appearing in section text."""
-    found: set[int] = set()
-    for section in doc.sections:
-        for sentence in section.sentences:
-            for match in _NUMERIC_MARKER.finditer(sentence.text):
-                found.add(int(match.group(1)))
-    return found
 
 
 def update_record_to_dict(record: UpdateRecord) -> dict:

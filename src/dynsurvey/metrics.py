@@ -162,21 +162,6 @@ def token_edit_script(before: Sequence[str], after: Sequence[str]) -> EditScript
     return EditScript(ops=tuple(ops))
 
 
-def apply_edit_script(before: Sequence[str], script: EditScript) -> list[str]:
-    """Replay an edit script over the before stream."""
-    out: list[str] = []
-    cursor = 0
-    for op in script.ops:
-        out.extend(before[cursor:op.before_pos])
-        cursor = op.before_pos
-        if op.op == "insert":
-            out.append(op.token)
-        else:
-            cursor += 1
-    out.extend(before[cursor:])
-    return out
-
-
 @functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
 def _memo_tokens(text: str) -> tuple[str, ...]:
     """``tokenize`` memoised per text; a tuple, so callers cannot alter it."""

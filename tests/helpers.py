@@ -1,0 +1,45 @@
+"""Test-only helpers: replaying an edit script and reading citation markers."""
+
+from __future__ import annotations
+
+import re
+from typing import Sequence
+
+from dynsurvey.document import SurveyDocument
+from dynsurvey.engine import CITE_PLACEHOLDER
+from dynsurvey.metrics import EditScript
+
+_NUMERIC_MARKER = re.compile(r"\[(\d+)\]")
+
+
+def apply_edit_script(before: Sequence[str], script: EditScript) -> list[str]:
+    """Replay an edit script over the before stream."""
+    out: list[str] = []
+    cursor = 0
+    for op in script.ops:
+        out.extend(before[cursor:op.before_pos])
+        cursor = op.before_pos
+        if op.op == "insert":
+            out.append(op.token)
+        else:
+            cursor += 1
+    out.extend(before[cursor:])
+    return out
+
+
+def count_unresolved_placeholders(doc: SurveyDocument) -> int:
+    total = 0
+    for section in doc.sections:
+        for sentence in section.sentences:
+            total += sentence.text.count(CITE_PLACEHOLDER)
+    return total
+
+
+def cited_numbers(doc: SurveyDocument) -> set[int]:
+    """All numeric citation markers appearing in section text."""
+    found: set[int] = set()
+    for section in doc.sections:
+        for sentence in section.sentences:
+            for match in _NUMERIC_MARKER.finditer(sentence.text):
+                found.add(int(match.group(1)))
+    return found

@@ -26,11 +26,10 @@ from dynsurvey.document import (
     outline_fingerprint,
     serialize_document,
 )
-from dynsurvey.engine import apply_update, count_unresolved_placeholders
+from dynsurvey.engine import apply_update
 from dynsurvey.evaluation import evaluate_step, summarize
 from dynsurvey.metrics import (
     abstention_precision_recall,
-    apply_edit_script,
     bleu_4,
     delta_out,
     document_token_stream,
@@ -38,6 +37,7 @@ from dynsurvey.metrics import (
     token_edit_script,
 )
 from dynsurvey.mock import ScriptedGeneration
+from helpers import apply_edit_script, count_unresolved_placeholders
 
 from test_metrics import oracle_bleu_4, oracle_rouge_l
 

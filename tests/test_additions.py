@@ -1,0 +1,123 @@
+"""The per-step delta check agrees with the whole-document check.
+
+``validate_additions`` reads only what a step added: the new sentences of
+the routed section and the appended tail of the reference list. Starting
+from a valid document, it must raise exactly when ``validate_document``
+raises on the document the step produced.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dynsurvey.document import (
+    Reference,
+    Section,
+    Sentence,
+    SurveyDocument,
+    make_section,
+    validate_additions,
+    validate_document,
+)
+from dynsurvey.errors import DocumentIntegrityError
+
+
+def _document(sentence_counts: list[int], reference_count: int) -> SurveyDocument:
+    sections = tuple(
+        make_section(str(i), f"S{i}", " ".join(f"Sentence {j} of {i}." for j in range(count)))
+        for i, count in enumerate(sentence_counts, start=1))
+    references = tuple(
+        Reference(key=f"k{n}", number=n, bib={}) for n in range(1, reference_count + 1))
+    return SurveyDocument(metadata={}, sections=sections, tables=(), references=references)
+
+
+def _apply(
+    doc: SurveyDocument,
+    section_id: str,
+    position: int,
+    inserted: list[Sentence],
+    appended: list[Reference],
+) -> tuple[SurveyDocument, Section]:
+    section = doc.section(section_id)
+    sentences = section.sentences[:position] + tuple(inserted) + section.sentences[position:]
+    new_section = replace(section, sentences=sentences)
+    new_doc = doc.replace_section(new_section).with_references(
+        doc.references + tuple(appended))
+    return new_doc, new_section
+
+
+def _raises(check, *args) -> bool:
+    try:
+        check(*args)
+    except DocumentIntegrityError:
+        return True
+    return False
+
+
+@st.composite
+def steps(draw):
+    doc = _document(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)),
+                    draw(st.integers(0, 4)))
+    validate_document(doc)
+    section = draw(st.sampled_from(doc.sections))
+    position = draw(st.integers(0, len(section.sentences)))
+    # Fresh ids, ids already in the routed section, and ids of other
+    # sections (sentence ids only need to be unique within a section).
+    id_pool = [f"{section.id}:{100 + i}" for i in range(3)]
+    id_pool += [s.id for other in doc.sections for s in other.sentences]
+    inserted = draw(st.lists(
+        st.builds(Sentence,
+                  id=st.sampled_from(id_pool),
+                  text=st.sampled_from(["New claim.", "Another one.", "", "  ", "\t\n"])),
+        max_size=4))
+    keys = [r.key for r in doc.references] + ["new1", "new2", "new3"]
+    tail = draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(-1, 1)), max_size=3))
+    first = len(doc.references) + 1
+    appended = [Reference(key=key, number=first + i + offset, bib={})
+                for i, (key, offset) in enumerate(tail)]
+    return doc, section.id, position, inserted, appended
+
+
+@settings(max_examples=400, deadline=None)
+@given(steps())
+def test_delta_check_raises_exactly_when_the_full_check_does(step):
+    doc, section_id, position, inserted, appended = step
+    new_doc, new_section = _apply(doc, section_id, position, inserted, appended)
+    expected = _raises(validate_document, new_doc)
+    observed = _raises(validate_additions, new_section, [s.id for s in inserted],
+                       new_doc.references, len(doc.references))
+    assert observed == expected
+
+
+_FRESH = [Sentence("1:10", "Fresh claim.")]
+_NEXT = [Reference("new", 3, {})]
+
+
+@pytest.mark.parametrize("inserted, appended, message", [
+    ([Sentence("1:10", "A."), Sentence("1:10", "B.")], [], "duplicate sentence ids"),
+    ([Sentence("1:2", "Reused id.")], [], "duplicate sentence ids"),
+    ([Sentence("1:10", "   ")], [], "empty sentence"),
+    (_FRESH, [Reference("new", 4, {})], "dense"),
+    (_FRESH, [Reference("new", 3, {}), Reference("other", 3, {})], "dense"),
+    (_FRESH, [Reference("k1", 3, {})], "duplicate reference keys"),
+    (_FRESH, [Reference("new", 3, {}), Reference("new", 4, {})], "duplicate reference keys"),
+])
+def test_each_broken_invariant_is_caught(inserted, appended, message):
+    doc = _document([3, 2], 2)
+    new_doc, new_section = _apply(doc, "1", 1, inserted, appended)
+    with pytest.raises(DocumentIntegrityError):
+        validate_document(new_doc)
+    with pytest.raises(DocumentIntegrityError, match=message):
+        validate_additions(new_section, [s.id for s in inserted], new_doc.references, 2)
+
+
+def test_a_valid_step_passes_and_may_reuse_ids_of_other_sections():
+    doc = _document([3, 2], 2)
+    inserted = [Sentence("1:4", "Fresh claim."), Sentence("2:1", "Same id, other section.")]
+    new_doc, new_section = _apply(doc, "1", 3, inserted, _NEXT)
+    validate_document(new_doc)
+    validate_additions(new_section, ["1:4", "2:1"], new_doc.references, 2)

@@ -19,12 +19,13 @@ from dynsurvey.metrics import (
     EditOp,
     EditScript,
     TokenRegion,
-    apply_edit_script,
     delta_out,
     document_token_stream,
     token_edit_script,
 )
 from dynsurvey.text import tokenize
+
+from helpers import apply_edit_script
 
 # --- reference implementation -----------------------------------------------
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import make_generator, make_paper
-from dynsurvey import demo
+from dynsurvey import demo, engine
 from dynsurvey.document import (
     SurveyState,
     make_section,
@@ -16,8 +16,6 @@ from dynsurvey.document import (
 )
 from dynsurvey.engine import (
     apply_update,
-    cited_numbers,
-    count_unresolved_placeholders,
     insert_paragraph,
     make_step_clock,
     publish,
@@ -28,7 +26,13 @@ from dynsurvey.engine import (
     update_record_to_dict,
     write_audit_log,
 )
-from dynsurvey.errors import CitationError, ConfigError, OutlineNotApprovedError
+from dynsurvey.errors import (
+    CitationError,
+    ConfigError,
+    DocumentIntegrityError,
+    OutlineNotApprovedError,
+)
+from helpers import cited_numbers, count_unresolved_placeholders
 
 
 def _framework_script(paper_id: str, section: str, insertion: str,
@@ -262,6 +266,51 @@ def test_unresolvable_citation_fails_the_step_and_keeps_the_state(full_state):
     assert "no bib entry" in record.error
     assert state is full_state
     assert replay_update(full_state, record, paper) is full_state
+
+
+def test_off_schema_row_fails_the_step_and_keeps_the_state(full_state, monkeypatch):
+    draft = "Offschema Method [cite]: One claim."
+    script = _framework_script("pS", "2", "append", {"t1": "yes", "t2": "no"}, draft)
+    row = {"Method": "Offschema", "Domain": "Spatial", "Supervision": "Supervised",
+           "Score": 1, "Venue": "CVPR"}
+    monkeypatch.setattr(engine, "run_table_synthesis", lambda *args: row)
+    state, record = apply_update(full_state, make_paper("pS"), make_generator(script))
+    assert record.decision == "failed"
+    assert "unknown columns ['Venue']" in record.error
+    assert state is full_state
+
+
+def test_update_steps_check_only_their_additions(full_state, monkeypatch, tmp_path):
+    calls = []
+    full_check = engine.validate_document
+    monkeypatch.setattr(engine, "validate_document",
+                        lambda doc: calls.append(doc) or full_check(doc))
+    row = '{"Method": "Counted", "Domain": "Spatial", "Supervision": "Supervised", "Score": 2}'
+    steps = [
+        ("pK1", _framework_script("pK1", "1", "append", {"t1": "no", "t2": "no"},
+                                  "First Method [cite]: One claim.")),
+        ("pK2", _framework_script("pK2", "2", "2:1", {"t1": "yes", "t2": "no"},
+                                  "Second Method [cite]: Two claims. Both new.", row)),
+        ("pK3", _framework_script("pK3", "3", "append", {"t1": "no", "t2": "no"},
+                                  "Third Method [cite]: Cites again.")),
+    ]
+    state = full_state
+    for paper_id, script in steps:
+        state, record = apply_update(state, make_paper(paper_id), make_generator(script))
+        assert record.decision == "updated"
+    assert len(state.document.references) == len(full_state.document.references) + 3
+    assert calls == []
+    publish(state, tmp_path / "survey.json")
+    assert calls == [state.document]
+
+
+def test_publish_refuses_an_invalid_document(full_state, tmp_path):
+    doubled = full_state.document.references[0]
+    broken = full_state.document.with_references(
+        full_state.document.references + (doubled,))
+    with pytest.raises(DocumentIntegrityError):
+        publish(full_state.with_document(broken), tmp_path / "survey.json")
+    assert not (tmp_path / "survey.json").exists()
 
 
 def test_update_requires_scope():

@@ -13,7 +13,6 @@ from dynsurvey.document import document_from_dict, make_section
 from dynsurvey.errors import EvaluationError
 from dynsurvey.evaluation import StepEvaluation, aggregate
 from dynsurvey.metrics import (
-    apply_edit_script,
     bleu_4,
     cosine,
     delta_out,
@@ -28,6 +27,8 @@ from dynsurvey.metrics import (
     abstention_precision_recall,
 )
 from dynsurvey.text import tokenize
+
+from helpers import apply_edit_script
 
 # --- independent oracles ----------------------------------------------------
 
