@@ -4,12 +4,13 @@ The merge is insertion-only. A step may add sentences to exactly one
 routed section, append at most one row to the routed table, and append
 reference entries; it never rewrites, reorders or deletes existing
 content and never touches the outline. Those guarantees hold by
-construction, not by checking.
+construction.
 
-A step checks only what it adds (``validate_additions`` on the new
-sentences and appended references, ``append_table_row`` on the row), so
-its cost follows its change, not the survey. The whole survey is checked
-where it enters (``document_from_dict``) and once more in ``publish``.
+A step checks only what it adds: ``validate_additions`` reads the new
+sentences and the appended references, ``append_table_row`` the new row.
+Its cost therefore follows the size of its change, not of the survey.
+The whole survey is checked where it enters (``document_from_dict``) and
+once more in ``publish``, before the file is written.
 """
 
 from __future__ import annotations
@@ -204,10 +205,10 @@ def apply_update(
 
     Analysis, abstention, routing, synthesis, merge. Abstention returns
     the state unchanged. Any agent failure after retries, a draft whose
-    citations cannot be resolved, or a merge that fails its integrity
-    check aborts the step with the state unchanged and the error
-    recorded; a table-synthesis failure
-    downgrades the step to text-only instead of aborting it.
+    citations cannot be resolved, or a merge whose additions fail their
+    integrity check aborts the step with the state unchanged and the
+    error recorded; a table-synthesis failure downgrades the step to
+    text-only instead of aborting it.
     """
     if not state.outline.approved:
         raise OutlineNotApprovedError("updates require an approved outline")
@@ -292,7 +293,11 @@ def replay_update(
 
 
 def publish(state: SurveyState, out: str | Path) -> Path:
-    """Check the whole document, then write its canonical file; same state, same bytes."""
+    """Check the whole document, then write its canonical file.
+
+    Same state, same bytes. An invalid document raises
+    ``DocumentIntegrityError`` and nothing is written.
+    """
     validate_document(state.document)
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)

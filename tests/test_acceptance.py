@@ -37,8 +37,8 @@ from dynsurvey.metrics import (
     token_edit_script,
 )
 from dynsurvey.mock import ScriptedGeneration
-from helpers import apply_edit_script, count_unresolved_placeholders
 
+from helpers import apply_edit_script, count_unresolved_placeholders
 from test_metrics import oracle_bleu_4, oracle_rouge_l
 
 
