@@ -232,13 +232,17 @@ def _baseline_step(
     paper: PaperRecord,
     span: GroundTruthSpan | None,
     generator: TextGenerator,
-) -> tuple[SurveyDocument, StepResult]:
+    document: str,
+) -> tuple[SurveyDocument, str, StepResult]:
     """One whole-document single-call update; fails closed on bad output.
 
-    Oracle steps name the ground-truth section; an out-of-scope paper has
-    none, so its oracle step gets the one-step prompt.
+    ``document`` is ``serialize_document(doc)``. The step returns its
+    output document with that document's canonical text, so a stream
+    serializes each document once; a step that fails closed returns its
+    input and ``document``. Oracle steps name the ground-truth section;
+    an out-of-scope paper has none, so its oracle step gets the one-step
+    prompt.
     """
-    document = serialize_document(doc)
     oracle = method == ORACLE and span is not None
     prompt = prompts.render(
         prompts.ORACLE_UPDATE if oracle else prompts.ONE_STEP_UPDATE,
@@ -258,11 +262,12 @@ def _baseline_step(
         error = str(exc)
         new_doc = doc
         logger.warning("%s step for %s failed closed: %s", method, paper.id, exc)
+    new_text = document if error is not None else serialize_document(new_doc)
     result = StepResult(
         method=method,
         paper_id=paper.id,
         out_of_scope=span is None,
-        abstained=error is None and serialize_document(new_doc) == document,
+        abstained=error is None and new_text == document,
         before=doc,
         after=new_doc,
         gt_span=span,
@@ -270,7 +275,7 @@ def _baseline_step(
         inserted=tuple(derive_inserted_sentences(doc, new_doc)),
         error=error,
     )
-    return new_doc, result
+    return new_doc, new_text, result
 
 
 def run_method(
@@ -290,11 +295,15 @@ def run_method(
     state = instance.early_state
     results: list[StepResult] = []
     stream = [*instance.late_papers, *((paper, None) for paper in instance.out_of_scope_papers)]
+    # A baseline document's canonical text travels here, not on the
+    # document: every StepResult keeps its documents alive.
+    document = serialize_document(state.document) if method != FRAMEWORK else ""
     for paper, span in stream:
         if method == FRAMEWORK:
             state, result = _framework_step(state, paper, span, generator, tick)
         else:
-            doc, result = _baseline_step(method, state.document, paper, span, generator)
+            doc, document, result = _baseline_step(
+                method, state.document, paper, span, generator, document)
             state = state.with_document(doc)
         results.append(result)
     return results

@@ -12,6 +12,7 @@ pre-existing identifiers stable under additive edits.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -23,6 +24,9 @@ from .errors import DocumentIntegrityError, DocumentParseError
 from .text import segment_sentences
 
 COLUMN_KINDS = ("text", "categorical", "int")
+# Distinct sections whose parse stays memoised; room for every section of
+# the surveys a benchmark run streams, several versions each.
+_SECTION_MEMO_SIZE = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -286,8 +290,16 @@ def validate_state(state: SurveyState) -> None:
             raise DocumentIntegrityError(f"outline table {entry_id!r} missing from document")
 
 
+@functools.lru_cache(maxsize=_SECTION_MEMO_SIZE)
 def make_section(section_id: str, title: str, text: str, non_maintained: bool = False) -> Section:
-    """Build a Section by segmenting body text and numbering sentences from 1."""
+    """Build a Section by segmenting body text and numbering sentences from 1.
+
+    Memoised on the four arguments in a bounded per-process cache
+    (``_SECTION_MEMO_SIZE`` = 2**10 sections). The result is frozen, so
+    equal inputs share one ``Section`` object: a baseline reply that
+    leaves a section's text unchanged reuses the parse of the document
+    before it, and the sharing is exact.
+    """
     texts = segment_sentences(text)
     sentences = tuple(Sentence(id=f"{section_id}:{i}", text=t) for i, t in enumerate(texts, start=1))
     return Section(id=section_id, title=title, sentences=sentences, non_maintained=non_maintained)
@@ -297,12 +309,16 @@ def _column_from_dict(data: dict, table_id: str) -> ColumnSpec:
     kind = str(data.get("kind", "text"))
     if kind not in COLUMN_KINDS:
         raise DocumentParseError(f"table {table_id!r}: unknown column kind {kind!r}")
+    minimum, maximum = data.get("min"), data.get("max")
+    for bound in (minimum, maximum):
+        if bound is not None and not isinstance(bound, (int, float)):
+            raise DocumentParseError(f"table {table_id!r}: column bound {bound!r} is not a number")
     return ColumnSpec(
         name=str(data["name"]),
         kind=kind,
-        values=tuple(str(v) for v in data.get("values", [])),
-        minimum=data.get("min"),
-        maximum=data.get("max"),
+        values=tuple(str(v) for v in _array(data.get("values", []), "column values")),
+        minimum=minimum,
+        maximum=maximum,
     )
 
 
@@ -316,37 +332,56 @@ def _column_to_dict(column: ColumnSpec) -> dict:
     return data
 
 
+def _array(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise DocumentParseError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentParseError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def document_from_dict(data: dict) -> SurveyDocument:
-    """Build and validate a SurveyDocument from its canonical JSON mapping."""
-    if not isinstance(data, dict):
-        raise DocumentParseError("survey document must be a JSON object")
+    """Build and validate a SurveyDocument from its canonical JSON mapping.
+
+    Input from outside the program: a wrongly shaped value raises
+    ``DocumentParseError``, a broken invariant ``DocumentIntegrityError``.
+    """
+    data = _object(data, "survey document")
     sections = []
-    for raw in data.get("sections", []):
+    for raw in _array(data.get("sections", []), "sections"):
+        raw = _object(raw, "section entry")
         try:
             sections.append(make_section(
-                section_id=str(raw["id"]),
-                title=str(raw.get("title", "")),
-                text=str(raw.get("text", "")),
-                non_maintained=bool(raw.get("non_maintained", False)),
+                str(raw["id"]),
+                str(raw.get("title", "")),
+                str(raw.get("text", "")),
+                bool(raw.get("non_maintained", False)),
             ))
         except KeyError as exc:
             raise DocumentParseError(f"section entry missing field {exc}") from exc
     tables = []
-    for raw in data.get("tables", []):
+    for raw in _array(data.get("tables", []), "tables"):
+        raw = _object(raw, "table entry")
         table_id = str(raw.get("id", "?"))
         try:
-            schema = tuple(_column_from_dict(c, table_id) for c in raw["schema"])
+            schema = tuple(_column_from_dict(_object(c, f"table {table_id!r} column"), table_id)
+                           for c in _array(raw["schema"], f"table {table_id!r} schema"))
             table = SurveyTable(
                 id=table_id,
                 title=str(raw.get("title", "")),
                 schema=schema,
-                rows=tuple(dict(r) for r in raw.get("rows", [])),
+                rows=tuple(dict(_object(r, f"table {table_id!r} row"))
+                           for r in _array(raw.get("rows", []), f"table {table_id!r} rows")),
             )
         except KeyError as exc:
             raise DocumentParseError(f"table {table_id!r} missing field {exc}") from exc
         tables.append(table)
     references = []
-    for raw in data.get("references", []):
+    for raw in _array(data.get("references", []), "references"):
         try:
             references.append(Reference(
                 key=str(raw["key"]),
@@ -356,7 +391,7 @@ def document_from_dict(data: dict) -> SurveyDocument:
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentParseError(f"malformed reference entry {raw!r}: {exc}") from exc
     doc = SurveyDocument(
-        metadata=dict(data.get("metadata", {})),
+        metadata=dict(_object(data.get("metadata", {}), "metadata")),
         sections=tuple(sections),
         tables=tuple(tables),
         references=tuple(references),

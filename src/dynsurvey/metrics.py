@@ -235,12 +235,15 @@ def derive_inserted_sentences(
 
     Alignment is a per-section minimal sentence-level diff over sentence
     texts; after-side sentences that do not match are returned in
-    document order. Sections absent from ``before`` count entirely.
+    document order. Sections absent from ``before`` count entirely; a
+    section object both documents share has nothing inserted.
     """
     before_sections = {s.id: s for s in before.sections}
     inserted: list[Sentence] = []
     for section in after.sections:
         old = before_sections.get(section.id)
+        if old is section:
+            continue
         old_texts = [s.text for s in old.sentences] if old else []
         new_texts = [s.text for s in section.sentences]
         script = token_edit_script(old_texts, new_texts)

@@ -1,0 +1,170 @@
+"""Baseline streams: one parse per changed section, one serialize per step.
+
+``_reference_stream`` keeps the baseline loop as it was before sections
+were memoised and each step's output text was handed to the next step:
+every step serializes its input for the prompt and its output again,
+builds every section afresh and diffs every section. The streams
+``run_method`` gives must equal it field by field and byte by byte.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dynsurvey import benchmark, demo, document, prompts
+from dynsurvey.benchmark import ONE_STEP, ORACLE, StepResult, paper_representation, run_method
+from dynsurvey.document import (
+    document_from_dict,
+    document_to_dict,
+    make_section,
+    serialize_document,
+)
+from dynsurvey.endpoints import GenerationRequest
+from dynsurvey.errors import (
+    DocumentIntegrityError,
+    DocumentParseError,
+    GenerationTransportError,
+)
+from dynsurvey.metrics import token_edit_script
+from dynsurvey.mock import ScriptedGeneration
+from dynsurvey.parsing import ParseFailure, extract_json_value
+
+REPLY_KINDS = ("unchanged", "one", "two", "truncated", "shape")
+
+
+def _reference_inserted(before, after):
+    before_sections = {s.id: s for s in before.sections}
+    inserted = []
+    for section in after.sections:
+        old = before_sections.get(section.id)
+        old_texts = [s.text for s in old.sentences] if old else []
+        script = token_edit_script(old_texts, [s.text for s in section.sentences])
+        new_positions = {op.after_pos for op in script.ops if op.op == "insert"}
+        inserted.extend(s for i, s in enumerate(section.sentences) if i in new_positions)
+    return inserted
+
+
+def _reference_stream(method, instance, generator) -> list[StepResult]:
+    doc = instance.early_state.document
+    results = []
+    stream = [*instance.late_papers, *((paper, None) for paper in instance.out_of_scope_papers)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(document, "make_section", make_section.__wrapped__)
+        for paper, span in stream:
+            text = serialize_document(doc)
+            oracle = method == ORACLE and span is not None
+            prompt = prompts.render(
+                prompts.ORACLE_UPDATE if oracle else prompts.ONE_STEP_UPDATE,
+                target_section=span.section_id if oracle else "",
+                document=text,
+                paper_title=paper.title,
+                paper_abstract=paper.abstract,
+            )
+            error = None
+            try:
+                raw = generator.generate(GenerationRequest(method, paper.id, 0, prompt))
+                new_doc = document_from_dict(extract_json_value(raw))
+            except (ParseFailure, DocumentParseError, DocumentIntegrityError,
+                    GenerationTransportError) as exc:
+                error = str(exc)
+                new_doc = doc
+            results.append(StepResult(
+                method=method,
+                paper_id=paper.id,
+                out_of_scope=span is None,
+                abstained=error is None and serialize_document(new_doc) == text,
+                before=doc,
+                after=new_doc,
+                gt_span=span,
+                paper_repr=paper_representation(paper),
+                inserted=tuple(_reference_inserted(doc, new_doc)),
+                error=error,
+            ))
+            doc = new_doc
+    return results
+
+
+def _papers(instance):
+    return [p for p, _ in instance.late_papers] + list(instance.out_of_scope_papers)
+
+
+def _scripted(instance, method, kinds) -> ScriptedGeneration:
+    """Whole-document replies, one per paper, each built on the last good one."""
+    current = document_to_dict(instance.early_state.document)
+    script = {}
+    for step, (paper, kind) in enumerate(zip(_papers(instance), kinds)):
+        reply = json.loads(json.dumps(current))
+        touched = {"one": reply["sections"][step % 3:step % 3 + 1],
+                   "two": reply["sections"][:2]}.get(kind, [])
+        for section in touched:
+            section["text"] += f" Step {step} adds words to {section['id']}."
+        text = json.dumps(reply)
+        if kind == "truncated":
+            text = text[:len(text) // 2]
+        elif kind == "shape":
+            text = json.dumps({"sections": 5})
+        else:
+            current = reply
+        script[f"{method}|{paper.id}|0"] = text
+    return ScriptedGeneration.from_flat(script)
+
+
+def _assert_same_stream(new, old):
+    assert len(new) == len(old)
+    for got, want in zip(new, old):
+        assert got == want
+        assert serialize_document(got.before) == serialize_document(want.before)
+        assert serialize_document(got.after) == serialize_document(want.after)
+
+
+@pytest.mark.parametrize("method", [ONE_STEP, ORACLE])
+def test_demo_stream_matches_the_reference_loop(method):
+    instance = demo.demo_instance()
+    scenario = demo.demo_scenario()
+    fresh = lambda: ScriptedGeneration.from_flat(scenario["generation"])  # noqa: E731
+    _assert_same_stream(run_method(method, instance, fresh()),
+                        _reference_stream(method, instance, fresh()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ONE_STEP, ORACLE]), st.lists(st.sampled_from(REPLY_KINDS),
+                                                     min_size=4, max_size=4))
+def test_scripted_stream_matches_the_reference_loop(method, kinds):
+    instance = demo.demo_instance()
+    _assert_same_stream(run_method(method, instance, _scripted(instance, method, kinds)),
+                        _reference_stream(method, instance, _scripted(instance, method, kinds)))
+
+
+@pytest.mark.parametrize("kinds", [
+    ("one", "truncated", "two", "shape"),
+    ("unchanged", "one", "two", "one"),
+    ("truncated", "shape", "truncated", "shape"),
+])
+def test_one_serialize_per_step_that_did_not_fail_closed(monkeypatch, kinds):
+    instance = demo.demo_instance()
+    calls = []
+    plain = benchmark.serialize_document
+    monkeypatch.setattr(benchmark, "serialize_document",
+                        lambda doc: calls.append(doc) or plain(doc))
+    results = run_method(ONE_STEP, instance, _scripted(instance, ONE_STEP, kinds))
+    assert len(calls) == 1 + sum(r.error is None for r in results)
+
+
+def test_consecutive_documents_share_unchanged_sections():
+    instance = demo.demo_instance()
+    results = run_method(ONE_STEP, instance,
+                         _scripted(instance, ONE_STEP, ("two", "one", "unchanged", "one")))
+    shared = changed = 0
+    for result in results[1:]:  # the first input was built, not parsed
+        for section in result.after.sections:
+            old = result.before.section(section.id)
+            if section == old:
+                assert section is old
+                shared += 1
+            else:
+                changed += 1
+    assert shared and changed

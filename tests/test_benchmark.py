@@ -238,6 +238,27 @@ def test_unparseable_baseline_response_fails_closed(demo_instance):
         serialize_document(demo_instance.early_state.document)
 
 
+@pytest.mark.parametrize("reply", [
+    {"sections": ["x"]},
+    {"sections": 5},
+    {"tables": ["t"]},
+    {"tables": [{"id": "t", "schema": ["c"]}]},
+    {"tables": [{"id": "t", "schema": [{"name": "c", "kind": "categorical", "values": 5}]}]},
+    {"tables": [{"id": "t", "schema": [{"name": "a"}], "rows": [5]}]},
+    {"tables": [{"id": "t", "schema": [{"name": "n", "kind": "int", "min": "a"}],
+                 "rows": [{"n": 1}]}]},
+    {"metadata": "m"},
+    {"references": 5},
+])
+def test_wrongly_shaped_baseline_reply_fails_closed(demo_instance, reply):
+    papers = [p for p, _ in demo_instance.late_papers] + list(demo_instance.out_of_scope_papers)
+    script = {f"one_step|{paper.id}|0": json.dumps(reply) for paper in papers}
+    results = run_method(ONE_STEP, demo_instance, ScriptedGeneration.from_flat(script))
+    assert all(r.error is not None and not r.abstained for r in results)
+    assert serialize_document(results[-1].after) == \
+        serialize_document(demo_instance.early_state.document)
+
+
 def test_oracle_baseline_stays_in_named_scope(demo_instance, demo_generator):
     results = run_method(ORACLE, demo_instance, demo_generator)
     evals = [evaluate_step(r, "demo") for r in results]

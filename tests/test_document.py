@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynsurvey import demo
 from dynsurvey.document import (
@@ -107,6 +109,19 @@ def test_serialization_is_deterministic():
 def test_sentence_counter_skips_used_ids():
     section = make_section("2", "S", "One here. Two here. Three here.")
     assert section.next_sentence_counter() == 4
+
+
+@given(st.text(max_size=6), st.text(max_size=12),
+       st.text(alphabet=st.sampled_from("ab .!?\n"), max_size=40), st.booleans())
+def test_memoised_make_section_equals_the_plain_build(section_id, title, text, non_maintained):
+    built = make_section.__wrapped__(section_id, title, text, non_maintained)
+    assert make_section(section_id, title, text, non_maintained) == built
+    assert make_section(section_id, title, text, non_maintained) is \
+        make_section(section_id, title, text, non_maintained)
+
+
+def test_section_memo_is_bounded():
+    assert 0 < make_section.cache_info().maxsize < 2 ** 16
 
 
 def test_outline_round_trip_and_fingerprint():
