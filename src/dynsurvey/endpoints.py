@@ -112,13 +112,17 @@ def _post_json(
 
     A transport error, a 408, 429 or 5xx status, or a reply that ``read``
     rejects with KeyError, IndexError or ValueError is retried with
-    exponential backoff. Any other 4xx status, or the last failed attempt,
-    raises ``error_type``.
+    exponential backoff. A retried status whose reply carries a
+    ``Retry-After`` in whole seconds waits that long when it is longer
+    than the backoff, capped at 10 s like the backoff; an HTTP-date or
+    unreadable ``Retry-After`` leaves the backoff. Any other 4xx status,
+    or the last failed attempt, raises ``error_type``.
     """
     url = endpoint.base_url.rstrip("/") + path
     headers = _auth_headers(endpoint.api_key_env)
     last_error: Exception | None = None
     for attempt in range(endpoint.max_retries + 1):
+        retry_after = 0
         try:
             response = requests.post(url, json=payload, headers=headers,
                                      timeout=endpoint.timeout_s)
@@ -128,12 +132,16 @@ def _post_json(
             status = getattr(exc.response, "status_code", 0)
             if 400 <= status < 500 and status not in (408, 429):
                 raise error_type(f"{what} endpoint rejected the request: {exc}") from exc
+            try:
+                retry_after = int(getattr(exc.response, "headers", {}).get("Retry-After", ""))
+            except ValueError:
+                pass
             last_error = exc
         except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
             last_error = exc
         logger.warning("%s call failed (attempt %d): %s", what, attempt, last_error)
         if attempt < endpoint.max_retries:
-            time.sleep(min(2 ** attempt, 10))
+            time.sleep(min(max(2 ** attempt, retry_after), 10))
     raise error_type(
         f"{what} endpoint failed after {endpoint.max_retries + 1} attempts: {last_error}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -293,15 +294,25 @@ def replay_update(
 
 
 def publish(state: SurveyState, out: str | Path) -> Path:
-    """Check the whole document, then write its canonical file.
+    """Check the whole document, then replace its canonical file atomically.
 
     Same state, same bytes. An invalid document raises
-    ``DocumentIntegrityError`` and nothing is written.
+    ``DocumentIntegrityError`` and nothing is written. The text goes to a
+    temporary file in the same directory, which ``os.replace`` moves over
+    ``out``: a reader sees the old survey or the new one, never a torn
+    file. A failed write removes the temporary file and leaves ``out``
+    as it was.
     """
     validate_document(state.document)
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(serialize_document(state.document), encoding="utf-8")
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        temp.write_text(serialize_document(state.document), encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     return path
 
 

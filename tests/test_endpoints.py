@@ -16,9 +16,10 @@ from dynsurvey.errors import ConfigError, GenerationTransportError, MetricUnavai
 
 
 class _Response:
-    def __init__(self, payload, status_code=200):
+    def __init__(self, payload, status_code=200, headers=None):
         self._payload = payload
         self.status_code = status_code
+        self.headers = headers or {}
 
     def raise_for_status(self):
         if self.status_code >= 400:
@@ -128,6 +129,24 @@ def test_chat_client_retries_a_transient_status(monkeypatch, status):
     client = ChatCompletionClient(GenerationEndpoint(base_url="http://b", model_id="m"))
     assert client.generate(GenerationRequest("analysis", "p1", 0, "x")) == "second"
     assert replies == []
+
+
+@pytest.mark.parametrize("retry_after, slept", [
+    ("7", 7),
+    ("60", 10),  # capped like the backoff
+    ("0", 1),  # never shorter than the backoff
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 1),  # HTTP-date: the backoff
+    ("soon", 1),
+])
+def test_chat_client_honours_retry_after(monkeypatch, retry_after, slept):
+    sleeps = []
+    monkeypatch.setattr(endpoints.time, "sleep", sleeps.append)
+    replies = [_Response({}, status_code=429, headers={"Retry-After": retry_after}),
+               _Response({"choices": [{"message": {"content": "second"}}]})]
+    monkeypatch.setattr(endpoints.requests, "post", lambda *a, **k: replies.pop(0))
+    client = ChatCompletionClient(GenerationEndpoint(base_url="http://b", model_id="m"))
+    assert client.generate(GenerationRequest("analysis", "p1", 0, "x")) == "second"
+    assert sleeps == [slept]
 
 
 def test_embedding_client_does_not_retry_a_rejected_request(monkeypatch):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +376,24 @@ def test_publish_around_abstained_step_is_identical(full_state, tmp_path):
     before = publish(full_state, tmp_path / "before.json").read_bytes()
     after = publish(state, tmp_path / "after.json").read_bytes()
     assert before == after
+
+
+def test_failed_publish_keeps_the_old_survey(full_state, tmp_path, monkeypatch):
+    path = publish(full_state, tmp_path / "survey.json")
+    before = path.read_bytes()
+    original = Path.write_text
+
+    def torn_write(self, data, *args, **kwargs):
+        original(self, data[:100], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    doc = full_state.document
+    edited = doc.replace_section(replace(doc.sections[0], title="Renamed"))
+    with pytest.raises(OSError, match="disk full"):
+        publish(full_state.with_document(edited), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["survey.json"]
 
 
 def test_publish_matches_golden_serialization(full_state, tmp_path):
