@@ -3,7 +3,9 @@
 Values are immutable snapshots; every edit builds a new document. The
 canonical on-disk form is a single JSON container with ``metadata``,
 ``sections``, ``tables`` and ``references`` keys. Serialization is
-deterministic, so equal documents produce byte-identical files.
+deterministic, so equal documents produce byte-identical files. Each
+section and reference renders its JSON once and keeps it, so a bib dict
+must not be mutated once its reference is built.
 
 Sentence identifiers are ``"{section_id}:{counter}"`` with counters
 assigned monotonically per section and never reused, which keeps
@@ -15,9 +17,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import SurveyScope, scope_from_dict, scope_to_dict
 from .errors import DocumentIntegrityError, DocumentParseError
@@ -27,6 +30,12 @@ COLUMN_KINDS = ("text", "categorical", "int")
 # Distinct sections whose parse stays memoised; room for every section of
 # the surveys a benchmark run streams, several versions each.
 _SECTION_MEMO_SIZE = 2 ** 10
+# Distinct references whose build stays memoised; room for every reference
+# of the surveys a benchmark run streams.
+_REFERENCE_MEMO_SIZE = 2 ** 12
+# Bib value types whose equal values render the same JSON; floats are not
+# among them, because 0.0 == -0.0.
+_SHARED_BIB_TYPES = frozenset({str, int, bool, type(None)})
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,12 @@ class Section:
     title: str
     sentences: tuple[Sentence, ...]
     non_maintained: bool = False
+    # The section's entry in the canonical document once rendered
+    # (``serialize_document``). A field, so that every instance keeps one
+    # attribute layout: writing into the ``__dict__`` of some instances,
+    # as ``functools.cached_property`` does, made attribute reads on all
+    # of them about five times slower under CPython 3.11.
+    _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def sentence_ids(self) -> list[str]:
         return [s.id for s in self.sentences]
@@ -113,6 +128,9 @@ class Reference:
     key: str
     number: int
     bib: dict
+    # The reference's entry in the canonical document once rendered; a
+    # field for the reason given on ``Section._json``.
+    _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -305,6 +323,34 @@ def make_section(section_id: str, title: str, text: str, non_maintained: bool = 
     return Section(id=section_id, title=title, sentences=sentences, non_maintained=non_maintained)
 
 
+def make_reference(key: str, number: int, bib: dict) -> Reference:
+    """Build a Reference, sharing one object between equal flat bibs.
+
+    Memoised like ``make_section`` in a bounded per-process cache
+    (``_REFERENCE_MEMO_SIZE`` = 2**12 references), keyed on the key, the
+    number and the bib's items with the type of each value, so ``1`` and
+    ``True`` never share an entry. A bib holding any other value than a
+    string, integer, boolean or null (a float, list or object) is built
+    plainly. A baseline reply rebuilds every reference, and the sharing
+    lets an unchanged one keep its rendered JSON.
+    """
+    types = tuple(type(value) for value in bib.values())
+    if _SHARED_BIB_TYPES.issuperset(types):
+        return _shared_reference(key, number, tuple(bib.items()), types)
+    return Reference(key=key, number=number, bib=bib)
+
+
+@functools.lru_cache(maxsize=_REFERENCE_MEMO_SIZE, typed=True)
+def _shared_reference(key: str, number: int, items: tuple, types: tuple) -> Reference:
+    return Reference(key=key, number=number, bib=dict(items))
+
+
+def _flag(value: object, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise DocumentParseError(f"{what} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def _column_from_dict(data: dict, table_id: str) -> ColumnSpec:
     kind = str(data.get("kind", "text"))
     if kind not in COLUMN_KINDS:
@@ -355,14 +401,15 @@ def document_from_dict(data: dict) -> SurveyDocument:
     for raw in _array(data.get("sections", []), "sections"):
         raw = _object(raw, "section entry")
         try:
-            sections.append(make_section(
-                str(raw["id"]),
-                str(raw.get("title", "")),
-                str(raw.get("text", "")),
-                bool(raw.get("non_maintained", False)),
-            ))
+            section_id = str(raw["id"])
         except KeyError as exc:
             raise DocumentParseError(f"section entry missing field {exc}") from exc
+        sections.append(make_section(
+            section_id,
+            str(raw.get("title", "")),
+            str(raw.get("text", "")),
+            _flag(raw.get("non_maintained", False), f"section {section_id!r} non_maintained"),
+        ))
     tables = []
     for raw in _array(data.get("tables", []), "tables"):
         raw = _object(raw, "table entry")
@@ -383,13 +430,12 @@ def document_from_dict(data: dict) -> SurveyDocument:
     references = []
     for raw in _array(data.get("references", []), "references"):
         try:
-            references.append(Reference(
-                key=str(raw["key"]),
-                number=int(raw["number"]),
-                bib=dict(raw.get("bib", {})),
-            ))
+            key, number, bib = str(raw["key"]), raw["number"], dict(raw.get("bib", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentParseError(f"malformed reference entry {raw!r}: {exc}") from exc
+        if type(number) is not int:
+            raise DocumentParseError(f"reference {key!r}: number {number!r} is not an integer")
+        references.append(make_reference(key, number, bib))
     doc = SurveyDocument(
         metadata=dict(_object(data.get("metadata", {}), "metadata")),
         sections=tuple(sections),
@@ -400,28 +446,32 @@ def document_from_dict(data: dict) -> SurveyDocument:
     return doc
 
 
+def _section_entry(section: Section) -> dict:
+    entry: dict = {"id": section.id, "title": section.title, "text": section.body_text()}
+    if section.non_maintained:
+        entry["non_maintained"] = True
+    return entry
+
+
+def _table_entry(table: SurveyTable) -> dict:
+    return {
+        "id": table.id,
+        "title": table.title,
+        "schema": [_column_to_dict(c) for c in table.schema],
+        "rows": [dict(r) for r in table.rows],
+    }
+
+
+def _reference_entry(reference: Reference) -> dict:
+    return {"key": reference.key, "number": reference.number, "bib": dict(reference.bib)}
+
+
 def document_to_dict(doc: SurveyDocument) -> dict:
-    sections = []
-    for section in doc.sections:
-        entry: dict = {"id": section.id, "title": section.title, "text": section.body_text()}
-        if section.non_maintained:
-            entry["non_maintained"] = True
-        sections.append(entry)
     return {
         "metadata": dict(doc.metadata),
-        "sections": sections,
-        "tables": [
-            {
-                "id": t.id,
-                "title": t.title,
-                "schema": [_column_to_dict(c) for c in t.schema],
-                "rows": [dict(r) for r in t.rows],
-            }
-            for t in doc.tables
-        ],
-        "references": [
-            {"key": r.key, "number": r.number, "bib": dict(r.bib)} for r in doc.references
-        ],
+        "sections": [_section_entry(s) for s in doc.sections],
+        "tables": [_table_entry(t) for t in doc.tables],
+        "references": [_reference_entry(r) for r in doc.references],
     }
 
 
@@ -434,9 +484,85 @@ def parse_document(raw: str) -> SurveyDocument:
     return document_from_dict(data)
 
 
+def _dumps(value: object, indent: str = "") -> str:
+    """Canonical JSON of ``value``, its inner lines indented by ``indent`` more.
+
+    JSON strings hold no raw newline, so the re-indent is exact.
+    """
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
+
+
+def _render_sections(sections: list[Section]) -> list[str]:
+    """Each section as an entry of the canonical document's ``sections`` list.
+
+    The JSON of ``_section_entry``, written out rather than passed through
+    ``json.dumps``, which would copy each text twice more to join and
+    re-indent it; ``encode_basestring`` is the string encoder
+    ``json.dumps`` uses.
+    """
+    entries = []
+    for section in sections:
+        flag = ',\n      "non_maintained": true' if section.non_maintained else ""
+        entries.append(f'    {{\n      "id": {encode_basestring(section.id)},\n'
+                       f'      "title": {encode_basestring(section.title)},\n'
+                       f'      "text": {encode_basestring(section.body_text())}{flag}\n    }}')
+    return entries
+
+
+def _render_references(references: list[Reference]) -> list[str]:
+    """Each reference as an entry of the canonical document's ``references`` list.
+
+    All from one ``json.dumps``: a call per reference costs half as much
+    again.
+    """
+    text = _dumps([_reference_entry(r) for r in references], "  ")
+    # Only the first and last line of an entry are indented by exactly
+    # four spaces, so ",\n    {" occurs only between entries.
+    first, *rest = text[2:-4].split(",\n    {")
+    return [first, *("    {" + part for part in rest)]
+
+
+def _entries(objects: Sequence[Section] | Sequence[Reference],
+             render: Callable[[list], list[str]]) -> list[str]:
+    """The canonical entry of each object, rendered once per object and kept on it.
+
+    The objects are frozen, so a kept entry cannot go stale. Those without
+    one are rendered together.
+    """
+    cold = [o for o in objects if o._json is None]
+    if cold:
+        for obj, entry in zip(cold, render(cold)):
+            object.__setattr__(obj, "_json", entry)
+    return [o._json for o in objects]
+
+
+def _add_list(parts: list[str], entries: Sequence[str]) -> None:
+    if not entries:
+        parts.append("[]")
+        return
+    parts.append("[\n")
+    for entry in entries:
+        parts += (entry, ",\n")
+    parts[-1] = "\n  ]"
+
+
 def serialize_document(doc: SurveyDocument) -> str:
-    """Render the canonical, deterministic JSON form of a document."""
-    return json.dumps(document_to_dict(doc), indent=2, ensure_ascii=False) + "\n"
+    """Render the canonical, deterministic JSON form of a document.
+
+    The text is ``json.dumps(document_to_dict(doc), indent=2,
+    ensure_ascii=False) + "\\n"``, joined once from the entries that each
+    section and reference renders once and keeps. A section or reference
+    that an earlier serialize rendered costs one lookup, so a baseline
+    step re-renders only what its reply changed. Metadata and tables are
+    rendered on every call.
+    """
+    parts = ['{\n  "metadata": ', _dumps(dict(doc.metadata), "  "), ',\n  "sections": ']
+    _add_list(parts, _entries(doc.sections, _render_sections))
+    parts += (',\n  "tables": ', _dumps([_table_entry(t) for t in doc.tables], "  "),
+              ',\n  "references": ')
+    _add_list(parts, _entries(doc.references, _render_references))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def load_document(path: str | Path) -> SurveyDocument:
@@ -486,7 +612,7 @@ def outline_from_dict(data: dict) -> StructuredOutline:
         section_entries=section_entries,
         table_entries=table_entries,
         scope=scope,
-        approved=bool(data.get("approved", False)),
+        approved=_flag(data.get("approved", False), "outline approved"),
     )
     for entry in outline.section_entries:
         if len(entry.table_relevant) != len(outline.table_entries):
@@ -528,7 +654,7 @@ def parse_outline(raw: str) -> StructuredOutline:
 
 
 def serialize_outline(outline: StructuredOutline) -> str:
-    return json.dumps(outline_to_dict(outline), indent=2, ensure_ascii=False) + "\n"
+    return _dumps(outline_to_dict(outline)) + "\n"
 
 
 def load_outline(path: str | Path) -> StructuredOutline:
@@ -548,7 +674,7 @@ __all__ = [
     "COLUMN_KINDS", "ColumnSpec", "Reference", "Section", "SectionEntry", "Sentence",
     "StructuredOutline", "SurveyDocument", "SurveyState", "SurveyTable", "TableEntry",
     "document_from_dict", "document_to_dict", "load_document", "load_outline",
-    "make_section", "outline_entries_from_dict",
+    "make_reference", "make_section", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
     "parse_outline", "save_document", "save_outline", "serialize_document",
     "serialize_outline", "validate_additions", "validate_document", "validate_state",

@@ -1,4 +1,4 @@
-"""Baseline streams: one parse per changed section, one serialize per step.
+"""Baseline streams: one parse and one render per changed section, one serialize per step.
 
 ``_reference_stream`` keeps the baseline loop as it was before sections
 were memoised and each step's output text was handed to the next step:
@@ -152,6 +152,50 @@ def test_one_serialize_per_step_that_did_not_fail_closed(monkeypatch, kinds):
                         lambda doc: calls.append(doc) or plain(doc))
     results = run_method(ONE_STEP, instance, _scripted(instance, ONE_STEP, kinds))
     assert len(calls) == 1 + sum(r.error is None for r in results)
+
+
+@pytest.mark.parametrize("kinds", [
+    ("two", "one", "unchanged", "one"),
+    ("one", "truncated", "two", "unchanged"),
+])
+def test_a_step_renders_only_the_sections_its_reply_changed(monkeypatch, kinds):
+    document.make_section.cache_clear()
+    document._shared_reference.cache_clear()
+    instance = demo.demo_instance()
+    generator = _scripted(instance, ONE_STEP, kinds)
+    renders = {"sections": 0, "references": 0}
+
+    def counting(kind, render):
+        def counted(objects):
+            renders[kind] += len(objects)
+            return render(objects)
+        return counted
+
+    monkeypatch.setattr(document, "_render_sections",
+                        counting("sections", document._render_sections))
+    monkeypatch.setattr(document, "_render_references",
+                        counting("references", document._render_references))
+    per_document = {}
+    plain = benchmark.serialize_document
+
+    def serialize(doc):
+        before = dict(renders)
+        text = plain(doc)
+        per_document[id(doc)] = {k: renders[k] - before[k] for k in renders}
+        return text
+
+    monkeypatch.setattr(benchmark, "serialize_document", serialize)
+    results = run_method(ONE_STEP, instance, generator)
+    early = instance.early_state.document
+    assert per_document[id(early)] == {"sections": len(early.sections),
+                                       "references": len(early.references)}
+    # From the second step on, every reference is the memoised object the
+    # first parsed reply built, and the replies change no reference.
+    for result in results[1:]:
+        if result.error is None:
+            changed = sum(s != result.before.section(s.id) for s in result.after.sections)
+            assert per_document[id(result.after)]["sections"] <= changed
+            assert per_document[id(result.after)]["references"] == 0
 
 
 def test_consecutive_documents_share_unchanged_sections():

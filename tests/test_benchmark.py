@@ -249,6 +249,9 @@ def test_unparseable_baseline_response_fails_closed(demo_instance):
                  "rows": [{"n": 1}]}]},
     {"metadata": "m"},
     {"references": 5},
+    {"sections": [{"id": "1", "text": "A cat.", "non_maintained": "false"}]},
+    {"references": [{"key": "a", "number": 1.9}]},
+    {"references": [{"key": "a", "number": True}]},
 ])
 def test_wrongly_shaped_baseline_reply_fails_closed(demo_instance, reply):
     papers = [p for p, _ in demo_instance.late_papers] + list(demo_instance.out_of_scope_papers)

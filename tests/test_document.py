@@ -5,12 +5,21 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsurvey import demo
+from dynsurvey import demo, document
 from dynsurvey.document import (
+    ColumnSpec,
+    Reference,
+    Section,
+    Sentence,
+    SurveyDocument,
+    SurveyTable,
+    document_from_dict,
+    document_to_dict,
     load_document,
+    make_reference,
     make_section,
     outline_fingerprint,
     outline_from_dict,
@@ -122,6 +131,117 @@ def test_memoised_make_section_equals_the_plain_build(section_id, title, text, n
 
 def test_section_memo_is_bounded():
     assert 0 < make_section.cache_info().maxsize < 2 ** 16
+
+
+def test_reference_memo_is_bounded():
+    assert 0 < document._shared_reference.cache_info().maxsize < 2 ** 16
+
+
+def test_equal_flat_bibs_share_one_reference():
+    bib = {"title": "T", "year": 2001, "venue": None, "open": False}
+    assert make_reference("k", 1, bib) is make_reference("k", 1, dict(bib))
+    assert make_reference("k", 1, bib) == Reference("k", 1, bib)
+
+
+@pytest.mark.parametrize("bib", [{"authors": ["A", "B"]}, {"venue": {"name": "V"}},
+                                 {"score": 0.5}])
+def test_a_bib_with_a_float_list_or_object_is_built_plainly(bib):
+    assert make_reference("k", 1, bib) == Reference("k", 1, bib)
+    assert make_reference("k", 1, bib) is not make_reference("k", 1, bib)
+
+
+def _oracle(doc: SurveyDocument) -> str:
+    return json.dumps(document_to_dict(doc), indent=2, ensure_ascii=False) + "\n"
+
+
+# Quotes, backslashes, control characters, U+2028/9 and wide characters.
+_SPECIAL = st.sampled_from('"\\/\u2028\u2029\x00\x1f\x7f\té漢😀')
+_TEXT = st.text(st.one_of(st.characters(), _SPECIAL), max_size=12)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=4)
+_BIB = st.dictionaries(_TEXT, _JSON, max_size=3)
+_SECTIONS = st.builds(
+    Section, id=_TEXT, title=_TEXT,
+    sentences=st.lists(st.builds(Sentence, id=_TEXT, text=_TEXT), max_size=4).map(tuple),
+    non_maintained=st.booleans())
+_COLUMNS = st.builds(
+    ColumnSpec, name=_TEXT, kind=st.sampled_from(document.COLUMN_KINDS),
+    values=st.lists(_TEXT, max_size=3).map(tuple),
+    minimum=st.none() | st.integers(), maximum=st.none() | st.integers())
+_TABLES = st.builds(
+    SurveyTable, id=_TEXT, title=_TEXT, schema=st.lists(_COLUMNS, max_size=2).map(tuple),
+    rows=st.lists(st.dictionaries(_TEXT, _JSON, max_size=2), max_size=2).map(tuple))
+_REFERENCES = st.one_of(
+    st.builds(Reference, key=_TEXT, number=st.integers(), bib=_BIB),
+    st.builds(make_reference, key=_TEXT, number=st.integers(), bib=_BIB))
+_DOCUMENTS = st.builds(
+    SurveyDocument, metadata=st.dictionaries(_TEXT, _JSON, max_size=2),
+    sections=st.lists(_SECTIONS, max_size=4).map(tuple),
+    tables=st.lists(_TABLES, max_size=1).map(tuple),
+    references=st.lists(_REFERENCES, max_size=5).map(tuple))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DOCUMENTS)
+def test_serialize_equals_json_dumps_of_the_dict_form(doc):
+    expected = _oracle(doc)
+    assert serialize_document(doc) == expected  # fresh objects, nothing rendered yet
+    assert serialize_document(doc) == expected  # every entry rendered before
+    rebuilt = SurveyDocument(doc.metadata, doc.sections[::-1], doc.tables, doc.references[1:])
+    assert serialize_document(rebuilt) == _oracle(rebuilt)
+
+
+def _one_reference_document(bib: dict) -> SurveyDocument:
+    return SurveyDocument({}, (), (), (make_reference("k", 1, bib),))
+
+
+def test_bib_values_that_differ_only_in_type_render_apart():
+    texts = [serialize_document(_one_reference_document({"v": value}))
+             for value in (1, 1.0, True, 0.0, -0.0)]
+    assert [json.loads(t)["references"][0]["bib"]["v"] for t in texts] == [1, 1.0, True, 0.0, -0.0]
+    assert ['"v": 1\n', '"v": 1.0\n', '"v": true\n', '"v": 0.0\n', '"v": -0.0\n'] == \
+        [t[t.index('"v"'):t.index("\n", t.index('"v"')) + 1] for t in texts]
+    for text, value in zip(texts, (1, 1.0, True, 0.0, -0.0)):
+        assert text == _oracle(_one_reference_document({"v": value}))
+
+
+@pytest.mark.parametrize("doc", [
+    SurveyDocument({}, (), (), ()),
+    SurveyDocument({"title": "Ünïcode \"q\" \\ \u2028"}, (
+        Section("9", "Legacy", (Sentence("9:1", "Old\ttext."),), non_maintained=True),
+        Section("e", "", ())), (), ()),
+    SurveyDocument({}, (), (SurveyTable("t", "T", ()),), (
+        Reference("k", 1, {"authors": ["A", {"given": "B"}], "venue": {}, "pages": []}),
+        Reference("j", 2, {}))),
+], ids=["empty", "non_maintained", "nested_bib"])
+def test_serialize_edge_cases_equal_json_dumps(doc):
+    assert serialize_document(doc) == _oracle(doc)
+    assert serialize_document(doc) == _oracle(doc)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+def test_non_boolean_non_maintained_is_a_parse_error(value):
+    data = _minimal_doc_dict()
+    data["sections"][0]["non_maintained"] = value
+    with pytest.raises(DocumentParseError, match="non_maintained must be a JSON boolean"):
+        document_from_dict(data)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_non_boolean_approved_is_a_parse_error(value):
+    data = {"approved": value, "sections": [], "tables": []}
+    with pytest.raises(DocumentParseError, match="approved must be a JSON boolean"):
+        outline_from_dict(data)
+
+
+@pytest.mark.parametrize("number", [1.9, 1.0, True, "1", None])
+def test_reference_number_must_be_a_json_integer(number):
+    data = _minimal_doc_dict()
+    data["references"] = [{"key": "a", "number": number, "bib": {}}]
+    with pytest.raises(DocumentParseError, match="is not an integer"):
+        document_from_dict(data)
 
 
 def test_outline_round_trip_and_fingerprint():
