@@ -537,6 +537,7 @@ def _entries(objects: Sequence[Section] | Sequence[Reference],
 
 
 def _add_list(parts: list[str], entries: Sequence[str]) -> None:
+    """Append the pieces of a JSON list of ``entries`` that sits one key deep."""
     if not entries:
         parts.append("[]")
         return
