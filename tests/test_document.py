@@ -198,13 +198,11 @@ def _one_reference_document(bib: dict) -> SurveyDocument:
 
 
 def test_bib_values_that_differ_only_in_type_render_apart():
-    texts = [serialize_document(_one_reference_document({"v": value}))
-             for value in (1, 1.0, True, 0.0, -0.0)]
-    assert [json.loads(t)["references"][0]["bib"]["v"] for t in texts] == [1, 1.0, True, 0.0, -0.0]
-    assert ['"v": 1\n', '"v": 1.0\n', '"v": true\n', '"v": 0.0\n', '"v": -0.0\n'] == \
-        [t[t.index('"v"'):t.index("\n", t.index('"v"')) + 1] for t in texts]
-    for text, value in zip(texts, (1, 1.0, True, 0.0, -0.0)):
-        assert text == _oracle(_one_reference_document({"v": value}))
+    values = (1, 1.0, True, 0.0, -0.0)
+    texts = [serialize_document(_one_reference_document({"v": v})) for v in values]
+    rendered = [t.split('"v": ')[1].split("\n")[0] for t in texts]
+    assert rendered == ["1", "1.0", "true", "0.0", "-0.0"]
+    assert texts == [_oracle(_one_reference_document({"v": v})) for v in values]
 
 
 @pytest.mark.parametrize("doc", [
