@@ -76,7 +76,7 @@ def _call(
     error_type: type[AgentError],
 ) -> _T:
     """Run one agent call with bounded correction retries."""
-    max_retries = getattr(generator, "max_retries", 1)
+    max_retries = generator.max_retries
     current = prompt
     last_hint = ""
     for attempt in range(max_retries + 1):

@@ -29,10 +29,10 @@ from .document import (
 from .endpoints import GenerationRequest, TextGenerator
 from .engine import Clock, UpdateRecord, apply_update, make_step_clock
 from .errors import (
+    AgentError,
     BenchmarkConstructionError,
     DocumentIntegrityError,
     DocumentParseError,
-    GenerationTransportError,
 )
 from .metrics import derive_inserted_sentences
 from .parsing import ParseFailure, extract_json_value
@@ -234,7 +234,7 @@ def _baseline_step(
     generator: TextGenerator,
     document: str,
 ) -> tuple[SurveyDocument, str, StepResult]:
-    """One whole-document single-call update; fails closed on bad output.
+    """One whole-document single-call update; fails closed on a failed call or bad output.
 
     ``document`` is ``serialize_document(doc)``. The step returns its
     output document with that document's canonical text, so a stream
@@ -255,10 +255,10 @@ def _baseline_step(
     try:
         raw = generator.generate(GenerationRequest(method, paper.id, 0, prompt))
         new_doc = document_from_dict(extract_json_value(raw))
-    except (ParseFailure, DocumentParseError, DocumentIntegrityError,
-            GenerationTransportError) as exc:
-        # Fail closed: an unparseable full-document response must not
-        # corrupt the stream, so the original document carries forward.
+    except (AgentError, ParseFailure, DocumentParseError, DocumentIntegrityError) as exc:
+        # Fail closed: a failed call or an unparseable full-document
+        # response must not end or corrupt the stream, so the original
+        # document carries forward, as after a failed framework step.
         error = str(exc)
         new_doc = doc
         logger.warning("%s step for %s failed closed: %s", method, paper.id, exc)

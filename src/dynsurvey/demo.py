@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable
 
 from .benchmark import SpanAnnotation, build_instance, save_span_annotations
 from .corpus import PaperRecord, SurveyScope, write_feed
@@ -407,20 +408,12 @@ def demo_framework_script() -> dict[str, str]:
     }
 
 
-def _with_appended_text(doc: SurveyDocument, section_id: str, extra: str) -> SurveyDocument:
+def _with_section_text(doc: SurveyDocument, section_id: str,
+                       edit: Callable[[str], str]) -> SurveyDocument:
     data = document_to_dict(doc)
     for section in data["sections"]:
         if section["id"] == section_id:
-            section["text"] = section["text"] + " " + extra
-    return document_from_dict(data)
-
-
-def _with_rewritten_sentence(doc: SurveyDocument, section_id: str,
-                             old: str, new: str) -> SurveyDocument:
-    data = document_to_dict(doc)
-    for section in data["sections"]:
-        if section["id"] == section_id:
-            section["text"] = section["text"].replace(old, new)
+            section["text"] = edit(section["text"])
     return document_from_dict(data)
 
 
@@ -436,36 +429,34 @@ def demo_baseline_script() -> dict[str, str]:
     instance = demo_instance()
     early = instance.early_state.document
 
-    late_a_extra = (
-        "Two-stage refinement adds a correction pass that reuses the predicted "
-        "noise map to restore texture."
-    )
-    late_b_extra = (
-        "A paired burst benchmark with 144 scenes scores raw and processed "
-        "outputs under a fixed split."
-    )
+    def append_late_a(text: str) -> str:
+        return (text + " Two-stage refinement adds a correction pass that reuses the "
+                "predicted noise map to restore texture.")
+
+    def append_late_b(text: str) -> str:
+        return (text + " A paired burst benchmark with 144 scenes scores raw and "
+                "processed outputs under a fixed split.")
 
     doc = early
-    step = _with_rewritten_sentence(
-        doc, "1",
+    step = _with_section_text(doc, "1", lambda text: text.replace(
         "Classical spatial filters average neighboring pixels under a local "
         "smoothness assumption.",
         "Classical spatial filters pool nearby pixels under a strong local "
-        "smoothness prior, which blurs edges.")
-    step = _with_appended_text(step, "2", late_a_extra)
+        "smoothness prior, which blurs edges."))
+    step = _with_section_text(step, "2", append_late_a)
     script["one_step|lateA|0"] = serialize_document(step)
     doc = step
-    step = _with_appended_text(doc, "3", late_b_extra)
+    step = _with_section_text(doc, "3", append_late_b)
     script["one_step|lateB|0"] = serialize_document(step)
     doc = step
     script["one_step|oosA|0"] = serialize_document(doc)
     script["one_step|oosB|0"] = serialize_document(doc)
 
     doc = early
-    step = _with_appended_text(doc, "2", late_a_extra)
+    step = _with_section_text(doc, "2", append_late_a)
     script["oracle|lateA|0"] = serialize_document(step)
     doc = step
-    step = _with_appended_text(doc, "3", late_b_extra)
+    step = _with_section_text(doc, "3", append_late_b)
     script["oracle|lateB|0"] = serialize_document(step)
     doc = step
     script["oracle|oosA|0"] = serialize_document(doc)

@@ -2,12 +2,12 @@
 
 The merge is insertion-only. A step may add sentences to exactly one
 routed section, append at most one row to the routed table, and append
-reference entries; it never rewrites, reorders or deletes existing
-content and never touches the outline. Those guarantees hold by
-construction.
+at most one reference, the bib entry of the paper it integrates; it
+never rewrites, reorders or deletes existing content and never touches
+the outline. Those guarantees hold by construction.
 
 A step checks only what it adds: ``validate_additions`` reads the new
-sentences and the appended references, ``append_table_row`` the new row.
+sentences and the appended reference, ``append_table_row`` the new row.
 Its cost therefore follows the size of its change, not of the survey.
 The whole survey is checked where it enters (``document_from_dict``) and
 once more in ``publish``, before the file is written.
@@ -50,6 +50,7 @@ from .errors import (
     CitationError,
     ConfigError,
     DocumentIntegrityError,
+    DocumentParseError,
     OutlineNotApprovedError,
     TableSynthesisError,
 )
@@ -129,49 +130,33 @@ def insert_paragraph(
 
 def resolve_citations(
     draft: str,
-    bib_entries: list[dict],
-    doc: SurveyDocument,
+    bib: dict,
+    references: tuple[Reference, ...],
 ) -> tuple[str, tuple[Reference, ...], tuple[str, ...]]:
-    """Replace ``[cite]`` placeholders with numeric markers.
+    """Replace a draft's ``[cite]`` placeholders with the number of its paper.
 
-    A key already present in the references keeps its number; a new key is
-    appended with number max+1. A single bib entry covers every
-    placeholder in the draft; with several entries, placeholders map to
-    entries positionally. Returns the final text, the updated reference
-    list and the resolved keys in placeholder order.
+    An update step integrates one paper, so every placeholder of its draft
+    cites that paper's bib entry ``bib`` (empty when the feed gave none).
+    A key the references already hold keeps its number; a new key is
+    appended as ``len(references) + 1``. Numbering is dense
+    (``validate_document`` checks it on load, ``validate_additions`` at
+    every step), so that is the next number. Returns the final text, the
+    reference list and the cited key once per placeholder.
     """
     count = draft.count(CITE_PLACEHOLDER)
     if count == 0:
-        return draft, doc.references, ()
-    if not bib_entries:
+        return draft, references, ()
+    if not bib:
         raise CitationError("draft contains a [cite] placeholder but no bib entry was provided")
-    if len(bib_entries) == 1:
-        mapping = [bib_entries[0]] * count
-    elif len(bib_entries) >= count:
-        mapping = list(bib_entries[:count])
-    else:
-        raise CitationError(
-            f"draft has {count} placeholders but only {len(bib_entries)} bib entries")
-
-    references = list(doc.references)
-    numbers = {r.key: r.number for r in references}
-    next_number = max((r.number for r in references), default=0) + 1
-    resolved_keys: list[str] = []
-    pieces = draft.split(CITE_PLACEHOLDER)
-    final = [pieces[0]]
-    for index, entry in enumerate(mapping):
-        key = str(entry.get("key", ""))
-        if not key:
-            raise CitationError("bib entry has no citation key")
-        if key not in numbers:
-            numbers[key] = next_number
-            bib = {k: v for k, v in entry.items() if k != "key"}
-            references.append(Reference(key=key, number=next_number, bib=bib))
-            next_number += 1
-        resolved_keys.append(key)
-        final.append(f"[{numbers[key]}]")
-        final.append(pieces[index + 1])
-    return "".join(final), tuple(references), tuple(resolved_keys)
+    key = str(bib.get("key", ""))
+    if not key:
+        raise CitationError("bib entry has no citation key")
+    number = next((r.number for r in references if r.key == key), None)
+    if number is None:
+        number = len(references) + 1
+        fields = {k: v for k, v in bib.items() if k != "key"}
+        references = (*references, Reference(key=key, number=number, bib=fields))
+    return draft.replace(CITE_PLACEHOLDER, f"[{number}]"), references, (key,) * count
 
 
 def _merge(
@@ -182,18 +167,17 @@ def _merge(
     draft: str,
     row: dict | None,
     routed_table: str | None,
-) -> tuple[SurveyDocument, tuple[str, ...], tuple[str, ...], int]:
+) -> tuple[SurveyDocument, tuple[str, ...], tuple[str, ...]]:
     """Deterministic merge of synthesis outputs into a new document."""
-    placeholder_count = draft.count(CITE_PLACEHOLDER)
     resolved_text, references, resolved_keys = resolve_citations(
-        draft, [paper.bib] if paper.bib else [], doc)
+        draft, paper.bib, doc.references)
     section = doc.section(routed_section)
     new_section, inserted_ids = insert_paragraph(section, insertion, resolved_text)
     validate_additions(new_section, inserted_ids, references, len(doc.references))
     new_doc = doc.replace_section(new_section).with_references(references)
     if row is not None and routed_table is not None:
         new_doc = new_doc.append_table_row(routed_table, row)
-    return new_doc, inserted_ids, resolved_keys, placeholder_count
+    return new_doc, inserted_ids, resolved_keys
 
 
 def apply_update(
@@ -242,7 +226,7 @@ def apply_update(
                 table_error = str(exc)
                 logger.warning("table synthesis failed for %s; completing text-only: %s",
                                paper.id, exc)
-        new_doc, inserted_ids, resolved_keys, placeholder_count = _merge(
+        new_doc, inserted_ids, resolved_keys = _merge(
             state.document, paper, routing.ranked_sections[0],
             routing.insertion_sentence_id, draft, row, table_routing.table_id)
     except (AgentError, CitationError, DocumentIntegrityError) as exc:
@@ -251,7 +235,7 @@ def apply_update(
             paper_id=paper.id, decision="failed", error=str(exc),
             started_at=started, finished_at=now())
 
-    if placeholder_count == 0:
+    if not resolved_keys:
         logger.info("draft for %s carries no [cite] placeholder", paper.id)
     record = UpdateRecord(
         paper_id=paper.id,
@@ -265,7 +249,7 @@ def apply_update(
         draft_text=draft,
         inserted_row=row,
         resolved_citation_keys=resolved_keys,
-        placeholder_count=placeholder_count,
+        placeholder_count=len(resolved_keys),
         started_at=started,
         finished_at=now(),
         table_error=table_error,
@@ -281,8 +265,10 @@ def replay_update(
     """Reproduce a recorded state delta without invoking any agent."""
     if record.decision != "updated":
         return state
-    assert record.routed_section is not None
-    new_doc, inserted_ids, _, _ = _merge(
+    if record.routed_section is None:
+        raise DocumentIntegrityError(
+            f"audit record of {record.paper_id} is 'updated' but names no routed section")
+    new_doc, inserted_ids, _ = _merge(
         state.document, paper, record.routed_section,
         record.insertion_sentence_id or APPEND, record.draft_text,
         record.inserted_row, record.routed_table)
@@ -322,6 +308,16 @@ def update_record_to_dict(record: UpdateRecord) -> dict:
     return data
 
 
+def _table_votes(raw: list) -> tuple[tuple[str, bool], ...]:
+    votes = []
+    for table_id, vote in raw:
+        if not isinstance(vote, bool):
+            raise DocumentParseError(
+                f"table vote for {table_id!r} must be a JSON boolean, got {vote!r}")
+        votes.append((str(table_id), vote))
+    return tuple(votes)
+
+
 def update_record_from_dict(data: dict) -> UpdateRecord:
     return UpdateRecord(
         paper_id=str(data["paper_id"]),
@@ -329,7 +325,7 @@ def update_record_from_dict(data: dict) -> UpdateRecord:
         routed_section=data.get("routed_section"),
         routed_table=data.get("routed_table"),
         ranked_sections=tuple(data.get("ranked_sections", [])),
-        table_votes=tuple((str(t), bool(v)) for t, v in data.get("table_votes", [])),
+        table_votes=_table_votes(data.get("table_votes", [])),
         insertion_sentence_id=data.get("insertion_sentence_id"),
         inserted_sentence_ids=tuple(data.get("inserted_sentence_ids", [])),
         draft_text=str(data.get("draft_text", "")),

@@ -238,6 +238,20 @@ def test_unparseable_baseline_response_fails_closed(demo_instance):
         serialize_document(demo_instance.early_state.document)
 
 
+@pytest.mark.parametrize("method", [ONE_STEP, ORACLE])
+def test_baseline_step_without_a_reply_fails_closed(demo_instance, method):
+    # A missing reply is an AgentError like a transport failure: the
+    # framework records such a step as failed, and so must a baseline.
+    script = dict(demo.demo_scenario()["generation"])
+    del script[f"{method}|lateB|0"]
+    results = run_method(method, demo_instance, ScriptedGeneration.from_flat(script))
+    assert [r.paper_id for r in results] == ["lateA", "lateB", "oosA", "oosB"]
+    failed = results[1]
+    assert "lateB" in failed.error and not failed.abstained
+    assert failed.after is failed.before
+    assert all(r.error is None for r in results if r is not failed)
+
+
 @pytest.mark.parametrize("reply", [
     {"sections": ["x"]},
     {"sections": 5},

@@ -32,6 +32,7 @@ from dynsurvey.errors import (
     CitationError,
     ConfigError,
     DocumentIntegrityError,
+    DocumentParseError,
     OutlineNotApprovedError,
 )
 from helpers import cited_numbers, count_unresolved_placeholders
@@ -120,7 +121,7 @@ def _doc_with_refs(n: int):
 def test_fresh_key_gets_next_number():
     doc = _doc_with_refs(57)
     text, refs, keys = resolve_citations(
-        "X [cite] improves Y.", [{"key": "new2024", "title": "New"}], doc)
+        "X [cite] improves Y.", {"key": "new2024", "title": "New"}, doc.references)
     assert text == "X [58] improves Y."
     assert refs[-1].number == 58 and refs[-1].key == "new2024"
     assert keys == ("new2024",)
@@ -128,7 +129,7 @@ def test_fresh_key_gets_next_number():
 
 def test_no_placeholders_is_identity():
     doc = _doc_with_refs(3)
-    text, refs, keys = resolve_citations("No markers here.", [{"key": "a"}], doc)
+    text, refs, keys = resolve_citations("No markers here.", {"key": "a"}, doc.references)
     assert text == "No markers here."
     assert refs == doc.references
     assert keys == ()
@@ -137,7 +138,7 @@ def test_no_placeholders_is_identity():
 def test_same_key_cited_twice_gets_one_entry():
     doc = _doc_with_refs(2)
     text, refs, keys = resolve_citations(
-        "A [cite] and again [cite].", [{"key": "dup", "title": "D"}], doc)
+        "A [cite] and again [cite].", {"key": "dup", "title": "D"}, doc.references)
     assert text == "A [3] and again [3]."
     assert len(refs) == 3
     assert keys == ("dup", "dup")
@@ -145,7 +146,7 @@ def test_same_key_cited_twice_gets_one_entry():
 
 def test_existing_key_reuses_number():
     doc = _doc_with_refs(4)
-    text, refs, _ = resolve_citations("Again [cite].", [{"key": "k2"}], doc)
+    text, refs, _ = resolve_citations("Again [cite].", {"key": "k2"}, doc.references)
     assert text == "Again [2]."
     assert refs == doc.references
 
@@ -153,26 +154,7 @@ def test_existing_key_reuses_number():
 def test_placeholder_without_entry_is_an_error():
     doc = _doc_with_refs(1)
     with pytest.raises(CitationError, match="no bib entry"):
-        resolve_citations("X [cite].", [], doc)
-
-
-def test_more_placeholders_than_entries_rejected():
-    # A single entry broadcasts to every placeholder; several entries must
-    # cover the placeholders positionally.
-    doc = _doc_with_refs(1)
-    with pytest.raises(CitationError, match="3 placeholders"):
-        resolve_citations("[cite], [cite] and [cite].",
-                          [{"key": "a"}, {"key": "b"}], doc)
-
-
-def test_positional_mapping_with_multiple_entries():
-    doc = _doc_with_refs(1)
-    text, refs, keys = resolve_citations(
-        "First [cite], second [cite].",
-        [{"key": "a", "title": "A"}, {"key": "b", "title": "B"}], doc)
-    assert text == "First [2], second [3]."
-    assert keys == ("a", "b")
-    assert [r.key for r in refs] == ["k1", "a", "b"]
+        resolve_citations("X [cite].", {}, doc.references)
 
 
 # --- apply_update ----------------------------------------------------------
@@ -358,6 +340,17 @@ def test_replay_of_abstained_step_is_identity(full_state):
     assert replay_update(full_state, record, paper) is full_state
 
 
+def test_replay_of_updated_record_without_section_names_the_paper(full_state):
+    draft = "Unrouted Method [cite]: One claim."
+    script = _framework_script("pU", "2", "append", {"t1": "no", "t2": "no"}, draft)
+    paper = make_paper("pU")
+    _, record = apply_update(full_state, paper, make_generator(script))
+    data = update_record_to_dict(record)
+    data["routed_section"] = None
+    with pytest.raises(DocumentIntegrityError, match="pU"):
+        replay_update(full_state, update_record_from_dict(data), paper)
+
+
 # --- publish and audit log -------------------------------------------------
 
 
@@ -411,6 +404,17 @@ def test_audit_log_round_trip(full_state, tmp_path):
     loaded = read_audit_log(path)
     assert loaded == [record]
     assert update_record_from_dict(update_record_to_dict(record)) == record
+
+
+@pytest.mark.parametrize("vote", ["false", "true", 0, 1, None])
+def test_audit_table_vote_must_be_a_json_boolean(full_state, vote):
+    draft = "Voted Method [cite]: One claim."
+    script = _framework_script("pV", "2", "append", {"t1": "no", "t2": "no"}, draft)
+    _, record = apply_update(full_state, make_paper("pV"), make_generator(script))
+    data = update_record_to_dict(record)
+    data["table_votes"][0][1] = vote
+    with pytest.raises(DocumentParseError, match="t1"):
+        update_record_from_dict(data)
 
 
 def test_audit_replay_reproduces_published_bytes(full_state, tmp_path):
