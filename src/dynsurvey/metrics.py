@@ -257,18 +257,25 @@ def derive_inserted_sentences(
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for x in a:
-        current = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(current[j - 1], previous[j]))
-        previous = current
-    return previous[len(b)]
+    """Length of the longest common subsequence, by bit-parallel dynamic programming.
+
+    Bit ``i`` of ``v`` stands for token ``a[i]``, and one Python integer
+    holds a whole row of the LCS table: after each token ``y`` of ``b``,
+    the zero bits of ``v`` mark the positions where the row steps up, so
+    the LCS is ``len(a)`` minus the ones of ``v`` (Allison and Dix, 1986;
+    Hyyrö, 2004). A token of ``b`` that ``a`` lacks leaves ``v`` as it is.
+    """
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        mask = masks.get(y)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str, beta: float = DEFAULT_ROUGE_BETA) -> float:
