@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .document import Sentence, SurveyDocument
+from .document import Section, Sentence, SurveyDocument
 from .endpoints import TextEmbedder
 from .errors import EvaluationError, MetricUnavailableError
 from .text import tokenize
@@ -168,19 +168,32 @@ def _memo_tokens(text: str) -> tuple[str, ...]:
     return tuple(tokenize(text))
 
 
+def _section_tokens(section: Section) -> tuple[str, ...]:
+    """The tokens of a section's sentences, joined once and kept on the section.
+
+    The section is frozen, so the kept tuple cannot go stale.
+    """
+    tokens = section._tokens
+    if tokens is None:
+        tokens = tuple(token for sentence in section.sentences
+                       for token in _memo_tokens(sentence.text))
+        object.__setattr__(section, "_tokens", tokens)
+    return tokens
+
+
 def document_token_stream(doc: SurveyDocument) -> tuple[list[str], list[TokenRegion]]:
     """Tokenize the maintained body of a document with region boundaries.
 
     Sections contribute their sentence text; tables contribute their
     title and cell values in schema order. References and metadata are
-    excluded from the stream.
+    excluded from the stream. A section's tokens are joined once per
+    ``Section`` object; tables are tokenized on every call.
     """
     tokens: list[str] = []
     regions: list[TokenRegion] = []
     for section in doc.sections:
         start = len(tokens)
-        for sentence in section.sentences:
-            tokens.extend(_memo_tokens(sentence.text))
+        tokens += _section_tokens(section)
         regions.append(TokenRegion(f"section:{section.id}", start, len(tokens)))
     for table in doc.tables:
         start = len(tokens)

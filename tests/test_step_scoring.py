@@ -10,10 +10,21 @@ errors.
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsurvey.metrics import _lcs_length
+from dynsurvey.document import (
+    ColumnSpec,
+    Section,
+    SurveyDocument,
+    SurveyTable,
+    make_section,
+)
+from dynsurvey.engine import insert_paragraph
+from dynsurvey.metrics import TokenRegion, _lcs_length, document_token_stream
+from dynsurvey.text import tokenize
 
 # --- reference implementations -------------------------------------------------
 
@@ -31,6 +42,23 @@ def reference_lcs_length(a, b) -> int:
                 current.append(max(current[j - 1], previous[j]))
         previous = current
     return previous[len(b)]
+
+
+def reference_token_stream(doc):
+    tokens, regions = [], []
+    for section in doc.sections:
+        start = len(tokens)
+        for sentence in section.sentences:
+            tokens.extend(tokenize(sentence.text))
+        regions.append(TokenRegion(f"section:{section.id}", start, len(tokens)))
+    for table in doc.tables:
+        start = len(tokens)
+        tokens.extend(tokenize(table.title))
+        for row in table.rows:
+            for column in table.schema:
+                tokens.extend(tokenize(str(row.get(column.name, ""))))
+        regions.append(TokenRegion(f"table:{table.id}", start, len(tokens)))
+    return tokens, regions
 
 
 # --- LCS length ------------------------------------------------------------------
@@ -58,3 +86,85 @@ def test_lcs_length_pinned_cases():
     long_a = ["x"] * 200 + ["y"]
     assert _lcs_length(long_a, ["y"] + ["x"] * 150) == 150
     assert _lcs_length(["a", "b"] * 100, ["b", "a"] * 100) == 199
+
+
+# --- token stream over kept section tuples -------------------------------------
+
+_WORDS = ["Model", "noise", "prior", "patch", "7", "e.g.", "filter", "(deep)", "[1]"]
+_sentence_text = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(
+    lambda words: " ".join(words) + ".")
+_section_text = st.lists(_sentence_text, max_size=5).map(" ".join)
+_TABLE = SurveyTable(id="t1", title="Methods (table)",
+                     schema=(ColumnSpec("name"), ColumnSpec("year")))
+
+
+def _document(sections: tuple[Section, ...], rows: tuple[dict, ...] = ()) -> SurveyDocument:
+    table = dataclasses.replace(_TABLE, rows=rows)
+    return SurveyDocument(metadata={}, sections=sections, tables=(table,), references=())
+
+
+@st.composite
+def _document_versions(draw):
+    """A document, then versions of it that each change one section or add a row.
+
+    Unchanged sections are the same objects in every version, as in an
+    update stream, so their kept token tuples are reused.
+    """
+    count = draw(st.integers(1, 4))
+    sections = tuple(make_section(str(i), f"S{i}", draw(_section_text)) for i in range(count))
+    rows: tuple[dict, ...] = ()
+    versions = [_document(sections, rows)]
+    for _ in range(draw(st.integers(0, 4))):
+        index = draw(st.integers(0, count - 1))
+        kind = draw(st.sampled_from(["insert", "reparse", "row"]))
+        section = sections[index]
+        if kind == "insert":
+            anchor = draw(st.sampled_from(["append", *section.sentence_ids()]))
+            section, _ = insert_paragraph(section, anchor, draw(_section_text))
+        elif kind == "reparse":
+            section = make_section(section.id, section.title, draw(_section_text))
+        else:
+            rows += ({"name": draw(_sentence_text), "year": draw(st.integers(1990, 2030))},)
+        sections = sections[:index] + (section,) + sections[index + 1:]
+        versions.append(_document(sections, rows))
+    return versions
+
+
+@settings(max_examples=200, deadline=None)
+@given(_document_versions())
+def test_token_stream_matches_reference_across_versions(versions):
+    for doc in versions:
+        assert document_token_stream(doc) == reference_token_stream(doc)
+    # A second stream of the same objects reads the kept tuples.
+    for doc in versions:
+        assert document_token_stream(doc) == reference_token_stream(doc)
+
+
+def test_kept_tokens_do_not_change_equality_hash_or_repr():
+    section = make_section("k1", "Kept", "Alpha beta. Gamma delta.")
+    fresh = Section(id=section.id, title=section.title, sentences=section.sentences)
+    document_token_stream(_document((section,)))
+    assert section._tokens is not None and fresh._tokens is None
+    assert section == fresh
+    assert hash(section) == hash(fresh)
+    assert repr(section) == repr(fresh)
+    assert "_tokens" not in repr(section)
+
+
+def test_replaced_section_starts_without_kept_tokens():
+    section = make_section("k2", "Kept", "Alpha beta. Gamma delta.")
+    document_token_stream(_document((section,)))
+    changed = dataclasses.replace(section, sentences=section.sentences[:1])
+    assert changed._tokens is None
+    tokens, regions = document_token_stream(_document((changed,)))
+    assert tokens[regions[0].start:regions[0].end] == tokenize("Alpha beta.")
+
+
+def test_shared_section_keeps_the_tokens_of_its_sentences():
+    text = "Shared section text. It is parsed once, e.g. twice."
+    first = make_section("k3", "Shared", text)
+    document_token_stream(_document((first,)))
+    second = make_section("k3", "Shared", text)
+    assert second is first
+    expected = tuple(token for s in second.sentences for token in tokenize(s.text))
+    assert second._tokens == expected
