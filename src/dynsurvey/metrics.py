@@ -411,14 +411,19 @@ def local_coherence(
     inserted sentence in document order, truncated at section boundaries
     and excluding only the sentence itself. Sentences with an empty
     window are skipped; if every window is empty the score is absent.
+
+    Only the sections that hold inserted sentences are read: a sentence
+    id is ``"{section_id}:{counter}"`` (``document.make_section``), so
+    the text before its last colon names its section.
     """
     if not update_sentences:
         return None
-    positions: dict[str, tuple[list[Sentence], int]] = {}
+    touched = {sentence.id.rsplit(":", 1)[0] for sentence in update_sentences}
+    positions: dict[str, tuple[tuple[Sentence, ...], int]] = {}
     for section in post_document.sections:
-        siblings = list(section.sentences)
-        for index, sentence in enumerate(siblings):
-            positions[sentence.id] = (siblings, index)
+        if section.id in touched:
+            for index, sentence in enumerate(section.sentences):
+                positions[sentence.id] = (section.sentences, index)
     pairs: list[tuple[str, list[str]]] = []
     for sentence in update_sentences:
         if sentence.id not in positions:

@@ -18,12 +18,22 @@ from hypothesis import strategies as st
 from dynsurvey.document import (
     ColumnSpec,
     Section,
+    Sentence,
     SurveyDocument,
     SurveyTable,
     make_section,
 )
 from dynsurvey.engine import insert_paragraph
-from dynsurvey.metrics import TokenRegion, _lcs_length, document_token_stream
+from dynsurvey.errors import EvaluationError
+from dynsurvey.metrics import (
+    TokenRegion,
+    _lcs_length,
+    cosine,
+    document_token_stream,
+    embed,
+    local_coherence,
+)
+from dynsurvey.mock import HashEmbedding
 from dynsurvey.text import tokenize
 
 # --- reference implementations -------------------------------------------------
@@ -59,6 +69,34 @@ def reference_token_stream(doc):
                 tokens.extend(tokenize(str(row.get(column.name, ""))))
         regions.append(TokenRegion(f"table:{table.id}", start, len(tokens)))
     return tokens, regions
+
+
+def reference_local_coherence(update_sentences, post_document, window, embedder):
+    if not update_sentences:
+        return None
+    positions = {}
+    for section in post_document.sections:
+        siblings = list(section.sentences)
+        for index, sentence in enumerate(siblings):
+            positions[sentence.id] = (siblings, index)
+    pairs = []
+    for sentence in update_sentences:
+        if sentence.id not in positions:
+            raise EvaluationError(
+                f"inserted sentence {sentence.id!r} not found in the post-update document")
+        siblings, index = positions[sentence.id]
+        neighborhood = siblings[max(0, index - window):index] + siblings[index + 1:index + 1 + window]
+        if neighborhood:
+            pairs.append((sentence.text, [n.text for n in neighborhood]))
+    if not pairs:
+        return None
+    unique_texts = sorted({text for u, neigh in pairs for text in [u, *neigh]})
+    vectors = dict(zip(unique_texts, embed(unique_texts, embedder)))
+    scores = []
+    for update_text, neighborhood in pairs:
+        neighbor_scores = [cosine(vectors[update_text], vectors[t]) for t in neighborhood]
+        scores.append(sum(neighbor_scores) / len(neighbor_scores))
+    return sum(scores) / len(scores)
 
 
 # --- LCS length ------------------------------------------------------------------
@@ -168,3 +206,45 @@ def test_shared_section_keeps_the_tokens_of_its_sentences():
     assert second is first
     expected = tuple(token for s in second.sentences for token in tokenize(s.text))
     assert second._tokens == expected
+
+
+# --- local coherence over the touched sections ---------------------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EvaluationError as exc:
+        return EvaluationError, str(exc)
+
+
+@st.composite
+def _coherence_cases(draw):
+    """A document, some of its sentences as the update, and maybe a sentence it lacks."""
+    count = draw(st.integers(1, 4))
+    # A section id may itself hold a colon; its sentence ids then hold two.
+    prefix = draw(st.sampled_from(["s", "s:"]))
+    sections = tuple(make_section(f"{prefix}{i}", "S", draw(_section_text)) for i in range(count))
+    doc = _document(sections)
+    sentences = [s for section in sections for s in section.sentences]
+    update = draw(st.lists(st.sampled_from(sentences), max_size=6)) if sentences else []
+    ghost = draw(st.sampled_from([None, "missing counter", "missing section", "no colon"]))
+    if ghost == "missing counter":
+        # The id names a section that exists but does not hold it.
+        update.insert(draw(st.integers(0, len(update))), Sentence(id=f"{prefix}0:99", text="Ghost."))
+    elif ghost == "missing section":
+        update.insert(draw(st.integers(0, len(update))), Sentence(id=f"{prefix}9:1", text="Ghost."))
+    elif ghost == "no colon":
+        update.insert(draw(st.integers(0, len(update))), Sentence(id=f"{prefix}0", text="Ghost."))
+    window = draw(st.integers(0, 3))
+    embedder = HashEmbedding(seed=draw(st.integers(0, 3)), dimension=draw(st.sampled_from([3, 16])))
+    return update, doc, window, embedder
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coherence_cases())
+def test_local_coherence_matches_whole_document_reference(case):
+    update, doc, window, embedder = case
+    assert _outcome(local_coherence, update, doc, window, embedder) == \
+        _outcome(reference_local_coherence, update, doc, window, embedder)
+
