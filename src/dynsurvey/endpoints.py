@@ -48,6 +48,14 @@ class TextGenerator(Protocol):
 
 @runtime_checkable
 class TextEmbedder(Protocol):
+    """Embeds a batch of texts, one vector per text, in input order.
+
+    A text's vector must not depend on the rest of its batch: the metric
+    suite embeds the distinct texts of a step in one call and reads every
+    metric's vectors from it (``metrics.embed``). ``HashEmbedding`` meets
+    this; a server that pads or normalises across a batch does not.
+    """
+
     model_id: str
     dimension: int
 

@@ -22,9 +22,11 @@ from .metrics import (
     abstention_precision_recall,
     bert_similarity,
     bleu_4,
+    coherence_windows,
     delta_out,
     delta_tokens,
     document_token_stream,
+    embed,
     local_coherence,
     rouge_l,
     semantic_alignment,
@@ -78,6 +80,39 @@ def _step_scope(result: StepResult) -> set[str]:
     return set()
 
 
+def _embedding_metrics(
+    result: StepResult,
+    update_text: str,
+    coherence_window: int,
+    embedder: TextEmbedder,
+) -> tuple[float | None, float | None, float | None]:
+    """bert_sim, semantic alignment and local coherence from one embedder call.
+
+    The texts all three need go to ``embed`` as one de-duplicated batch.
+    If that call fails, all three are absent.
+    """
+    similarity = result.gt_span is not None and bool(update_text)
+    quality = bool(result.inserted and result.paper_repr)
+    texts = [update_text, result.gt_span.text] if similarity else []
+    sentences: list[str] = []
+    windows: list[tuple[str, list[str]]] = []
+    if quality:
+        sentences = [s.text for s in result.inserted]
+        windows = coherence_windows(result.inserted, result.after, coherence_window)
+        texts += [*sentences, result.paper_repr,
+                  *(text for _, neighborhood in windows for text in neighborhood)]
+    try:
+        vectors = embed(texts, embedder)
+    except MetricUnavailableError as exc:
+        logger.warning("embeddings unavailable for %s: %s", result.paper_id, exc)
+        return None, None, None
+    bert = bert_similarity(update_text, result.gt_span.text, vectors) if similarity else None
+    if not quality:
+        return bert, None, None
+    return (bert, semantic_alignment(sentences, result.paper_repr, vectors),
+            local_coherence(windows, vectors))
+
+
 def evaluate_step(
     result: StepResult,
     survey: str,
@@ -98,20 +133,9 @@ def evaluate_step(
         reference = result.gt_span.text
         bleu = bleu_4(update_text, reference)
         rouge = rouge_l(update_text, reference, beta=rouge_beta)
-        if embedder is not None and update_text:
-            try:
-                bert = bert_similarity(update_text, reference, embedder)
-            except MetricUnavailableError as exc:
-                logger.warning("similarity embedding unavailable for %s: %s",
-                               result.paper_id, exc)
-    if embedder is not None and result.inserted and result.paper_repr:
-        try:
-            align = semantic_alignment(
-                [s.text for s in result.inserted], result.paper_repr, embedder)
-            coherence = local_coherence(
-                result.inserted, result.after, coherence_window, embedder)
-        except MetricUnavailableError as exc:
-            logger.warning("quality embeddings unavailable for %s: %s", result.paper_id, exc)
+    if embedder is not None:
+        bert, align, coherence = _embedding_metrics(
+            result, update_text, coherence_window, embedder)
 
     hit1 = hit3 = None
     if result.gt_span is not None and not result.out_of_scope:

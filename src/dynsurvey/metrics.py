@@ -3,9 +3,10 @@
 All metric functions are pure. Token-level disruption runs over a
 combined stream of section and table content; the reference list and
 document metadata are bookkeeping maintained programmatically and are
-not part of the edit accounting. Embedding-backed metrics return None
-when no embedder is available; absent values are never replaced by
-zeros.
+not part of the edit accounting. Embedding-backed metrics read their
+texts' vectors from the mapping ``embed`` returns, so one step can score
+all of them from a single embedder call. They are absent (None) when no
+embedder is available; absent values are never replaced by zeros.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .document import Section, Sentence, SurveyDocument
 from .endpoints import TextEmbedder
@@ -34,6 +35,9 @@ DEFAULT_FIDELITY_TAU = 0.6
 _TOKEN_MEMO_SIZE = 2 ** 14
 # First slice length a diagonal run is compared in.
 _SNAKE_CHUNK = 16
+
+# Text -> embedding, as ``embed`` returns it.
+Vectors = Mapping[str, Sequence[float]]
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +354,26 @@ def bleu_4(candidate: str, reference: str) -> float:
 # Embedding-based metrics
 
 
-def embed(texts: Sequence[str], embedder: TextEmbedder) -> list[list[float]]:
-    """Batch texts through an embedder; transport failures surface as
-    MetricUnavailableError so callers report the metric absent."""
-    if not texts:
-        return []
+def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]]:
+    """Vectors of the distinct ``texts``, keyed by text, from one embedder call.
+
+    Each text is sent once, in first-seen order, which is exact only for
+    an embedder that meets the ``TextEmbedder`` contract. Transport
+    failures and short replies surface as MetricUnavailableError so
+    callers report the metric absent.
+    """
+    distinct = list(dict.fromkeys(texts))
+    if not distinct:
+        return {}
     try:
-        return embedder.embed(list(texts))
+        vectors = embedder.embed(distinct)
     except MetricUnavailableError:
         raise
     except Exception as exc:
         raise MetricUnavailableError(f"embedding backend failed: {exc}") from exc
+    if len(vectors) != len(distinct):
+        raise MetricUnavailableError(f"{len(vectors)} embeddings for {len(distinct)} texts")
+    return dict(zip(distinct, vectors))
 
 
 def cosine(x: Sequence[float], y: Sequence[float]) -> float:
@@ -374,16 +387,15 @@ def cosine(x: Sequence[float], y: Sequence[float]) -> float:
     return math.fsum(a * b for a, b in zip(x, y)) / (norm_x * norm_y)
 
 
-def bert_similarity(update_text: str, reference_text: str, embedder: TextEmbedder) -> float:
+def bert_similarity(update_text: str, reference_text: str, vectors: Vectors) -> float:
     """Cosine similarity of the pooled embeddings of two texts."""
-    vectors = embed([update_text, reference_text], embedder)
-    return cosine(vectors[0], vectors[1])
+    return cosine(vectors[update_text], vectors[reference_text])
 
 
 def semantic_alignment(
     update_sentences: Sequence[str],
     paper_repr: str,
-    embedder: TextEmbedder,
+    vectors: Vectors,
 ) -> float | None:
     """Mean cosine between each inserted sentence and the paper representation.
 
@@ -393,38 +405,34 @@ def semantic_alignment(
     if not update_sentences:
         logger.info("semantic alignment undefined for an empty update")
         return None
-    vectors = embed(list(update_sentences) + [paper_repr], embedder)
-    paper_vector = vectors[-1]
-    scores = [cosine(v, paper_vector) for v in vectors[:-1]]
+    paper_vector = vectors[paper_repr]
+    scores = [cosine(vectors[text], paper_vector) for text in update_sentences]
     return sum(scores) / len(scores)
 
 
-def local_coherence(
+def coherence_windows(
     update_sentences: Sequence[Sentence],
     post_document: SurveyDocument,
     window: int,
-    embedder: TextEmbedder,
-) -> float | None:
-    """Mean neighborhood cosine of each inserted sentence in its section.
+) -> list[tuple[str, list[str]]]:
+    """Each inserted sentence's text with the texts of its neighborhood.
 
     The window spans up to ``window`` sentences before and after the
     inserted sentence in document order, truncated at section boundaries
     and excluding only the sentence itself. Sentences with an empty
-    window are skipped; if every window is empty the score is absent.
+    window are left out.
 
     Only the sections that hold inserted sentences are read: a sentence
     id is ``"{section_id}:{counter}"`` (``document.make_section``), so
     the text before its last colon names its section.
     """
-    if not update_sentences:
-        return None
     touched = {sentence.id.rsplit(":", 1)[0] for sentence in update_sentences}
     positions: dict[str, tuple[tuple[Sentence, ...], int]] = {}
     for section in post_document.sections:
         if section.id in touched:
             for index, sentence in enumerate(section.sentences):
                 positions[sentence.id] = (section.sentences, index)
-    pairs: list[tuple[str, list[str]]] = []
+    windows: list[tuple[str, list[str]]] = []
     for sentence in update_sentences:
         if sentence.id not in positions:
             raise EvaluationError(
@@ -432,13 +440,23 @@ def local_coherence(
         siblings, index = positions[sentence.id]
         neighborhood = siblings[max(0, index - window):index] + siblings[index + 1:index + 1 + window]
         if neighborhood:
-            pairs.append((sentence.text, [n.text for n in neighborhood]))
-    if not pairs:
+            windows.append((sentence.text, [n.text for n in neighborhood]))
+    return windows
+
+
+def local_coherence(
+    windows: Sequence[tuple[str, Sequence[str]]],
+    vectors: Vectors,
+) -> float | None:
+    """Mean neighborhood cosine of each inserted sentence in its section.
+
+    ``windows`` comes from ``coherence_windows``; with no window the
+    score is absent.
+    """
+    if not windows:
         return None
-    unique_texts = sorted({text for u, neigh in pairs for text in [u, *neigh]})
-    vectors = dict(zip(unique_texts, embed(unique_texts, embedder)))
     scores = []
-    for update_text, neighborhood in pairs:
+    for update_text, neighborhood in windows:
         neighbor_scores = [cosine(vectors[update_text], vectors[t]) for t in neighborhood]
         scores.append(sum(neighbor_scores) / len(neighbor_scores))
     return sum(scores) / len(scores)
@@ -493,8 +511,9 @@ def table_row_fidelity(
             normalize_field(predicted_value) == normalize_field(gold_value)
         is_correct = is_exact
         if not is_correct and predicted_value is not None and embedder is not None:
-            vectors = embed([str(predicted_value), str(gold_value)], embedder)
-            is_correct = cosine(vectors[0], vectors[1]) > tau
+            texts = [str(predicted_value), str(gold_value)]
+            vectors = embed(texts, embedder)
+            is_correct = cosine(vectors[texts[0]], vectors[texts[1]]) > tau
         correct += int(is_correct)
         exact += int(is_exact)
     return correct / len(gold), exact / len(gold)

@@ -14,11 +14,13 @@ from dynsurvey.errors import EvaluationError
 from dynsurvey.evaluation import StepEvaluation, aggregate
 from dynsurvey.metrics import (
     bleu_4,
+    coherence_windows,
     cosine,
     delta_out,
     delta_tokens,
     derive_inserted_sentences,
     document_token_stream,
+    embed,
     local_coherence,
     rouge_l,
     semantic_alignment,
@@ -302,20 +304,20 @@ def test_cosine_symmetry_and_bounds(x, y):
 def test_bert_similarity_identity(hash_embedder):
     from dynsurvey.metrics import bert_similarity
     text = "the update matches its reference"
-    assert bert_similarity(text, text, hash_embedder) == pytest.approx(1.0)
+    assert bert_similarity(text, text, embed([text], hash_embedder)) == pytest.approx(1.0)
 
 
 def test_bert_similarity_pinned_fixture(hash_embedder):
     # Golden computed once under seed 7, dimension 64, then frozen.
     from dynsurvey.metrics import bert_similarity
-    value = bert_similarity("the benchmark scores raw outputs",
-                            "the benchmark scores processed outputs", hash_embedder)
+    texts = ["the benchmark scores raw outputs", "the benchmark scores processed outputs"]
+    value = bert_similarity(*texts, embed(texts, hash_embedder))
     assert value == pytest.approx(0.8100667500488653, abs=1e-12)
 
 
 def test_alignment_identical_sentence_scores_one(hash_embedder):
     text = "residual refinement recovers texture"
-    assert semantic_alignment([text], text, hash_embedder) == pytest.approx(1.0)
+    assert semantic_alignment([text], text, embed([text], hash_embedder)) == pytest.approx(1.0)
 
 
 def test_alignment_mean_of_two_sentences(hash_embedder):
@@ -324,11 +326,18 @@ def test_alignment_mean_of_two_sentences(hash_embedder):
     s2 = "orbital mechanics of stars"
     vectors = hash_embedder.embed([s1, s2, paper])
     expected = (cosine(vectors[0], vectors[2]) + cosine(vectors[1], vectors[2])) / 2
-    assert semantic_alignment([s1, s2], paper, hash_embedder) == pytest.approx(expected)
+    assert semantic_alignment([s1, s2], paper, embed([s1, s2, paper], hash_embedder)) == \
+        pytest.approx(expected)
 
 
 def test_alignment_empty_update_is_absent(hash_embedder):
-    assert semantic_alignment([], "paper", hash_embedder) is None
+    assert semantic_alignment([], "paper", embed(["paper"], hash_embedder)) is None
+
+
+def _coherence(update, doc, window, embedder):
+    windows = coherence_windows(update, doc, window)
+    texts = [text for u, neighborhood in windows for text in (u, *neighborhood)]
+    return local_coherence(windows, embed(texts, embedder))
 
 
 def test_coherence_uniform_section_scores_one(hash_embedder):
@@ -337,7 +346,7 @@ def test_coherence_uniform_section_scores_one(hash_embedder):
         "metadata": {}, "sections": [], "tables": [], "references": []})
     doc = type(doc)(metadata=doc.metadata, sections=(section,), tables=(), references=())
     target = section.sentences[1]
-    assert local_coherence([target], doc, 2, hash_embedder) == pytest.approx(1.0)
+    assert _coherence([target], doc, 2, hash_embedder) == pytest.approx(1.0)
 
 
 def test_coherence_window_truncates_at_section_start(hash_embedder):
@@ -351,7 +360,7 @@ def test_coherence_window_truncates_at_section_start(hash_embedder):
     vectors = dict(zip(texts, hash_embedder.embed(texts)))
     expected = (cosine(vectors[texts[0]], vectors[texts[1]])
                 + cosine(vectors[texts[0]], vectors[texts[2]])) / 2
-    assert local_coherence([target], doc, 2, hash_embedder) == pytest.approx(expected)
+    assert _coherence([target], doc, 2, hash_embedder) == pytest.approx(expected)
 
 
 def test_coherence_hand_computed_window(hash_embedder):
@@ -365,7 +374,7 @@ def test_coherence_hand_computed_window(hash_embedder):
     vectors = dict(zip(texts, hash_embedder.embed(texts)))
     neighbors = [texts[0], texts[1], texts[3], texts[4]]
     expected = sum(cosine(vectors[target.text], vectors[t]) for t in neighbors) / 4
-    assert local_coherence([target], doc, 2, hash_embedder) == pytest.approx(expected)
+    assert _coherence([target], doc, 2, hash_embedder) == pytest.approx(expected)
 
 
 def test_coherence_missing_sentence_is_an_error(hash_embedder):
@@ -375,14 +384,14 @@ def test_coherence_missing_sentence_is_an_error(hash_embedder):
         "tables": [], "references": []})
     ghost = Sentence(id="1:99", text="not there")
     with pytest.raises(EvaluationError, match="1:99"):
-        local_coherence([ghost], doc, 2, hash_embedder)
+        _coherence([ghost], doc, 2, hash_embedder)
 
 
 def test_coherence_empty_update_is_absent(hash_embedder):
     doc = document_from_dict({
         "metadata": {}, "sections": [{"id": "1", "title": "S", "text": "Only text."}],
         "tables": [], "references": []})
-    assert local_coherence([], doc, 2, hash_embedder) is None
+    assert _coherence([], doc, 2, hash_embedder) is None
 
 
 # --- routing, abstention, fidelity -------------------------------------------

@@ -11,10 +11,14 @@ errors.
 from __future__ import annotations
 
 import dataclasses
+import logging
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynsurvey import demo
+from dynsurvey.benchmark import FRAMEWORK, METHODS, GroundTruthSpan, StepResult, run_method
 from dynsurvey.document import (
     ColumnSpec,
     Section,
@@ -24,16 +28,23 @@ from dynsurvey.document import (
     make_section,
 )
 from dynsurvey.engine import insert_paragraph
-from dynsurvey.errors import EvaluationError
+from dynsurvey.errors import EvaluationError, MetricUnavailableError
+from dynsurvey.evaluation import StepEvaluation, _step_scope, evaluate_step
 from dynsurvey.metrics import (
     TokenRegion,
     _lcs_length,
+    bleu_4,
+    coherence_windows,
     cosine,
+    delta_out,
+    delta_tokens,
     document_token_stream,
     embed,
     local_coherence,
+    rouge_l,
+    token_edit_script,
 )
-from dynsurvey.mock import HashEmbedding
+from dynsurvey.mock import HashEmbedding, ScriptedGeneration
 from dynsurvey.text import tokenize
 
 # --- reference implementations -------------------------------------------------
@@ -71,6 +82,31 @@ def reference_token_stream(doc):
     return tokens, regions
 
 
+def reference_embed(texts, embedder):
+    if not texts:
+        return []
+    try:
+        return embedder.embed(list(texts))
+    except MetricUnavailableError:
+        raise
+    except Exception as exc:
+        raise MetricUnavailableError(f"embedding backend failed: {exc}") from exc
+
+
+def reference_bert_similarity(update_text, reference_text, embedder):
+    vectors = reference_embed([update_text, reference_text], embedder)
+    return cosine(vectors[0], vectors[1])
+
+
+def reference_semantic_alignment(update_sentences, paper_repr, embedder):
+    if not update_sentences:
+        return None
+    vectors = reference_embed(list(update_sentences) + [paper_repr], embedder)
+    paper_vector = vectors[-1]
+    scores = [cosine(v, paper_vector) for v in vectors[:-1]]
+    return sum(scores) / len(scores)
+
+
 def reference_local_coherence(update_sentences, post_document, window, embedder):
     if not update_sentences:
         return None
@@ -91,12 +127,56 @@ def reference_local_coherence(update_sentences, post_document, window, embedder)
     if not pairs:
         return None
     unique_texts = sorted({text for u, neigh in pairs for text in [u, *neigh]})
-    vectors = dict(zip(unique_texts, embed(unique_texts, embedder)))
+    vectors = dict(zip(unique_texts, reference_embed(unique_texts, embedder)))
     scores = []
     for update_text, neighborhood in pairs:
         neighbor_scores = [cosine(vectors[update_text], vectors[t]) for t in neighborhood]
         scores.append(sum(neighbor_scores) / len(neighbor_scores))
     return sum(scores) / len(scores)
+
+
+def reference_evaluate_step(result, survey, embedder=None, coherence_window=2, rouge_beta=1.0):
+    """The step scorer with one embedder call per embedding metric."""
+    before_tokens, before_regions = reference_token_stream(result.before)
+    after_tokens, after_regions = reference_token_stream(result.after)
+    script = token_edit_script(before_tokens, after_tokens)
+    d_tokens = delta_tokens(script)
+    d_out = delta_out(script, _step_scope(result), before_regions, after_regions)
+
+    update_text = " ".join(s.text for s in result.inserted)
+    bleu = rouge = bert = align = coherence = None
+    if result.gt_span is not None:
+        reference = result.gt_span.text
+        bleu = bleu_4(update_text, reference)
+        rouge = rouge_l(update_text, reference, beta=rouge_beta)
+        if embedder is not None and update_text:
+            try:
+                bert = reference_bert_similarity(update_text, reference, embedder)
+            except MetricUnavailableError:
+                pass
+    if embedder is not None and result.inserted and result.paper_repr:
+        try:
+            align = reference_semantic_alignment(
+                [s.text for s in result.inserted], result.paper_repr, embedder)
+            coherence = reference_local_coherence(
+                result.inserted, result.after, coherence_window, embedder)
+        except MetricUnavailableError:
+            pass
+
+    hit1 = hit3 = None
+    if result.gt_span is not None and not result.out_of_scope:
+        target = result.gt_span.section_id
+        ranked = list(result.ranked_sections)
+        if result.method == FRAMEWORK:
+            hit1 = int(bool(ranked) and ranked[0] == target)
+            hit3 = int(target in ranked[:3])
+    return StepEvaluation(
+        survey=survey, method=result.method, paper_id=result.paper_id,
+        out_of_scope=int(result.out_of_scope), abstained=int(result.abstained),
+        delta_tokens=d_tokens, delta_out=d_out, bleu4=bleu, rouge_l_f=rouge,
+        bert_sim=bert, semantic_align=align, local_coherence=coherence,
+        routing_hit1=hit1, routing_hit3=hit3,
+    )
 
 
 # --- LCS length ------------------------------------------------------------------
@@ -218,6 +298,12 @@ def _outcome(fn, *args):
         return EvaluationError, str(exc)
 
 
+def _library_coherence(update, doc, window, embedder):
+    windows = coherence_windows(update, doc, window)
+    texts = [text for u, neighborhood in windows for text in (u, *neighborhood)]
+    return local_coherence(windows, embed(texts, embedder))
+
+
 @st.composite
 def _coherence_cases(draw):
     """A document, some of its sentences as the update, and maybe a sentence it lacks."""
@@ -245,6 +331,117 @@ def _coherence_cases(draw):
 @given(_coherence_cases())
 def test_local_coherence_matches_whole_document_reference(case):
     update, doc, window, embedder = case
-    assert _outcome(local_coherence, update, doc, window, embedder) == \
+    assert _outcome(_library_coherence, update, doc, window, embedder) == \
         _outcome(reference_local_coherence, update, doc, window, embedder)
 
+
+
+# --- one embedding batch per step ------------------------------------------------
+
+
+class FailingEmbedder:
+    """Raises on every call, as an unreachable embedding server does."""
+
+    model_id = "failing"
+    dimension = 8
+
+    def __init__(self):
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        raise ConnectionError("embedding server unreachable")
+
+
+class CountingEmbedder:
+    def __init__(self, inner):
+        self.inner = inner
+        self.model_id, self.dimension = inner.model_id, inner.dimension
+        self.batches = []
+
+    def embed(self, texts):
+        self.batches.append(list(texts))
+        return self.inner.embed(texts)
+
+
+@st.composite
+def _step_results(draw):
+    """One step that inserts a paragraph into a section, or changes nothing."""
+    count = draw(st.integers(1, 3))
+    sections = tuple(make_section(f"s{i}", "S", draw(_section_text)) for i in range(count))
+    before = _document(sections)
+    index = draw(st.integers(0, count - 1))
+    section = sections[index]
+    anchor = draw(st.sampled_from(["append", *section.sentence_ids()]))
+    new_section, inserted_ids = insert_paragraph(section, anchor, draw(_section_text))
+    after = before.replace_section(new_section)
+    inserted = tuple(s for s in new_section.sentences if s.id in inserted_ids)
+    gt_span = draw(st.one_of(
+        st.none(), _section_text.map(lambda text: GroundTruthSpan(section.id, text))))
+    return StepResult(
+        method=draw(st.sampled_from(METHODS)), paper_id="p", out_of_scope=gt_span is None,
+        abstained=not inserted, before=before, after=after, gt_span=gt_span,
+        paper_repr=draw(st.sampled_from(["", "Paper title. Model noise prior."])),
+        ranked_sections=tuple(s.id for s in sections), routed_section=section.id,
+        inserted=inserted)
+
+
+_embedders = st.one_of(
+    st.none(),
+    st.builds(HashEmbedding, seed=st.integers(0, 3), dimension=st.sampled_from([1, 5, 64])),
+    st.builds(FailingEmbedder))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_results(), _embedders, st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.0]))
+def test_evaluate_step_matches_three_call_reference(result, embedder, window, beta):
+    assert evaluate_step(result, "s", embedder, window, beta) == \
+        reference_evaluate_step(result, "s", embedder, window, beta)
+
+
+def test_evaluate_step_matches_three_call_reference_on_demo_streams(hash_embedder):
+    instance = demo.demo_instance()
+    scenario = demo.demo_scenario()
+    for method in METHODS:
+        generator = ScriptedGeneration.from_flat(scenario["generation"])
+        for result in run_method(method, instance, generator):
+            assert evaluate_step(result, "demo", hash_embedder) == \
+                reference_evaluate_step(result, "demo", hash_embedder)
+
+
+def test_evaluate_step_makes_one_embedding_call_of_distinct_texts(hash_embedder):
+    instance = demo.demo_instance()
+    generator = ScriptedGeneration.from_flat(demo.demo_scenario()["generation"])
+    scored = 0
+    for result in run_method(FRAMEWORK, instance, generator):
+        counting = CountingEmbedder(hash_embedder)
+        evaluation = evaluate_step(result, "demo", counting)
+        assert len(counting.batches) <= 1
+        for batch in counting.batches:
+            assert len(batch) == len(set(batch))
+        scored += evaluation.semantic_align is not None
+    assert scored > 0
+
+
+def test_failed_batch_leaves_all_embedding_metrics_absent_with_one_warning(caplog):
+    instance = demo.demo_instance()
+    generator = ScriptedGeneration.from_flat(demo.demo_scenario()["generation"])
+    result = next(r for r in run_method(FRAMEWORK, instance, generator) if r.inserted)
+    failing = FailingEmbedder()
+    with caplog.at_level(logging.WARNING, logger="dynsurvey.evaluation"):
+        evaluation = evaluate_step(result, "demo", failing)
+    assert failing.calls == 1
+    assert (evaluation.bert_sim, evaluation.semantic_align, evaluation.local_coherence) == \
+        (None, None, None)
+    assert evaluation.bleu4 is not None and evaluation.rouge_l_f is not None
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "embedding server unreachable" in warnings[0].getMessage()
+
+
+def test_short_embedding_reply_is_unavailable():
+    class ShortEmbedder(HashEmbedding):
+        def embed(self, texts):
+            return super().embed(texts)[:-1]
+
+    with pytest.raises(MetricUnavailableError, match="1 embeddings for 2 texts"):
+        embed(["a", "b", "a"], ShortEmbedder())
