@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,17 +101,20 @@ class HashEmbedding:
         return vector
 
     def _hashed_values(self, token: str) -> list[float]:
-        values: list[float] = []
-        block = 0
-        while len(values) < self.dimension:
-            digest = hashlib.sha256(f"{self.seed}|{token}|{block}".encode("utf-8")).digest()
-            for offset in range(0, len(digest), 8):
-                if len(values) == self.dimension:
-                    break
-                chunk = int.from_bytes(digest[offset:offset + 8], "big")
-                values.append(chunk / 2 ** 63 - 1.0)
-            block += 1
-        return values
+        """Components of SHA-256 of ``"{seed}|{token}|{block}"`` for blocks 0, 1, ...
+
+        Each digest gives four 8-byte big-endian chunks, and a chunk maps
+        to ``chunk / 2**63 - 1``. The prefix is hashed once and copied
+        per block.
+        """
+        prefix = hashlib.sha256(f"{self.seed}|{token}|".encode("utf-8"))
+        digests = []
+        for block in range(-(-self.dimension // 4)):
+            digest = prefix.copy()
+            digest.update(b"%d" % block)
+            digests.append(digest.digest())
+        chunks = struct.unpack_from(f">{self.dimension}Q", b"".join(digests))
+        return [chunk / 2 ** 63 - 1.0 for chunk in chunks]
 
 
 def load_scenario(path: str | Path) -> dict:

@@ -6,6 +6,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsurvey.endpoints import GenerationRequest
 from dynsurvey.errors import ScriptGapError
@@ -151,3 +153,39 @@ def test_instances_never_share_cached_vectors():
     assert other_seed.embed(["abc def"])[0] == _uncached_vector(2, 16, "abc def")
     assert other_dimension.embed(["abc def"])[0] == _uncached_vector(1, 8, "abc def")
     assert base.embed(["abc def"])[0] == _uncached_vector(1, 16, "abc def")
+
+
+def reference_hashed_values(seed: int, dimension: int, token: str) -> list[float]:
+    """One full SHA-256 of ``"{seed}|{token}|{block}"`` per block."""
+    values: list[float] = []
+    block = 0
+    while len(values) < dimension:
+        digest = hashlib.sha256(f"{seed}|{token}|{block}".encode("utf-8")).digest()
+        for offset in range(0, len(digest), 8):
+            if len(values) == dimension:
+                break
+            chunk = int.from_bytes(digest[offset:offset + 8], "big")
+            values.append(chunk / 2 ** 63 - 1.0)
+        block += 1
+    return values
+
+
+_odd_tokens = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["|", "a|b", "||", "1|2|", "é", "naïve", "数据", "Ω|ω", "🙂"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 40), st.sampled_from([1, 4, 5, 8, 64, 65]), _odd_tokens)
+def test_hashed_values_are_bit_identical_to_one_digest_per_block(seed, dimension, token):
+    embedder = HashEmbedding(seed=seed, dimension=dimension)
+    assert embedder._hashed_values(token) == reference_hashed_values(seed, dimension, token)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 5, 65]), st.lists(st.text(max_size=20), max_size=4))
+def test_embeddings_are_bit_identical_to_the_formula_on_any_text(dimension, texts):
+    embedder = HashEmbedding(seed=11, dimension=dimension)
+    for text, vector in zip(texts, embedder.embed(texts)):
+        if tokenize(text):
+            assert vector == _uncached_vector(11, dimension, text)
