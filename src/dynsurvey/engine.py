@@ -15,11 +15,12 @@ once more in ``publish``, before the file is written.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -93,6 +94,9 @@ class UpdateRecord:
     finished_at: str = ""
     error: str | None = None
     table_error: str | None = None
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(UpdateRecord))
 
 
 def insert_paragraph(
@@ -303,8 +307,15 @@ def publish(state: SurveyState, out: str | Path) -> Path:
 
 
 def update_record_to_dict(record: UpdateRecord) -> dict:
-    data = asdict(record)
+    """The record's fields by name, with each table vote as a list.
+
+    Equal to ``dataclasses.asdict(record)`` apart from the votes, without
+    its recursive copy of every value: the other fields are immutable, and
+    only the inserted row is copied.
+    """
+    data = {name: getattr(record, name) for name in _RECORD_FIELDS}
     data["table_votes"] = [[table_id, vote] for table_id, vote in record.table_votes]
+    data["inserted_row"] = copy.deepcopy(record.inserted_row)
     return data
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_generator, make_paper
 from dynsurvey import demo, engine
@@ -17,6 +19,7 @@ from dynsurvey.document import (
     serialize_document,
 )
 from dynsurvey.engine import (
+    UpdateRecord,
     apply_update,
     insert_paragraph,
     make_step_clock,
@@ -404,6 +407,58 @@ def test_audit_log_round_trip(full_state, tmp_path):
     loaded = read_audit_log(path)
     assert loaded == [record]
     assert update_record_from_dict(update_record_to_dict(record)) == record
+
+
+def reference_update_record_to_dict(record: UpdateRecord) -> dict:
+    data = asdict(record)
+    data["table_votes"] = [[table_id, vote] for table_id, vote in record.table_votes]
+    return data
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=8)
+_strs = st.text(max_size=6)
+_records = st.builds(
+    UpdateRecord,
+    paper_id=_strs,
+    decision=st.sampled_from(["updated", "abstained", "failed"]),
+    routed_section=st.none() | _strs,
+    routed_table=st.none() | _strs,
+    ranked_sections=st.lists(_strs, max_size=3).map(tuple),
+    table_votes=st.lists(st.tuples(_strs, st.booleans()), max_size=3).map(tuple),
+    insertion_sentence_id=st.none() | _strs,
+    inserted_sentence_ids=st.lists(_strs, max_size=3).map(tuple),
+    draft_text=_strs,
+    inserted_row=st.none() | st.dictionaries(_strs, _json_values, max_size=4),
+    resolved_citation_keys=st.lists(_strs, max_size=3).map(tuple),
+    placeholder_count=st.integers(0, 5),
+    started_at=_strs,
+    finished_at=_strs,
+    error=st.none() | _strs,
+    table_error=st.none() | _strs,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_records)
+def test_record_dict_equals_asdict_reference(record):
+    data = update_record_to_dict(record)
+    expected = reference_update_record_to_dict(record)
+    assert data == expected
+    assert list(data) == list(expected)
+    assert json.dumps(data, ensure_ascii=False, sort_keys=True) == \
+        json.dumps(expected, ensure_ascii=False, sort_keys=True)
+
+
+def test_record_dict_copies_the_nested_row():
+    row = {"Method": "M", "Extra": {"tags": ["a", "b"]}}
+    record = UpdateRecord(paper_id="p", decision="updated", inserted_row=row)
+    data = update_record_to_dict(record)
+    data["inserted_row"]["Extra"]["tags"].append("c")
+    assert record.inserted_row == {"Method": "M", "Extra": {"tags": ["a", "b"]}}
 
 
 @pytest.mark.parametrize("vote", ["false", "true", 0, 1, None])
