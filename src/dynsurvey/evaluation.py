@@ -2,8 +2,9 @@
 
 Each step of a benchmark stream is scored against its ground-truth span
 and scope. Embedding-backed metrics are absent (None) when no embedder
-is configured or a value is undefined; absent values are excluded from
-aggregation rather than treated as zero.
+is configured, the step's one embedding call fails, or a value is
+undefined; absent values are excluded from aggregation rather than
+treated as zero.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Differential tests: step scoring against the plain versions it replaced.
 
-Each reference below is the straightforward version of a scoring step:
-the O(n·m) LCS table, a token stream tokenized sentence by sentence, a
-local coherence that maps every sentence of the document, and an
-``evaluate_step`` that calls the embedder once per embedding metric. The
+Each reference is the straightforward version of a scoring step: the
+O(n·m) LCS table, a token stream tokenized sentence by sentence
+(``test_edit_script.reference_stream``), a local coherence that maps
+every sentence of the document, and an ``evaluate_step`` that calls the
+embedder once per embedding metric. The
 library versions must give exactly the same values, or raise the same
 errors.
 """
@@ -31,7 +32,6 @@ from dynsurvey.engine import insert_paragraph
 from dynsurvey.errors import EvaluationError, MetricUnavailableError
 from dynsurvey.evaluation import StepEvaluation, _step_scope, evaluate_step
 from dynsurvey.metrics import (
-    TokenRegion,
     _lcs_length,
     bleu_4,
     coherence_windows,
@@ -46,6 +46,8 @@ from dynsurvey.metrics import (
 )
 from dynsurvey.mock import HashEmbedding, ScriptedGeneration
 from dynsurvey.text import tokenize
+
+from test_edit_script import reference_stream
 
 # --- reference implementations -------------------------------------------------
 
@@ -63,23 +65,6 @@ def reference_lcs_length(a, b) -> int:
                 current.append(max(current[j - 1], previous[j]))
         previous = current
     return previous[len(b)]
-
-
-def reference_token_stream(doc):
-    tokens, regions = [], []
-    for section in doc.sections:
-        start = len(tokens)
-        for sentence in section.sentences:
-            tokens.extend(tokenize(sentence.text))
-        regions.append(TokenRegion(f"section:{section.id}", start, len(tokens)))
-    for table in doc.tables:
-        start = len(tokens)
-        tokens.extend(tokenize(table.title))
-        for row in table.rows:
-            for column in table.schema:
-                tokens.extend(tokenize(str(row.get(column.name, ""))))
-        regions.append(TokenRegion(f"table:{table.id}", start, len(tokens)))
-    return tokens, regions
 
 
 def reference_embed(texts, embedder):
@@ -137,8 +122,8 @@ def reference_local_coherence(update_sentences, post_document, window, embedder)
 
 def reference_evaluate_step(result, survey, embedder=None, coherence_window=2, rouge_beta=1.0):
     """The step scorer with one embedder call per embedding metric."""
-    before_tokens, before_regions = reference_token_stream(result.before)
-    after_tokens, after_regions = reference_token_stream(result.after)
+    before_tokens, before_regions = reference_stream(result.before)
+    after_tokens, after_regions = reference_stream(result.after)
     script = token_edit_script(before_tokens, after_tokens)
     d_tokens = delta_tokens(script)
     d_out = delta_out(script, _step_scope(result), before_regions, after_regions)
@@ -252,10 +237,10 @@ def _document_versions(draw):
 @given(_document_versions())
 def test_token_stream_matches_reference_across_versions(versions):
     for doc in versions:
-        assert document_token_stream(doc) == reference_token_stream(doc)
+        assert document_token_stream(doc) == reference_stream(doc)
     # A second stream of the same objects reads the kept tuples.
     for doc in versions:
-        assert document_token_stream(doc) == reference_token_stream(doc)
+        assert document_token_stream(doc) == reference_stream(doc)
 
 
 def test_kept_tokens_do_not_change_equality_hash_or_repr():
