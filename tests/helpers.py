@@ -1,13 +1,15 @@
-"""Test-only helpers: replaying an edit script and reading citation markers."""
+"""Test-only helpers: replaying an edit script, scoring coherence with an
+embedder, and reading citation markers."""
 
 from __future__ import annotations
 
 import re
 from typing import Sequence
 
-from dynsurvey.document import SurveyDocument
+from dynsurvey.document import Sentence, SurveyDocument
+from dynsurvey.endpoints import TextEmbedder
 from dynsurvey.engine import CITE_PLACEHOLDER
-from dynsurvey.metrics import EditScript
+from dynsurvey.metrics import EditScript, coherence_windows, embed, local_coherence
 
 _NUMERIC_MARKER = re.compile(r"\[(\d+)\]")
 
@@ -25,6 +27,18 @@ def apply_edit_script(before: Sequence[str], script: EditScript) -> list[str]:
             cursor += 1
     out.extend(before[cursor:])
     return out
+
+
+def embedded_local_coherence(
+    update: Sequence[Sentence],
+    doc: SurveyDocument,
+    window: int,
+    embedder: TextEmbedder,
+) -> float | None:
+    """Local coherence with the windows' vectors taken from ``embedder``."""
+    windows = coherence_windows(update, doc, window)
+    texts = [text for u, neighborhood in windows for text in (u, *neighborhood)]
+    return local_coherence(windows, embed(texts, embedder))
 
 
 def count_unresolved_placeholders(doc: SurveyDocument) -> int:

@@ -14,14 +14,12 @@ from dynsurvey.errors import EvaluationError
 from dynsurvey.evaluation import StepEvaluation, aggregate
 from dynsurvey.metrics import (
     bleu_4,
-    coherence_windows,
     cosine,
     delta_out,
     delta_tokens,
     derive_inserted_sentences,
     document_token_stream,
     embed,
-    local_coherence,
     rouge_l,
     semantic_alignment,
     table_row_fidelity,
@@ -30,7 +28,7 @@ from dynsurvey.metrics import (
 )
 from dynsurvey.text import tokenize
 
-from helpers import apply_edit_script
+from helpers import apply_edit_script, embedded_local_coherence
 
 # --- independent oracles ----------------------------------------------------
 
@@ -334,19 +332,13 @@ def test_alignment_empty_update_is_absent(hash_embedder):
     assert semantic_alignment([], "paper", embed(["paper"], hash_embedder)) is None
 
 
-def _coherence(update, doc, window, embedder):
-    windows = coherence_windows(update, doc, window)
-    texts = [text for u, neighborhood in windows for text in (u, *neighborhood)]
-    return local_coherence(windows, embed(texts, embedder))
-
-
 def test_coherence_uniform_section_scores_one(hash_embedder):
     section = make_section("1", "S", "Same words here. Same words here. Same words here.")
     doc = document_from_dict({
         "metadata": {}, "sections": [], "tables": [], "references": []})
     doc = type(doc)(metadata=doc.metadata, sections=(section,), tables=(), references=())
     target = section.sentences[1]
-    assert _coherence([target], doc, 2, hash_embedder) == pytest.approx(1.0)
+    assert embedded_local_coherence([target], doc, 2, hash_embedder) == pytest.approx(1.0)
 
 
 def test_coherence_window_truncates_at_section_start(hash_embedder):
@@ -360,7 +352,7 @@ def test_coherence_window_truncates_at_section_start(hash_embedder):
     vectors = dict(zip(texts, hash_embedder.embed(texts)))
     expected = (cosine(vectors[texts[0]], vectors[texts[1]])
                 + cosine(vectors[texts[0]], vectors[texts[2]])) / 2
-    assert _coherence([target], doc, 2, hash_embedder) == pytest.approx(expected)
+    assert embedded_local_coherence([target], doc, 2, hash_embedder) == pytest.approx(expected)
 
 
 def test_coherence_hand_computed_window(hash_embedder):
@@ -374,7 +366,7 @@ def test_coherence_hand_computed_window(hash_embedder):
     vectors = dict(zip(texts, hash_embedder.embed(texts)))
     neighbors = [texts[0], texts[1], texts[3], texts[4]]
     expected = sum(cosine(vectors[target.text], vectors[t]) for t in neighbors) / 4
-    assert _coherence([target], doc, 2, hash_embedder) == pytest.approx(expected)
+    assert embedded_local_coherence([target], doc, 2, hash_embedder) == pytest.approx(expected)
 
 
 def test_coherence_missing_sentence_is_an_error(hash_embedder):
@@ -384,14 +376,14 @@ def test_coherence_missing_sentence_is_an_error(hash_embedder):
         "tables": [], "references": []})
     ghost = Sentence(id="1:99", text="not there")
     with pytest.raises(EvaluationError, match="1:99"):
-        _coherence([ghost], doc, 2, hash_embedder)
+        embedded_local_coherence([ghost], doc, 2, hash_embedder)
 
 
 def test_coherence_empty_update_is_absent(hash_embedder):
     doc = document_from_dict({
         "metadata": {}, "sections": [{"id": "1", "title": "S", "text": "Only text."}],
         "tables": [], "references": []})
-    assert _coherence([], doc, 2, hash_embedder) is None
+    assert embedded_local_coherence([], doc, 2, hash_embedder) is None
 
 
 # --- routing, abstention, fidelity -------------------------------------------

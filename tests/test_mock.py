@@ -107,17 +107,26 @@ def test_seed_changes_vectors():
     assert one != two
 
 
+def reference_hashed_values(seed: int, dimension: int, token: str) -> list[float]:
+    """One full SHA-256 of ``"{seed}|{token}|{block}"`` per block."""
+    values: list[float] = []
+    block = 0
+    while len(values) < dimension:
+        digest = hashlib.sha256(f"{seed}|{token}|{block}".encode("utf-8")).digest()
+        for offset in range(0, len(digest), 8):
+            if len(values) == dimension:
+                break
+            chunk = int.from_bytes(digest[offset:offset + 8], "big")
+            values.append(chunk / 2 ** 63 - 1.0)
+        block += 1
+    return values
+
+
 def _uncached_vector(seed: int, dimension: int, text: str) -> list[float]:
     """The hash-embedding formula recomputed directly, with no memo."""
     total = [0.0] * dimension
     for token in tokenize(text):
-        values: list[float] = []
-        block = 0
-        while len(values) < dimension:
-            digest = hashlib.sha256(f"{seed}|{token}|{block}".encode("utf-8")).digest()
-            values.extend(int.from_bytes(digest[i:i + 8], "big") / 2 ** 63 - 1.0
-                          for i in range(0, len(digest), 8))
-            block += 1
+        values = reference_hashed_values(seed, dimension, token)
         for i in range(dimension):
             total[i] += values[i]
     norm = math.sqrt(math.fsum(v * v for v in total))
@@ -153,21 +162,6 @@ def test_instances_never_share_cached_vectors():
     assert other_seed.embed(["abc def"])[0] == _uncached_vector(2, 16, "abc def")
     assert other_dimension.embed(["abc def"])[0] == _uncached_vector(1, 8, "abc def")
     assert base.embed(["abc def"])[0] == _uncached_vector(1, 16, "abc def")
-
-
-def reference_hashed_values(seed: int, dimension: int, token: str) -> list[float]:
-    """One full SHA-256 of ``"{seed}|{token}|{block}"`` per block."""
-    values: list[float] = []
-    block = 0
-    while len(values) < dimension:
-        digest = hashlib.sha256(f"{seed}|{token}|{block}".encode("utf-8")).digest()
-        for offset in range(0, len(digest), 8):
-            if len(values) == dimension:
-                break
-            chunk = int.from_bytes(digest[offset:offset + 8], "big")
-            values.append(chunk / 2 ** 63 - 1.0)
-        block += 1
-    return values
 
 
 _odd_tokens = st.one_of(

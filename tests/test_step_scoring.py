@@ -34,19 +34,18 @@ from dynsurvey.evaluation import StepEvaluation, _step_scope, evaluate_step
 from dynsurvey.metrics import (
     _lcs_length,
     bleu_4,
-    coherence_windows,
     cosine,
     delta_out,
     delta_tokens,
     document_token_stream,
     embed,
-    local_coherence,
     rouge_l,
     token_edit_script,
 )
 from dynsurvey.mock import HashEmbedding, ScriptedGeneration
 from dynsurvey.text import tokenize
 
+from helpers import embedded_local_coherence
 from test_edit_script import reference_stream
 
 # --- reference implementations -------------------------------------------------
@@ -283,10 +282,6 @@ def _outcome(fn, *args):
         return EvaluationError, str(exc)
 
 
-def _library_coherence(update, doc, window, embedder):
-    windows = coherence_windows(update, doc, window)
-    texts = [text for u, neighborhood in windows for text in (u, *neighborhood)]
-    return local_coherence(windows, embed(texts, embedder))
 
 
 @st.composite
@@ -316,7 +311,7 @@ def _coherence_cases(draw):
 @given(_coherence_cases())
 def test_local_coherence_matches_whole_document_reference(case):
     update, doc, window, embedder = case
-    assert _outcome(_library_coherence, update, doc, window, embedder) == \
+    assert _outcome(embedded_local_coherence, update, doc, window, embedder) == \
         _outcome(reference_local_coherence, update, doc, window, embedder)
 
 
