@@ -56,8 +56,8 @@ class Section:
     # as ``functools.cached_property`` does, made attribute reads on all
     # of them about five times slower under CPython 3.11.
     _json: str | None = field(default=None, init=False, repr=False, compare=False)
-    # The tokens of the section's sentences in order, once streamed
-    # (``metrics.document_token_stream``).
+    # The tokens of the section's sentences in order, once diffed or
+    # streamed (``metrics.document_regions``).
     _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def sentence_ids(self) -> list[str]:

@@ -26,12 +26,12 @@ from .metrics import (
     coherence_windows,
     delta_out,
     delta_tokens,
-    document_token_stream,
+    document_regions,
     embed,
     local_coherence,
+    region_edit_script,
     rouge_l,
     semantic_alignment,
-    token_edit_script,
 )
 
 logger = logging.getLogger(__name__)
@@ -122,9 +122,9 @@ def evaluate_step(
     rouge_beta: float = DEFAULT_ROUGE_BETA,
 ) -> StepEvaluation:
     """Score one step: similarity, property quality, disruption, routing."""
-    before_tokens, before_regions = document_token_stream(result.before)
-    after_tokens, after_regions = document_token_stream(result.after)
-    script = token_edit_script(before_tokens, after_tokens)
+    before_parts, before_regions = document_regions(result.before)
+    after_parts, after_regions = document_regions(result.after)
+    script = region_edit_script(before_parts, after_parts)
     d_tokens = delta_tokens(script)
     d_out = delta_out(script, _step_scope(result), before_regions, after_regions)
 

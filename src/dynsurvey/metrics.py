@@ -11,14 +11,16 @@ embedder is available; absent values are never replaced by zeros.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .document import Section, Sentence, SurveyDocument
+from .document import Section, Sentence, SurveyDocument, SurveyTable
 from .endpoints import TextEmbedder
 from .errors import EvaluationError, MetricUnavailableError
 from .text import tokenize
@@ -67,35 +69,100 @@ class TokenRegion:
     end: int  # exclusive
 
 
-def _snake(a: Sequence[str], b: Sequence[str], x: int, y: int) -> int:
-    """Follow the diagonal from ``(x, y)`` while ``a[x] == b[y]``; return the end x.
+def _common_run(a: tuple[str, ...], i: int, b: tuple[str, ...], j: int, limit: int) -> int:
+    """Length of the common run of ``a[i:]`` and ``b[j:]``, at most ``limit``.
 
     Compares whole slices, doubling the span while they match and halving
     it after a mismatch, so a long common run costs a few C-level
     comparisons instead of one Python iteration per token.
     """
-    n, m = len(a), len(b)
-    step, grow = _SNAKE_CHUNK, True
-    while step and x < n and y < m:
-        span = min(step, n - x, m - y)
-        if a[x:x + span] == b[y:y + span]:
-            x += span
-            y += span
+    run, step, grow = 0, _SNAKE_CHUNK, True
+    while step and run < limit:
+        span = min(step, limit - run)
+        if a[i + run:i + run + span] == b[j + run:j + run + span]:
+            run += span
             if grow:
                 step *= 2
         else:
             grow = False
             step = span // 2
+    return run
+
+
+class _Stream:
+    """One side of a diff after the shared leading regions are skipped.
+
+    Positions count from the end of the skipped regions. The ``window``
+    holds the tokens up to the end of the last region that differs from
+    the other side, flattened into one tuple; past ``split`` lie the
+    shared trailing regions, read in place and found by bisection over
+    their starts.
+    """
+
+    __slots__ = ("window", "split", "chunks", "starts", "length")
+
+    def __init__(self, window: Sequence[tuple[str, ...]], tail: Sequence[tuple[str, ...]]):
+        self.window = tuple(itertools.chain.from_iterable(window))
+        self.split = self.length = len(self.window)
+        self.chunks: list[tuple[str, ...]] = []
+        self.starts: list[int] = []
+        for region in tail:
+            if region:
+                # A tuple, so that its slices compare equal to the window's.
+                self.chunks.append(tuple(region))
+                self.starts.append(self.length)
+                self.length += len(region)
+
+    def locate(self, x: int) -> tuple[tuple[str, ...], int]:
+        """The tuple holding position ``x`` and the index of ``x`` in it."""
+        if x < self.split:
+            return self.window, x
+        chunk = bisect.bisect_right(self.starts, x) - 1
+        return self.chunks[chunk], x - self.starts[chunk]
+
+    def token(self, x: int) -> str:
+        tokens, index = self.locate(x)
+        return tokens[index]
+
+
+def _snake(a: _Stream, b: _Stream, x: int, y: int) -> int:
+    """Follow the diagonal from ``(x, y)`` while the tokens agree; return the end x.
+
+    The run is compared tuple by tuple. The trailing regions are equal in
+    pairs, so a run that stands in both of them at the same offset agrees
+    to the end of both streams and jumps there.
+    """
+    n, m = a.length, b.length
+    aligned = a.split - b.split
+    while x < n and y < m:
+        if x < a.split and y < b.split:
+            limit = min(a.split - x, b.split - y)
+            run = _common_run(a.window, x, b.window, y, limit)
+        elif x >= a.split and x - y == aligned:
+            return n
+        else:
+            tokens_a, i = a.locate(x)
+            tokens_b, j = b.locate(y)
+            limit = min(len(tokens_a) - i, len(tokens_b) - j)
+            run = _common_run(tokens_a, i, tokens_b, j, limit)
+        x += run
+        y += run
+        if run < limit:
+            break
     return x
 
 
-def _shortest_edit_trace(a: Sequence[str], b: Sequence[str]) -> list[dict[int, int]]:
-    """Forward pass of the greedy shortest-edit-script search.
+def _shortest_edit_trace(a: _Stream, b: _Stream) -> list[dict[int, int]]:
+    """Forward pass of the greedy shortest-edit-script search (Myers, 1986).
 
     The d=0 snake is the common prefix of ``a`` and ``b``, so that prefix
     is skipped by chunked slice comparisons before any edit is considered.
+    A position inside both windows is read by index; others go through
+    ``_Stream.token``.
     """
-    n, m = len(a), len(b)
+    n, m = a.length, b.length
+    window_a, window_b = a.window, b.window
+    split_a, split_b = a.split, b.split
     trace: list[dict[int, int]] = []
     prev: dict[int, int] = {1: 0}
     for d in range(n + m + 1):
@@ -111,7 +178,11 @@ def _shortest_edit_trace(a: Sequence[str], b: Sequence[str]) -> list[dict[int, i
                 else:
                     x = prev[k - 1] + 1
             y = x - k
-            if x < n and y < m and a[x] == b[y]:
+            if x < split_a and y < split_b:
+                if window_a[x] == window_b[y]:
+                    x = _snake(a, b, x + 1, y + 1)
+                    y = x - k
+            elif x < n and y < m and a.token(x) == b.token(y):
                 x = _snake(a, b, x + 1, y + 1)
                 y = x - k
             current[k] = x
@@ -123,31 +194,39 @@ def _shortest_edit_trace(a: Sequence[str], b: Sequence[str]) -> list[dict[int, i
     raise AssertionError("shortest edit search must terminate within n+m steps")
 
 
-def token_edit_script(before: Sequence[str], after: Sequence[str]) -> EditScript:
-    """Minimal token edit script turning ``before`` into ``after``.
+def region_edit_script(
+    before: Sequence[tuple[str, ...]],
+    after: Sequence[tuple[str, ...]],
+) -> EditScript:
+    """Minimal token edit script between two streams given as token regions.
 
-    Only insert and delete operations are emitted; a substitution appears
-    as one delete plus one insert. The script length equals
-    ``len(before) + len(after) - 2 * LCS``.
-
-    The common prefix is skipped before the search (it is the search's
-    own first diagonal run), but the common suffix is not trimmed: the
-    search breaks ties between equally short scripts using the tokens
-    after the edit, so trimming the suffix can pick another script,
-    moving op positions and with them the regions ``delta_out`` charges.
-    ``['b','a','a','a'] -> ['a','a']`` gives ``delete@0, delete@3`` here
-    but ``delete@0, delete@1`` once the suffix is trimmed.
+    Each stream is its regions joined in order, and the script is the one
+    ``token_edit_script`` gives for the joined streams, op for op. Only
+    the regions from the first to the last that differ are joined:
+    - leading regions equal in pairs are skipped, because the search's
+      first diagonal run would cross them anyway;
+    - trailing regions equal in pairs are read in place, and a diagonal
+      run that reaches them at the same offset on both sides ends at the
+      end of both streams. That is the run the search would follow, so
+      this is not trimming the suffix, which can change the script (see
+      ``token_edit_script``).
     """
-    if type(before) is not type(after):
-        # Slice comparison in ``_snake`` needs both sides of one type.
-        before, after = list(before), list(after)
-    if before == after:
-        # Cheaper than the search for the many unchanged sections that
-        # derive_inserted_sentences diffs; no cost when the lengths differ.
+    shared = min(len(before), len(after))
+    head = 0
+    while head < shared and (before[head] is after[head] or before[head] == after[head]):
+        head += 1
+    if head == len(before) == len(after):
         return EditScript(ops=())
-    trace = _shortest_edit_trace(before, after)
+    tail = 0
+    while tail < shared - head and (before[-1 - tail] is after[-1 - tail]
+                                    or before[-1 - tail] == after[-1 - tail]):
+        tail += 1
+    offset = sum(map(len, before[:head]))
+    a = _Stream(before[head:len(before) - tail], before[len(before) - tail:])
+    b = _Stream(after[head:len(after) - tail], after[len(after) - tail:])
+    trace = _shortest_edit_trace(a, b)
     ops: list[EditOp] = []
-    x, y = len(before), len(after)
+    x, y = a.length, b.length
     for d in range(len(trace) - 1, 0, -1):
         prev = trace[d - 1]
         k = x - y
@@ -158,12 +237,31 @@ def token_edit_script(before: Sequence[str], after: Sequence[str]) -> EditScript
         prev_x = prev[prev_k]
         prev_y = prev_x - prev_k
         if inserted:
-            ops.append(EditOp("insert", prev_x, prev_y, after[prev_y]))
+            ops.append(EditOp("insert", offset + prev_x, offset + prev_y, b.token(prev_y)))
         else:
-            ops.append(EditOp("delete", prev_x, prev_y, before[prev_x]))
+            ops.append(EditOp("delete", offset + prev_x, offset + prev_y, a.token(prev_x)))
         x, y = prev_x, prev_y
     ops.reverse()
     return EditScript(ops=tuple(ops))
+
+
+def token_edit_script(before: Sequence[str], after: Sequence[str]) -> EditScript:
+    """Minimal token edit script turning ``before`` into ``after``.
+
+    Only insert and delete operations are emitted; a substitution appears
+    as one delete plus one insert. The script length equals
+    ``len(before) + len(after) - 2 * LCS``. This is ``region_edit_script``
+    with one region per side.
+
+    The common prefix is skipped before the search (it is the search's
+    own first diagonal run), but the common suffix is not trimmed: the
+    search breaks ties between equally short scripts using the tokens
+    after the edit, so trimming the suffix can pick another script,
+    moving op positions and with them the regions ``delta_out`` charges.
+    ``['b','a','a','a'] -> ['a','a']`` gives ``delete@0, delete@3`` here
+    but ``delete@0, delete@1`` once the suffix is trimmed.
+    """
+    return region_edit_script((before,), (after,))
 
 
 @functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
@@ -185,28 +283,43 @@ def _section_tokens(section: Section) -> tuple[str, ...]:
     return tokens
 
 
+def _table_tokens(table: SurveyTable) -> tuple[str, ...]:
+    """The tokens of a table's title, then of its cells row by row in schema order."""
+    tokens = list(_memo_tokens(table.title))
+    for row in table.rows:
+        for column in table.schema:
+            tokens += _memo_tokens(str(row.get(column.name, "")))
+    return tuple(tokens)
+
+
+def document_regions(doc: SurveyDocument) -> tuple[list[tuple[str, ...]], list[TokenRegion]]:
+    """The maintained body of a document as one token tuple per region.
+
+    Sections contribute their sentence text, joined once per ``Section``
+    object; tables contribute their title and cell values in schema
+    order, tokenized on every call. References and metadata are left
+    out. The region bounds are the offsets the tuples would have in the
+    joined stream.
+    """
+    parts = [_section_tokens(section) for section in doc.sections]
+    parts += [_table_tokens(table) for table in doc.tables]
+    ids = [f"section:{section.id}" for section in doc.sections]
+    ids += [f"table:{table.id}" for table in doc.tables]
+    regions: list[TokenRegion] = []
+    start = 0
+    for region_id, part in zip(ids, parts):
+        regions.append(TokenRegion(region_id, start, start + len(part)))
+        start += len(part)
+    return parts, regions
+
+
 def document_token_stream(doc: SurveyDocument) -> tuple[list[str], list[TokenRegion]]:
     """Tokenize the maintained body of a document with region boundaries.
 
-    Sections contribute their sentence text; tables contribute their
-    title and cell values in schema order. References and metadata are
-    excluded from the stream. A section's tokens are joined once per
-    ``Section`` object; tables are tokenized on every call.
+    The regions of ``document_regions``, joined into one stream.
     """
-    tokens: list[str] = []
-    regions: list[TokenRegion] = []
-    for section in doc.sections:
-        start = len(tokens)
-        tokens += _section_tokens(section)
-        regions.append(TokenRegion(f"section:{section.id}", start, len(tokens)))
-    for table in doc.tables:
-        start = len(tokens)
-        tokens.extend(_memo_tokens(table.title))
-        for row in table.rows:
-            for column in table.schema:
-                tokens.extend(_memo_tokens(str(row.get(column.name, ""))))
-        regions.append(TokenRegion(f"table:{table.id}", start, len(tokens)))
-    return tokens, regions
+    parts, regions = document_regions(doc)
+    return list(itertools.chain.from_iterable(parts)), regions
 
 
 def delta_tokens(script: EditScript) -> int:
