@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -87,7 +88,7 @@ class HashEmbedding:
             return sentinel
         total = [0.0] * self.dimension
         for token in tokens:
-            total = [t + v for t, v in zip(total, self._token_vector(token))]
+            total = list(map(operator.add, total, self._token_vector(token)))
         norm = math.sqrt(math.fsum(v * v for v in total))
         if norm == 0.0:  # astronomically unlikely with hashed components
             total[0] = 1.0
