@@ -31,6 +31,7 @@ from .engine import Clock, UpdateRecord, apply_update, make_step_clock
 from .errors import (
     AgentError,
     BenchmarkConstructionError,
+    CitationError,
     DocumentIntegrityError,
     DocumentParseError,
 )
@@ -177,7 +178,12 @@ def build_instance(
         doc = doc.replace_section(replace(section, sentences=remaining))
         spans.append(GroundTruthSpan(section_id=annotation.section_id, text=" ".join(span_texts)))
 
-    late_keys = {p.bib_key for p in late_papers if p.bib_key}
+    late_keys = set()
+    for paper in late_papers:
+        try:
+            late_keys.add(paper.bib_key)
+        except CitationError:
+            pass  # a paper that cannot be cited has no reference to withhold
     kept = [r for r in doc.references if r.key not in late_keys]
     renumbered = tuple(
         Reference(key=r.key, number=i, bib=r.bib) for i, r in enumerate(kept, start=1))

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import FeedError
+from .errors import CitationError, ConfigError, FeedError
 
 # Venue string that marks a record as not peer reviewed.
 PREPRINT_VENUE = "preprint"
@@ -32,7 +32,21 @@ class PaperRecord:
 
     @property
     def bib_key(self) -> str:
-        return str(self.bib.get("key", ""))
+        return bib_key(self.bib)
+
+
+def bib_key(bib: dict) -> str:
+    """The citation key of a bib entry.
+
+    Raises CitationError when the key is missing, empty or not a JSON
+    string, so a paper that cannot be cited fails its own step.
+    """
+    key = bib.get("key")
+    if not key:
+        raise CitationError("bib entry has no citation key")
+    if not isinstance(key, str):
+        raise CitationError(f"bib entry citation key must be a string, got {key!r}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -114,11 +128,15 @@ class CandidateFilter:
 
 def filter_from_dict(data: dict) -> CandidateFilter:
     date_range = data.get("date_range") or ["0000-01-01", "9999-12-31"]
+    require_peer_reviewed = data.get("require_peer_reviewed", False)
+    if not isinstance(require_peer_reviewed, bool):
+        raise ConfigError(f"filter require_peer_reviewed must be a JSON boolean, "
+                          f"got {require_peer_reviewed!r}")
     return CandidateFilter(
         allowed_categories=tuple(data.get("allowed_categories", [])),
         allowed_venues=tuple(data.get("allowed_venues", [])),
         date_range=(str(date_range[0]), str(date_range[1])),
-        require_peer_reviewed=bool(data.get("require_peer_reviewed", False)),
+        require_peer_reviewed=require_peer_reviewed,
     )
 
 

@@ -34,7 +34,7 @@ from .agents import (
     run_table_synthesis,
     run_text_synthesis,
 )
-from .corpus import PaperRecord
+from .corpus import PaperRecord, bib_key
 from .document import (
     Reference,
     Section,
@@ -60,6 +60,8 @@ from .text import segment_sentences
 logger = logging.getLogger(__name__)
 
 CITE_PLACEHOLDER = "[cite]"
+# The outcomes an update step records.
+DECISIONS = ("updated", "abstained", "failed")
 
 Clock = Callable[[], str]
 
@@ -79,7 +81,7 @@ class UpdateRecord:
     """Full audit of one update step; replaying it reproduces the state delta."""
 
     paper_id: str
-    decision: str  # "abstained" | "updated" | "failed"
+    decision: str  # one of DECISIONS
     routed_section: str | None = None
     routed_table: str | None = None
     ranked_sections: tuple[str, ...] = ()
@@ -152,9 +154,7 @@ def resolve_citations(
         return draft, references, ()
     if not bib:
         raise CitationError("draft contains a [cite] placeholder but no bib entry was provided")
-    key = str(bib.get("key", ""))
-    if not key:
-        raise CitationError("bib entry has no citation key")
+    key = bib_key(bib)
     number = next((r.number for r in references if r.key == key), None)
     if number is None:
         number = len(references) + 1
@@ -330,16 +330,23 @@ def _table_votes(raw: list) -> tuple[tuple[str, bool], ...]:
 
 
 def update_record_from_dict(data: dict) -> UpdateRecord:
+    decision = data["decision"]
+    if decision not in DECISIONS:
+        raise DocumentParseError(
+            f"audit record decision must be one of {', '.join(DECISIONS)}, got {decision!r}")
+    draft_text = data.get("draft_text", "")
+    if not isinstance(draft_text, str):
+        raise DocumentParseError(f"audit record draft_text must be a string, got {draft_text!r}")
     return UpdateRecord(
         paper_id=str(data["paper_id"]),
-        decision=str(data["decision"]),
+        decision=decision,
         routed_section=data.get("routed_section"),
         routed_table=data.get("routed_table"),
         ranked_sections=tuple(data.get("ranked_sections", [])),
         table_votes=_table_votes(data.get("table_votes", [])),
         insertion_sentence_id=data.get("insertion_sentence_id"),
         inserted_sentence_ids=tuple(data.get("inserted_sentence_ids", [])),
-        draft_text=str(data.get("draft_text", "")),
+        draft_text=draft_text,
         inserted_row=data.get("inserted_row"),
         resolved_citation_keys=tuple(data.get("resolved_citation_keys", [])),
         placeholder_count=int(data.get("placeholder_count", 0)),

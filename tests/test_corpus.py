@@ -9,8 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_paper
-from dynsurvey.corpus import CandidateFilter, ingest_feed, record_to_dict, write_feed
-from dynsurvey.errors import FeedError
+from dynsurvey.corpus import (
+    CandidateFilter,
+    filter_from_dict,
+    ingest_feed,
+    record_to_dict,
+    write_feed,
+)
+from dynsurvey.errors import ConfigError, FeedError
 
 PERMISSIVE = CandidateFilter()
 
@@ -61,6 +67,19 @@ def test_peer_review_convention():
     strict = CandidateFilter(require_peer_reviewed=True)
     assert not strict.matches(preprint)
     assert strict.matches(reviewed)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+def test_peer_review_flag_must_be_a_json_boolean(value):
+    # bool("false") is True, so the string used to turn the filter on.
+    with pytest.raises(ConfigError, match="require_peer_reviewed"):
+        filter_from_dict({"require_peer_reviewed": value})
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_peer_review_flag_reads_json_booleans(value):
+    assert filter_from_dict({"require_peer_reviewed": value}).require_peer_reviewed is value
+    assert filter_from_dict({}).require_peer_reviewed is False
 
 
 def test_category_and_venue_filters():

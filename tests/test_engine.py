@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_generator, make_paper
 from dynsurvey import demo, engine
+from dynsurvey.corpus import CandidateFilter, ingest_feed, write_feed
 from dynsurvey.document import (
     SurveyState,
     make_section,
@@ -255,6 +256,37 @@ def test_unresolvable_citation_fails_the_step_and_keeps_the_state(full_state):
     assert replay_update(full_state, record, paper) is full_state
 
 
+def test_null_bib_keys_fail_their_steps_and_the_feed_goes_on(full_state, tmp_path):
+    # Read as str(None), both keys were "None": the first paper was cited
+    # as reference "None" and the second silently reused its number.
+    papers = [make_paper("pN1", bib={"key": None, "title": "One"}),
+              make_paper("pN2", bib={"key": None, "title": "Two"}),
+              make_paper("pOk")]
+    feed = tmp_path / "feed.ndjson"
+    write_feed(papers, feed)
+    script = {}
+    for paper in papers:
+        script.update(_framework_script(paper.id, "2", "append", {"t1": "no", "t2": "no"},
+                                        f"Method {paper.id} [cite]: One claim."))
+    state, decisions = full_state, []
+    for paper in ingest_feed(feed, CandidateFilter()):
+        state, record = apply_update(state, paper, make_generator(script))
+        decisions.append((record.decision, record.error))
+    assert decisions == [("failed", "bib entry has no citation key")] * 2 + [("updated", None)]
+    keys = [r.key for r in state.document.references]
+    assert "None" not in keys
+    assert keys[-1] == "key_pOk"
+
+
+@pytest.mark.parametrize("key", [7, True, ["k"], {"k": 1}])
+def test_non_string_bib_key_is_a_citation_error(full_state, key):
+    bib = {"key": key, "title": "T"}
+    with pytest.raises(CitationError, match="must be a string"):
+        resolve_citations("X [cite].", bib, full_state.document.references)
+    with pytest.raises(CitationError, match="must be a string"):
+        make_paper("pK", bib=bib).bib_key
+
+
 def test_off_schema_row_fails_the_step_and_keeps_the_state(full_state, monkeypatch):
     draft = "Offschema Method [cite]: One claim."
     script = _framework_script("pS", "2", "append", {"t1": "yes", "t2": "no"}, draft)
@@ -470,6 +502,36 @@ def test_audit_table_vote_must_be_a_json_boolean(full_state, vote):
     data["table_votes"][0][1] = vote
     with pytest.raises(DocumentParseError, match="t1"):
         update_record_from_dict(data)
+
+
+@pytest.mark.parametrize("decision", ["update", "Updated", "", None, 1])
+def test_audit_decision_outside_the_three_is_a_parse_error(full_state, tmp_path, decision):
+    # An unknown decision used to read back as is, and replay skipped its step.
+    data = update_record_to_dict(UpdateRecord(paper_id="pD", decision="updated"))
+    data["decision"] = decision
+    path = tmp_path / "audit.ndjson"
+    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    with pytest.raises(DocumentParseError, match="decision"):
+        read_audit_log(path)
+
+
+@pytest.mark.parametrize("draft", [None, 3, ["text"], {"t": "x"}])
+def test_audit_draft_text_must_be_a_string(tmp_path, draft):
+    # A null draft used to read back, and replay, as the text "None".
+    data = update_record_to_dict(UpdateRecord(paper_id="pD", decision="updated"))
+    data["draft_text"] = draft
+    path = tmp_path / "audit.ndjson"
+    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    with pytest.raises(DocumentParseError, match="draft_text"):
+        read_audit_log(path)
+
+
+def test_audit_draft_text_may_be_absent(tmp_path):
+    data = update_record_to_dict(UpdateRecord(paper_id="pD", decision="abstained"))
+    del data["draft_text"]
+    path = tmp_path / "audit.ndjson"
+    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    assert read_audit_log(path) == [UpdateRecord(paper_id="pD", decision="abstained")]
 
 
 def test_audit_replay_reproduces_published_bytes(full_state, tmp_path):
