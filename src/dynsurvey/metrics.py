@@ -138,7 +138,9 @@ def _snake(a: _Stream, b: _Stream, x: int, y: int) -> int:
         if x < a.split and y < b.split:
             limit = min(a.split - x, b.split - y)
             run = _common_run(a.window, x, b.window, y, limit)
-        elif x >= a.split and x - y == aligned:
+        elif x - y == aligned:
+            # Past one window, hence past both: in the trailing regions at
+            # the same offset.
             return n
         else:
             tokens_a, i = a.locate(x)

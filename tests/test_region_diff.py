@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsurvey import demo, metrics
+from dynsurvey import demo, evaluation, metrics
 from dynsurvey.benchmark import FRAMEWORK, METHODS, StepResult, run_method
 from dynsurvey.document import (
     ColumnSpec,
@@ -253,10 +253,10 @@ def _check_step(result: StepResult) -> None:
     expected = flat_edit_script(before_tokens, after_tokens)
     assert region_ops(before_parts, after_parts) == expected
 
-    evaluation = evaluate_step(result, "s")
+    scored = evaluate_step(result, "s")
     script = EditScript(ops=tuple(EditOp(*op) for op in expected))
-    assert evaluation.delta_tokens == len(expected)
-    assert evaluation.delta_out == delta_out(
+    assert scored.delta_tokens == len(expected)
+    assert scored.delta_out == delta_out(
         script, _step_scope(result), before_regions, after_regions)
 
 
@@ -298,10 +298,11 @@ def test_evaluate_step_flattens_only_the_changed_section(monkeypatch):
 
     monkeypatch.setattr(metrics, "_Stream", RecordingStream)
     monkeypatch.setattr(metrics, "document_token_stream", no_flat_stream)
+    monkeypatch.setattr(evaluation, "document_token_stream", no_flat_stream, raising=False)
     result = StepResult(method=FRAMEWORK, paper_id="p", out_of_scope=False, abstained=False,
                         before=before, after=after, gt_span=None, routed_section="3")
-    evaluation = evaluate_step(result, "s")
-    assert (evaluation.delta_tokens, evaluation.delta_out) == (6, 0)
+    scored = evaluate_step(result, "s")
+    assert (scored.delta_tokens, scored.delta_out) == (6, 0)
     assert windows == [len(sections[3]._tokens), len(grown._tokens)]
 
 
