@@ -22,11 +22,11 @@ from .document import (
     StructuredOutline,
     SurveyDocument,
     SurveyState,
-    SurveyTable,
     TableEntry,
     document_from_dict,
     document_to_dict,
     make_section,
+    make_table,
     outline_to_dict,
     save_document,
     save_outline,
@@ -98,10 +98,10 @@ def demo_full_document() -> SurveyDocument:
                      SECTION_3_EARLY_TEXT + " " + LATE_B_SPAN),
     )
     tables = (
-        SurveyTable(
-            id="t1",
-            title="Representative Methods",
-            schema=(
+        make_table(
+            "t1",
+            "Representative Methods",
+            (
                 ColumnSpec(name="Method", kind="text"),
                 ColumnSpec(name="Domain", kind="categorical",
                            values=("Spatial", "Frequency", "Hybrid")),
@@ -109,27 +109,27 @@ def demo_full_document() -> SurveyDocument:
                            values=("None", "Supervised", "Self-supervised")),
                 ColumnSpec(name="Score", kind="int", minimum=1, maximum=5),
             ),
-            rows=(
+            [
                 {"Method": "Bilateral Filter", "Domain": "Spatial",
                  "Supervision": "None", "Score": 2},
                 {"Method": "Wavelet Shrinkage", "Domain": "Frequency",
                  "Supervision": "None", "Score": 2},
                 {"Method": "Block Matching", "Domain": "Hybrid",
                  "Supervision": "None", "Score": 3},
-            ),
+            ],
         ),
-        SurveyTable(
-            id="t2",
-            title="Benchmark Datasets",
-            schema=(
+        make_table(
+            "t2",
+            "Benchmark Datasets",
+            (
                 ColumnSpec(name="Dataset", kind="text"),
                 ColumnSpec(name="Scenes", kind="int", minimum=1, maximum=500),
                 ColumnSpec(name="Noise", kind="categorical", values=("Synthetic", "Real")),
             ),
-            rows=(
+            [
                 {"Dataset": "GaussBench", "Scenes": 68, "Noise": "Synthetic"},
                 {"Dataset": "NightRaw", "Scenes": 120, "Noise": "Real"},
-            ),
+            ],
         ),
     )
     references = tuple(

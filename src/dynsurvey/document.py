@@ -4,8 +4,10 @@ Values are immutable snapshots; every edit builds a new document. The
 canonical on-disk form is a single JSON container with ``metadata``,
 ``sections``, ``tables`` and ``references`` keys. Serialization is
 deterministic, so equal documents produce byte-identical files. Each
-section and reference renders its JSON once and keeps it, so a bib dict
-must not be mutated once its reference is built.
+section, table and reference renders its JSON once and keeps it, so a
+bib dict or a table cell (a list or object value) must not be mutated
+once its reference or table is built. Table rows themselves are
+read-only mappings.
 
 Sentence identifiers are ``"{section_id}:{counter}"`` with counters
 assigned monotonically per section and never reused, which keeps
@@ -20,7 +22,8 @@ import json
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .corpus import SurveyScope, scope_from_dict, scope_to_dict
 from .errors import DocumentIntegrityError, DocumentParseError
@@ -33,9 +36,16 @@ _SECTION_MEMO_SIZE = 2 ** 10
 # Distinct references whose build stays memoised; room for every reference
 # of the surveys a benchmark run streams.
 _REFERENCE_MEMO_SIZE = 2 ** 12
-# Bib value types whose equal values render the same JSON; floats are not
-# among them, because 0.0 == -0.0.
-_SHARED_BIB_TYPES = frozenset({str, int, bool, type(None)})
+# Distinct tables whose build stays memoised; room for every table of the
+# surveys a benchmark run streams, several versions each.
+_TABLE_MEMO_SIZE = 2 ** 8
+# Bib and cell value types whose equal values render the same JSON, once
+# the key also holds each value's type (1 == True); floats are not among
+# them, because 0.0 == -0.0.
+_SHARED_VALUE_TYPES = frozenset({str, int, bool, type(None)})
+# Column bound types that may share a table: a bound is in the memo key
+# without its type.
+_SHARED_BOUND_TYPES = frozenset({int, type(None)})
 
 
 @dataclass(frozen=True)
@@ -103,12 +113,29 @@ class ColumnSpec:
 
 @dataclass(frozen=True)
 class SurveyTable:
+    """A table: its column schema and its rows.
+
+    Each row is a read-only mapping that lists the schema's columns in
+    schema order, then any column the schema lacks (a row
+    ``validate_document`` rejects) in the order it came in. ``make_table``
+    and ``append_table_row`` freeze the rows; a table built directly
+    should be given frozen rows too.
+    """
+
     id: str
     title: str
     schema: tuple[ColumnSpec, ...]
-    rows: tuple[dict, ...] = ()
+    rows: tuple[Mapping[str, object], ...] = ()
+    # The table's entry in the canonical document once rendered; a field
+    # for the reason given on ``Section._json``.
+    _json: str | None = field(default=None, init=False, repr=False, compare=False)
+    # The tokens of the title and the cells, once diffed or streamed
+    # (``metrics.document_regions``).
+    _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # Set once ``validate_document`` has found every row valid.
+    _rows_checked: bool = field(default=False, init=False, repr=False, compare=False)
 
-    def check_row(self, row: dict) -> list[str]:
+    def check_row(self, row: Mapping[str, object]) -> list[str]:
         """Return all schema violations of a candidate row."""
         problems: list[str] = []
         expected = [c.name for c in self.schema]
@@ -166,8 +193,7 @@ class SurveyDocument:
             raise DocumentIntegrityError("; ".join(problems))
         # Schema column order, whatever order the row came in: the audit
         # log stores rows with sorted keys, and replay must give the same bytes.
-        ordered = {column.name: row[column.name] for column in table.schema}
-        new_table = replace(table, rows=table.rows + (ordered,))
+        new_table = replace(table, rows=table.rows + (_frozen_row(row, table.schema),))
         tables = tuple(new_table if t.id == table_id else t for t in self.tables)
         return replace(self, tables=tables)
 
@@ -241,11 +267,16 @@ def validate_document(doc: SurveyDocument) -> None:
             if not sentence.text.strip():
                 raise DocumentIntegrityError(
                     f"empty sentence {sentence.id!r} in section {section.id!r}")
+    # A table is frozen, so its rows are checked once per table object: an
+    # unchanged table that ``make_table`` shared costs nothing here.
     for table in doc.tables:
+        if table._rows_checked:
+            continue
         for index, row in enumerate(table.rows):
             problems = table.check_row(row)
             if problems:
                 raise DocumentIntegrityError(f"table {table.id!r} row {index}: " + "; ".join(problems))
+        object.__setattr__(table, "_rows_checked", True)
 
 
 def validate_additions(
@@ -338,7 +369,7 @@ def make_reference(key: str, number: int, bib: dict) -> Reference:
     lets an unchanged one keep its rendered JSON.
     """
     types = tuple(type(value) for value in bib.values())
-    if _SHARED_BIB_TYPES.issuperset(types):
+    if _SHARED_VALUE_TYPES.issuperset(types):
         return _shared_reference(key, number, tuple(bib.items()), types)
     return Reference(key=key, number=number, bib=bib)
 
@@ -348,6 +379,52 @@ def _shared_reference(key: str, number: int, items: tuple, types: tuple) -> Refe
     return Reference(key=key, number=number, bib=dict(items))
 
 
+def _frozen_row(row: Mapping[str, object], schema: tuple[ColumnSpec, ...]) -> Mapping[str, object]:
+    """A read-only copy of a row: the schema's columns in schema order, then the rest."""
+    ordered = {column.name: row[column.name] for column in schema if column.name in row}
+    ordered.update(row)
+    return MappingProxyType(ordered)
+
+
+def _build_table(table_id: str, title: str, schema: tuple[ColumnSpec, ...],
+                 rows: Sequence[Mapping[str, object]]) -> SurveyTable:
+    return SurveyTable(table_id, title, schema, tuple(_frozen_row(row, schema) for row in rows))
+
+
+def make_table(table_id: str, title: str, schema: tuple[ColumnSpec, ...],
+               rows: Sequence[Mapping[str, object]]) -> SurveyTable:
+    """Build a SurveyTable with frozen rows, sharing one object between equal tables.
+
+    Memoised like ``make_reference`` in a bounded per-process cache
+    (``_TABLE_MEMO_SIZE`` = 2**8 tables), keyed on the id, the title, the
+    schema and each row's items with the type of each value, so ``1`` and
+    ``True`` never share an entry. A table holding a float, list or
+    object cell, or a column bound other than an integer or null, is
+    built plainly. A baseline reply rebuilds every table, and the sharing
+    lets an unchanged one keep its rendered JSON, its tokens and its row
+    check.
+    """
+    types = tuple(type(value) for row in rows for value in row.values())
+    if _SHARED_VALUE_TYPES.issuperset(types) and all(
+            type(column.minimum) in _SHARED_BOUND_TYPES
+            and type(column.maximum) in _SHARED_BOUND_TYPES for column in schema):
+        return _shared_table(table_id, title, schema,
+                             tuple(tuple(row.items()) for row in rows), types)
+    return _build_table(table_id, title, schema, rows)
+
+
+@functools.lru_cache(maxsize=_TABLE_MEMO_SIZE, typed=True)
+def _shared_table(table_id: str, title: str, schema: tuple[ColumnSpec, ...],
+                  items: tuple, types: tuple) -> SurveyTable:
+    return _build_table(table_id, title, schema, [dict(row) for row in items])
+
+
+def _string(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentParseError(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
 def _flag(value: object, what: str) -> bool:
     if not isinstance(value, bool):
         raise DocumentParseError(f"{what} must be a JSON boolean, got {value!r}")
@@ -355,19 +432,39 @@ def _flag(value: object, what: str) -> bool:
 
 
 def _column_from_dict(data: dict, table_id: str) -> ColumnSpec:
-    kind = str(data.get("kind", "text"))
+    """A column of a table entry; a missing name raises KeyError for the caller to wrap."""
+    kind = _string(data.get("kind", "text"), f"table {table_id!r} column kind")
     if kind not in COLUMN_KINDS:
         raise DocumentParseError(f"table {table_id!r}: unknown column kind {kind!r}")
     minimum, maximum = data.get("min"), data.get("max")
     for bound in (minimum, maximum):
-        if bound is not None and not isinstance(bound, (int, float)):
+        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
             raise DocumentParseError(f"table {table_id!r}: column bound {bound!r} is not a number")
+    name = _string(data["name"], f"table {table_id!r} column name")
+    values = _array(data.get("values", []), "column values")
     return ColumnSpec(
-        name=str(data["name"]),
+        name=name,
         kind=kind,
-        values=tuple(str(v) for v in _array(data.get("values", []), "column values")),
+        values=tuple(_string(v, f"table {table_id!r} column {name!r} value") for v in values),
         minimum=minimum,
         maximum=maximum,
+    )
+
+
+def _table_from_dict(raw: dict) -> SurveyTable:
+    """A table entry whose id, title, column names, kinds and values are JSON strings."""
+    table_id = _string(raw.get("id"), "table entry id")
+    try:
+        schema = tuple(_column_from_dict(_object(c, f"table {table_id!r} column"), table_id)
+                       for c in _array(raw["schema"], f"table {table_id!r} schema"))
+    except KeyError as exc:
+        raise DocumentParseError(f"table {table_id!r} missing field {exc}") from exc
+    return make_table(
+        table_id,
+        _string(raw.get("title", ""), f"table {table_id!r} title"),
+        schema,
+        [_object(r, f"table {table_id!r} row")
+         for r in _array(raw.get("rows", []), f"table {table_id!r} rows")],
     )
 
 
@@ -413,23 +510,8 @@ def document_from_dict(data: dict) -> SurveyDocument:
             str(raw.get("text", "")),
             _flag(raw.get("non_maintained", False), f"section {section_id!r} non_maintained"),
         ))
-    tables = []
-    for raw in _array(data.get("tables", []), "tables"):
-        raw = _object(raw, "table entry")
-        table_id = str(raw.get("id", "?"))
-        try:
-            schema = tuple(_column_from_dict(_object(c, f"table {table_id!r} column"), table_id)
-                           for c in _array(raw["schema"], f"table {table_id!r} schema"))
-            table = SurveyTable(
-                id=table_id,
-                title=str(raw.get("title", "")),
-                schema=schema,
-                rows=tuple(dict(_object(r, f"table {table_id!r} row"))
-                           for r in _array(raw.get("rows", []), f"table {table_id!r} rows")),
-            )
-        except KeyError as exc:
-            raise DocumentParseError(f"table {table_id!r} missing field {exc}") from exc
-        tables.append(table)
+    tables = [_table_from_dict(_object(raw, "table entry"))
+              for raw in _array(data.get("tables", []), "tables")]
     references = []
     for raw in _array(data.get("references", []), "references"):
         try:
@@ -512,20 +594,30 @@ def _render_sections(sections: list[Section]) -> list[str]:
     return entries
 
 
-def _render_references(references: list[Reference]) -> list[str]:
-    """Each reference as an entry of the canonical document's ``references`` list.
+def _render_dicts(entries: list[dict]) -> list[str]:
+    """Each dict as an entry of a canonical document list that sits one key deep.
 
-    All from one ``json.dumps``: a call per reference costs half as much
+    All from one ``json.dumps``: a call per entry costs half as much
     again.
     """
-    text = _dumps([_reference_entry(r) for r in references], "  ")
+    text = _dumps(entries, "  ")
     # Only the first and last line of an entry are indented by exactly
     # four spaces, so ",\n    {" occurs only between entries.
     first, *rest = text[2:-4].split(",\n    {")
     return [first, *("    {" + part for part in rest)]
 
 
-def _entries(objects: Sequence[Section] | Sequence[Reference],
+def _render_tables(tables: list[SurveyTable]) -> list[str]:
+    """Each table as an entry of the canonical document's ``tables`` list."""
+    return _render_dicts([_table_entry(t) for t in tables])
+
+
+def _render_references(references: list[Reference]) -> list[str]:
+    """Each reference as an entry of the canonical document's ``references`` list."""
+    return _render_dicts([_reference_entry(r) for r in references])
+
+
+def _entries(objects: Sequence[Section] | Sequence[SurveyTable] | Sequence[Reference],
              render: Callable[[list], list[str]]) -> list[str]:
     """The canonical entry of each object, rendered once per object and kept on it.
 
@@ -555,15 +647,16 @@ def serialize_document(doc: SurveyDocument) -> str:
 
     The text is ``json.dumps(document_to_dict(doc), indent=2,
     ensure_ascii=False) + "\\n"``, joined once from the entries that each
-    section and reference renders once and keeps. A section or reference
-    that an earlier serialize rendered costs one lookup, so a baseline
-    step re-renders only what its reply changed. Metadata and tables are
-    rendered on every call.
+    section, table and reference renders once and keeps. An object that
+    an earlier serialize rendered costs one lookup, so a baseline step
+    re-renders only what its reply changed. Metadata is rendered on every
+    call.
     """
     parts = ['{\n  "metadata": ', _dumps(dict(doc.metadata), "  "), ',\n  "sections": ']
     _add_list(parts, _entries(doc.sections, _render_sections))
-    parts += (',\n  "tables": ', _dumps([_table_entry(t) for t in doc.tables], "  "),
-              ',\n  "references": ')
+    parts.append(',\n  "tables": ')
+    _add_list(parts, _entries(doc.tables, _render_tables))
+    parts.append(',\n  "references": ')
     _add_list(parts, _entries(doc.references, _render_references))
     parts.append("\n}\n")
     return "".join(parts)
@@ -678,7 +771,7 @@ __all__ = [
     "COLUMN_KINDS", "ColumnSpec", "Reference", "Section", "SectionEntry", "Sentence",
     "StructuredOutline", "SurveyDocument", "SurveyState", "SurveyTable", "TableEntry",
     "document_from_dict", "document_to_dict", "load_document", "load_outline",
-    "make_reference", "make_section", "outline_entries_from_dict",
+    "make_reference", "make_section", "make_table", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
     "parse_outline", "save_document", "save_outline", "serialize_document",
     "serialize_outline", "validate_additions", "validate_document", "validate_state",

@@ -286,22 +286,30 @@ def _section_tokens(section: Section) -> tuple[str, ...]:
 
 
 def _table_tokens(table: SurveyTable) -> tuple[str, ...]:
-    """The tokens of a table's title, then of its cells row by row in schema order."""
-    tokens = list(_memo_tokens(table.title))
-    for row in table.rows:
-        for column in table.schema:
-            tokens += _memo_tokens(str(row.get(column.name, "")))
-    return tuple(tokens)
+    """The tokens of a table's title, then of its cells row by row in schema order.
+
+    Joined once and kept on the table, which is frozen, so the kept tuple
+    cannot go stale.
+    """
+    tokens = table._tokens
+    if tokens is None:
+        joined = list(_memo_tokens(table.title))
+        for row in table.rows:
+            for column in table.schema:
+                joined += _memo_tokens(str(row.get(column.name, "")))
+        tokens = tuple(joined)
+        object.__setattr__(table, "_tokens", tokens)
+    return tokens
 
 
 def document_regions(doc: SurveyDocument) -> tuple[list[tuple[str, ...]], list[TokenRegion]]:
     """The maintained body of a document as one token tuple per region.
 
-    Sections contribute their sentence text, joined once per ``Section``
-    object; tables contribute their title and cell values in schema
-    order, tokenized on every call. References and metadata are left
-    out. The region bounds are the offsets the tuples would have in the
-    joined stream.
+    Sections contribute their sentence text and tables their title and
+    cell values in schema order, each joined once per ``Section`` or
+    ``SurveyTable`` object. References and metadata are left out. The
+    region bounds are the offsets the tuples would have in the joined
+    stream.
     """
     parts = [_section_tokens(section) for section in doc.sections]
     parts += [_table_tokens(table) for table in doc.tables]

@@ -1,9 +1,9 @@
-"""Baseline streams: one parse and one render per changed section, one serialize per step.
+"""Baseline streams: one parse and one render per changed section or table, one serialize per step.
 
 ``_reference_stream`` keeps the baseline loop as it was before sections
 were memoised and each step's output text was handed to the next step:
 every step serializes its input for the prompt and its output again,
-builds every section afresh and diffs every section. The streams
+builds every section and table afresh and diffs every section. The streams
 ``run_method`` gives must equal it field by field and byte by byte.
 """
 
@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsurvey import benchmark, demo, document, prompts
+from dynsurvey import benchmark, demo, document, metrics, prompts
 from dynsurvey.benchmark import ONE_STEP, ORACLE, StepResult, paper_representation, run_method
 from dynsurvey.document import (
     document_from_dict,
     document_to_dict,
+    SurveyTable,
     make_section,
     serialize_document,
 )
@@ -33,7 +34,7 @@ from dynsurvey.metrics import token_edit_script
 from dynsurvey.mock import ScriptedGeneration
 from dynsurvey.parsing import ParseFailure, extract_json_value
 
-REPLY_KINDS = ("unchanged", "one", "two", "truncated", "shape")
+REPLY_KINDS = ("unchanged", "one", "two", "row", "truncated", "shape")
 
 
 def _reference_inserted(before, after):
@@ -54,6 +55,7 @@ def _reference_stream(method, instance, generator) -> list[StepResult]:
     stream = [*instance.late_papers, *((paper, None) for paper in instance.out_of_scope_papers)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(document, "make_section", make_section.__wrapped__)
+        patch.setattr(document, "make_table", document._build_table)
         for paper, span in stream:
             text = serialize_document(doc)
             oracle = method == ORACLE and span is not None
@@ -102,6 +104,11 @@ def _scripted(instance, method, kinds) -> ScriptedGeneration:
                    "two": reply["sections"][:2]}.get(kind, [])
         for section in touched:
             section["text"] += f" Step {step} adds words to {section['id']}."
+        if kind == "row":
+            table = reply["tables"][step % 2]
+            row = dict(table["rows"][0])
+            row[table["schema"][0]["name"]] = f"Step {step} method"
+            table["rows"].append(row)
         text = json.dumps(reply)
         if kind == "truncated":
             text = text[:len(text) // 2]
@@ -157,13 +164,16 @@ def test_one_serialize_per_step_that_did_not_fail_closed(monkeypatch, kinds):
 @pytest.mark.parametrize("kinds", [
     ("two", "one", "unchanged", "one"),
     ("one", "truncated", "two", "unchanged"),
+    ("row", "one", "row", "row"),
+    ("two", "row", "truncated", "unchanged"),
 ])
 def test_a_step_renders_only_the_sections_its_reply_changed(monkeypatch, kinds):
     document.make_section.cache_clear()
     document._shared_reference.cache_clear()
+    document._shared_table.cache_clear()
     instance = demo.demo_instance()
     generator = _scripted(instance, ONE_STEP, kinds)
-    renders = {"sections": 0, "references": 0}
+    renders = {"sections": 0, "tables": 0, "references": 0}
 
     def counting(kind, render):
         def counted(objects):
@@ -173,6 +183,7 @@ def test_a_step_renders_only_the_sections_its_reply_changed(monkeypatch, kinds):
 
     monkeypatch.setattr(document, "_render_sections",
                         counting("sections", document._render_sections))
+    monkeypatch.setattr(document, "_render_tables", counting("tables", document._render_tables))
     monkeypatch.setattr(document, "_render_references",
                         counting("references", document._render_references))
     per_document = {}
@@ -181,21 +192,55 @@ def test_a_step_renders_only_the_sections_its_reply_changed(monkeypatch, kinds):
     def serialize(doc):
         before = dict(renders)
         text = plain(doc)
-        per_document[id(doc)] = {k: renders[k] - before[k] for k in renders}
+        per_document.setdefault(id(doc), {}).update(
+            {k: renders[k] - before[k] for k in renders})
         return text
 
+    checked = []
+    check_row = SurveyTable.check_row
+    monkeypatch.setattr(SurveyTable, "check_row",
+                        lambda table, row: checked.append(table.id) or check_row(table, row))
+    parse = benchmark.document_from_dict
+
+    def from_dict(data):
+        start = len(checked)
+        doc = parse(data)
+        per_document.setdefault(id(doc), {})["checked"] = checked[start:]
+        return doc
+
     monkeypatch.setattr(benchmark, "serialize_document", serialize)
+    monkeypatch.setattr(benchmark, "document_from_dict", from_dict)
     results = run_method(ONE_STEP, instance, generator)
     early = instance.early_state.document
     assert per_document[id(early)] == {"sections": len(early.sections),
+                                       "tables": len(early.tables),
                                        "references": len(early.references)}
     # From the second step on, every reference is the memoised object the
-    # first parsed reply built, and the replies change no reference.
-    for result in results[1:]:
-        if result.error is None:
-            changed = sum(s != result.before.section(s.id) for s in result.after.sections)
-            assert per_document[id(result.after)]["sections"] <= changed
-            assert per_document[id(result.after)]["references"] == 0
+    # first parsed reply built, and the replies change no reference. A
+    # table is rendered, tokenized and row-checked only when the reply
+    # changed it.
+    tokenized = []
+    memo_tokens = metrics._memo_tokens
+    monkeypatch.setattr(metrics, "_memo_tokens", lambda text: tokenized.append(text) or
+                        memo_tokens(text))
+    for result in results:
+        metrics.document_regions(result.before)
+        tokenized.clear()
+        metrics.document_regions(result.after)
+        if result is results[0] or result.error is not None:
+            continue
+        changed = sum(s != result.before.section(s.id) for s in result.after.sections)
+        new_tables = [t for t in result.after.tables if t is not result.before.table(t.id)]
+        assert all(t != result.before.table(t.id) for t in new_tables)
+        counts = per_document[id(result.after)]
+        assert counts["sections"] <= changed
+        assert counts["references"] == 0
+        assert counts["tables"] == len(new_tables)
+        assert counts["checked"] == [t.id for t in new_tables for _ in t.rows]
+        # Tokenizing a table starts with its title.
+        titles = {t.title for t in result.after.tables}
+        assert [text for text in tokenized if text in titles] == [t.title for t in new_tables]
+    assert renders["tables"] > len(early.tables) or "row" not in kinds
 
 
 def test_consecutive_documents_share_unchanged_sections():
@@ -208,6 +253,22 @@ def test_consecutive_documents_share_unchanged_sections():
             old = result.before.section(section.id)
             if section == old:
                 assert section is old
+                shared += 1
+            else:
+                changed += 1
+    assert shared and changed
+
+
+def test_consecutive_documents_share_unchanged_tables():
+    instance = demo.demo_instance()
+    results = run_method(ONE_STEP, instance,
+                         _scripted(instance, ONE_STEP, ("row", "one", "unchanged", "row")))
+    shared = changed = 0
+    for result in results:
+        for table in result.after.tables:
+            old = result.before.table(table.id)
+            if table == old:
+                assert table is old
                 shared += 1
             else:
                 changed += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from dynsurvey.document import (
     load_document,
     make_reference,
     make_section,
+    make_table,
     outline_fingerprint,
     outline_from_dict,
     outline_to_dict,
@@ -166,20 +168,26 @@ _SECTIONS = st.builds(
     Section, id=_TEXT, title=_TEXT,
     sentences=st.lists(st.builds(Sentence, id=_TEXT, text=_TEXT), max_size=4).map(tuple),
     non_maintained=st.booleans())
+# A few column names, so that rows and schemas share some; cells that are
+# equal across types (1, True, 1.0; 0.0, -0.0), null, and nested values.
+_NAMES = st.sampled_from(["A", "b", "é", ""])
+_CELLS = st.one_of(st.sampled_from([1, True, 1.0, 0.0, -0.0, 0, False, None, "1"]), _JSON)
+_BOUNDS = st.one_of(st.none(), st.integers(-3, 3), st.sampled_from([1.0, 0.0, -0.0, True]))
 _COLUMNS = st.builds(
-    ColumnSpec, name=_TEXT, kind=st.sampled_from(document.COLUMN_KINDS),
-    values=st.lists(_TEXT, max_size=3).map(tuple),
-    minimum=st.none() | st.integers(), maximum=st.none() | st.integers())
-_TABLES = st.builds(
-    SurveyTable, id=_TEXT, title=_TEXT, schema=st.lists(_COLUMNS, max_size=2).map(tuple),
-    rows=st.lists(st.dictionaries(_TEXT, _JSON, max_size=2), max_size=2).map(tuple))
+    ColumnSpec, name=_NAMES, kind=st.sampled_from(document.COLUMN_KINDS),
+    values=st.lists(_TEXT, max_size=3).map(tuple), minimum=_BOUNDS, maximum=_BOUNDS)
+_SCHEMAS = st.lists(_COLUMNS, max_size=3).map(tuple)
+_ROWS = st.lists(st.dictionaries(_NAMES, _CELLS, max_size=3), max_size=3)
+_TABLES = st.one_of(
+    st.builds(make_table, table_id=_TEXT, title=_TEXT, schema=_SCHEMAS, rows=_ROWS),
+    st.builds(SurveyTable, id=_TEXT, title=_TEXT, schema=_SCHEMAS, rows=_ROWS.map(tuple)))
 _REFERENCES = st.one_of(
     st.builds(Reference, key=_TEXT, number=st.integers(), bib=_BIB),
     st.builds(make_reference, key=_TEXT, number=st.integers(), bib=_BIB))
 _DOCUMENTS = st.builds(
     SurveyDocument, metadata=st.dictionaries(_TEXT, _JSON, max_size=2),
     sections=st.lists(_SECTIONS, max_size=4).map(tuple),
-    tables=st.lists(_TABLES, max_size=1).map(tuple),
+    tables=st.lists(_TABLES, max_size=3).map(tuple),
     references=st.lists(_REFERENCES, max_size=5).map(tuple))
 
 
@@ -217,6 +225,220 @@ def test_bib_values_that_differ_only_in_type_render_apart():
 def test_serialize_edge_cases_equal_json_dumps(doc):
     assert serialize_document(doc) == _oracle(doc)
     assert serialize_document(doc) == _oracle(doc)
+
+
+def _table_text(table: SurveyTable) -> str:
+    return serialize_document(SurveyDocument({}, (), (table,), ()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TEXT, _TEXT, _SCHEMAS, _ROWS)
+def test_memoised_make_table_equals_the_plain_build(table_id, title, schema, rows):
+    built = document._build_table(table_id, title, schema, rows)
+    made = make_table(table_id, title, schema, rows)
+    assert made == built
+    assert _table_text(made) == _table_text(built) == \
+        _oracle(SurveyDocument({}, (), (built,), ()))
+    assert _table_text(make_table(table_id, title, schema, copy.deepcopy(rows))) == \
+        _table_text(built)
+    names = list(dict.fromkeys(column.name for column in schema))
+    for row, frozen in zip(rows, made.rows):
+        assert dict(frozen) == row
+        assert list(frozen) == [n for n in names if n in row] + [k for k in row if k not in names]
+
+
+@pytest.mark.parametrize("column", [ColumnSpec("v"), ColumnSpec("v", "int")])
+def test_table_cells_that_differ_only_in_type_render_apart(column):
+    values = (1, True, 1.0, 0.0, -0.0)
+    texts = [_table_text(make_table("t", "T", (column,), [{"v": v}])) for v in values]
+    rendered = [t.split('"v": ')[1].split("\n")[0] for t in texts]
+    assert rendered == ["1", "true", "1.0", "0.0", "-0.0"]
+
+
+def test_column_bounds_that_differ_only_in_type_render_apart():
+    bounds = (1, True, 1.0, 0.0, -0.0)
+    texts = [_table_text(make_table("t", "T", (ColumnSpec("v", "int", minimum=b),), []))
+             for b in bounds]
+    rendered = [t.split('"min": ')[1].split(",")[0] for t in texts]
+    assert rendered == ["1", "true", "1.0", "0.0", "-0.0"]
+
+
+def test_equal_flat_tables_share_one_object():
+    schema = (ColumnSpec("Method"), ColumnSpec("Year", "int", minimum=2000))
+    rows = [{"Method": "M", "Year": 2001}, {"Year": True, "Method": None}]
+    assert make_table("t", "T", schema, rows) is make_table("t", "T", schema, copy.deepcopy(rows))
+    assert make_table("t", "T", schema, rows) is not make_table("u", "T", schema, rows)
+
+
+@pytest.mark.parametrize("cell, bound", [(0.5, None), (["a"], None), ({"k": 1}, None),
+                                         ("x", 0.5), ("x", True)])
+def test_a_table_with_a_float_list_or_object_cell_or_odd_bound_is_built_plainly(cell, bound):
+    schema = (ColumnSpec("v", "int", minimum=bound),)
+    made = make_table("t", "T", schema, [{"v": cell}])
+    assert made == document._build_table("t", "T", schema, [{"v": cell}])
+    assert made is not make_table("t", "T", schema, [{"v": cell}])
+
+
+def test_table_memo_is_bounded():
+    assert 0 < document._shared_table.cache_info().maxsize < 2 ** 16
+
+
+def test_parsed_and_appended_rows_are_read_only():
+    doc = parse_document(serialize_document(demo.demo_full_document()))
+    grown = doc.append_table_row(
+        "t2", {"Noise": "Real", "Dataset": "New", "Scenes": 3})
+    for row in (doc.table("t1").rows[0], grown.table("t2").rows[-1]):
+        with pytest.raises(TypeError):
+            row["Method"] = "Changed"  # type: ignore[index]
+        with pytest.raises(AttributeError):
+            row.pop("Method")  # type: ignore[attr-defined]
+
+
+def test_mutating_the_row_given_to_append_leaves_the_table_alone():
+    row = {"Score": 4, "Method": "New", "Domain": "Hybrid", "Supervision": "Supervised"}
+    grown = demo.demo_full_document().append_table_row("t1", row)
+    text = serialize_document(grown)
+    row["Method"] = "Mutated"
+    row["Extra"] = 1
+    appended = grown.table("t1").rows[-1]
+    assert dict(appended) == {"Method": "New", "Domain": "Hybrid", "Supervision": "Supervised",
+                              "Score": 4}
+    assert list(appended) == ["Method", "Domain", "Supervision", "Score"]
+    assert _oracle(grown) == text
+
+
+def test_mutating_the_dict_form_leaves_the_tables_alone():
+    doc = parse_document(serialize_document(demo.demo_full_document()))
+    text = serialize_document(doc)
+    data = document_to_dict(doc)
+    for table in data["tables"]:
+        for row in table["rows"]:
+            assert type(row) is dict
+            row.clear()
+        table["rows"].append({"x": 1})
+    assert document_to_dict(doc) == json.loads(text)
+    assert _oracle(doc) == text
+
+
+def _plain_row_check(doc: SurveyDocument) -> str | None:
+    """The per-row pass of ``validate_document`` before tables were frozen."""
+    for table in doc.tables:
+        for index, row in enumerate(table.rows):
+            problems = table.check_row(row)
+            if problems:
+                return f"table {table.id!r} row {index}: " + "; ".join(problems)
+    return None
+
+
+def _integrity_error(doc: SurveyDocument) -> str | None:
+    try:
+        document.validate_document(doc)
+    except DocumentIntegrityError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_TABLES, max_size=3, unique_by=lambda t: t.id))
+def test_row_check_raises_as_the_plain_pass_does(tables):
+    expected = _plain_row_check(SurveyDocument({}, (), tuple(tables), ()))
+    for order in (tables, tables[::-1], tables):
+        doc = SurveyDocument({}, (), tuple(order), ())
+        assert _integrity_error(doc) == _plain_row_check(doc)
+    assert _integrity_error(SurveyDocument({}, (), tuple(tables), ())) == expected
+
+
+def test_an_unchanged_table_is_row_checked_once(monkeypatch):
+    document._shared_table.cache_clear()
+    text = serialize_document(demo.demo_full_document())
+    checked = []
+    plain = SurveyTable.check_row
+    monkeypatch.setattr(SurveyTable, "check_row",
+                        lambda table, row: checked.append(table.id) or plain(table, row))
+    first = parse_document(text)
+    assert checked == ["t1"] * 3 + ["t2"] * 2
+    second = parse_document(text)
+    assert all(a is b for a, b in zip(first.tables, second.tables))
+    assert len(checked) == 5
+    grown = json.loads(text)
+    grown["tables"][1]["rows"].append({"Dataset": "New", "Scenes": 3, "Noise": "Real"})
+    third = document_from_dict(grown)
+    assert third.tables[0] is first.tables[0]
+    assert checked[5:] == ["t2"] * 3
+
+
+def _valid_table_entry() -> dict:
+    return {
+        "id": "t1", "title": "T",
+        "schema": [{"name": "Kind", "kind": "categorical", "values": ["x", "y"]},
+                   {"name": "Level", "kind": "int", "min": 1, "max": 5}],
+        "rows": [{"Kind": "x", "Level": 2}],
+    }
+
+
+# Where a table entry holds a string, and where it holds a bound.
+_STRING_FIELDS = [("id",), ("title",), ("schema", 0, "name"), ("schema", 0, "kind"),
+                  ("schema", 0, "values", 1), ("schema", 1, "name")]
+_BOUND_FIELDS = [("schema", 1, "min"), ("schema", 1, "max")]
+
+
+def _set(entry: dict, path: tuple, value: object) -> dict:
+    target = entry
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return entry
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_STRING_FIELDS + _BOUND_FIELDS), _JSON)
+def test_a_table_field_of_another_json_type_is_a_parse_error(path, value):
+    data = _minimal_doc_dict()
+    data["tables"] = [_set(_valid_table_entry(), path, value)]
+    wrong = (not isinstance(value, str) if path in _STRING_FIELDS
+             else isinstance(value, (bool, str, list, dict)))
+    if wrong:
+        with pytest.raises(DocumentParseError):
+            document_from_dict(data)
+    else:
+        try:
+            doc = document_from_dict(data)
+        except (DocumentParseError, DocumentIntegrityError):
+            return  # an unknown kind, a duplicate column or a row now out of bounds
+        assert document_to_dict(doc)["tables"] == data["tables"]
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("id",), None, "table entry id must be a JSON string, got None"),
+    (("schema", 0, "name"), None, "table 't1' column name must be a JSON string, got None"),
+    (("schema", 0, "values"), [1, 2], "column 'Kind' value must be a JSON string, got 1"),
+    (("schema", 1, "min"), True, "column bound True is not a number"),
+    (("schema", 1, "max"), False, "column bound False is not a number"),
+    (("schema", 0, "kind"), 1, "column kind must be a JSON string, got 1"),
+    (("title",), ["T"], "table 't1' title must be a JSON string"),
+])
+def test_table_reader_rejects_what_it_used_to_coerce(path, value, message):
+    data = _minimal_doc_dict()
+    data["tables"] = [_set(_valid_table_entry(), path, value)]
+    with pytest.raises(DocumentParseError, match=message.replace("(", r"\(")):
+        document_from_dict(data)
+
+
+def test_table_entry_without_an_id_is_a_parse_error():
+    data = _minimal_doc_dict()
+    entry = _valid_table_entry()
+    del entry["id"]
+    data["tables"] = [entry]
+    with pytest.raises(DocumentParseError, match="table entry id must be a JSON string"):
+        document_from_dict(data)
+
+
+def test_a_column_named_null_no_longer_reads_as_none():
+    data = _minimal_doc_dict()
+    data["tables"] = [{"id": "t", "title": "T", "schema": [{"name": None}],
+                       "rows": [{"None": "x"}]}]
+    with pytest.raises(DocumentParseError, match="column name must be a JSON string"):
+        document_from_dict(data)
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
