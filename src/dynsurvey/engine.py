@@ -272,8 +272,17 @@ def replay_update(
     if record.routed_section is None:
         raise DocumentIntegrityError(
             f"audit record of {record.paper_id} is 'updated' but names no routed section")
+    doc = state.document
+    if record.routed_section not in [s.id for s in doc.sections]:
+        raise DocumentIntegrityError(
+            f"audit record of {record.paper_id} routes to section "
+            f"{record.routed_section!r}, which the survey does not have")
+    if record.routed_table is not None and record.routed_table not in [t.id for t in doc.tables]:
+        raise DocumentIntegrityError(
+            f"audit record of {record.paper_id} routes to table "
+            f"{record.routed_table!r}, which the survey does not have")
     new_doc, inserted_ids, _ = _merge(
-        state.document, paper, record.routed_section,
+        doc, paper, record.routed_section,
         record.insertion_sentence_id or APPEND, record.draft_text,
         record.inserted_row, record.routed_table)
     if inserted_ids != record.inserted_sentence_ids:
@@ -337,6 +346,14 @@ def update_record_from_dict(data: dict) -> UpdateRecord:
     draft_text = data.get("draft_text", "")
     if not isinstance(draft_text, str):
         raise DocumentParseError(f"audit record draft_text must be a string, got {draft_text!r}")
+    inserted_row = data.get("inserted_row")
+    if inserted_row is not None:
+        # ``_merge`` appends a row only to its routed table.
+        if not isinstance(inserted_row, dict):
+            raise DocumentParseError(
+                f"audit record inserted_row must be a JSON object or null, got {inserted_row!r}")
+        if data.get("routed_table") is None:
+            raise DocumentParseError("audit record has an inserted_row but no routed_table")
     return UpdateRecord(
         paper_id=str(data["paper_id"]),
         decision=decision,
@@ -347,7 +364,7 @@ def update_record_from_dict(data: dict) -> UpdateRecord:
         insertion_sentence_id=data.get("insertion_sentence_id"),
         inserted_sentence_ids=tuple(data.get("inserted_sentence_ids", [])),
         draft_text=draft_text,
-        inserted_row=data.get("inserted_row"),
+        inserted_row=inserted_row,
         resolved_citation_keys=tuple(data.get("resolved_citation_keys", [])),
         placeholder_count=int(data.get("placeholder_count", 0)),
         started_at=str(data.get("started_at", "")),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -202,6 +203,21 @@ def test_update_step_appends_one_table_row(full_state):
     assert state.document.table("t2").rows == full_state.document.table("t2").rows
 
 
+def test_audit_row_stays_a_plain_dict_apart_from_the_table(full_state):
+    draft = "Tabled Method [cite]: Adds a row."
+    row = '{"Score": 3, "Method": "Tabled Method", "Domain": "Spatial", "Supervision": "None"}'
+    script = _framework_script("pZ", "2", "append", {"t1": "yes", "t2": "no"}, draft, row)
+    state, record = apply_update(full_state, make_paper("pZ"), make_generator(script))
+    assert type(record.inserted_row) is dict
+    assert copy.deepcopy(record) == record
+    assert list(update_record_to_dict(record)["inserted_row"]) == list(json.loads(row))
+    record.inserted_row["Method"] = "Changed after the step"
+    appended = state.document.table("t1").rows[-1]
+    assert appended["Method"] == "Tabled Method"
+    with pytest.raises(TypeError):
+        appended["Method"] = "Changed in the table"  # type: ignore[index]
+
+
 def test_update_resolves_citations_and_appends_reference(full_state):
     draft = "Cited Method [cite]: Claims something."
     script = _framework_script("pC", "3", "append", {"t1": "no", "t2": "no"}, draft)
@@ -384,6 +400,37 @@ def test_replay_of_updated_record_without_section_names_the_paper(full_state):
     data["routed_section"] = None
     with pytest.raises(DocumentIntegrityError, match="pU"):
         replay_update(full_state, update_record_from_dict(data), paper)
+
+
+@pytest.mark.parametrize("field, value", [("routed_section", "nope"),
+                                          ("routed_table", "nope")])
+def test_replay_of_record_routed_outside_the_survey_names_the_paper(full_state, field, value):
+    draft = "Rerouted Method [cite]: One claim."
+    row = '{"Method": "Rerouted", "Domain": "Spatial", "Supervision": "None", "Score": 3}'
+    script = _framework_script("pR", "2", "append", {"t1": "yes", "t2": "no"}, draft, row)
+    paper = make_paper("pR")
+    _, record = apply_update(full_state, paper, make_generator(script))
+    data = update_record_to_dict(record)
+    data[field] = value
+    with pytest.raises(DocumentIntegrityError, match=f"pR routes to .* 'nope'"):
+        replay_update(full_state, update_record_from_dict(data), paper)
+
+
+@pytest.mark.parametrize("row", ["row", 1, ["Method", "M"], True])
+def test_audit_inserted_row_must_be_an_object_or_null(row):
+    data = update_record_to_dict(
+        UpdateRecord(paper_id="pI", decision="updated", routed_section="2", routed_table="t1"))
+    data["inserted_row"] = row
+    with pytest.raises(DocumentParseError, match="inserted_row must be a JSON object or null"):
+        update_record_from_dict(data)
+
+
+def test_audit_inserted_row_needs_a_routed_table():
+    # Replay used to drop such a row without a word.
+    data = update_record_to_dict(UpdateRecord(
+        paper_id="pI", decision="updated", routed_section="2", inserted_row={"Method": "M"}))
+    with pytest.raises(DocumentParseError, match="inserted_row but no routed_table"):
+        update_record_from_dict(data)
 
 
 # --- publish and audit log -------------------------------------------------
