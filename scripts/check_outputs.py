@@ -90,7 +90,10 @@ def main() -> int:
         try:
             different = check(args.against, args.seeds, Path(scratch))
         except subprocess.CalledProcessError as exc:
-            print(f"command failed with exit code {exc.returncode}: {exc.cmd}\n{exc.stderr or ''}",
+            stderr = exc.stderr or ""
+            if isinstance(stderr, bytes):
+                stderr = stderr.decode(errors="replace")
+            print(f"command failed with exit code {exc.returncode}: {exc.cmd}\n{stderr}",
                   file=sys.stderr)
             return 1
     print("outputs identical" if not different else f"{different} file(s) differ")

@@ -1,4 +1,4 @@
-"""Baseline streams: one parse and one render per changed section or table, one serialize per step.
+"""Baseline streams: one parse and render per changed section or table, one serialize per step.
 
 ``_reference_stream`` keeps the baseline loop as it was before sections
 were memoised and each step's output text was handed to the next step:
@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from dynsurvey import benchmark, demo, document, metrics, prompts
 from dynsurvey.benchmark import ONE_STEP, ORACLE, StepResult, paper_representation, run_method
 from dynsurvey.document import (
+    SurveyTable,
     document_from_dict,
     document_to_dict,
-    SurveyTable,
     make_section,
     serialize_document,
 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -420,7 +421,7 @@ def test_a_table_field_of_another_json_type_is_a_parse_error(path, value):
 def test_table_reader_rejects_what_it_used_to_coerce(path, value, message):
     data = _minimal_doc_dict()
     data["tables"] = [_set(_valid_table_entry(), path, value)]
-    with pytest.raises(DocumentParseError, match=message.replace("(", r"\(")):
+    with pytest.raises(DocumentParseError, match=re.escape(message)):
         document_from_dict(data)
 
 
