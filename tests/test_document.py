@@ -406,7 +406,10 @@ def test_a_table_field_of_another_json_type_is_a_parse_error(path, value):
             doc = document_from_dict(data)
         except (DocumentParseError, DocumentIntegrityError):
             return  # an unknown kind, a duplicate column or a row now out of bounds
-        assert document_to_dict(doc)["tables"] == data["tables"]
+        read = document_to_dict(doc)["tables"][0]
+        for step in path:
+            read = read[step]
+        assert json.dumps(read) == json.dumps(value)  # the value read, never a coerced one
 
 
 @pytest.mark.parametrize("path, value, message", [
