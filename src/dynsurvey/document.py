@@ -117,9 +117,11 @@ class SurveyTable:
 
     Each row is a read-only mapping that lists the schema's columns in
     schema order, then any column the schema lacks (a row
-    ``validate_document`` rejects) in the order it came in. ``make_table``
-    and ``append_table_row`` freeze the rows; a table built directly
-    should be given frozen rows too.
+    ``validate_document`` rejects) in the order it came in.
+    ``make_table``, ``append_table_row`` and ``document_from_dict`` freeze
+    the rows. A table built directly from plain dict rows keeps them as
+    given: ``validate_document`` checks its rows on every call, and, as
+    with a bib dict, they must not be mutated once the table is rendered.
     """
 
     id: str
@@ -132,7 +134,7 @@ class SurveyTable:
     # The tokens of the title and the cells, once diffed or streamed
     # (``metrics.document_regions``).
     _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    # Set once ``validate_document`` has found every row valid.
+    # Set once ``validate_document`` has found every row valid and frozen.
     _rows_checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def check_row(self, row: Mapping[str, object]) -> list[str]:
@@ -267,8 +269,9 @@ def validate_document(doc: SurveyDocument) -> None:
             if not sentence.text.strip():
                 raise DocumentIntegrityError(
                     f"empty sentence {sentence.id!r} in section {section.id!r}")
-    # A table is frozen, so its rows are checked once per table object: an
-    # unchanged table that ``make_table`` shared costs nothing here.
+    # The rows of a table with frozen rows are checked once per table
+    # object: an unchanged table that ``make_table`` shared costs nothing
+    # here. A row that can still change is checked on every call.
     for table in doc.tables:
         if table._rows_checked:
             continue
@@ -276,7 +279,8 @@ def validate_document(doc: SurveyDocument) -> None:
             problems = table.check_row(row)
             if problems:
                 raise DocumentIntegrityError(f"table {table.id!r} row {index}: " + "; ".join(problems))
-        object.__setattr__(table, "_rows_checked", True)
+        if all(type(row) is MappingProxyType for row in table.rows):
+            object.__setattr__(table, "_rows_checked", True)
 
 
 def validate_additions(

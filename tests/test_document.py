@@ -169,11 +169,12 @@ _SECTIONS = st.builds(
     Section, id=_TEXT, title=_TEXT,
     sentences=st.lists(st.builds(Sentence, id=_TEXT, text=_TEXT), max_size=4).map(tuple),
     non_maintained=st.booleans())
-# A few column names, so that rows and schemas share some; cells that are
-# equal across types (1, True, 1.0; 0.0, -0.0), null, and nested values.
-_NAMES = st.sampled_from(["A", "b", "é", ""])
+# Column names from a few shared values, so that rows and schemas share
+# some, or from any text; cells that are equal across types (1, True, 1.0;
+# 0.0, -0.0), null, and nested values.
+_NAMES = st.one_of(st.sampled_from(["A", "b", "é", ""]), _TEXT)
 _CELLS = st.one_of(st.sampled_from([1, True, 1.0, 0.0, -0.0, 0, False, None, "1"]), _JSON)
-_BOUNDS = st.one_of(st.none(), st.integers(-3, 3), st.sampled_from([1.0, 0.0, -0.0, True]))
+_BOUNDS = st.one_of(st.none(), st.integers(), st.sampled_from([1.0, 0.0, -0.0, True]))
 _COLUMNS = st.builds(
     ColumnSpec, name=_NAMES, kind=st.sampled_from(document.COLUMN_KINDS),
     values=st.lists(_TEXT, max_size=3).map(tuple), minimum=_BOUNDS, maximum=_BOUNDS)
@@ -366,6 +367,20 @@ def test_an_unchanged_table_is_row_checked_once(monkeypatch):
     third = document_from_dict(grown)
     assert third.tables[0] is first.tables[0]
     assert checked[5:] == ["t2"] * 3
+
+
+def test_a_directly_built_table_with_plain_rows_is_row_checked_every_time():
+    row = {"Method": "M", "Year": 2001}
+    table = SurveyTable("t", "T", (ColumnSpec("Method"), ColumnSpec("Year", "int")), (row,))
+    doc = SurveyDocument({}, (), (table,), ())
+    document.validate_document(doc)
+    row["Year"] = "not a year"
+    for _ in range(2):
+        with pytest.raises(DocumentIntegrityError, match="row 0"):
+            document.validate_document(doc)
+    frozen = make_table("t", "T", table.schema, [{"Method": "M", "Year": 2001}])
+    document.validate_document(SurveyDocument({}, (), (frozen,), ()))
+    assert frozen._rows_checked and not table._rows_checked
 
 
 def _valid_table_entry() -> dict:
