@@ -323,15 +323,6 @@ def document_regions(doc: SurveyDocument) -> tuple[list[tuple[str, ...]], list[T
     return parts, regions
 
 
-def document_token_stream(doc: SurveyDocument) -> tuple[list[str], list[TokenRegion]]:
-    """Tokenize the maintained body of a document with region boundaries.
-
-    The regions of ``document_regions``, joined into one stream.
-    """
-    parts, regions = document_regions(doc)
-    return list(itertools.chain.from_iterable(parts)), regions
-
-
 def delta_tokens(script: EditScript) -> int:
     """Total edit magnitude: insertions plus deletions."""
     return len(script.ops)

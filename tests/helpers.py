@@ -1,17 +1,35 @@
-"""Test-only helpers: replaying an edit script, scoring coherence with an
-embedder, and reading citation markers."""
+"""Test-only helpers: the flat token stream, replaying an edit script,
+scoring coherence with an embedder, and reading citation markers."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Sequence
 
 from dynsurvey.document import Sentence, SurveyDocument
 from dynsurvey.endpoints import TextEmbedder
 from dynsurvey.engine import CITE_PLACEHOLDER
-from dynsurvey.metrics import EditScript, coherence_windows, embed, local_coherence
+from dynsurvey.metrics import (
+    EditScript,
+    TokenRegion,
+    coherence_windows,
+    document_regions,
+    embed,
+    local_coherence,
+)
 
 _NUMERIC_MARKER = re.compile(r"\[(\d+)\]")
+
+
+def document_token_stream(doc: SurveyDocument) -> tuple[list[str], list[TokenRegion]]:
+    """The maintained body of a document as one token stream with its regions.
+
+    The regions of ``document_regions``, joined: the whole-document
+    stream the region-wise metrics are checked against.
+    """
+    parts, regions = document_regions(doc)
+    return list(itertools.chain.from_iterable(parts)), regions
 
 
 def apply_edit_script(before: Sequence[str], script: EditScript) -> list[str]:

@@ -32,13 +32,12 @@ from dynsurvey.metrics import (
     abstention_precision_recall,
     bleu_4,
     delta_out,
-    document_token_stream,
     rouge_l,
     token_edit_script,
 )
 from dynsurvey.mock import ScriptedGeneration
 
-from helpers import apply_edit_script, count_unresolved_placeholders
+from helpers import apply_edit_script, count_unresolved_placeholders, document_token_stream
 from test_metrics import oracle_bleu_4, oracle_rouge_l
 
 

@@ -20,12 +20,11 @@ from dynsurvey.metrics import (
     EditScript,
     TokenRegion,
     delta_out,
-    document_token_stream,
     token_edit_script,
 )
 from dynsurvey.text import tokenize
 
-from helpers import apply_edit_script
+from helpers import apply_edit_script, document_token_stream
 
 # --- reference implementation -----------------------------------------------
 

@@ -18,7 +18,6 @@ from dynsurvey.metrics import (
     delta_out,
     delta_tokens,
     derive_inserted_sentences,
-    document_token_stream,
     embed,
     rouge_l,
     semantic_alignment,
@@ -28,7 +27,7 @@ from dynsurvey.metrics import (
 )
 from dynsurvey.text import tokenize
 
-from helpers import apply_edit_script, embedded_local_coherence
+from helpers import apply_edit_script, document_token_stream, embedded_local_coherence
 
 # --- independent oracles ----------------------------------------------------
 

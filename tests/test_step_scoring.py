@@ -37,7 +37,6 @@ from dynsurvey.metrics import (
     cosine,
     delta_out,
     delta_tokens,
-    document_token_stream,
     embed,
     rouge_l,
     token_edit_script,
@@ -45,7 +44,7 @@ from dynsurvey.metrics import (
 from dynsurvey.mock import HashEmbedding, ScriptedGeneration
 from dynsurvey.text import tokenize
 
-from helpers import embedded_local_coherence
+from helpers import document_token_stream, embedded_local_coherence
 from test_edit_script import reference_stream
 
 # --- reference implementations -------------------------------------------------
