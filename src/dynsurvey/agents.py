@@ -27,6 +27,7 @@ from .endpoints import GenerationRequest, TextGenerator
 from .errors import (
     AgentError,
     AnalysisParseError,
+    DocumentParseError,
     OutlineNotApprovedError,
     RoutingError,
     SchemaViolationError,
@@ -139,7 +140,7 @@ def run_outline_agent(
             raise ParseFailure("output must be a JSON object with sections and tables arrays")
         try:
             sections, tables = outline_entries_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except DocumentParseError as exc:
             raise ParseFailure(f"malformed outline entry: {exc}") from exc
         section_entries = {e.id: e for e in sections}
         table_entries = {e.id: e for e in tables}

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import prompts
+from . import jsonio, prompts
 from .corpus import PaperRecord
 from .document import (
     Reference,
@@ -97,15 +97,10 @@ def paper_representation(paper: PaperRecord) -> str:
 
 
 def load_span_annotations(path: str | Path) -> list[SpanAnnotation]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        SpanAnnotation(
-            paper_id=str(e["paper_id"]),
-            section_id=str(e["section_id"]),
-            text=str(e["text"]),
-        )
-        for e in data.get("spans", [])
-    ]
+    data = jsonio.read_json(path, DocumentParseError, "span annotations")
+    return [jsonio.build(SpanAnnotation, entry, DocumentParseError, "span annotation")
+            for entry in jsonio.array(data, "spans", dict, DocumentParseError,
+                                      "span annotations", ())]
 
 
 def save_span_annotations(annotations: list[SpanAnnotation], path: str | Path) -> None:

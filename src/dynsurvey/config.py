@@ -9,13 +9,13 @@ omitted entirely, in which case embedding metrics are reported absent.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import CandidateFilter, SurveyScope, filter_from_dict, scope_from_dict
+from . import jsonio
+from .corpus import CandidateFilter, SurveyScope, filter_from_dict
 from .endpoints import (
     ChatCompletionClient,
     EmbeddingClient,
@@ -60,13 +60,13 @@ class MetricSettings:
 
 @dataclass(frozen=True)
 class EndpointChoice:
-    """Either a mock scenario path or real endpoint settings, never both."""
+    """Either a mock scenario path or a parsed real endpoint, never both."""
 
     mock_scenario: Path | None = None
-    settings: dict | None = None
+    endpoint: GenerationEndpoint | EmbeddingEndpoint | None = None
 
     def __post_init__(self) -> None:
-        if (self.mock_scenario is None) == (self.settings is None):
+        if (self.mock_scenario is None) == (self.endpoint is None):
             raise ConfigError(
                 "endpoint must set exactly one of mock_scenario or real settings")
 
@@ -97,68 +97,60 @@ class RunConfig:
     instances: tuple[InstanceSpec, ...] = ()
 
 
-def _endpoint_choice(data: dict | None, base: Path) -> EndpointChoice | None:
-    if not data:
+def _endpoint_choice(data: dict, name: str, base: Path,
+                     endpoint: type[GenerationEndpoint] | type[EmbeddingEndpoint],
+                     ) -> EndpointChoice | None:
+    """The config's ``name`` endpoint; None when it is absent, null or empty."""
+    settings = jsonio.field(data, name, dict, ConfigError, "config", None, null=True)
+    if not settings:
         return None
-    if "mock_scenario" in data and len(data) > 1:
-        raise ConfigError("endpoint sets both mock_scenario and real settings")
-    if "mock_scenario" in data:
-        return EndpointChoice(mock_scenario=base / str(data["mock_scenario"]))
-    if "base_url" not in data:
-        raise ConfigError("real endpoint settings require base_url")
-    return EndpointChoice(settings=dict(data))
+    if "mock_scenario" not in settings:
+        return EndpointChoice(
+            endpoint=jsonio.build(endpoint, settings, ConfigError, f"{name} endpoint"))
+    if len(settings) > 1:
+        raise ConfigError(f"{name} endpoint sets both mock_scenario and real settings")
+    return EndpointChoice(
+        mock_scenario=base / jsonio.field(settings, "mock_scenario", str, ConfigError, name))
+
+
+def _instance(spec: dict, base: Path) -> InstanceSpec:
+    name = jsonio.field(spec, "name", str, ConfigError, "benchmark instance")
+    where = ("benchmark instance", name)
+    return InstanceSpec(name, *(base / jsonio.field(spec, key, str, ConfigError, where)
+                                for key in ("survey", "outline", "spans", "late_feed", "oos_feed")))
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """Read a run config; a field of the wrong JSON type raises ConfigError."""
     config_path = Path(path)
-    try:
-        data = json.loads(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
-    data = _interpolate(data)
+    data = _interpolate(jsonio.read_json(config_path, ConfigError, "config"))
     base = config_path.parent
 
-    generation = _endpoint_choice(data.get("generation"), base)
+    def optional_path(name: str) -> Path | None:
+        value = jsonio.field(data, name, str, ConfigError, "config", None, null=True)
+        return base / value if value else None
+
+    generation = _endpoint_choice(data, "generation", base, GenerationEndpoint)
     if generation is None:
         raise ConfigError("config must define a generation endpoint or mock scenario")
-    embedding = _endpoint_choice(data.get("embedding"), base)
-
-    metrics_data = data.get("metrics", {})
-    metrics = MetricSettings(
-        coherence_window=int(metrics_data.get("coherence_window", DEFAULT_COHERENCE_WINDOW)),
-        fidelity_tau=float(metrics_data.get("fidelity_tau", DEFAULT_FIDELITY_TAU)),
-        rouge_beta=float(metrics_data.get("rouge_beta", DEFAULT_ROUGE_BETA)),
-    )
-
-    instances = []
-    for spec in data.get("benchmark", {}).get("instances", []):
-        try:
-            instances.append(InstanceSpec(
-                name=str(spec["name"]),
-                survey=base / str(spec["survey"]),
-                outline=base / str(spec["outline"]),
-                spans=base / str(spec["spans"]),
-                late_feed=base / str(spec["late_feed"]),
-                oos_feed=base / str(spec["oos_feed"]),
-            ))
-        except KeyError as exc:
-            raise ConfigError(f"benchmark instance missing field {exc}") from exc
-
+    metrics = jsonio.field(data, "metrics", dict, ConfigError, "config", {})
+    scope = jsonio.field(data, "scope", dict, ConfigError, "config", None, null=True)
+    benchmark = jsonio.field(data, "benchmark", dict, ConfigError, "config", {})
     return RunConfig(
-        survey_path=base / str(data["survey"]) if data.get("survey") else None,
-        outline_path=base / str(data["outline"]) if data.get("outline") else None,
-        scope=scope_from_dict(data["scope"]) if data.get("scope") else None,
-        feed_path=base / str(data["feed"]) if data.get("feed") else None,
-        candidate_filter=filter_from_dict(data.get("filter", {})),
+        survey_path=optional_path("survey"),
+        outline_path=optional_path("outline"),
+        scope=jsonio.build(SurveyScope, scope, ConfigError, "scope") if scope else None,
+        feed_path=optional_path("feed"),
+        candidate_filter=filter_from_dict(
+            jsonio.field(data, "filter", dict, ConfigError, "config", {})),
         generation=generation,
-        embedding=embedding,
-        metrics=metrics,
-        out_dir=base / str(data.get("out_dir", "out")),
-        allowed_sections=tuple(str(s) for s in data.get("allowed_sections", [])),
-        allowed_tables=tuple(str(t) for t in data.get("allowed_tables", [])),
-        instances=tuple(instances),
+        embedding=_endpoint_choice(data, "embedding", base, EmbeddingEndpoint),
+        metrics=jsonio.build(MetricSettings, metrics, ConfigError, "metrics"),
+        out_dir=base / jsonio.field(data, "out_dir", str, ConfigError, "config", "out"),
+        allowed_sections=jsonio.array(data, "allowed_sections", str, ConfigError, "config", ()),
+        allowed_tables=jsonio.array(data, "allowed_tables", str, ConfigError, "config", ()),
+        instances=tuple(_instance(spec, base) for spec in
+                        jsonio.array(benchmark, "instances", dict, ConfigError, "benchmark", ())),
     )
 
 
@@ -166,17 +158,7 @@ def make_generator(config: RunConfig) -> TextGenerator:
     choice = config.generation
     if choice.mock_scenario is not None:
         return scripted_generation_from_scenario(load_scenario(choice.mock_scenario))
-    settings = dict(choice.settings or {})
-    endpoint = GenerationEndpoint(
-        base_url=str(settings["base_url"]),
-        model_id=str(settings.get("model_id", "")),
-        temperature=float(settings.get("temperature", 0.0)),
-        max_output_tokens=int(settings.get("max_output_tokens", 1024)),
-        timeout_s=float(settings.get("timeout_s", 60.0)),
-        max_retries=int(settings.get("max_retries", 1)),
-        api_key_env=settings.get("api_key_env"),
-    )
-    return ChatCompletionClient(endpoint)
+    return ChatCompletionClient(choice.endpoint)
 
 
 def make_embedder(config: RunConfig) -> TextEmbedder | None:
@@ -189,16 +171,7 @@ def make_embedder(config: RunConfig) -> TextEmbedder | None:
             raise ConfigError(
                 f"scenario {choice.mock_scenario} has no embedding section")
         return embedder
-    settings = dict(choice.settings or {})
-    endpoint = EmbeddingEndpoint(
-        base_url=str(settings["base_url"]),
-        model_id=str(settings.get("model_id", "bert-base-uncased")),
-        dimension=int(settings.get("dimension", 768)),
-        timeout_s=float(settings.get("timeout_s", 60.0)),
-        max_retries=int(settings.get("max_retries", 1)),
-        api_key_env=settings.get("api_key_env"),
-    )
-    return EmbeddingClient(endpoint)
+    return EmbeddingClient(choice.endpoint)
 
 
 def uses_mock_generation(config: RunConfig) -> bool:

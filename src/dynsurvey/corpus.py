@@ -8,9 +8,10 @@ makes no relevance judgment and never touches survey state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from . import jsonio
 from .errors import CitationError, ConfigError, FeedError
 
 # Venue string that marks a record as not peer reviewed.
@@ -19,14 +20,14 @@ PREPRINT_VENUE = "preprint"
 
 @dataclass(frozen=True)
 class PaperRecord:
-    """One candidate paper as delivered by the feed."""
+    """One candidate paper as delivered by the feed; only the id is required."""
 
     id: str
-    title: str
-    abstract: str
-    full_text: str
-    venue: str
-    date: str  # ISO-8601 date
+    title: str = ""
+    abstract: str = ""
+    full_text: str = ""
+    venue: str = ""
+    date: str = ""  # ISO-8601 date
     categories: tuple[str, ...] = ()
     bib: dict = field(default_factory=dict)  # bibliographic fields plus "key"
 
@@ -70,28 +71,10 @@ class PaperSummary:
 class SurveyScope:
     """Author-written topical boundary of a survey."""
 
-    title: str
-    keywords: tuple[str, ...]
-    abstract: str
-    core_criterion: str
-
-
-def scope_from_dict(data: dict) -> SurveyScope:
-    return SurveyScope(
-        title=str(data.get("title", "")),
-        keywords=tuple(str(k) for k in data.get("keywords", [])),
-        abstract=str(data.get("abstract", "")),
-        core_criterion=str(data.get("core_criterion", "")),
-    )
-
-
-def scope_to_dict(scope: SurveyScope) -> dict:
-    return {
-        "title": scope.title,
-        "keywords": list(scope.keywords),
-        "abstract": scope.abstract,
-        "core_criterion": scope.core_criterion,
-    }
+    title: str = ""
+    keywords: tuple[str, ...] = ()
+    abstract: str = ""
+    core_criterion: str = ""
 
 
 @dataclass(frozen=True)
@@ -109,9 +92,12 @@ class CandidateFilter:
     require_peer_reviewed: bool = False
 
     def __post_init__(self) -> None:
+        if len(self.date_range) != 2:
+            raise ConfigError(
+                f"filter date_range must hold a start and an end, got {self.date_range!r}")
         start, end = self.date_range
         if start > end:
-            raise ValueError(f"filter date_range start {start!r} exceeds end {end!r}")
+            raise ConfigError(f"filter date_range start {start!r} exceeds end {end!r}")
 
     def matches(self, record: PaperRecord) -> bool:
         if self.allowed_categories and not set(record.categories) & set(self.allowed_categories):
@@ -127,69 +113,27 @@ class CandidateFilter:
 
 
 def filter_from_dict(data: dict) -> CandidateFilter:
-    date_range = data.get("date_range") or ["0000-01-01", "9999-12-31"]
-    require_peer_reviewed = data.get("require_peer_reviewed", False)
-    if not isinstance(require_peer_reviewed, bool):
-        raise ConfigError(f"filter require_peer_reviewed must be a JSON boolean, "
-                          f"got {require_peer_reviewed!r}")
-    return CandidateFilter(
-        allowed_categories=tuple(data.get("allowed_categories", [])),
-        allowed_venues=tuple(data.get("allowed_venues", [])),
-        date_range=(str(date_range[0]), str(date_range[1])),
-        require_peer_reviewed=require_peer_reviewed,
-    )
+    return jsonio.build(CandidateFilter, data, ConfigError, "filter")
 
 
 def record_from_dict(data: dict) -> PaperRecord:
-    return PaperRecord(
-        id=str(data["id"]),
-        title=str(data.get("title", "")),
-        abstract=str(data.get("abstract", "")),
-        full_text=str(data.get("full_text", "")),
-        venue=str(data.get("venue", "")),
-        date=str(data.get("date", "")),
-        categories=tuple(str(c) for c in data.get("categories", [])),
-        bib=dict(data.get("bib", {})),
-    )
+    return jsonio.build(PaperRecord, data, FeedError, "feed record")
 
 
 def record_to_dict(record: PaperRecord) -> dict:
-    return {
-        "id": record.id,
-        "title": record.title,
-        "abstract": record.abstract,
-        "full_text": record.full_text,
-        "venue": record.venue,
-        "date": record.date,
-        "categories": list(record.categories),
-        "bib": dict(record.bib),
-    }
+    """The feed form of a record, the one ``record_from_dict`` reads."""
+    return asdict(record)
 
 
 def ingest_feed(feed: str | Path, candidate_filter: CandidateFilter) -> list[PaperRecord]:
     """Read a newline-delimited JSON feed and keep records passing the filter.
 
     Order is preserved. Returned records are candidates only; no relevance
-    judgment is made here. Raises FeedError naming the offending record
-    index on malformed input.
+    judgment is made here. Raises FeedError naming the line of a record
+    it cannot read.
     """
-    path = Path(feed)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FeedError(f"cannot read feed {path}: {exc}") from exc
-    records: list[PaperRecord] = []
-    for index, line in enumerate(raw.splitlines()):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-            record = record_from_dict(data)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise FeedError(f"malformed feed record at line {index + 1} of {path}: {exc}") from exc
-        if candidate_filter.matches(record):
-            records.append(record)
-    return records
+    records = jsonio.read_lines(feed, FeedError, "feed", record_from_dict)
+    return [record for record in records if candidate_filter.matches(record)]
 
 
 def write_feed(records: list[PaperRecord], path: str | Path) -> None:

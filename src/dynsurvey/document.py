@@ -19,13 +19,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .corpus import SurveyScope, scope_from_dict, scope_to_dict
+from . import jsonio
+from .corpus import SurveyScope
 from .errors import DocumentIntegrityError, DocumentParseError
 from .text import segment_sentences
 
@@ -207,17 +208,17 @@ class SurveyDocument:
 class SectionEntry:
     id: str
     section_title: str
-    page_numbers: str
-    table_relevant: tuple[int, ...]
-    summary: str
+    page_numbers: str = ""
+    table_relevant: tuple[int, ...] = ()
+    summary: str = ""
 
 
 @dataclass(frozen=True)
 class TableEntry:
     id: str
     title: str
-    page_numbers: str
-    summary: str
+    page_numbers: str = ""
+    summary: str = ""
 
 
 @dataclass(frozen=True)
@@ -423,52 +424,35 @@ def _shared_table(table_id: str, title: str, schema: tuple[ColumnSpec, ...],
     return _build_table(table_id, title, schema, [dict(row) for row in items])
 
 
-def _string(value: object, what: str) -> str:
-    if not isinstance(value, str):
-        raise DocumentParseError(f"{what} must be a JSON string, got {value!r}")
-    return value
-
-
-def _flag(value: object, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise DocumentParseError(f"{what} must be a JSON boolean, got {value!r}")
-    return value
-
-
-def _column_from_dict(data: dict, table_id: str) -> ColumnSpec:
-    """A column of a table entry; a missing name raises KeyError for the caller to wrap."""
-    kind = _string(data.get("kind", "text"), f"table {table_id!r} column kind")
+def _column_from_dict(data: dict, column: str) -> ColumnSpec:
+    """A column of a table's schema; ``column`` is ``"table '<id>' column"``."""
+    kind = jsonio.field(data, "kind", str, DocumentParseError, column, "text")
+    name = jsonio.field(data, "name", str, DocumentParseError, column)
+    where = (column, name)
     if kind not in COLUMN_KINDS:
-        raise DocumentParseError(f"table {table_id!r}: unknown column kind {kind!r}")
-    minimum, maximum = data.get("min"), data.get("max")
-    for bound in (minimum, maximum):
-        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
-            raise DocumentParseError(f"table {table_id!r}: column bound {bound!r} is not a number")
-    name = _string(data["name"], f"table {table_id!r} column name")
-    values = _array(data.get("values", []), "column values")
+        raise DocumentParseError(
+            f"{column} {name!r} kind {kind!r} is not one of {', '.join(COLUMN_KINDS)}")
     return ColumnSpec(
         name=name,
         kind=kind,
-        values=tuple(_string(v, f"table {table_id!r} column {name!r} value") for v in values),
-        minimum=minimum,
-        maximum=maximum,
+        values=jsonio.array(data, "values", str, DocumentParseError, where, ()),
+        minimum=jsonio.field(data, "min", jsonio.NUMBER, DocumentParseError, where, None,
+                             null=True),
+        maximum=jsonio.field(data, "max", jsonio.NUMBER, DocumentParseError, where, None,
+                             null=True),
     )
 
 
 def _table_from_dict(raw: dict) -> SurveyTable:
-    """A table entry whose id, title, column names, kinds and values are JSON strings."""
-    table_id = _string(raw.get("id"), "table entry id")
-    try:
-        schema = tuple(_column_from_dict(_object(c, f"table {table_id!r} column"), table_id)
-                       for c in _array(raw["schema"], f"table {table_id!r} schema"))
-    except KeyError as exc:
-        raise DocumentParseError(f"table {table_id!r} missing field {exc}") from exc
+    table_id = jsonio.field(raw, "id", str, DocumentParseError, "table entry")
+    where = ("table", table_id)
+    column = f"table {table_id!r} column"
     return make_table(
         table_id,
-        _string(raw.get("title", ""), f"table {table_id!r} title"),
-        schema,
-        [_object(r, f"table {table_id!r} row")
-         for r in _array(raw.get("rows", []), f"table {table_id!r} rows")],
+        jsonio.field(raw, "title", str, DocumentParseError, where, ""),
+        tuple(_column_from_dict(c, column)
+              for c in jsonio.array(raw, "schema", dict, DocumentParseError, where)),
+        jsonio.array(raw, "rows", dict, DocumentParseError, where, ()),
     )
 
 
@@ -482,51 +466,38 @@ def _column_to_dict(column: ColumnSpec) -> dict:
     return data
 
 
-def _array(value: object, what: str) -> list:
-    if not isinstance(value, list):
-        raise DocumentParseError(f"{what} must be a JSON array, got {type(value).__name__}")
-    return value
-
-
-def _object(value: object, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise DocumentParseError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
 def document_from_dict(data: dict) -> SurveyDocument:
     """Build and validate a SurveyDocument from its canonical JSON mapping.
 
-    Input from outside the program: a wrongly shaped value raises
-    ``DocumentParseError``, a broken invariant ``DocumentIntegrityError``.
+    Input from outside the program, read by ``jsonio``'s rules: a wrongly
+    shaped value raises ``DocumentParseError``, a broken invariant
+    ``DocumentIntegrityError``.
     """
-    data = _object(data, "survey document")
+    data = jsonio.check(data, dict, DocumentParseError, "survey document")
     sections = []
-    for raw in _array(data.get("sections", []), "sections"):
-        raw = _object(raw, "section entry")
-        try:
-            section_id = str(raw["id"])
-        except KeyError as exc:
-            raise DocumentParseError(f"section entry missing field {exc}") from exc
+    for raw in jsonio.array(data, "sections", dict, DocumentParseError, "survey document", ()):
+        section_id = jsonio.field(raw, "id", str, DocumentParseError, "section")
+        where = ("section", section_id)
         sections.append(make_section(
             section_id,
-            str(raw.get("title", "")),
-            str(raw.get("text", "")),
-            _flag(raw.get("non_maintained", False), f"section {section_id!r} non_maintained"),
+            jsonio.field(raw, "title", str, DocumentParseError, where, ""),
+            jsonio.field(raw, "text", str, DocumentParseError, where, ""),
+            jsonio.field(raw, "non_maintained", bool, DocumentParseError, where, False),
         ))
-    tables = [_table_from_dict(_object(raw, "table entry"))
-              for raw in _array(data.get("tables", []), "tables")]
+    tables = [_table_from_dict(raw) for raw in
+              jsonio.array(data, "tables", dict, DocumentParseError, "survey document", ())]
     references = []
-    for raw in _array(data.get("references", []), "references"):
-        try:
-            key, number, bib = str(raw["key"]), raw["number"], dict(raw.get("bib", {}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DocumentParseError(f"malformed reference entry {raw!r}: {exc}") from exc
-        if type(number) is not int:
-            raise DocumentParseError(f"reference {key!r}: number {number!r} is not an integer")
-        references.append(make_reference(key, number, bib))
+    for raw in jsonio.array(data, "references", dict, DocumentParseError, "survey document", ()):
+        key = jsonio.field(raw, "key", str, DocumentParseError, "reference")
+        where = ("reference", key)
+        references.append(make_reference(
+            key,
+            jsonio.field(raw, "number", int, DocumentParseError, where),
+            dict(jsonio.field(raw, "bib", dict, DocumentParseError, where, {})),
+        ))
     doc = SurveyDocument(
-        metadata=dict(_object(data.get("metadata", {}), "metadata")),
+        metadata=dict(jsonio.field(data, "metadata", dict, DocumentParseError,
+                                   "survey document", {})),
         sections=tuple(sections),
         tables=tuple(tables),
         references=tuple(references),
@@ -566,11 +537,7 @@ def document_to_dict(doc: SurveyDocument) -> dict:
 
 def parse_document(raw: str) -> SurveyDocument:
     """Parse the canonical survey-document container from JSON text."""
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DocumentParseError(f"survey document is not valid JSON: {exc}") from exc
-    return document_from_dict(data)
+    return document_from_dict(jsonio.loads(raw, DocumentParseError, "survey document"))
 
 
 def _dumps(value: object, indent: str = "") -> str:
@@ -667,7 +634,7 @@ def serialize_document(doc: SurveyDocument) -> str:
 
 
 def load_document(path: str | Path) -> SurveyDocument:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
+    return document_from_dict(jsonio.read_json(path, DocumentParseError, "survey"))
 
 
 def save_document(doc: SurveyDocument, path: str | Path) -> None:
@@ -679,41 +646,25 @@ def outline_entries_from_dict(
 ) -> tuple[tuple[SectionEntry, ...], tuple[TableEntry, ...]]:
     """Section and table entries of an outline mapping, in input order.
 
-    A malformed entry raises KeyError, TypeError or ValueError for the caller to wrap.
+    A malformed entry raises DocumentParseError.
     """
-    section_entries = tuple(
-        SectionEntry(
-            id=str(e["id"]),
-            section_title=str(e["section_title"]),
-            page_numbers=str(e.get("page_numbers", "")),
-            table_relevant=tuple(int(v) for v in e.get("table_relevant", [])),
-            summary=str(e.get("summary", "")),
-        )
-        for e in data.get("sections", [])
+    return (
+        tuple(jsonio.build(SectionEntry, e, DocumentParseError, "outline section")
+              for e in jsonio.array(data, "sections", dict, DocumentParseError, "outline", ())),
+        tuple(jsonio.build(TableEntry, e, DocumentParseError, "outline table")
+              for e in jsonio.array(data, "tables", dict, DocumentParseError, "outline", ())),
     )
-    table_entries = tuple(
-        TableEntry(
-            id=str(e["id"]),
-            title=str(e["title"]),
-            page_numbers=str(e.get("page_numbers", "")),
-            summary=str(e.get("summary", "")),
-        )
-        for e in data.get("tables", [])
-    )
-    return section_entries, table_entries
 
 
 def outline_from_dict(data: dict) -> StructuredOutline:
-    try:
-        section_entries, table_entries = outline_entries_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentParseError(f"malformed outline entry: {exc}") from exc
-    scope = scope_from_dict(data["scope"]) if data.get("scope") else None
+    section_entries, table_entries = outline_entries_from_dict(data)
+    scope = jsonio.field(data, "scope", dict, DocumentParseError, "outline", None, null=True)
     outline = StructuredOutline(
         section_entries=section_entries,
         table_entries=table_entries,
-        scope=scope,
-        approved=_flag(data.get("approved", False), "outline approved"),
+        scope=jsonio.build(SurveyScope, scope, DocumentParseError, "outline scope")
+        if scope else None,
+        approved=jsonio.field(data, "approved", bool, DocumentParseError, "outline", False),
     )
     for entry in outline.section_entries:
         if len(entry.table_relevant) != len(outline.table_entries):
@@ -724,34 +675,19 @@ def outline_from_dict(data: dict) -> StructuredOutline:
 
 
 def outline_to_dict(outline: StructuredOutline) -> dict:
+    """The outline's JSON form; each entry and the scope hold their fields by name."""
     data: dict = {
         "approved": outline.approved,
-        "sections": [
-            {
-                "id": e.id,
-                "section_title": e.section_title,
-                "page_numbers": e.page_numbers,
-                "table_relevant": list(e.table_relevant),
-                "summary": e.summary,
-            }
-            for e in outline.section_entries
-        ],
-        "tables": [
-            {"id": e.id, "title": e.title, "page_numbers": e.page_numbers, "summary": e.summary}
-            for e in outline.table_entries
-        ],
+        "sections": [asdict(e) for e in outline.section_entries],
+        "tables": [asdict(e) for e in outline.table_entries],
     }
     if outline.scope is not None:
-        data["scope"] = scope_to_dict(outline.scope)
+        data["scope"] = asdict(outline.scope)
     return data
 
 
 def parse_outline(raw: str) -> StructuredOutline:
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DocumentParseError(f"outline is not valid JSON: {exc}") from exc
-    return outline_from_dict(data)
+    return outline_from_dict(jsonio.loads(raw, DocumentParseError, "outline"))
 
 
 def serialize_outline(outline: StructuredOutline) -> str:
@@ -759,7 +695,7 @@ def serialize_outline(outline: StructuredOutline) -> str:
 
 
 def load_outline(path: str | Path) -> StructuredOutline:
-    return parse_outline(Path(path).read_text(encoding="utf-8"))
+    return outline_from_dict(jsonio.read_json(path, DocumentParseError, "outline"))
 
 
 def save_outline(outline: StructuredOutline, path: str | Path) -> None:

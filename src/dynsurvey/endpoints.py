@@ -16,6 +16,7 @@ from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
 import requests
 
+from . import jsonio
 from .errors import ConfigError, GenerationTransportError, MetricUnavailableError
 
 logger = logging.getLogger(__name__)
@@ -67,7 +68,7 @@ class GenerationEndpoint:
     """Connection settings for a chat-completion backend."""
 
     base_url: str
-    model_id: str
+    model_id: str = ""
     temperature: float = 0.0
     max_output_tokens: int = 1024
     timeout_s: float = 60.0
@@ -119,7 +120,7 @@ def _post_json(
     """POST ``payload`` to ``endpoint`` and return ``read`` of the JSON reply.
 
     A transport error, a 408, 429 or 5xx status, or a reply that ``read``
-    rejects with KeyError, IndexError or ValueError is retried with
+    rejects with IndexError or ValueError is retried with
     exponential backoff. A retried status whose reply carries a
     ``Retry-After`` in whole seconds waits that long when it is longer
     than the backoff, capped at 10 s like the backoff; an HTTP-date or
@@ -140,12 +141,14 @@ def _post_json(
             status = getattr(exc.response, "status_code", 0)
             if 400 <= status < 500 and status not in (408, 429):
                 raise error_type(f"{what} endpoint rejected the request: {exc}") from exc
+            # An HTTP header, not a JSON field: whole seconds, or ignored.
+            header = getattr(exc.response, "headers", {}).get("Retry-After", "")
             try:
-                retry_after = int(getattr(exc.response, "headers", {}).get("Retry-After", ""))
+                retry_after = int(header)
             except ValueError:
                 pass
             last_error = exc
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+        except (requests.RequestException, IndexError, ValueError) as exc:
             last_error = exc
         logger.warning("%s call failed (attempt %d): %s", what, attempt, last_error)
         if attempt < endpoint.max_retries:
@@ -168,10 +171,16 @@ class ChatCompletionClient:
             "temperature": self.endpoint.temperature,
             "max_tokens": self.endpoint.max_output_tokens,
         }
-        return _post_json(
-            self.endpoint, "/chat/completions", payload,
-            lambda data: str(data["choices"][0]["message"]["content"]),
-            "generation", GenerationTransportError)
+        return _post_json(self.endpoint, "/chat/completions", payload, _reply_content,
+                          "generation", GenerationTransportError)
+
+
+def _reply_content(data: object) -> str:
+    """The text of a chat-completion reply's first choice."""
+    data = jsonio.check(data, dict, ValueError, "generation reply")
+    choice = jsonio.array(data, "choices", dict, ValueError, "generation reply")[0]
+    message = jsonio.field(choice, "message", dict, ValueError, "generation reply choice")
+    return jsonio.field(message, "content", str, ValueError, "generation reply message")
 
 
 class EmbeddingClient:
@@ -186,12 +195,17 @@ class EmbeddingClient:
         if not texts:
             return []
 
-        def read(data: dict) -> list[list[float]]:
+        def read(data: object) -> list[list[float]]:
+            data = jsonio.check(data, dict, ValueError, "embedding reply")
             # Replies may list items out of input order; an item without
             # an "index" keeps its position.
-            items = sorted(enumerate(data["data"]),
-                           key=lambda pair: pair[1].get("index", pair[0]))
-            vectors = [[float(x) for x in item["embedding"]] for _, item in items]
+            items = sorted(
+                enumerate(jsonio.array(data, "data", dict, ValueError, "embedding reply")),
+                key=lambda pair: jsonio.field(pair[1], "index", int, ValueError,
+                                              "embedding reply item", pair[0]))
+            vectors = [list(jsonio.array(item, "embedding", float, ValueError,
+                                         "embedding reply item"))
+                       for _, item in items]
             for vector in vectors:
                 if len(vector) != self.endpoint.dimension:
                     raise ValueError(

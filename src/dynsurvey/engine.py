@@ -25,6 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+from . import jsonio
 from .agents import (
     APPEND,
     run_abstention_agent,
@@ -328,50 +329,23 @@ def update_record_to_dict(record: UpdateRecord) -> dict:
     return data
 
 
-def _table_votes(raw: list) -> tuple[tuple[str, bool], ...]:
-    votes = []
-    for table_id, vote in raw:
-        if not isinstance(vote, bool):
-            raise DocumentParseError(
-                f"table vote for {table_id!r} must be a JSON boolean, got {vote!r}")
-        votes.append((str(table_id), vote))
-    return tuple(votes)
-
-
 def update_record_from_dict(data: dict) -> UpdateRecord:
-    decision = data["decision"]
-    if decision not in DECISIONS:
-        raise DocumentParseError(
-            f"audit record decision must be one of {', '.join(DECISIONS)}, got {decision!r}")
-    draft_text = data.get("draft_text", "")
-    if not isinstance(draft_text, str):
-        raise DocumentParseError(f"audit record draft_text must be a string, got {draft_text!r}")
-    inserted_row = data.get("inserted_row")
-    if inserted_row is not None:
-        # ``_merge`` appends a row only to its routed table.
-        if not isinstance(inserted_row, dict):
+    """An audit record, read by ``jsonio``'s rules; a malformed one raises DocumentParseError."""
+    data = jsonio.check(data, dict, DocumentParseError, "audit record")
+    votes = jsonio.array(data, "table_votes", list, DocumentParseError, "audit record", ())
+    for vote in votes:
+        if len(vote) != 2 or type(vote[0]) is not str or type(vote[1]) is not bool:
             raise DocumentParseError(
-                f"audit record inserted_row must be a JSON object or null, got {inserted_row!r}")
-        if data.get("routed_table") is None:
-            raise DocumentParseError("audit record has an inserted_row but no routed_table")
-    return UpdateRecord(
-        paper_id=str(data["paper_id"]),
-        decision=decision,
-        routed_section=data.get("routed_section"),
-        routed_table=data.get("routed_table"),
-        ranked_sections=tuple(data.get("ranked_sections", [])),
-        table_votes=_table_votes(data.get("table_votes", [])),
-        insertion_sentence_id=data.get("insertion_sentence_id"),
-        inserted_sentence_ids=tuple(data.get("inserted_sentence_ids", [])),
-        draft_text=draft_text,
-        inserted_row=inserted_row,
-        resolved_citation_keys=tuple(data.get("resolved_citation_keys", [])),
-        placeholder_count=int(data.get("placeholder_count", 0)),
-        started_at=str(data.get("started_at", "")),
-        finished_at=str(data.get("finished_at", "")),
-        error=data.get("error"),
-        table_error=data.get("table_error"),
-    )
+                f"audit record table vote must be a [string, boolean] pair, got {vote!r}")
+    record = jsonio.build(UpdateRecord, data, DocumentParseError, "audit record",
+                          table_votes=tuple((table_id, vote) for table_id, vote in votes))
+    if record.decision not in DECISIONS:
+        raise DocumentParseError(f"audit record decision must be one of "
+                                 f"{', '.join(DECISIONS)}, got {record.decision!r}")
+    # ``_merge`` appends a row only to its routed table.
+    if record.inserted_row is not None and record.routed_table is None:
+        raise DocumentParseError("audit record has an inserted_row but no routed_table")
+    return record
 
 
 def write_audit_log(records: list[UpdateRecord], path: str | Path) -> None:
@@ -384,8 +358,6 @@ def write_audit_log(records: list[UpdateRecord], path: str | Path) -> None:
 
 
 def read_audit_log(path: str | Path) -> list[UpdateRecord]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(update_record_from_dict(json.loads(line)))
-    return records
+    """The records of an audit log; a line that cannot be read, a torn last
+    line included, raises DocumentParseError naming its number."""
+    return jsonio.read_lines(path, DocumentParseError, "audit log", update_record_from_dict)

@@ -20,13 +20,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Sequence
 
+from . import jsonio
 from .endpoints import GenerationRequest
-from .errors import ScriptGapError
+from .errors import ConfigError, ScriptGapError
 from .text import tokenize
-
-
-def script_key(role: str, key: str, attempt: int) -> tuple[str, str, int]:
-    return (role, key, int(attempt))
 
 
 @dataclass
@@ -37,7 +34,7 @@ class ScriptedGeneration:
     max_retries: int = 1
 
     def generate(self, request: GenerationRequest) -> str:
-        lookup = script_key(request.role, request.key, request.attempt)
+        lookup = (request.role, request.key, request.attempt)
         if lookup not in self.script:
             raise ScriptGapError(
                 f"no scripted response for role={request.role!r} key={request.key!r} "
@@ -53,9 +50,15 @@ class ScriptedGeneration:
         """
         script: dict[tuple[str, str, int], str] = {}
         for compound, response in flat.items():
-            role, remainder = compound.split("|", 1)
-            key, attempt = remainder.rsplit("|", 1)
-            script[script_key(role, key, int(attempt))] = response
+            try:
+                role, remainder = compound.split("|", 1)
+                key, attempt = remainder.rsplit("|", 1)
+                lookup = (role, key, int(attempt))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"scenario generation key {compound!r} is not role|key|attempt") from exc
+            script[lookup] = jsonio.check(response, str, ConfigError,
+                                          ("scenario generation", compound))
         return cls(script=script, max_retries=max_retries)
 
 
@@ -120,24 +123,22 @@ class HashEmbedding:
 
 def load_scenario(path: str | Path) -> dict:
     """Read a scenario file: generation script plus embedding settings."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return jsonio.read_json(path, ConfigError, "scenario")
 
 
 def scripted_generation_from_scenario(data: dict) -> ScriptedGeneration:
     return ScriptedGeneration.from_flat(
-        dict(data.get("generation", {})),
-        max_retries=int(data.get("generation_max_retries", 1)),
+        jsonio.field(data, "generation", dict, ConfigError, "scenario", {}),
+        max_retries=jsonio.field(data, "generation_max_retries", int, ConfigError, "scenario",
+                                 ScriptedGeneration.max_retries),
     )
 
 
 def hash_embedding_from_scenario(data: dict) -> HashEmbedding | None:
-    if "embedding" not in data:
+    settings = jsonio.field(data, "embedding", dict, ConfigError, "scenario", None)
+    if settings is None:
         return None
-    settings = data["embedding"]
-    return HashEmbedding(
-        seed=int(settings.get("seed", 0)),
-        dimension=int(settings.get("dimension", 64)),
-    )
+    return jsonio.build(HashEmbedding, settings, ConfigError, "scenario embedding")
 
 
 def save_scenario(data: dict, path: str | Path) -> None:

@@ -93,7 +93,8 @@ def test_outline_agent_retries_malformed_entry_with_hint(full_state):
     outline = run_outline_agent(full_state.document, ["1", "2", "3"], ["t1", "t2"], generator)
     assert outline.section_ids() == ["1", "2", "3"]
     assert [r.attempt for r in generator.requests] == [0, 1]
-    assert "CORRECTION: malformed outline entry: 'section_title'" in generator.requests[1].prompt
+    assert ("CORRECTION: malformed outline entry: outline section has no section_title"
+            in generator.requests[1].prompt)
 
 
 def test_outline_agent_repairs_trailing_comma(full_state):

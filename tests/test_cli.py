@@ -173,6 +173,42 @@ def test_malformed_survey_is_parse_error(workspace):
     assert main(["--config", str(workspace["config"]), "update"]) == EXIT_PARSE
 
 
+def _with_config(workspace, **changes) -> Path:
+    config = {**json.loads(workspace["config"].read_text()), **changes}
+    path = _config_dir(workspace) / "config_bad.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def _break(name):
+    def change(workspace) -> None:
+        workspace[name].write_text("{broken", encoding="utf-8")
+    return change
+
+
+# Each bad input, the command that reads it, and the exit code it must give.
+@pytest.mark.parametrize("change, command, code", [
+    (lambda ws: _with_config(ws, metrics={"coherence_window": "x"}), ["update"], EXIT_CONFIG),
+    (lambda ws: _with_config(ws, generation={"base_url": "http://localhost:1",
+                                             "temperature": "hot"}), ["update"], EXIT_CONFIG),
+    (lambda ws: _with_config(ws, filter={"date_range": ["2025-01-01", "2024-01-01"]}),
+     ["update"], EXIT_CONFIG),
+    (lambda ws: _with_config(ws, filter={"date_range": "2024-01-01"}), ["update"],
+     EXIT_CONFIG),
+    (lambda ws: ws["survey"].unlink(), ["outline", "--force"], EXIT_PARSE),
+    (_break("spans"), ["benchmark", "--methods", "framework"], EXIT_PARSE),
+    (_break("scenario"), ["update"], EXIT_CONFIG),
+], ids=["coherence_window", "temperature", "reversed_date_range", "date_range_not_array",
+        "missing_survey", "broken_spans", "broken_scenario"])
+def test_a_bad_input_exits_with_its_code_and_one_error_line(workspace, capsys, change,
+                                                           command, code):
+    config = change(workspace) or workspace["config"]
+    assert main(["--config", str(config), *command]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, errors
+
+
 def test_conflicting_endpoint_settings_rejected(workspace):
     config = json.loads(workspace["config"].read_text())
     config["generation"] = {"mock_scenario": "scenario.json", "base_url": "http://x"}

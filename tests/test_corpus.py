@@ -91,7 +91,7 @@ def test_category_and_venue_filters():
 
 
 def test_inverted_date_range_rejected():
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ConfigError, match="exceeds"):
         CandidateFilter(date_range=("2025-01-01", "2024-01-01"))
 
 

@@ -430,9 +430,10 @@ def test_a_table_field_of_another_json_type_is_a_parse_error(path, value):
 @pytest.mark.parametrize("path, value, message", [
     (("id",), None, "table entry id must be a JSON string, got None"),
     (("schema", 0, "name"), None, "table 't1' column name must be a JSON string, got None"),
-    (("schema", 0, "values"), [1, 2], "column 'Kind' value must be a JSON string, got 1"),
-    (("schema", 1, "min"), True, "column bound True is not a number"),
-    (("schema", 1, "max"), False, "column bound False is not a number"),
+    (("schema", 0, "values"), [1, 2], "column 'Kind' values[0] must be a JSON string, got 1"),
+    (("schema", 1, "min"), True, "column 'Level' min must be a JSON number or null, got True"),
+    (("schema", 1, "max"), False,
+     "column 'Level' max must be a JSON number or null, got False"),
     (("schema", 0, "kind"), 1, "column kind must be a JSON string, got 1"),
     (("title",), ["T"], "table 't1' title must be a JSON string"),
 ])
@@ -448,7 +449,7 @@ def test_table_entry_without_an_id_is_a_parse_error():
     entry = _valid_table_entry()
     del entry["id"]
     data["tables"] = [entry]
-    with pytest.raises(DocumentParseError, match="table entry id must be a JSON string"):
+    with pytest.raises(DocumentParseError, match="table entry has no id"):
         document_from_dict(data)
 
 
@@ -479,7 +480,7 @@ def test_non_boolean_approved_is_a_parse_error(value):
 def test_reference_number_must_be_a_json_integer(number):
     data = _minimal_doc_dict()
     data["references"] = [{"key": "a", "number": number, "bib": {}}]
-    with pytest.raises(DocumentParseError, match="is not an integer"):
+    with pytest.raises(DocumentParseError, match="reference 'a' number must be a JSON integer"):
         document_from_dict(data)
 
 
@@ -510,7 +511,7 @@ def test_outline_table_relevant_length_checked():
 def test_outline_malformed_entry_is_parse_error():
     data = outline_to_dict(demo.demo_outline())
     del data["sections"][1]["section_title"]
-    with pytest.raises(DocumentParseError, match="malformed outline entry: 'section_title'"):
+    with pytest.raises(DocumentParseError, match="outline section has no section_title"):
         outline_from_dict(data)
 
 

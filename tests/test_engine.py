@@ -581,6 +581,17 @@ def test_audit_draft_text_may_be_absent(tmp_path):
     assert read_audit_log(path) == [UpdateRecord(paper_id="pD", decision="abstained")]
 
 
+@pytest.mark.parametrize("bad", ['{"paper_id": "pT", "decis', "[1]", '"text"', "7"],
+                         ids=["torn", "array", "string", "number"])
+def test_read_audit_log_names_the_line_it_cannot_read(tmp_path, bad):
+    # A run killed mid-write leaves a torn last line, without a newline.
+    good = json.dumps(update_record_to_dict(UpdateRecord(paper_id="pG", decision="abstained")))
+    path = tmp_path / "audit.ndjson"
+    path.write_text(f"{good}\n\n{bad}", encoding="utf-8")
+    with pytest.raises(DocumentParseError, match="line 3"):
+        read_audit_log(path)
+
+
 def test_audit_replay_reproduces_published_bytes(full_state, tmp_path):
     # The row lists its columns in neither schema nor sorted order; the
     # audit log stores it with sorted keys.
