@@ -98,6 +98,12 @@ class EmbeddingEndpoint:
     max_retries: int = 1
     api_key_env: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise ConfigError(f"embedding dimension {self.dimension} must be at least 1")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be non-negative")
+
 
 def _auth_headers(api_key_env: str | None) -> dict[str, str]:
     headers = {"Content-Type": "application/json"}

@@ -196,6 +196,44 @@ def _shortest_edit_trace(a: _Stream, b: _Stream) -> list[dict[int, int]]:
     raise AssertionError("shortest edit search must terminate within n+m steps")
 
 
+def _insertion_walk(a: _Stream, b: _Stream, offset: int) -> list[EditOp] | None:
+    """The search's edit script when ``a`` is a subsequence of ``b``, else None.
+
+    Walks the search's boundary diagonals: from the common run at
+    (0, 0), each mismatch inserts ``b[y]`` at (x, y) and follows the run
+    from (x, y + 1), for at most ``m - n`` inserts.
+
+    This is exact. In the search the furthest point on diagonal -d
+    depends only on diagonal -(d - 1) (its ``k == -d`` branch), and the
+    walk computes those points, one per d, the same way. If ``a`` is a
+    subsequence of ``b``, the shortest script has d = m - n edits, and
+    the search stops at that d on its first diagonal, k = -d, the only
+    one ending at (n, m). Its backtrack then takes the ``k == -d`` branch
+    at every d and reads only those points, so it emits these inserts in
+    this order. Otherwise the point on diagonal -(m - n) stops short of
+    (n, m), the walk returns None, and the caller runs the search, which
+    needs at least m - n rounds anyway.
+    """
+    n, m = a.length, b.length
+    if m < n:
+        return None
+    window_a, window_b = a.window, b.window
+    split_a, split_b = a.split, b.split
+    ops: list[EditOp] = []
+    x = 0
+    for d in range(m - n + 1):
+        y = x + d
+        if d:
+            token = window_b[y - 1] if y - 1 < split_b else b.token(y - 1)
+            ops.append(EditOp("insert", offset + x, offset + y - 1, token))
+        if x < split_a and y < split_b:
+            if window_a[x] == window_b[y]:
+                x = _snake(a, b, x + 1, y + 1)
+        elif x < n and y < m and a.token(x) == b.token(y):
+            x = _snake(a, b, x + 1, y + 1)
+    return ops if x == n else None
+
+
 def region_edit_script(
     before: Sequence[tuple[str, ...]],
     after: Sequence[tuple[str, ...]],
@@ -212,6 +250,12 @@ def region_edit_script(
       end of both streams. That is the run the search would follow, so
       this is not trimming the suffix, which can change the script (see
       ``token_edit_script``).
+
+    When the before regions are a subsequence of the after ones, as for
+    every insertion-only step, the script comes from one walk along the
+    search's boundary diagonal (``_insertion_walk``), which gives the
+    search's script op for op in O(n + D) instead of O(D²) iterations;
+    otherwise the search runs.
     """
     shared = min(len(before), len(after))
     head = 0
@@ -226,6 +270,9 @@ def region_edit_script(
     offset = sum(map(len, before[:head]))
     a = _Stream(before[head:len(before) - tail], before[len(before) - tail:])
     b = _Stream(after[head:len(after) - tail], after[len(after) - tail:])
+    inserts = _insertion_walk(a, b, offset)
+    if inserts is not None:
+        return EditScript(ops=tuple(inserts))
     trace = _shortest_edit_trace(a, b)
     ops: list[EditOp] = []
     x, y = a.length, b.length
@@ -328,10 +375,15 @@ def delta_tokens(script: EditScript) -> int:
     return len(script.ops)
 
 
-def _region_at(position: int, regions: list[TokenRegion]) -> str | None:
-    for region in regions:
-        if region.start <= position < region.end:
-            return region.region_id
+def _region_at(position: int, regions: list[TokenRegion], starts: list[int]) -> str | None:
+    """The id of the region holding ``position``, found by bisection over ``starts``.
+
+    Regions are in stream order, so regions sharing a start are all empty
+    but the last, which is the one bisection lands on.
+    """
+    index = bisect.bisect_right(starts, position) - 1
+    if index >= 0 and position < regions[index].end:
+        return regions[index].region_id
     return None
 
 
@@ -347,12 +399,14 @@ def delta_out(
     by their after-stream position. With scope covering every region the
     count is zero; with an empty scope it equals ``delta_tokens``.
     """
+    before_starts = [region.start for region in before_regions]
+    after_starts = [region.start for region in after_regions]
     outside = 0
     for op in script.ops:
         if op.op == "delete":
-            region = _region_at(op.before_pos, before_regions)
+            region = _region_at(op.before_pos, before_regions, before_starts)
         else:
-            region = _region_at(op.after_pos, after_regions)
+            region = _region_at(op.after_pos, after_regions, after_starts)
         if region not in scope:
             outside += 1
     return outside
@@ -431,7 +485,12 @@ def rouge_l(candidate: str, reference: str, beta: float = DEFAULT_ROUGE_BETA) ->
 
 
 def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+    """Counts of the ``order``-grams of ``tokens``, as tuples.
+
+    Zipping ``order`` shifted slices yields every n-gram in one C-level
+    pass; a list shorter than ``order`` has none.
+    """
+    return Counter(zip(*(tokens[i:] for i in range(order))))
 
 
 def bleu_4(candidate: str, reference: str) -> float:

@@ -33,6 +33,10 @@ class ScriptedGeneration:
     script: dict[tuple[str, str, int], str] = field(default_factory=dict)
     max_retries: int = 1
 
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be non-negative")
+
     def generate(self, request: GenerationRequest) -> str:
         lookup = (request.role, request.key, request.attempt)
         if lookup not in self.script:
@@ -79,6 +83,10 @@ class HashEmbedding:
     # builds its own embedder starts empty; arrays keep the floats unboxed.
     _token_vectors: dict[str, array] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise ConfigError(f"embedding dimension {self.dimension} must be at least 1")
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         return [self._vector(text) for text in texts]

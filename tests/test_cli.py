@@ -180,6 +180,11 @@ def _with_config(workspace, **changes) -> Path:
     return path
 
 
+def _with_scenario(workspace, **changes) -> None:
+    scenario = {**json.loads(workspace["scenario"].read_text()), **changes}
+    workspace["scenario"].write_text(json.dumps(scenario))
+
+
 def _break(name):
     def change(workspace) -> None:
         workspace[name].write_text("{broken", encoding="utf-8")
@@ -198,8 +203,16 @@ def _break(name):
     (lambda ws: ws["survey"].unlink(), ["outline", "--force"], EXIT_PARSE),
     (_break("spans"), ["benchmark", "--methods", "framework"], EXIT_PARSE),
     (_break("scenario"), ["update"], EXIT_CONFIG),
+    (lambda ws: _with_scenario(ws, embedding={"dimension": 0}),
+     ["benchmark", "--methods", "framework"], EXIT_CONFIG),
+    (lambda ws: _with_scenario(ws, generation_max_retries=-1), ["update"], EXIT_CONFIG),
+    (lambda ws: _with_config(ws, embedding={"base_url": "http://localhost:1", "dimension": 0}),
+     ["update"], EXIT_CONFIG),
+    (lambda ws: _with_config(ws, embedding={"base_url": "http://localhost:1",
+                                            "max_retries": -1}), ["update"], EXIT_CONFIG),
 ], ids=["coherence_window", "temperature", "reversed_date_range", "date_range_not_array",
-        "missing_survey", "broken_spans", "broken_scenario"])
+        "missing_survey", "broken_spans", "broken_scenario", "scenario_dimension_zero",
+        "scenario_negative_retries", "endpoint_dimension_zero", "endpoint_negative_retries"])
 def test_a_bad_input_exits_with_its_code_and_one_error_line(workspace, capsys, change,
                                                            command, code):
     config = change(workspace) or workspace["config"]

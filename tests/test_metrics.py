@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,10 @@ from dynsurvey.document import document_from_dict, make_section
 from dynsurvey.errors import EvaluationError
 from dynsurvey.evaluation import StepEvaluation, aggregate
 from dynsurvey.metrics import (
+    EditOp,
+    EditScript,
+    TokenRegion,
+    _ngram_counts,
     bleu_4,
     cosine,
     delta_out,
@@ -157,6 +162,18 @@ def test_bleu_self_similarity_is_one(text):
     assert bleu_4(text, text) == pytest.approx(1.0)
 
 
+def slice_ngram_counts(tokens: list[str], order: int) -> Counter:
+    """One slice per n-gram: the counting the zipped version replaced."""
+    return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+
+
+@given(st.lists(st.sampled_from(VOCAB[:3]), max_size=12), st.integers(1, 5))
+def test_ngram_counts_match_slice_counting(tokens, order):
+    counts = _ngram_counts(tokens, order)
+    # Same grams, counts and first-seen order, so BLEU sums them alike.
+    assert list(counts.items()) == list(slice_ngram_counts(tokens, order).items())
+
+
 # --- token edit scripts -----------------------------------------------------
 
 _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=12)
@@ -240,6 +257,37 @@ def test_delta_out_scope_boundaries():
     assert delta_out(script, {"section:x", "section:y"},
                      before_regions, after_regions) == 0
     assert delta_out(script, set(), before_regions, after_regions) == delta_tokens(script)
+
+
+def _ops_at(*positions: int) -> EditScript:
+    return EditScript(ops=tuple(EditOp("insert", 0, p, "t") for p in positions))
+
+
+def test_delta_out_charges_an_empty_region_nothing():
+    # Empty x and y share their start with z; every op there belongs to z.
+    regions = [TokenRegion("section:w", 0, 2), TokenRegion("section:x", 2, 2),
+               TokenRegion("section:y", 2, 2), TokenRegion("section:z", 2, 5)]
+    script = _ops_at(0, 1, 2, 4)
+    assert delta_out(script, {"section:z"}, regions, regions) == 2
+    assert delta_out(script, {"section:x", "section:y"}, regions, regions) == 4
+    # An op on the last token lies in the last region.
+    assert delta_out(_ops_at(4), {"section:z"}, regions, regions) == 0
+    # A leading empty region and a position past the end.
+    leading = [TokenRegion("section:x", 0, 0), TokenRegion("section:w", 0, 3)]
+    assert delta_out(_ops_at(0, 2, 3), {"section:w"}, leading, leading) == 1
+
+
+@given(st.lists(st.integers(0, 3), max_size=8), st.lists(st.integers(0, 12), max_size=10))
+def test_delta_out_matches_a_linear_region_scan(lengths, positions):
+    regions, start = [], 0
+    for i, length in enumerate(lengths):
+        regions.append(TokenRegion(f"section:{i}", start, start + length))
+        start += length
+    script = _ops_at(*positions)
+    for scope in ({"section:0"}, {"section:1", "section:3"}):
+        outside = sum(next((r.region_id for r in regions if r.start <= p < r.end), None)
+                      not in scope for p in positions)
+        assert delta_out(script, scope, regions, regions) == outside
 
 
 def test_table_rows_are_inside_their_table_region():

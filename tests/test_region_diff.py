@@ -13,6 +13,8 @@ falls in.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,3 +309,105 @@ def test_one_region_of_either_sequence_type(kind):
     assert [(op.op, op.before_pos, op.after_pos, op.token)
             for op in token_edit_script(before, after).ops] == \
         flat_edit_script(before, after)
+
+
+# --- the insertion walk --------------------------------------------------------
+
+# Two to eight letters: few give many ties between equally short scripts,
+# more give long runs of mismatches.
+WALK_ALPHABETS = ("ab", "abc", "abcd", "abcdefgh")
+
+
+@st.composite
+def _insertion_pair(draw):
+    """Regions of a before stream, and after regions made from them by insertions only.
+
+    Tokens are inserted at either end of a region or inside it, and whole
+    regions are added before any region and at the end, so insertions sit
+    next to region bounds and in the trailing regions.
+    """
+    letters = st.sampled_from(draw(st.sampled_from(WALK_ALPHABETS)))
+    region = st.lists(letters, max_size=10).map(tuple)
+    before = draw(st.lists(region, max_size=8))
+    after = []
+    for tokens in before:
+        if draw(st.integers(0, 3)) == 0:
+            after.append(draw(region))
+        edited = list(tokens)
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.sampled_from([0, len(edited), draw(st.integers(0, len(edited)))]))
+            edited[at:at] = draw(st.lists(letters, min_size=1, max_size=4))
+        after.append(tuple(edited) if len(edited) > len(tokens) else tokens)
+    if draw(st.booleans()):
+        after.append(draw(region))
+    return before, after
+
+
+@st.composite
+def _broken_insertion_pair(draw):
+    """An insertion pair with a token only ``before`` has, or with its sides swapped.
+
+    The extra token is added to a before region or replaces one of its
+    tokens, which makes the step a deletion or a substitution.
+    """
+    before, after = draw(_insertion_pair())
+    kind = draw(st.sampled_from(["delete", "replace", "swap"]))
+    if kind == "swap":
+        return after, before
+    before = [list(tokens) for tokens in before] or [[]]
+    tokens = before[draw(st.integers(0, len(before) - 1))]
+    if kind == "replace" and tokens:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = "z"
+    else:
+        tokens.insert(draw(st.integers(0, len(tokens))), "z")
+    return [tuple(tokens) for tokens in before], after
+
+
+def _without_search():
+    return mock.patch.object(metrics, "_shortest_edit_trace",
+                             side_effect=AssertionError("the full search ran"))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_insertion_pair())
+def test_insertion_walk_matches_flat_search(pair):
+    before, after = pair
+    expected = flat_edit_script(joined(before), joined(after))
+    assert all(op[0] == "insert" for op in expected)
+    with _without_search():
+        assert region_ops(before, after) == expected
+        assert [(op.op, op.before_pos, op.after_pos, op.token)
+                for op in token_edit_script(joined(before), joined(after)).ops] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_broken_insertion_pair())
+def test_search_runs_exactly_when_the_walk_fails(pair):
+    before, after = pair
+    expected = flat_edit_script(joined(before), joined(after))
+    with mock.patch.object(metrics, "_shortest_edit_trace",
+                           wraps=metrics._shortest_edit_trace) as search:
+        assert region_ops(before, after) == expected
+    assert search.called == any(op[0] == "delete" for op in expected)
+
+
+def test_insertion_only_steps_never_enter_the_search():
+    instance = demo.demo_instance()
+    generator = ScriptedGeneration.from_flat(demo.demo_scenario()["generation"])
+    with _without_search():
+        scored = [evaluate_step(result, "s")
+                  for result in run_method(FRAMEWORK, instance, generator)]
+    assert any(evaluation.delta_tokens for evaluation in scored)
+
+
+def test_a_step_with_a_deletion_runs_the_search():
+    before = _document([_section("1", [["a", "b"], ["c"]]), _section("2", [["b"]])], [])
+    after = _document([_section("1", [["a", "b"]]), _section("2", [["b"]])], [])
+    result = StepResult(method=FRAMEWORK, paper_id="p", out_of_scope=False, abstained=False,
+                        before=before, after=after, gt_span=None, routed_section="1")
+    with mock.patch.object(metrics, "_shortest_edit_trace",
+                           wraps=metrics._shortest_edit_trace) as search:
+        scored = evaluate_step(result, "s")
+    assert search.call_count == 1
+    assert scored.delta_tokens == len(flat_edit_script(reference_stream(before)[0],
+                                                       reference_stream(after)[0]))
