@@ -8,7 +8,8 @@ version skips shared leading regions, flattens only the regions that
 differ and reads shared trailing regions in place. It must give exactly
 the same operations, positions and tokens, and the same region bounds,
 because ``delta_out`` charges each operation to the region its position
-falls in.
+falls in. The insertion walk that serves insertion-only pairs is checked
+against the same reference, with the full search made to fail.
 """
 
 from __future__ import annotations
