@@ -27,7 +27,14 @@ class ParseFailure(Exception):
 
 _THINK_BLOCK = re.compile(r"<think>.*?</think>", re.DOTALL | re.IGNORECASE)
 _VALUE_START = re.compile(_THINK_BLOCK.pattern + r"|([{\[])", re.DOTALL | re.IGNORECASE)
-_STRING = r'"(?:[^"\\]|\\.)*"'
+# A JSON string literal, "unrolled" (Friedl, *Mastering Regular
+# Expressions*, ch. 6): ``re`` takes each run of plain characters between
+# escapes in one repeat of a character class, where the plain alternation
+# ``"(?:[^"\\]|\\.)*"`` enters its group, and saves a backtrack point,
+# once per character. Both match the same language, and both end a
+# literal at its first unescaped quote, so every ``sub`` and ``findall``
+# below gives the same result with either.
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _STRING_OR_TRAILING_COMMA = re.compile(rf"({_STRING})|,(?=\s*[}}\]])", re.DOTALL)
 _STRING_OR_BRACKET = re.compile(rf'{_STRING}|["{{}}\[\]]', re.DOTALL)
 _DECODER = json.JSONDecoder()
