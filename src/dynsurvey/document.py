@@ -70,6 +70,9 @@ class Section:
     # The tokens of the section's sentences in order, once diffed or
     # streamed (``metrics.document_regions``).
     _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # Set once ``validate_document`` has found the sentences valid and
+    # held in a tuple.
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def sentence_ids(self) -> list[str]:
         return [s.id for s in self.sentences]
@@ -249,7 +252,15 @@ class SurveyState:
 
 
 def validate_document(doc: SurveyDocument) -> None:
-    """Check the structural invariants of a document; raise on violation."""
+    """Check the structural invariants of a document; raise on violation.
+
+    Ids must be unique and reference numbers dense on every call. A
+    section's sentences (unique ids, no blank text) and a table's rows
+    (the schema) are checked once per object when they cannot change: a
+    ``Section`` whose sentences are a tuple, a table whose rows are
+    read-only mappings. A baseline step therefore checks only the
+    sections and tables its reply changed.
+    """
     section_ids = [s.id for s in doc.sections]
     if len(section_ids) != len(set(section_ids)):
         raise DocumentIntegrityError(f"duplicate section ids in {sorted(section_ids)}")
@@ -262,7 +273,14 @@ def validate_document(doc: SurveyDocument) -> None:
     numbers = [r.number for r in doc.references]
     if numbers != list(range(1, len(numbers) + 1)):
         raise DocumentIntegrityError(f"reference numbering {numbers} is not dense 1..n")
+    # The sentences of a section, and the rows of a table with frozen
+    # rows, are checked once per object: an unchanged section or table
+    # that ``make_section`` or ``make_table`` shared costs nothing here.
+    # Sentences held in a list, and rows that can still change, are
+    # checked on every call.
     for section in doc.sections:
+        if section._checked:
+            continue
         ids = section.sentence_ids()
         if len(ids) != len(set(ids)):
             raise DocumentIntegrityError(f"duplicate sentence ids in section {section.id!r}")
@@ -270,9 +288,8 @@ def validate_document(doc: SurveyDocument) -> None:
             if not sentence.text.strip():
                 raise DocumentIntegrityError(
                     f"empty sentence {sentence.id!r} in section {section.id!r}")
-    # The rows of a table with frozen rows are checked once per table
-    # object: an unchanged table that ``make_table`` shared costs nothing
-    # here. A row that can still change is checked on every call.
+        if type(section.sentences) is tuple:
+            object.__setattr__(section, "_checked", True)
     for table in doc.tables:
         if table._rows_checked:
             continue

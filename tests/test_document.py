@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import re
 
@@ -381,6 +382,49 @@ def test_a_directly_built_table_with_plain_rows_is_row_checked_every_time():
     frozen = make_table("t", "T", table.schema, [{"Method": "M", "Year": 2001}])
     document.validate_document(SurveyDocument({}, (), (frozen,), ()))
     assert frozen._rows_checked and not table._rows_checked
+
+
+def test_an_unchanged_section_is_checked_once(monkeypatch):
+    make_section.cache_clear()
+    text = serialize_document(demo.demo_full_document())
+    checked = []
+    plain = Section.sentence_ids
+    monkeypatch.setattr(Section, "sentence_ids",
+                        lambda section: checked.append(section.id) or plain(section))
+    first = parse_document(text)
+    ids = [s.id for s in first.sections]
+    assert checked == ids
+    second = parse_document(text)
+    assert all(a is b for a, b in zip(first.sections, second.sections))
+    assert checked == ids
+    grown = json.loads(text)
+    grown["sections"][1]["text"] += " One more sentence."
+    document_from_dict(grown)
+    assert checked == ids + [ids[1]]
+    # A checked section that gains a blank sentence is a new object, so
+    # the document that introduces it still fails.
+    section = second.sections[0]
+    blank = dataclasses.replace(section, sentences=section.sentences + (
+        Sentence(f"{section.id}:{section.next_sentence_counter()}", " "),))
+    with pytest.raises(DocumentIntegrityError, match="empty sentence"):
+        document.validate_document(second.replace_section(blank))
+
+
+def test_a_directly_built_section_with_a_list_of_sentences_is_checked_every_time():
+    sentences = [Sentence("s:1", "A cat.")]
+    section = Section("s", "S", sentences)
+    doc = SurveyDocument({}, (section,), (), ())
+    document.validate_document(doc)
+    sentences.append(Sentence("s:2", " "))
+    for _ in range(2):
+        with pytest.raises(DocumentIntegrityError, match="empty sentence 's:2'"):
+            document.validate_document(doc)
+    sentences[1] = Sentence("s:1", "A dog.")
+    with pytest.raises(DocumentIntegrityError, match="duplicate sentence ids"):
+        document.validate_document(doc)
+    frozen = Section("s", "S", (Sentence("s:1", "A cat."),))
+    document.validate_document(SurveyDocument({}, (frozen,), (), ()))
+    assert frozen._checked and not section._checked
 
 
 def _valid_table_entry() -> dict:
