@@ -255,7 +255,7 @@ def _baseline_step(
     error = None
     try:
         raw = generator.generate(GenerationRequest(method, paper.id, 0, prompt))
-        new_doc = document_from_dict(extract_json_value(raw))
+        new_doc = document_from_dict(extract_json_value(raw), doc)
     except (AgentError, ParseFailure, DocumentParseError, DocumentIntegrityError) as exc:
         # Fail closed: a failed call or an unparseable full-document
         # response must not end or corrupt the stream, so the original

@@ -387,8 +387,10 @@ def make_reference(key: str, number: int, bib: dict) -> Reference:
     number and the bib's items with the type of each value, so ``1`` and
     ``True`` never share an entry. A bib holding any other value than a
     string, integer, boolean or null (a float, list or object) is built
-    plainly. A baseline reply rebuilds every reference, and the sharing
-    lets an unchanged one keep its rendered JSON.
+    plainly. ``document_from_dict`` takes an unchanged reference of the
+    document a reply revises as it is, without this call; the sharing
+    lets any other reference that was built before, such as one the
+    reply moved, keep its rendered JSON.
     """
     types = tuple(type(value) for value in bib.values())
     if _SHARED_VALUE_TYPES.issuperset(types):
@@ -483,12 +485,39 @@ def _column_to_dict(column: ColumnSpec) -> dict:
     return data
 
 
-def document_from_dict(data: dict) -> SurveyDocument:
+def _same_reference(raw: dict, reference: Reference) -> bool:
+    """Whether the entry ``raw`` reads as a reference equal to ``reference``.
+
+    True when the key, the number and the bib's items in order equal the
+    reference's, each value has the type of the reference's, and every bib
+    value's type is one whose equal values render the same JSON. So the
+    two render the same entry, and ``raw`` passes every ``jsonio`` read of
+    ``document_from_dict``.
+    """
+    key, number, bib = raw.get("key"), raw.get("number"), raw.get("bib")
+    if not (type(key) is str and type(number) is int and type(bib) is dict
+            and type(reference.key) is str and type(reference.number) is int
+            and key == reference.key and number == reference.number):
+        return False
+    types = tuple(map(type, bib.values()))
+    return (_SHARED_VALUE_TYPES.issuperset(types)
+            and tuple(bib.items()) == tuple(reference.bib.items())
+            and types == tuple(map(type, reference.bib.values())))
+
+
+def document_from_dict(data: dict, previous: SurveyDocument | None = None) -> SurveyDocument:
     """Build and validate a SurveyDocument from its canonical JSON mapping.
 
     Input from outside the program, read by ``jsonio``'s rules: a wrongly
     shaped value raises ``DocumentParseError``, a broken invariant
     ``DocumentIntegrityError``.
+
+    ``previous`` is the document the mapping is expected to revise, such
+    as a baseline step's input. A reference entry that ``_same_reference``
+    finds equal to the reference at the same position of ``previous`` is
+    that reference, read without building its memo key; any other entry
+    is read as without ``previous``, so the result, and every error and
+    its message, is the same either way.
     """
     data = jsonio.check(data, dict, DocumentParseError, "survey document")
     sections = []
@@ -504,7 +533,12 @@ def document_from_dict(data: dict) -> SurveyDocument:
     tables = [_table_from_dict(raw) for raw in
               jsonio.array(data, "tables", dict, DocumentParseError, "survey document", ())]
     references = []
-    for raw in jsonio.array(data, "references", dict, DocumentParseError, "survey document", ()):
+    known = previous.references if previous is not None else ()
+    for index, raw in enumerate(jsonio.array(data, "references", dict, DocumentParseError,
+                                             "survey document", ())):
+        if index < len(known) and _same_reference(raw, known[index]):
+            references.append(known[index])
+            continue
         key = jsonio.field(raw, "key", str, DocumentParseError, "reference")
         where = ("reference", key)
         references.append(make_reference(

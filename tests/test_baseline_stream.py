@@ -202,7 +202,7 @@ def test_a_step_renders_only_the_sections_its_reply_changed(monkeypatch, kinds):
                         lambda table, row: checked.append(table.id) or check_row(table, row))
     parse = benchmark.document_from_dict
 
-    def from_dict(data):
+    def from_dict(data, previous=None):
         start = len(checked)
         doc = parse(data)
         per_document.setdefault(id(doc), {})["checked"] = checked[start:]
