@@ -22,6 +22,7 @@ from .document import (
     SurveyDocument,
     SurveyState,
     document_from_dict,
+    revise_document,
     serialize_document,
     validate_document,
     validate_state,
@@ -255,7 +256,7 @@ def _baseline_step(
     error = None
     try:
         raw = generator.generate(GenerationRequest(method, paper.id, 0, prompt))
-        new_doc = document_from_dict(extract_json_value(raw), doc)
+        new_doc = revise_document(raw, doc) or document_from_dict(extract_json_value(raw), doc)
     except (AgentError, ParseFailure, DocumentParseError, DocumentIntegrityError) as exc:
         # Fail closed: a failed call or an unparseable full-document
         # response must not end or corrupt the stream, so the original

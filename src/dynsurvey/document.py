@@ -28,9 +28,11 @@ from typing import Callable, Mapping, Sequence
 from . import jsonio
 from .corpus import SurveyScope
 from .errors import DocumentIntegrityError, DocumentParseError
+from .parsing import json_value_start
 from .text import segment_sentences
 
 COLUMN_KINDS = ("text", "categorical", "int")
+_DECODER = json.JSONDecoder()
 # Distinct sections whose parse stays memoised; room for every section of
 # the surveys a benchmark run streams, several versions each.
 _SECTION_MEMO_SIZE = 2 ** 10
@@ -73,6 +75,10 @@ class Section:
     # Set once ``validate_document`` has found the sentences valid and
     # held in a tuple.
     _checked: bool = field(default=False, init=False, repr=False, compare=False)
+    # Set by ``make_section``: the sentences are its segmentation of the
+    # body text, numbered from 1, so parsing the section's entry
+    # (``_json``) builds an equal section.
+    _segmented: bool = field(default=False, init=False, repr=False, compare=False)
 
     def sentence_ids(self) -> list[str]:
         return [s.id for s in self.sentences]
@@ -376,7 +382,12 @@ def make_section(section_id: str, title: str, text: str, non_maintained: bool = 
     """
     texts = segment_sentences(text)
     sentences = tuple(Sentence(id=f"{section_id}:{i}", text=t) for i, t in enumerate(texts, start=1))
-    return Section(id=section_id, title=title, sentences=sentences, non_maintained=non_maintained)
+    section = Section(id=section_id, title=title, sentences=sentences, non_maintained=non_maintained)
+    # Segmenting the joined sentences gives them back: ``body_text`` is
+    # the text with its whitespace normalised, and segmenting normalises
+    # first.
+    object.__setattr__(section, "_segmented", True)
+    return section
 
 
 def make_reference(key: str, number: int, bib: dict) -> Reference:
@@ -505,6 +516,17 @@ def _same_reference(raw: dict, reference: Reference) -> bool:
             and types == tuple(map(type, reference.bib.values())))
 
 
+def _section_from_dict(raw: dict) -> Section:
+    section_id = jsonio.field(raw, "id", str, DocumentParseError, "section")
+    where = ("section", section_id)
+    return make_section(
+        section_id,
+        jsonio.field(raw, "title", str, DocumentParseError, where, ""),
+        jsonio.field(raw, "text", str, DocumentParseError, where, ""),
+        jsonio.field(raw, "non_maintained", bool, DocumentParseError, where, False),
+    )
+
+
 def document_from_dict(data: dict, previous: SurveyDocument | None = None) -> SurveyDocument:
     """Build and validate a SurveyDocument from its canonical JSON mapping.
 
@@ -520,16 +542,14 @@ def document_from_dict(data: dict, previous: SurveyDocument | None = None) -> Su
     its message, is the same either way.
     """
     data = jsonio.check(data, dict, DocumentParseError, "survey document")
-    sections = []
-    for raw in jsonio.array(data, "sections", dict, DocumentParseError, "survey document", ()):
-        section_id = jsonio.field(raw, "id", str, DocumentParseError, "section")
-        where = ("section", section_id)
-        sections.append(make_section(
-            section_id,
-            jsonio.field(raw, "title", str, DocumentParseError, where, ""),
-            jsonio.field(raw, "text", str, DocumentParseError, where, ""),
-            jsonio.field(raw, "non_maintained", bool, DocumentParseError, where, False),
-        ))
+    sections = [_section_from_dict(raw) for raw in
+                jsonio.array(data, "sections", dict, DocumentParseError, "survey document", ())]
+    return _document(data, sections, previous)
+
+
+def _document(data: dict, sections: list[Section],
+              previous: SurveyDocument | None) -> SurveyDocument:
+    """The rest of ``document_from_dict`` once the sections are read."""
     tables = [_table_from_dict(raw) for raw in
               jsonio.array(data, "tables", dict, DocumentParseError, "survey document", ())]
     references = []
@@ -555,6 +575,73 @@ def document_from_dict(data: dict, previous: SurveyDocument | None = None) -> Su
     )
     validate_document(doc)
     return doc
+
+
+class _OffLayout(Exception):
+    """A reply's text leaves the canonical layout."""
+
+
+def _after(text: str, pos: int, literal: str) -> int:
+    """The position after ``literal``, which must stand at ``pos``."""
+    if not text.startswith(literal, pos):
+        raise _OffLayout
+    return pos + len(literal)
+
+
+def _revised_sections(text: str, pos: int, known: Sequence[Section]) -> tuple[list[Section], int]:
+    """The ``sections`` list standing at ``pos``, and the position after it.
+
+    Entry ``i`` is ``known[i]`` when that section was built by
+    ``make_section`` and its kept entry stands there byte for byte; any
+    other entry is decoded and read as ``document_from_dict`` reads it.
+    """
+    if text.startswith("[]", pos):
+        return [], pos + 2
+    pos = _after(text, pos, "[\n")
+    sections: list[Section] = []
+    while True:
+        old = known[len(sections)] if len(sections) < len(known) else None
+        if old is not None and old._segmented and old._json is not None \
+                and text.startswith(old._json, pos):
+            sections.append(old)
+            pos += len(old._json)
+        else:
+            raw, pos = _DECODER.raw_decode(text, _after(text, pos, "    "))
+            sections.append(_section_from_dict(
+                jsonio.check(raw, dict, DocumentParseError, "section")))
+        if not text.startswith(",\n", pos):
+            return sections, _after(text, pos, "\n  ]")
+        pos += 2
+
+
+def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | None:
+    """``document_from_dict(extract_json_value(text), previous)``, decoding only what changed.
+
+    For a reply that holds a document in the layout ``serialize_document``
+    writes: a section entry that stands byte for byte where
+    ``previous`` has it is that section, when ``make_section`` built it,
+    since parsing its entry builds an equal one. The other sections, the
+    metadata, the tables and the references are decoded and read as
+    ``document_from_dict`` reads them. Any other layout or whitespace,
+    and any reply the full parse rejects, gives None, and the caller
+    runs the full parse, which raises its own error. The layout fixes
+    the four keys and their order, so a key cannot repeat; every byte
+    outside the kept entries goes through ``json``'s decoder.
+    """
+    start = json_value_start(text)
+    if start is None:
+        return None
+    try:
+        metadata, pos = _DECODER.raw_decode(text, _after(text, start, '{\n  "metadata": '))
+        sections, pos = _revised_sections(text, _after(text, pos, ',\n  "sections": '),
+                                          previous.sections)
+        tables, pos = _DECODER.raw_decode(text, _after(text, pos, ',\n  "tables": '))
+        references, pos = _DECODER.raw_decode(text, _after(text, pos, ',\n  "references": '))
+        _after(text, pos, "\n}")
+        return _document({"metadata": metadata, "tables": tables, "references": references},
+                         sections, previous)
+    except (_OffLayout, json.JSONDecodeError, DocumentParseError, DocumentIntegrityError):
+        return None
 
 
 def _section_entry(section: Section) -> dict:
@@ -764,6 +851,6 @@ __all__ = [
     "document_from_dict", "document_to_dict", "load_document", "load_outline",
     "make_reference", "make_section", "make_table", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
-    "parse_outline", "save_document", "save_outline", "serialize_document",
+    "parse_outline", "revise_document", "save_document", "save_outline", "serialize_document",
     "serialize_outline", "validate_additions", "validate_document", "validate_state",
 ]

@@ -62,13 +62,18 @@ def _brackets_pair_up(text: str) -> bool:
     return False
 
 
+def json_value_start(text: str) -> int | None:
+    """Where the first ``{`` or ``[`` outside a reasoning block is, if any."""
+    return next((m.start() for m in _VALUE_START.finditer(text) if m.group(1)), None)
+
+
 def extract_json_value(text: str):
     """Decode the first JSON object or array of an agent response.
 
     Text around the value is never read. Only when the value fails to
     decode are its trailing commas dropped and the decode tried again.
     """
-    start = next((m.start() for m in _VALUE_START.finditer(text) if m.group(1)), None)
+    start = json_value_start(text)
     if start is None:
         raise ParseFailure("response contains no JSON object or array")
     try:
