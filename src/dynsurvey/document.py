@@ -516,6 +516,14 @@ def _same_reference(raw: dict, reference: Reference) -> bool:
             and types == tuple(map(type, reference.bib.values())))
 
 
+def _reparses(reference: Reference) -> bool:
+    """Whether ``_same_reference`` holds for the reference's own entry, decoded."""
+    bib = reference.bib
+    return (type(reference.key) is str and type(reference.number) is int
+            and all(type(key) is str for key in bib)
+            and _SHARED_VALUE_TYPES.issuperset(map(type, bib.values())))
+
+
 def _section_from_dict(raw: dict) -> Section:
     section_id = jsonio.field(raw, "id", str, DocumentParseError, "section")
     where = ("section", section_id)
@@ -525,6 +533,24 @@ def _section_from_dict(raw: dict) -> Section:
         jsonio.field(raw, "text", str, DocumentParseError, where, ""),
         jsonio.field(raw, "non_maintained", bool, DocumentParseError, where, False),
     )
+
+
+def _reference_from_dict(raw: dict, known: Reference | None) -> Reference:
+    """The reference of an entry; ``known`` when ``_same_reference`` finds it equal."""
+    if known is not None and _same_reference(raw, known):
+        return known
+    key = jsonio.field(raw, "key", str, DocumentParseError, "reference")
+    where = ("reference", key)
+    return make_reference(
+        key,
+        jsonio.field(raw, "number", int, DocumentParseError, where),
+        dict(jsonio.field(raw, "bib", dict, DocumentParseError, where, {})),
+    )
+
+
+def _tables_from_dict(data: dict) -> list[SurveyTable]:
+    return [_table_from_dict(raw) for raw in
+            jsonio.array(data, "tables", dict, DocumentParseError, "survey document", ())]
 
 
 def document_from_dict(data: dict, previous: SurveyDocument | None = None) -> SurveyDocument:
@@ -544,28 +570,18 @@ def document_from_dict(data: dict, previous: SurveyDocument | None = None) -> Su
     data = jsonio.check(data, dict, DocumentParseError, "survey document")
     sections = [_section_from_dict(raw) for raw in
                 jsonio.array(data, "sections", dict, DocumentParseError, "survey document", ())]
-    return _document(data, sections, previous)
-
-
-def _document(data: dict, sections: list[Section],
-              previous: SurveyDocument | None) -> SurveyDocument:
-    """The rest of ``document_from_dict`` once the sections are read."""
-    tables = [_table_from_dict(raw) for raw in
-              jsonio.array(data, "tables", dict, DocumentParseError, "survey document", ())]
-    references = []
+    tables = _tables_from_dict(data)
     known = previous.references if previous is not None else ()
-    for index, raw in enumerate(jsonio.array(data, "references", dict, DocumentParseError,
-                                             "survey document", ())):
-        if index < len(known) and _same_reference(raw, known[index]):
-            references.append(known[index])
-            continue
-        key = jsonio.field(raw, "key", str, DocumentParseError, "reference")
-        where = ("reference", key)
-        references.append(make_reference(
-            key,
-            jsonio.field(raw, "number", int, DocumentParseError, where),
-            dict(jsonio.field(raw, "bib", dict, DocumentParseError, where, {})),
-        ))
+    references = [
+        _reference_from_dict(raw, known[index] if index < len(known) else None)
+        for index, raw in enumerate(jsonio.array(data, "references", dict, DocumentParseError,
+                                                 "survey document", ()))]
+    return _document(data, sections, tables, references)
+
+
+def _document(data: dict, sections: list[Section], tables: list[SurveyTable],
+              references: list[Reference]) -> SurveyDocument:
+    """The validated document of the parts read, with the metadata of ``data``."""
     doc = SurveyDocument(
         metadata=dict(jsonio.field(data, "metadata", dict, DocumentParseError,
                                    "survey document", {})),
@@ -588,29 +604,30 @@ def _after(text: str, pos: int, literal: str) -> int:
     return pos + len(literal)
 
 
-def _revised_sections(text: str, pos: int, known: Sequence[Section]) -> tuple[list[Section], int]:
-    """The ``sections`` list standing at ``pos``, and the position after it.
+def _revised_entries(text: str, pos: int, known: Sequence, reparses: Callable[..., bool],
+                     read: Callable) -> tuple[list, int]:
+    """The sections or references list standing at ``pos``, and the position after it.
 
-    Entry ``i`` is ``known[i]`` when that section was built by
-    ``make_section`` and its kept entry stands there byte for byte; any
-    other entry is decoded and read as ``document_from_dict`` reads it.
+    Entry ``i`` is ``known[i]`` when its kept entry (``_json``) stands
+    there byte for byte and ``reparses(known[i])`` says that reading its
+    entry gives it back; any other entry is decoded and read by ``read``
+    as ``document_from_dict`` reads it.
     """
     if text.startswith("[]", pos):
         return [], pos + 2
     pos = _after(text, pos, "[\n")
-    sections: list[Section] = []
+    entries: list = []
     while True:
-        old = known[len(sections)] if len(sections) < len(known) else None
-        if old is not None and old._segmented and old._json is not None \
-                and text.startswith(old._json, pos):
-            sections.append(old)
+        old = known[len(entries)] if len(entries) < len(known) else None
+        if old is not None and old._json is not None and text.startswith(old._json, pos) \
+                and reparses(old):
+            entries.append(old)
             pos += len(old._json)
         else:
             raw, pos = _DECODER.raw_decode(text, _after(text, pos, "    "))
-            sections.append(_section_from_dict(
-                jsonio.check(raw, dict, DocumentParseError, "section")))
+            entries.append(read(jsonio.check(raw, dict, DocumentParseError, "entry"), old))
         if not text.startswith(",\n", pos):
-            return sections, _after(text, pos, "\n  ]")
+            return entries, _after(text, pos, "\n  ]")
         pos += 2
 
 
@@ -618,14 +635,15 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
     """``document_from_dict(extract_json_value(text), previous)``, decoding only what changed.
 
     For a reply that holds a document in the layout ``serialize_document``
-    writes: a section entry that stands byte for byte where
-    ``previous`` has it is that section, when ``make_section`` built it,
-    since parsing its entry builds an equal one. The other sections, the
-    metadata, the tables and the references are decoded and read as
+    writes. A section or reference entry that stands byte for byte where
+    ``previous`` keeps it (``_json``) is that object, provided reading the
+    entry gives it back: for a section, when ``make_section`` built it;
+    for a reference, when ``_reparses`` holds. The other entries, the
+    metadata and the tables are decoded and read as
     ``document_from_dict`` reads them. Any other layout or whitespace,
-    and any reply the full parse rejects, gives None, and the caller
+    and any reply the full parse rejects, gives None; the caller then
     runs the full parse, which raises its own error. The layout fixes
-    the four keys and their order, so a key cannot repeat; every byte
+    the four keys and their order, so no key repeats, and every byte
     outside the kept entries goes through ``json``'s decoder.
     """
     start = json_value_start(text)
@@ -633,13 +651,16 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
         return None
     try:
         metadata, pos = _DECODER.raw_decode(text, _after(text, start, '{\n  "metadata": '))
-        sections, pos = _revised_sections(text, _after(text, pos, ',\n  "sections": '),
-                                          previous.sections)
+        sections, pos = _revised_entries(
+            text, _after(text, pos, ',\n  "sections": '), previous.sections,
+            lambda section: section._segmented, lambda raw, _: _section_from_dict(raw))
         tables, pos = _DECODER.raw_decode(text, _after(text, pos, ',\n  "tables": '))
-        references, pos = _DECODER.raw_decode(text, _after(text, pos, ',\n  "references": '))
+        references, pos = _revised_entries(
+            text, _after(text, pos, ',\n  "references": '), previous.references,
+            _reparses, _reference_from_dict)
         _after(text, pos, "\n}")
-        return _document({"metadata": metadata, "tables": tables, "references": references},
-                         sections, previous)
+        return _document({"metadata": metadata}, sections,
+                         _tables_from_dict({"tables": tables}), references)
     except (_OffLayout, json.JSONDecodeError, DocumentParseError, DocumentIntegrityError):
         return None
 
