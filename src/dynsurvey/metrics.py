@@ -527,13 +527,28 @@ def bleu_4(candidate: str, reference: str) -> float:
 # Embedding-based metrics
 
 
+class _Vector(list):
+    """An embedding that carries its Euclidean norm, computed once."""
+
+    __slots__ = ("norm",)
+
+    def __init__(self, values: Sequence[float]):
+        super().__init__(values)
+        self.norm = _norm(self)
+
+
+def _norm(x: Sequence[float]) -> float:
+    return math.sqrt(math.fsum(v * v for v in x))
+
+
 def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]]:
     """Vectors of the distinct ``texts``, keyed by text, from one embedder call.
 
     Each text is sent once, in first-seen order, which is exact only for
     an embedder that meets the ``TextEmbedder`` contract. Transport
     failures and short replies surface as MetricUnavailableError so
-    callers report the metric absent.
+    callers report the metric absent. Each vector comes with its norm,
+    which ``cosine`` then reads instead of computing it on every call.
     """
     distinct = list(dict.fromkeys(texts))
     if not distinct:
@@ -546,15 +561,19 @@ def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]
         raise MetricUnavailableError(f"embedding backend failed: {exc}") from exc
     if len(vectors) != len(distinct):
         raise MetricUnavailableError(f"{len(vectors)} embeddings for {len(distinct)} texts")
-    return dict(zip(distinct, vectors))
+    return {text: _Vector(vector) for text, vector in zip(distinct, vectors)}
 
 
 def cosine(x: Sequence[float], y: Sequence[float]) -> float:
-    """Inner product over the product of norms."""
+    """Inner product over the product of norms.
+
+    A vector from ``embed`` brings its norm; another sequence's is
+    computed here.
+    """
     if len(x) != len(y):
         raise EvaluationError(f"cosine over mismatched dimensions {len(x)} and {len(y)}")
-    norm_x = math.sqrt(math.fsum(v * v for v in x))
-    norm_y = math.sqrt(math.fsum(v * v for v in y))
+    norm_x = x.norm if type(x) is _Vector else _norm(x)
+    norm_y = y.norm if type(y) is _Vector else _norm(y)
     if norm_x == 0.0 or norm_y == 0.0:
         raise EvaluationError("cosine similarity is undefined for a zero vector")
     return math.fsum(a * b for a, b in zip(x, y)) / (norm_x * norm_y)

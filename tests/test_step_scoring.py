@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsurvey import demo
+from dynsurvey import demo, metrics
 from dynsurvey.benchmark import FRAMEWORK, METHODS, GroundTruthSpan, StepResult, run_method
 from dynsurvey.document import (
     ColumnSpec,
@@ -424,3 +425,60 @@ def test_short_embedding_reply_is_unavailable():
 
     with pytest.raises(MetricUnavailableError, match="1 embeddings for 2 texts"):
         embed(["a", "b", "a"], ShortEmbedder())
+
+
+def reference_cosine(x, y):
+    """``metrics.cosine`` as it was before ``embed`` kept each vector's norm."""
+    if len(x) != len(y):
+        raise EvaluationError(f"cosine over mismatched dimensions {len(x)} and {len(y)}")
+    norm_x = math.sqrt(math.fsum(v * v for v in x))
+    norm_y = math.sqrt(math.fsum(v * v for v in y))
+    if norm_x == 0.0 or norm_y == 0.0:
+        raise EvaluationError("cosine similarity is undefined for a zero vector")
+    return math.fsum(a * b for a, b in zip(x, y)) / (norm_x * norm_y)
+
+
+class ListEmbedder:
+    """Hands back the vectors it was given, one per text, in order."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, texts):
+        return [self.vectors[int(text)] for text in texts]
+
+
+def _cosine_outcome(cosine_of, x, y):
+    try:
+        return "value", cosine_of(x, y)
+    except EvaluationError as exc:
+        return "error", str(exc)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(_FLOATS, st.just(0.0)), max_size=4), min_size=1, max_size=4),
+       st.data())
+def test_cosine_of_embedded_vectors_matches_the_plain_cosine(vectors, data):
+    texts = [str(i) for i in range(len(vectors))]
+    embedded = embed(texts, ListEmbedder(vectors))
+    x, y = data.draw(st.sampled_from(texts)), data.draw(st.sampled_from(texts))
+    want = _cosine_outcome(reference_cosine, vectors[int(x)], vectors[int(y)])
+    assert _cosine_outcome(cosine, embedded[x], embedded[y]) == want
+    assert _cosine_outcome(cosine, embedded[x], vectors[int(y)]) == want
+    assert _cosine_outcome(cosine, vectors[int(x)], vectors[int(y)]) == want
+    assert embedded[x] == vectors[int(x)]
+
+
+def test_evaluate_step_takes_one_norm_per_distinct_text(hash_embedder, monkeypatch):
+    norms = []
+    plain = metrics._norm
+    monkeypatch.setattr(metrics, "_norm", lambda x: norms.append(x) or plain(x))
+    embedder = CountingEmbedder(hash_embedder)
+    instance = demo.demo_instance()
+    generator = ScriptedGeneration.from_flat(demo.demo_scenario()["generation"])
+    for result in run_method(FRAMEWORK, instance, generator):
+        evaluate_step(result, "demo", embedder)
+    assert len(norms) == sum(len(batch) for batch in embedder.batches) > 0
