@@ -16,12 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsurvey import benchmark, demo, document, metrics, prompts
-from dynsurvey.benchmark import ONE_STEP, ORACLE, StepResult, paper_representation, run_method
+from dynsurvey.benchmark import (
+    ONE_STEP,
+    ORACLE,
+    StepResult,
+    build_instance,
+    paper_representation,
+    run_method,
+)
 from dynsurvey.document import (
     SurveyTable,
     document_from_dict,
     document_to_dict,
     make_section,
+    revise_document,
     serialize_document,
 )
 from dynsurvey.endpoints import GenerationRequest
@@ -35,6 +43,11 @@ from dynsurvey.mock import ScriptedGeneration
 from dynsurvey.parsing import ParseFailure, extract_json_value
 
 REPLY_KINDS = ("unchanged", "one", "two", "row", "truncated", "shape")
+# Replies that edit a reference or a flag in place, or change only the
+# text's layout.
+REVISION_KINDS = ("bib", "reorder", "renumber", "gap", "flag", "blank", "keys", "indent",
+                  "ascii", "junk", "dupe")
+FAILING_KINDS = ("truncated", "shape", "gap", "junk")
 
 
 def _reference_inserted(before, after):
@@ -94,30 +107,74 @@ def _papers(instance):
     return [p for p, _ in instance.late_papers] + list(instance.out_of_scope_papers)
 
 
-def _scripted(instance, method, kinds) -> ScriptedGeneration:
-    """Whole-document replies, one per paper, each built on the last good one."""
-    current = document_to_dict(instance.early_state.document)
-    script = {}
-    for step, (paper, kind) in enumerate(zip(_papers(instance), kinds)):
+def _dumps(reply, layout) -> str:
+    """A reply dict as text: ``canonical`` is ``serialize_document``'s layout."""
+    if layout == "canonical":
+        return json.dumps(reply, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(reply)
+
+
+def _replies(doc, kinds, layout="tight"):
+    """Whole-document reply texts, one per kind, each built on the last good one."""
+    current = document_to_dict(doc)
+    texts = []
+    for step, kind in enumerate(kinds):
         reply = json.loads(json.dumps(current))
         touched = {"one": reply["sections"][step % 3:step % 3 + 1],
                    "two": reply["sections"][:2]}.get(kind, [])
         for section in touched:
             section["text"] += f" Step {step} adds words to {section['id']}."
+        references = reply["references"]
         if kind == "row":
             table = reply["tables"][step % 2]
             row = dict(table["rows"][0])
             row[table["schema"][0]["name"]] = f"Step {step} method"
             table["rows"].append(row)
-        text = json.dumps(reply)
+        elif kind == "bib":
+            # A key whose value is 1, True or "1" by step: 1 == True, yet
+            # each renders differently.
+            references[0]["bib"]["flag"] = (1, True, "1")[step % 3]
+        elif kind == "reorder":
+            references[0]["bib"] = dict(reversed(references[0]["bib"].items()))
+        elif kind == "renumber":
+            references[0], references[1] = references[1], references[0]
+            references[0]["number"], references[1]["number"] = 1, 2
+        elif kind == "gap":
+            references[-1]["number"] += 1
+        elif kind == "flag":
+            section = reply["sections"][step % 3]
+            if section.pop("non_maintained", False) is False:
+                section["non_maintained"] = True
+        elif kind == "blank":
+            # Whitespace never becomes a sentence of its own.
+            reply["sections"][step % 3]["text"] += " \u00a0\u2003\t "
+        text = _dumps(reply, layout)
         if kind == "truncated":
             text = text[:len(text) // 2]
         elif kind == "shape":
             text = json.dumps({"sections": 5})
-        else:
+        elif kind == "keys":
+            text = json.dumps(dict(reversed(reply.items())), indent=2, ensure_ascii=False)
+        elif kind == "indent":
+            text = json.dumps(reply, indent=1, ensure_ascii=False)
+        elif kind == "ascii":
+            text = json.dumps(reply, indent=2, ensure_ascii=True)
+        elif kind == "junk":  # not JSON: a stray character between two entries
+            text = text.replace("\n    },\n    {", "\n    },#    {", 1)
+        elif kind == "dupe":  # a repeated key, whose last value counts
+            text = text.rstrip()[:-1] + ', "metadata": {"title": "Dupe"}}'
+            reply["metadata"] = {"title": "Dupe"}
+        if kind not in FAILING_KINDS:
             current = reply
-        script[f"{method}|{paper.id}|0"] = text
-    return ScriptedGeneration.from_flat(script)
+        texts.append(text)
+    return texts
+
+
+def _scripted(instance, method, kinds, layout="tight") -> ScriptedGeneration:
+    """Whole-document replies, one per paper, each built on the last good one."""
+    replies = _replies(instance.early_state.document, kinds, layout)
+    return ScriptedGeneration.from_flat({f"{method}|{paper.id}|0": text
+                                         for paper, text in zip(_papers(instance), replies)})
 
 
 def _assert_same_stream(new, old):
@@ -137,13 +194,122 @@ def test_demo_stream_matches_the_reference_loop(method):
                         _reference_stream(method, instance, fresh()))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([ONE_STEP, ORACLE]), st.lists(st.sampled_from(REPLY_KINDS),
-                                                     min_size=4, max_size=4))
-def test_scripted_stream_matches_the_reference_loop(method, kinds):
+def _gapped_instance():
+    """The demo instance with each withheld span followed by one more sentence.
+
+    Its early state's sections 2 and 3 have sentence ids with a gap, which
+    a parse of their text does not give back (it numbers from 1 on).
+    """
+    full = demo.demo_full_state()
+    doc = full.document
+    for section in doc.sections[1:]:
+        doc = doc.replace_section(make_section(
+            section.id, section.title, section.body_text() + " A closing sentence stays here."))
+    instance = build_instance("gapped", full.with_document(doc), demo.demo_late_papers(),
+                              demo.demo_span_annotations(), demo.demo_out_of_scope_papers())
+    ids = [int(s.id.rsplit(":", 1)[1]) for s in instance.early_state.document.sections[1].sentences]
+    assert ids != list(range(1, len(ids) + 1))
+    return instance
+
+
+_INSTANCES = {"demo": demo.demo_instance, "gapped": _gapped_instance}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([ONE_STEP, ORACLE]), st.sampled_from(sorted(_INSTANCES)),
+       st.sampled_from(["tight", "canonical"]),
+       st.lists(st.sampled_from(REPLY_KINDS + REVISION_KINDS), min_size=4, max_size=4))
+def test_scripted_stream_matches_the_reference_loop(method, name, layout, kinds):
+    instance = _INSTANCES[name]()
+    _assert_same_stream(
+        run_method(method, instance, _scripted(instance, method, kinds, layout)),
+        _reference_stream(method, instance, _scripted(instance, method, kinds, layout)))
+
+
+def _outcome(parse):
+    """A parse's document, field by field with each value's type, or its error."""
+    try:
+        doc = parse()
+    except (ParseFailure, DocumentParseError, DocumentIntegrityError) as exc:
+        return type(exc), str(exc)
+    if doc is None:
+        return None
+    return (serialize_document(doc),
+            [(s.id, s.title, s.non_maintained, [(x.id, x.text) for x in s.sentences])
+             for s in doc.sections],
+            [(type(r.key), type(r.number), [(k, type(v), v) for k, v in r.bib.items()])
+             for r in doc.references],
+            doc)
+
+
+# Kinds whose canonical reply the revision parse reads without the full parse.
+_REVISED_KINDS = ("unchanged", "one", "two", "row", "bib", "reorder", "renumber", "flag", "blank")
+
+
+def _check_revision_parse(name, layout, kinds):
+    previous = _INSTANCES[name]().early_state.document
+    for kind, text in zip(kinds, _replies(previous, kinds, layout)):
+        serialize_document(previous)  # as a step does: the prompt holds its input
+        want = _outcome(lambda: document_from_dict(extract_json_value(text)))
+        revised = _outcome(lambda: revise_document(text, previous))
+        assert revised is None or revised == want
+        if layout == "canonical" and kind in _REVISED_KINDS:
+            assert revised is not None
+        assert _outcome(lambda: document_from_dict(extract_json_value(text), previous)) == want
+        if type(want[0]) is str:
+            previous = want[-1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_INSTANCES)), st.sampled_from(["tight", "canonical"]),
+       st.lists(st.sampled_from(REPLY_KINDS + REVISION_KINDS), min_size=1, max_size=8))
+def test_revision_parse_matches_the_full_parse(name, layout, kinds):
+    _check_revision_parse(name, layout, kinds)
+
+
+@pytest.mark.parametrize("name", sorted(_INSTANCES))
+@pytest.mark.parametrize("kinds", [
+    ("bib", "bib", "bib", "bib"),
+    ("bib", "reorder", "reorder", "bib"),
+    ("flag", "flag", "renumber", "renumber"),
+    ("blank", "gap", "junk", "dupe", "one"),
+    ("keys", "indent", "ascii", "unchanged"),
+])
+def test_revision_parse_matches_the_full_parse_on_pinned_streams(name, kinds):
+    _check_revision_parse(name, "canonical", kinds)
+
+
+def test_a_truncated_whole_document_reply_fails_closed():
+    # A truncated survey holds complete entries after its first "{": a
+    # retry at the next bracket would read one of them as an empty survey.
+    # The step must keep its input and name the truncation.
     instance = demo.demo_instance()
-    _assert_same_stream(run_method(method, instance, _scripted(instance, method, kinds)),
-                        _reference_stream(method, instance, _scripted(instance, method, kinds)))
+    kinds = ("truncated", "one", "truncated", "unchanged")
+    results = run_method(ONE_STEP, instance, _scripted(instance, ONE_STEP, kinds, "canonical"))
+    assert [r.error for r in results] == [
+        "JSON payload is not balanced; close all brackets", None,
+        "JSON payload is not balanced; close all brackets", None]
+    for result in (results[0], results[2]):
+        assert result.after is result.before and not result.abstained
+
+
+def test_canonical_replies_skip_the_full_parse(monkeypatch):
+    calls = []
+    for name in ("extract_json_value", "document_from_dict"):
+        plain = getattr(benchmark, name)
+        monkeypatch.setattr(benchmark, name,
+                            lambda *args, plain=plain, name=name: calls.append(name) or plain(*args))
+    instance = _gapped_instance()
+    kinds = ("unchanged", "bib", "truncated", "one")
+    results = run_method(ONE_STEP, instance, _scripted(instance, ONE_STEP, kinds, "canonical"))
+    assert [r.error is None for r in results] == [True, True, False, True]
+    assert calls == ["extract_json_value"]
+    # The first reply leaves every section as it was, yet the parse gives
+    # the gapped sections dense ids, as the full parse does.
+    before, after = results[0].before, results[0].after
+    assert after.sections[0] is before.sections[0]
+    assert after.sections[1] != before.sections[1]
+    assert after.sections[1].body_text() == before.sections[1].body_text()
 
 
 @pytest.mark.parametrize("kinds", [

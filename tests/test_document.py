@@ -35,6 +35,7 @@ from dynsurvey.document import (
     validate_state,
 )
 from dynsurvey.errors import DocumentIntegrityError, DocumentParseError
+from dynsurvey.parsing import ParseFailure, extract_json_value
 
 
 def _minimal_doc_dict():
@@ -573,3 +574,69 @@ def test_validate_state_accepts_non_maintained_section(full_state):
         {"id": "9", "title": "Appendix", "text": "Legacy text.", "non_maintained": True})
     doc = parse_document(json.dumps(data))
     validate_state(full_state.with_document(doc))
+
+
+# A reference whose entry does not read back as itself: a bool number,
+# a non-string bib key, a float or nested bib value.
+_ODD_REFERENCES = st.builds(
+    Reference, key=_TEXT, number=st.one_of(st.integers(1, 3), st.booleans()),
+    bib=st.dictionaries(st.one_of(_TEXT, st.integers()),
+                        st.one_of(st.sampled_from([1, True, "1", None, 1.5, -0.0]),
+                                  st.lists(st.integers(), max_size=2)), max_size=2))
+_REVISION_SECTIONS = st.one_of(
+    st.builds(make_section, section_id=st.sampled_from(["1", "2", "3"]),
+              title=st.sampled_from(["", "T"]),
+              text=st.text(alphabet=st.sampled_from("ab .!?\n "), max_size=30),
+              non_maintained=st.booleans()),
+    _SECTIONS)
+
+
+def _retyped(value):
+    return bool(value) if type(value) is int else int(value) if type(value) is bool else value
+
+
+def _reference_variants(reference: Reference) -> list[Reference]:
+    return [Reference(reference.key, reference.number, dict(reversed(reference.bib.items()))),
+            Reference(reference.key, reference.number,
+                      {k: _retyped(v) for k, v in reference.bib.items()}),
+            Reference(reference.key, _retyped(reference.number), reference.bib)]
+
+
+def _parse_outcome(parse):
+    """A parse's document, field by field with each value's type, or its error."""
+    try:
+        doc = parse()
+    except (ParseFailure, DocumentParseError, DocumentIntegrityError) as exc:
+        return type(exc), str(exc)
+    if doc is None:
+        return None
+    return (serialize_document(doc), doc, [s.sentences for s in doc.sections],
+            [(type(r.key), type(r.number), [(type(k), k, type(v), v) for k, v in r.bib.items()])
+             for r in doc.references])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_REVISION_SECTIONS, max_size=3), st.lists(
+    st.one_of(_ODD_REFERENCES, st.builds(make_reference, key=_TEXT, number=st.integers(1, 3),
+                                         bib=st.dictionaries(_TEXT, _CELLS, max_size=2))),
+    max_size=3), st.data())
+def test_revision_parse_of_a_canonical_text_matches_the_full_parse(sections, references, data):
+    previous = SurveyDocument({"title": "T"}, tuple(sections), (), tuple(references))
+    serialize_document(previous)  # every entry of the previous document rendered
+    # The reply keeps each entry of the previous document, or puts there
+    # another one or the same one with its bib keys reversed, a value or
+    # the number retyped (1, True).
+    revised = SurveyDocument(
+        {"title": "T"},
+        tuple(data.draw(st.sampled_from([s, *data.draw(st.lists(_REVISION_SECTIONS, max_size=1))]))
+              for s in sections),
+        (), tuple(data.draw(st.sampled_from([r, *_reference_variants(r),
+                                             *data.draw(st.lists(_ODD_REFERENCES, max_size=1))]))
+                  for r in references))
+    text = serialize_document(revised)
+    want = _parse_outcome(lambda: document_from_dict(extract_json_value(text)))
+    assert _parse_outcome(lambda: document_from_dict(extract_json_value(text), previous)) == want
+    got = _parse_outcome(lambda: document.revise_document(text, previous))
+    assert got is None or got == want
+    if type(want[0]) is str:
+        assert got is not None

@@ -13,9 +13,12 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynsurvey import demo, parsing
+from dynsurvey.document import serialize_document
 from dynsurvey.parsing import ParseFailure, extract_json_value
 
 # --- reference implementation -----------------------------------------------
@@ -166,3 +169,59 @@ def test_dumped_value_round_trips_through_prose_and_fences(
     if fenced:
         payload = f"```json\n{payload}\n```"
     assert extract_json_value(before + reasoning + payload + after) == value
+
+
+# --- the string pattern of the repair scans ---------------------------------------
+#
+# The repair scans once used the plain alternation for a string literal;
+# they now use its unrolled form. Both must give the same ``sub`` output
+# and the same ``findall`` tokens on any text.
+
+_OLD_STRING = r'"(?:[^"\\]|\\.)*"'
+_OLD_STRING_OR_TRAILING_COMMA = re.compile(rf"({_OLD_STRING})|,(?=\s*[}}\]])", re.DOTALL)
+_OLD_STRING_OR_BRACKET = re.compile(rf'{_OLD_STRING}|["{{}}\[\]]', re.DOTALL)
+
+_STRING_SOUP = st.lists(st.sampled_from(
+    ('"', "\\", '\\"', "\\\\", '"abc', 'x"', "\n", "\r\n", "\t", " ", ",", "}", "]", "{", "[",
+     ":", "a", "é", "\u2028", "\\u00e9", "\\n", "\\\n", '"\\\r', '\\"\n')), max_size=60).map("".join)
+
+
+@st.composite
+def _truncated_survey(draw):
+    text = serialize_document(demo.demo_full_document())
+    return text[:draw(st.integers(0, len(text)))] + draw(st.sampled_from(["", "\\", '"', ",\n"]))
+
+
+def _same_scans(text):
+    assert parsing._STRING_OR_TRAILING_COMMA.sub(r"\1", text) == \
+        _OLD_STRING_OR_TRAILING_COMMA.sub(r"\1", text)
+    assert parsing._STRING_OR_BRACKET.findall(text) == _OLD_STRING_OR_BRACKET.findall(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_STRING_SOUP | _token_soup | _near_json())
+def test_unrolled_string_pattern_scans_as_the_plain_one(text):
+    _same_scans(text)
+    _same_scans(text + "\\")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_truncated_survey())
+def test_unrolled_string_pattern_scans_a_truncated_survey_as_the_plain_one(text):
+    _same_scans(text)
+
+
+@pytest.mark.parametrize("text, hint", [
+    ('{"sections": [{"id": "1", "text": "A cat', "JSON payload is not balanced; close all brackets"),
+    ('{"a": [1, 2}', "JSON payload is not balanced; close all brackets"),
+    ('{"a": [1, 2,], "b": tru,}', "JSON payload failed to parse: Expecting value"),
+])
+def test_repair_hints_are_pinned(text, hint):
+    with pytest.raises(ParseFailure) as failure:
+        extract_json_value(text)
+    assert failure.value.hint == hint
+
+
+def test_a_trailing_comma_reply_is_repaired():
+    assert extract_json_value('Sure: {"a": [1, 2,], "b": {"c": "x,]\\\\", "d": "\\",}"},}') == \
+        {"a": [1, 2], "b": {"c": "x,]\\", "d": '",}'}}
