@@ -12,10 +12,17 @@ working tree and from an export of ``REV``:
   ``benchmark --methods one_step,oracle`` on ``retro_baselines``,
   comparing ``report.csv`` and ``report.txt``.
 
+On ``retro_baselines`` it also compares one digest line per baseline step,
+written by a small in-process run of ``benchmark.run_method`` under each
+tree's ``PYTHONPATH``. A line holds the hash of
+``serialize_document(after)``, every section's sentence ids, the inserted
+sentence ids and the error, so a changed sentence id shows even where the
+aggregate reports hide it.
+
 ``REV`` is exported with ``git archive`` into a temporary directory, so an
 interrupted run leaves nothing registered in the repository. Prints one
-line per compared file and exits 1 if any file differs or a command
-fails.
+line per compared file (and per digest file) and exits 1 if any differs or
+a command fails.
 
 Usage:
     python3 scripts/check_outputs.py --against HEAD~1 --seeds 1 2
@@ -40,6 +47,31 @@ RUNS = (
      ("report.csv", "report.txt")),
 )
 CLI = "import sys; from dynsurvey.cli import main; sys.exit(main(sys.argv[1:]))"
+# Prints one line per baseline step of every benchmark instance in the
+# config named by argv[1]. It uses only calls that every revision since
+# the baselines existed has.
+STEP_DIGESTS = """
+import hashlib, sys
+from dynsurvey.benchmark import ONE_STEP, ORACLE, build_instance, load_span_annotations, run_method
+from dynsurvey.config import load_config, make_generator
+from dynsurvey.corpus import ingest_feed
+from dynsurvey.document import SurveyState, load_document, load_outline, serialize_document
+from dynsurvey.engine import make_step_clock
+
+config = load_config(sys.argv[1])
+generator = make_generator(config)
+for spec in config.instances:
+    state = SurveyState(document=load_document(spec.survey), outline=load_outline(spec.outline))
+    instance = build_instance(
+        spec.name, state, ingest_feed(spec.late_feed, config.candidate_filter),
+        load_span_annotations(spec.spans), ingest_feed(spec.oos_feed, config.candidate_filter))
+    for method in (ONE_STEP, ORACLE):
+        for step, result in enumerate(run_method(method, instance, generator, make_step_clock())):
+            text = serialize_document(result.after).encode("utf-8")
+            ids = [section.sentence_ids() for section in result.after.sections]
+            print(spec.name, method, step, result.paper_id, hashlib.sha256(text).hexdigest(),
+                  ids, [sentence.id for sentence in result.inserted], repr(result.error))
+"""
 
 
 def export(rev: str, out: Path) -> None:
@@ -55,6 +87,13 @@ def run_cli(tree: Path, workspace: Path, out: Path, args: list[str]) -> None:
     subprocess.run([sys.executable, "-c", CLI, "--config", str(workspace / "config.json"),
                     "--out", str(out), *args],
                    check=True, env=env, cwd=workspace, capture_output=True, text=True)
+
+
+def step_digests(tree: Path, workspace: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run([sys.executable, "-c", STEP_DIGESTS, str(workspace / "config.json")],
+                          check=True, env=env, cwd=workspace, capture_output=True,
+                          text=True).stdout
 
 
 def check(rev: str, seeds: list[int], scratch: Path) -> int:
@@ -75,6 +114,14 @@ def check(rev: str, seeds: list[int], scratch: Path) -> int:
                 same = (outs["tree"] / name).read_bytes() == (outs["rev"] / name).read_bytes()
                 different += not same
                 print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {workload}/{name}")
+            if workload == "retro_baselines":
+                digests = {label: step_digests(tree, workspace)
+                           for label, tree in (("tree", ROOT), ("rev", base))}
+                same = digests["tree"] == digests["rev"] and digests["tree"] != ""
+                different += not same
+                steps = len(digests["tree"].splitlines())
+                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {workload}/"
+                      f"step digests ({steps} steps)")
     return different
 
 
