@@ -256,6 +256,9 @@ def _baseline_step(
     error = None
     try:
         raw = generator.generate(GenerationRequest(method, paper.id, 0, prompt))
+        # A reply in the canonical layout is decoded only where it
+        # changed; any other goes through the full parse, which raises
+        # the error of a reply neither accepts.
         new_doc = revise_document(raw, doc) or document_from_dict(extract_json_value(raw), doc)
     except (AgentError, ParseFailure, DocumentParseError, DocumentIntegrityError) as exc:
         # Fail closed: a failed call or an unparseable full-document

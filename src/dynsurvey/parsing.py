@@ -71,7 +71,15 @@ def extract_json_value(text: str):
     """Decode the first JSON object or array of an agent response.
 
     Text around the value is never read. Only when the value fails to
-    decode are its trailing commas dropped and the decode tried again.
+    decode are its trailing commas dropped and the decode tried again;
+    if that fails too, a value whose brackets do not close (a reply cut
+    off at the model's output limit) is reported as not balanced. The
+    repair and the bracket count each scan the text once, in time linear
+    in its length. Only the first ``{`` or ``[`` is tried, so a truncated
+    whole-document reply fails here rather than decoding some entry
+    after it. A baseline step reads a reply in the canonical document
+    layout with ``document.revise_document`` and calls this only for any
+    other reply.
     """
     start = json_value_start(text)
     if start is None:
