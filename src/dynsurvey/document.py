@@ -518,10 +518,12 @@ def _same_reference(raw: dict, reference: Reference) -> bool:
 
 def _reparses(reference: Reference) -> bool:
     """Whether ``_same_reference`` holds for the reference's own entry, decoded."""
-    bib = reference.bib
-    return (type(reference.key) is str and type(reference.number) is int
-            and all(type(key) is str for key in bib)
-            and _SHARED_VALUE_TYPES.issuperset(map(type, bib.values())))
+    if type(reference.key) is not str or type(reference.number) is not int:
+        return False
+    for key, value in reference.bib.items():
+        if type(key) is not str or type(value) not in _SHARED_VALUE_TYPES:
+            return False
+    return True
 
 
 def _section_from_dict(raw: dict) -> Section:
@@ -619,10 +621,10 @@ def _revised_entries(text: str, pos: int, known: Sequence, reparses: Callable[..
     entries: list = []
     while True:
         old = known[len(entries)] if len(entries) < len(known) else None
-        if old is not None and old._json is not None and text.startswith(old._json, pos) \
-                and reparses(old):
+        kept = old._json if old is not None else None
+        if kept is not None and text.startswith(kept, pos) and reparses(old):
             entries.append(old)
-            pos += len(old._json)
+            pos += len(kept)
         else:
             raw, pos = _DECODER.raw_decode(text, _after(text, pos, "    "))
             entries.append(read(jsonio.check(raw, dict, DocumentParseError, "entry"), old))
