@@ -146,6 +146,9 @@ class SurveyTable:
     _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
     # Set once ``validate_document`` has found every row valid and frozen.
     _rows_checked: bool = field(default=False, init=False, repr=False, compare=False)
+    # Whether reading the table's entry (``_json``) builds an equal table
+    # with the same entry, once ``_table_reparses`` has found out.
+    _reparses: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def check_row(self, row: Mapping[str, object]) -> list[str]:
         """Return all schema violations of a candidate row."""
@@ -550,9 +553,24 @@ def _reference_from_dict(raw: dict, known: Reference | None) -> Reference:
     )
 
 
-def _tables_from_dict(data: dict) -> list[SurveyTable]:
-    return [_table_from_dict(raw) for raw in
-            jsonio.array(data, "tables", dict, DocumentParseError, "survey document", ())]
+def _table_reparses(table: SurveyTable) -> bool:
+    """Whether reading the table's own entry builds an equal table with the same entry.
+
+    Found by reading the entry once per table object, as
+    ``document_from_dict`` reads it, and kept. A table's schema and rows
+    have many ways not to come back as they were (a column's ``values``
+    outside a categorical column are not written, rows that are not in
+    schema order are put in it), so the read itself is the test.
+    """
+    if table._reparses is None:
+        try:
+            read = _table_from_dict(jsonio.check(json.loads(table._json), dict,
+                                                 DocumentParseError, "table"))
+            same = read == table and _render_tables([read]) == [table._json]
+        except (ValueError, DocumentParseError):
+            same = False
+        object.__setattr__(table, "_reparses", same)
+    return table._reparses
 
 
 def document_from_dict(data: dict, previous: SurveyDocument | None = None) -> SurveyDocument:
@@ -572,7 +590,8 @@ def document_from_dict(data: dict, previous: SurveyDocument | None = None) -> Su
     data = jsonio.check(data, dict, DocumentParseError, "survey document")
     sections = [_section_from_dict(raw) for raw in
                 jsonio.array(data, "sections", dict, DocumentParseError, "survey document", ())]
-    tables = _tables_from_dict(data)
+    tables = [_table_from_dict(raw) for raw in
+              jsonio.array(data, "tables", dict, DocumentParseError, "survey document", ())]
     known = previous.references if previous is not None else ()
     references = [
         _reference_from_dict(raw, known[index] if index < len(known) else None)
@@ -608,7 +627,7 @@ def _after(text: str, pos: int, literal: str) -> int:
 
 def _revised_entries(text: str, pos: int, known: Sequence, reparses: Callable[..., bool],
                      read: Callable) -> tuple[list, int]:
-    """The sections or references list standing at ``pos``, and the position after it.
+    """The sections, tables or references list standing at ``pos``, and the position after it.
 
     Entry ``i`` is ``known[i]`` when its kept entry (``_json``) stands
     there byte for byte and ``reparses(known[i])`` says that reading its
@@ -637,16 +656,17 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
     """``document_from_dict(extract_json_value(text), previous)``, decoding only what changed.
 
     For a reply that holds a document in the layout ``serialize_document``
-    writes. A section or reference entry that stands byte for byte where
-    ``previous`` keeps it (``_json``) is that object, provided reading the
-    entry gives it back: for a section, when ``make_section`` built it;
-    for a reference, when ``_reparses`` holds. The other entries, the
-    metadata and the tables are decoded and read as
-    ``document_from_dict`` reads them. Any other layout or whitespace,
-    and any reply the full parse rejects, gives None; the caller then
-    runs the full parse, which raises its own error. The layout fixes
-    the four keys and their order, so no key repeats, and every byte
-    outside the kept entries goes through ``json``'s decoder.
+    writes. A section, table or reference entry that stands byte for byte
+    where ``previous`` keeps it (``_json``) is that object, provided
+    reading the entry gives it back: for a section, when ``make_section``
+    built it; for a reference, when ``_reparses`` holds; for a table, when
+    ``_table_reparses`` found so. The other entries and the metadata are
+    decoded and read as ``document_from_dict`` reads them. Any other
+    layout or whitespace, and any reply the full parse rejects, gives
+    None; the caller then runs the full parse, which raises its own
+    error. The layout fixes the four keys and their order, so no key
+    repeats, and every byte outside the kept entries goes through
+    ``json``'s decoder.
     """
     start = json_value_start(text)
     if start is None:
@@ -656,13 +676,14 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
         sections, pos = _revised_entries(
             text, _after(text, pos, ',\n  "sections": '), previous.sections,
             lambda section: section._segmented, lambda raw, _: _section_from_dict(raw))
-        tables, pos = _DECODER.raw_decode(text, _after(text, pos, ',\n  "tables": '))
+        tables, pos = _revised_entries(
+            text, _after(text, pos, ',\n  "tables": '), previous.tables,
+            _table_reparses, lambda raw, _: _table_from_dict(raw))
         references, pos = _revised_entries(
             text, _after(text, pos, ',\n  "references": '), previous.references,
             _reparses, _reference_from_dict)
         _after(text, pos, "\n}")
-        return _document({"metadata": metadata}, sections,
-                         _tables_from_dict({"tables": tables}), references)
+        return _document({"metadata": metadata}, sections, tables, references)
     except (_OffLayout, json.JSONDecodeError, DocumentParseError, DocumentIntegrityError):
         return None
 

@@ -621,16 +621,19 @@ def _parse_outcome(parse):
                                          bib=st.dictionaries(_TEXT, _CELLS, max_size=2))),
     max_size=3), st.data())
 def test_revision_parse_of_a_canonical_text_matches_the_full_parse(sections, references, data):
-    previous = SurveyDocument({"title": "T"}, tuple(sections), (), tuple(references))
+    tables = data.draw(st.lists(_TABLES, max_size=2))
+    previous = SurveyDocument({"title": "T"}, tuple(sections), tuple(tables), tuple(references))
     serialize_document(previous)  # every entry of the previous document rendered
     # The reply keeps each entry of the previous document, or puts there
-    # another one or the same one with its bib keys reversed, a value or
-    # the number retyped (1, True).
+    # another one, or for a reference the same one with its bib keys
+    # reversed, a value or the number retyped (1, True).
     revised = SurveyDocument(
         {"title": "T"},
         tuple(data.draw(st.sampled_from([s, *data.draw(st.lists(_REVISION_SECTIONS, max_size=1))]))
               for s in sections),
-        (), tuple(data.draw(st.sampled_from([r, *_reference_variants(r),
+        tuple(data.draw(st.sampled_from([t, *data.draw(st.lists(_TABLES, max_size=1))]))
+              for t in tables),
+        tuple(data.draw(st.sampled_from([r, *_reference_variants(r),
                                              *data.draw(st.lists(_ODD_REFERENCES, max_size=1))]))
                   for r in references))
     text = serialize_document(revised)
@@ -640,3 +643,26 @@ def test_revision_parse_of_a_canonical_text_matches_the_full_parse(sections, ref
     assert got is None or got == want
     if type(want[0]) is str:
         assert got is not None
+
+
+_COLUMNS_AB = (ColumnSpec("A"), ColumnSpec("B", "int"))
+
+
+@pytest.mark.parametrize("previous", [
+    SurveyDocument({}, (), (), (Reference("k", True, {"t": "x"}),)),
+    SurveyDocument({}, (), (), (Reference("k", 1, {1: "x"}),)),
+    SurveyDocument({}, (), (), (Reference("k", 1, {"t": float("nan")}),)),
+    SurveyDocument({}, (), (SurveyTable("t", "T", _COLUMNS_AB, ({"B": 1, "A": "x"},)),), ()),
+    SurveyDocument({}, (), (SurveyTable("t", "T", (ColumnSpec("A", values=("x",)),),
+                                        ({"A": "x"},)),), ()),
+    SurveyDocument({}, (), (SurveyTable("t", "T", (ColumnSpec("B", "int", minimum=True),),
+                                        ({"B": 1},)),), ()),
+    SurveyDocument({}, (Section("s", "S", (Sentence("s:2", "A cat."),)),), (), ()),
+], ids=["bool_number", "int_bib_key", "nan_bib_value", "rows_out_of_schema_order",
+        "text_column_values", "bool_bound", "gapped_section"])
+def test_revision_parse_decodes_an_entry_that_does_not_read_back(previous):
+    text = serialize_document(previous)
+    want = _parse_outcome(lambda: document_from_dict(extract_json_value(text)))
+    got = _parse_outcome(lambda: document.revise_document(text, previous))
+    assert got is None or got == want
+    assert _parse_outcome(lambda: document_from_dict(extract_json_value(text), previous)) == want
