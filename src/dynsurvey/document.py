@@ -519,7 +519,7 @@ def _same_reference(raw: dict, reference: Reference) -> bool:
             and types == tuple(map(type, reference.bib.values())))
 
 
-def _reparses(reference: Reference) -> bool:
+def _reference_reparses(reference: Reference) -> bool:
     """Whether ``_same_reference`` holds for the reference's own entry, decoded."""
     if type(reference.key) is not str or type(reference.number) is not int:
         return False
@@ -659,7 +659,7 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
     writes. A section, table or reference entry that stands byte for byte
     where ``previous`` keeps it (``_json``) is that object, provided
     reading the entry gives it back: for a section, when ``make_section``
-    built it; for a reference, when ``_reparses`` holds; for a table, when
+    built it; for a reference, when ``_reference_reparses`` holds; for a table, when
     ``_table_reparses`` found so. The other entries and the metadata are
     decoded and read as ``document_from_dict`` reads them. Any other
     layout or whitespace, and any reply the full parse rejects, gives
@@ -681,7 +681,7 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
             _table_reparses, lambda raw, _: _table_from_dict(raw))
         references, pos = _revised_entries(
             text, _after(text, pos, ',\n  "references": '), previous.references,
-            _reparses, _reference_from_dict)
+            _reference_reparses, _reference_from_dict)
         _after(text, pos, "\n}")
         return _document({"metadata": metadata}, sections, tables, references)
     except (_OffLayout, json.JSONDecodeError, DocumentParseError, DocumentIntegrityError):
