@@ -42,6 +42,8 @@ from dynsurvey.metrics import token_edit_script
 from dynsurvey.mock import ScriptedGeneration
 from dynsurvey.parsing import ParseFailure, extract_json_value
 
+from test_document import _parse_outcome
+
 REPLY_KINDS = ("unchanged", "one", "two", "row", "truncated", "shape")
 # Replies that edit a reference or a flag in place, or change only the
 # text's layout.
@@ -226,22 +228,6 @@ def test_scripted_stream_matches_the_reference_loop(method, name, layout, kinds)
         _reference_stream(method, instance, _scripted(instance, method, kinds, layout)))
 
 
-def _outcome(parse):
-    """A parse's document, field by field with each value's type, or its error."""
-    try:
-        doc = parse()
-    except (ParseFailure, DocumentParseError, DocumentIntegrityError) as exc:
-        return type(exc), str(exc)
-    if doc is None:
-        return None
-    return (serialize_document(doc),
-            [(s.id, s.title, s.non_maintained, [(x.id, x.text) for x in s.sentences])
-             for s in doc.sections],
-            [(type(r.key), type(r.number), [(k, type(v), v) for k, v in r.bib.items()])
-             for r in doc.references],
-            doc)
-
-
 # Kinds whose canonical reply the revision parse reads without the full parse.
 _REVISED_KINDS = ("unchanged", "one", "two", "row", "bib", "reorder", "renumber", "flag", "blank")
 
@@ -250,14 +236,15 @@ def _check_revision_parse(name, layout, kinds):
     previous = _INSTANCES[name]().early_state.document
     for kind, text in zip(kinds, _replies(previous, kinds, layout)):
         serialize_document(previous)  # as a step does: the prompt holds its input
-        want = _outcome(lambda: document_from_dict(extract_json_value(text)))
-        revised = _outcome(lambda: revise_document(text, previous))
+        want = _parse_outcome(lambda: document_from_dict(extract_json_value(text)))
+        revised = _parse_outcome(lambda: revise_document(text, previous))
         assert revised is None or revised == want
         if layout == "canonical" and kind in _REVISED_KINDS:
             assert revised is not None
-        assert _outcome(lambda: document_from_dict(extract_json_value(text), previous)) == want
+        assert _parse_outcome(
+            lambda: document_from_dict(extract_json_value(text), previous)) == want
         if type(want[0]) is str:
-            previous = want[-1]
+            previous = want[1]
 
 
 @settings(max_examples=120, deadline=None)
