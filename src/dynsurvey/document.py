@@ -79,6 +79,8 @@ class Section:
     # body text, numbered from 1, so parsing the section's entry
     # (``_json``) builds an equal section.
     _segmented: bool = field(default=False, init=False, repr=False, compare=False)
+    # ``next_sentence_counter``, once found or set by ``engine.insert_paragraph``.
+    _next_counter: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def sentence_ids(self) -> list[str]:
         return [s.id for s in self.sentences]
@@ -87,8 +89,20 @@ class Section:
         return " ".join(s.text for s in self.sentences)
 
     def next_sentence_counter(self) -> int:
+        """One more than the largest counter of the sentence ids, 1 for no sentences.
+
+        Parsed from the ids once per section whose sentences are a tuple
+        and kept; ``engine.insert_paragraph`` sets it on the section it
+        builds, so a step reads only the counters of a section it has
+        not touched before.
+        """
+        if self._next_counter is not None:
+            return self._next_counter
         counters = [int(s.id.rsplit(":", 1)[1]) for s in self.sentences]
-        return max(counters, default=0) + 1
+        counter = max(counters, default=0) + 1
+        if type(self.sentences) is tuple:
+            object.__setattr__(self, "_next_counter", counter)
+        return counter
 
 
 @dataclass(frozen=True)
@@ -180,15 +194,52 @@ class Reference:
 
 @dataclass(frozen=True)
 class SurveyDocument:
+    """A survey's content.
+
+    Two lookups keep an index on the document, built on first use:
+    section id -> position, and reference key -> position, which is the
+    reference's number, numbering being dense. ``replace_section``,
+    ``with_references`` and ``append_table_row`` hand both on to the
+    document they derive, so an update stream builds each once per
+    loaded document. The reference index is shared along a document's
+    lineage: see ``reference_positions``.
+    """
+
     metadata: dict
     sections: tuple[Section, ...]
     tables: tuple[SurveyTable, ...]
     references: tuple[Reference, ...]
+    # Section id -> position; False when two sections share an id, and
+    # the lookups then scan.
+    _section_positions: dict[str, int] | bool | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # Reference key -> position of its first reference, complete for this
+    # document's references; see ``reference_positions``.
+    _reference_positions: dict[str, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def _positions(self) -> dict[str, int] | None:
+        """The section id -> position index, or None when the ids are not unique."""
+        if self._section_positions is None:
+            positions = _index_sections(self.sections)
+            object.__setattr__(self, "_section_positions",
+                               positions if len(positions) == len(self.sections) else False)
+        return self._section_positions or None
 
     def section(self, section_id: str) -> Section:
-        for section in self.sections:
-            if section.id == section_id:
-                return section
+        """The section with ``section_id``, the first one if the ids repeat.
+
+        Found through the section index; with repeated ids, by a scan.
+        """
+        positions = self._positions()
+        if positions is not None:
+            position = positions.get(section_id)
+            if position is not None:
+                return self.sections[position]
+        else:
+            for section in self.sections:
+                if section.id == section_id:
+                    return section
         raise KeyError(f"no section {section_id!r}")
 
     def table(self, table_id: str) -> SurveyTable:
@@ -197,9 +248,39 @@ class SurveyDocument:
                 return table
         raise KeyError(f"no table {table_id!r}")
 
+    def reference_positions(self) -> dict[str, int]:
+        """Reference key -> position of the first reference with that key.
+
+        Built on first use and shared along the document's lineage, so it
+        may hold keys that documents derived from this one appended (in a
+        step that then failed, or on another branch): read it only by
+        ``known_position``'s rule, which finds such a key invisible here.
+        It is complete for this document's references.
+        """
+        if self._reference_positions is None:
+            object.__setattr__(self, "_reference_positions",
+                               index_references(self.references))
+        return self._reference_positions
+
+    def _derived(self, **changes) -> "SurveyDocument":
+        """``replace(self, **changes)`` keeping both indexes; the caller
+        keeps the section order and appends references only."""
+        doc = replace(self, **changes)
+        object.__setattr__(doc, "_section_positions", self._section_positions)
+        object.__setattr__(doc, "_reference_positions", self._reference_positions)
+        return doc
+
     def replace_section(self, new_section: Section) -> "SurveyDocument":
-        sections = tuple(new_section if s.id == new_section.id else s for s in self.sections)
-        return replace(self, sections=sections)
+        """The document with every section of ``new_section``'s id replaced by it."""
+        positions = self._positions()
+        if positions is None:
+            return self._derived(sections=tuple(
+                new_section if s.id == new_section.id else s for s in self.sections))
+        position = positions.get(new_section.id)
+        if position is None:
+            return self._derived(sections=self.sections)
+        return self._derived(sections=(*self.sections[:position], new_section,
+                                       *self.sections[position + 1:]))
 
     def append_table_row(self, table_id: str, row: dict) -> "SurveyDocument":
         table = self.table(table_id)
@@ -210,10 +291,73 @@ class SurveyDocument:
         # log stores rows with sorted keys, and replay must give the same bytes.
         new_table = replace(table, rows=table.rows + (_frozen_row(row, table.schema),))
         tables = tuple(new_table if t.id == table_id else t for t in self.tables)
-        return replace(self, tables=tables)
+        return self._derived(tables=tables)
 
     def with_references(self, references: tuple[Reference, ...]) -> "SurveyDocument":
-        return replace(self, references=references)
+        """The document with ``references``.
+
+        When they extend this document's references, the reference index
+        goes on to the result with the appended keys added; otherwise the
+        result builds its own.
+        """
+        doc = self._derived(references=references)
+        positions = self._reference_positions
+        if positions is not None and references is not self.references:
+            positions = _extended_positions(positions, self.references, references)
+            object.__setattr__(doc, "_reference_positions", positions)
+        return doc
+
+
+def _index_sections(sections: Sequence[Section]) -> dict[str, int]:
+    """Section id -> position; shorter than ``sections`` when an id repeats."""
+    return {section.id: position for position, section in enumerate(sections)}
+
+
+def index_references(references: Sequence[Reference]) -> dict[str, int]:
+    """Reference key -> position (from 1) of its first reference."""
+    positions: dict[str, int] = {}
+    for position, reference in enumerate(references, start=1):
+        positions.setdefault(reference.key, position)
+    return positions
+
+
+def known_position(positions: Mapping[str, int], references: Sequence[Reference],
+                   count: int, key: str) -> int | None:
+    """The position of ``key``'s first reference among ``references[:count]``.
+
+    ``positions`` must be complete for those references: each of their
+    keys maps to the position of its first reference. It may hold other
+    keys and positions too, so a position counts only when it is at most
+    ``count`` and the reference there has ``key``.
+    """
+    position = positions.get(key)
+    if position is not None and position <= count and references[position - 1].key == key:
+        return position
+    return None
+
+
+def _extended_positions(positions: dict[str, int], before: tuple[Reference, ...],
+                        after: tuple[Reference, ...]) -> dict[str, int] | None:
+    """``positions``, complete for ``before``, made complete for ``after``.
+
+    None when ``after`` does not extend ``before``. An appended key the
+    index lacks is added in place: no document that shares the index
+    holds that key, so none can read the new entry. A key whose entry
+    would change (one appended by a step that failed, or on another
+    branch, at another position) is written to a copy, which the other
+    documents never see.
+    """
+    count = len(before)
+    if len(after) < count or after[:count] != before:
+        return None
+    for position in range(count + 1, len(after) + 1):
+        key = after[position - 1].key
+        if key not in positions:
+            positions[key] = position
+        elif known_position(positions, after, position, key) is None:
+            positions = dict(positions)
+            positions[key] = position
+    return positions
 
 
 @dataclass(frozen=True)
@@ -241,6 +385,12 @@ class StructuredOutline:
     table_entries: tuple[TableEntry, ...]
     scope: SurveyScope | None = None
     approved: bool = False
+    # The section routing prompt's section list and the set of section
+    # ids it accepts, once ``agents.run_section_routing`` has built them;
+    # fields for the reason given on ``Section._json``.
+    _section_list: str | None = field(default=None, init=False, repr=False, compare=False)
+    _section_id_set: frozenset[str] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def section_ids(self) -> list[str]:
         return [e.id for e in self.section_entries]
@@ -315,6 +465,7 @@ def validate_additions(
     inserted_ids: Sequence[str],
     references: Sequence[Reference],
     appended_from: int,
+    positions: Mapping[str, int] | None = None,
 ) -> None:
     """Check what one additive step added to a valid document; raise on violation.
 
@@ -327,6 +478,12 @@ def validate_additions(
     its row). When the document before the step passed
     ``validate_document``, this raises exactly when ``validate_document``
     would raise on the result.
+
+    ``positions`` is the reference index of the document before the step
+    (``SurveyDocument.reference_positions``), read by ``known_position``'s
+    rule to tell whether an appended key was used before, so the earlier
+    references are not read. Without it, one is built from
+    ``references[:appended_from]``.
     """
     if inserted_ids:
         wanted = set(inserted_ids)
@@ -341,15 +498,18 @@ def validate_additions(
                     raise DocumentIntegrityError(
                         f"empty sentence {sentence.id!r} in section {section.id!r}")
     if appended_from < len(references):
-        keys = {r.key for r in references[:appended_from]}
+        if positions is None:
+            positions = index_references(references[:appended_from])
+        appended: set[str] = set()
         for number, reference in enumerate(references[appended_from:], start=appended_from + 1):
             if reference.number != number:
                 raise DocumentIntegrityError(
                     f"appended reference {reference.key!r} has number {reference.number}, "
                     f"expected {number} for dense 1..n")
-            if reference.key in keys:
+            if reference.key in appended or known_position(
+                    positions, references, appended_from, reference.key) is not None:
                 raise DocumentIntegrityError(f"duplicate reference keys: {reference.key!r}")
-            keys.add(reference.key)
+            appended.add(reference.key)
 
 
 def validate_state(state: SurveyState) -> None:
@@ -892,7 +1052,8 @@ def outline_fingerprint(outline: StructuredOutline) -> str:
 __all__ = [
     "COLUMN_KINDS", "ColumnSpec", "Reference", "Section", "SectionEntry", "Sentence",
     "StructuredOutline", "SurveyDocument", "SurveyState", "SurveyTable", "TableEntry",
-    "document_from_dict", "document_to_dict", "load_document", "load_outline",
+    "document_from_dict", "document_to_dict", "index_references", "known_position",
+    "load_document", "load_outline",
     "make_reference", "make_section", "make_table", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
     "parse_outline", "revise_document", "save_document", "save_outline", "serialize_document",

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import jsonio
 from .agents import (
@@ -42,6 +42,8 @@ from .document import (
     Sentence,
     SurveyDocument,
     SurveyState,
+    index_references,
+    known_position,
     serialize_document,
     validate_additions,
     validate_document,
@@ -132,6 +134,7 @@ def insert_paragraph(
     new_section = Section(
         id=section.id, title=section.title, sentences=sentences,
         non_maintained=section.non_maintained)
+    object.__setattr__(new_section, "_next_counter", counter + len(texts))
     return new_section, tuple(s.id for s in inserted)
 
 
@@ -139,6 +142,7 @@ def resolve_citations(
     draft: str,
     bib: dict,
     references: tuple[Reference, ...],
+    positions: Mapping[str, int] | None = None,
 ) -> tuple[str, tuple[Reference, ...], tuple[str, ...]]:
     """Replace a draft's ``[cite]`` placeholders with the number of its paper.
 
@@ -149,6 +153,11 @@ def resolve_citations(
     (``validate_document`` checks it on load, ``validate_additions`` at
     every step), so that is the next number. Returns the final text, the
     reference list and the cited key once per placeholder.
+
+    The key is looked up in ``positions``, the reference index of the
+    document that holds ``references``
+    (``SurveyDocument.reference_positions``), by ``known_position``'s
+    rule, so the references are not scanned. Without it, one is built.
     """
     count = draft.count(CITE_PLACEHOLDER)
     if count == 0:
@@ -156,8 +165,12 @@ def resolve_citations(
     if not bib:
         raise CitationError("draft contains a [cite] placeholder but no bib entry was provided")
     key = bib_key(bib)
-    number = next((r.number for r in references if r.key == key), None)
-    if number is None:
+    if positions is None:
+        positions = index_references(references)
+    position = known_position(positions, references, len(references), key)
+    if position is not None:
+        number = references[position - 1].number
+    else:
         number = len(references) + 1
         fields = {k: v for k, v in bib.items() if k != "key"}
         references = (*references, Reference(key=key, number=number, bib=fields))
@@ -174,11 +187,12 @@ def _merge(
     routed_table: str | None,
 ) -> tuple[SurveyDocument, tuple[str, ...], tuple[str, ...]]:
     """Deterministic merge of synthesis outputs into a new document."""
+    positions = doc.reference_positions()
     resolved_text, references, resolved_keys = resolve_citations(
-        draft, paper.bib, doc.references)
+        draft, paper.bib, doc.references, positions)
     section = doc.section(routed_section)
     new_section, inserted_ids = insert_paragraph(section, insertion, resolved_text)
-    validate_additions(new_section, inserted_ids, references, len(doc.references))
+    validate_additions(new_section, inserted_ids, references, len(doc.references), positions)
     new_doc = doc.replace_section(new_section).with_references(references)
     if row is not None and routed_table is not None:
         new_doc = new_doc.append_table_row(routed_table, row)
@@ -274,14 +288,16 @@ def replay_update(
         raise DocumentIntegrityError(
             f"audit record of {record.paper_id} is 'updated' but names no routed section")
     doc = state.document
-    if record.routed_section not in [s.id for s in doc.sections]:
-        raise DocumentIntegrityError(
-            f"audit record of {record.paper_id} routes to section "
-            f"{record.routed_section!r}, which the survey does not have")
-    if record.routed_table is not None and record.routed_table not in [t.id for t in doc.tables]:
-        raise DocumentIntegrityError(
-            f"audit record of {record.paper_id} routes to table "
-            f"{record.routed_table!r}, which the survey does not have")
+    for kind, lookup, target in (("section", doc.section, record.routed_section),
+                                 ("table", doc.table, record.routed_table)):
+        if target is None:
+            continue
+        try:
+            lookup(target)
+        except KeyError:
+            raise DocumentIntegrityError(
+                f"audit record of {record.paper_id} routes to {kind} {target!r}, "
+                f"which the survey does not have") from None
     new_doc, inserted_ids, _ = _merge(
         doc, paper, record.routed_section,
         record.insertion_sentence_id or APPEND, record.draft_text,
