@@ -36,10 +36,10 @@ from .errors import (
 )
 from .parsing import (
     ParseFailure,
-    extract_json_value,
     extract_single_paragraph,
     extract_true_false,
     extract_yes_no,
+    interpret_json_value,
     parse_headed_summary,
     strip_reasoning,
 )
@@ -134,8 +134,7 @@ def run_outline_agent(
         survey_text=_survey_body_text(doc, allowed_sections, allowed_tables),
     )
 
-    def interpret(raw: str) -> StructuredOutline:
-        data = extract_json_value(raw)
+    def interpret(data: object) -> StructuredOutline:
         if not isinstance(data, dict):
             raise ParseFailure("output must be a JSON object with sections and tables arrays")
         try:
@@ -173,7 +172,8 @@ def run_outline_agent(
             approved=False,
         )
 
-    return _call(generator, "outline", "survey", prompt, interpret, SchemaViolationError)
+    return _call(generator, "outline", "survey", prompt,
+                 lambda raw: interpret_json_value(raw, interpret), SchemaViolationError)
 
 
 def approve_outline(outline: StructuredOutline) -> StructuredOutline:
@@ -285,8 +285,7 @@ def run_section_routing(
         paper_summary=summary.as_text(),
     )
 
-    def interpret(raw: str) -> tuple[str, str, str]:
-        data = extract_json_value(raw)
+    def interpret(data: object) -> tuple[str, str, str]:
         if not isinstance(data, list):
             raise ParseFailure("return a JSON array of exactly 3 section IDs")
         ids = [str(x) for x in data]
@@ -300,7 +299,7 @@ def run_section_routing(
         return (ids[0], ids[1], ids[2])
 
     ranked = _call(generator, "section_routing", summary.source_paper_id, prompt,
-                   interpret, RoutingError)
+                   lambda raw: interpret_json_value(raw, interpret), RoutingError)
 
     top_section = doc.section(ranked[0])
     numbered = "\n".join(f"{s.id}: {s.text}" for s in top_section.sentences)
@@ -401,8 +400,7 @@ def run_table_synthesis(
         paper_summary=summary.as_text(),
     )
 
-    def interpret(raw: str) -> dict:
-        data = extract_json_value(raw)
+    def interpret(data: object) -> dict:
         if not isinstance(data, dict):
             raise ParseFailure("output must be a single JSON object")
         row = dict(data)
@@ -419,4 +417,5 @@ def run_table_synthesis(
         return row
 
     return _call(generator, "table_synthesis", f"{summary.source_paper_id}:{table.id}",
-                 prompt, interpret, TableSynthesisError)
+                 prompt, lambda raw: interpret_json_value(raw, interpret),
+                 TableSynthesisError)

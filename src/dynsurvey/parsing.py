@@ -2,7 +2,8 @@
 
 Accepted irregularities: prose, markdown code fences and ``<think>``
 reasoning blocks around a JSON payload, which are skipped, not stripped,
-and trailing commas outside string literals. String contents are never
+and trailing commas outside string literals. An agent reply may also
+hold brackets in the prose before its payload. String contents are never
 altered. Anything else is rejected with a correction hint that the
 retry machinery feeds back into the prompt.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from typing import Callable, TypeVar
 
 
 class ParseFailure(Exception):
@@ -40,6 +42,7 @@ _STRING_OR_BRACKET = re.compile(rf'{_STRING}|["{{}}\[\]]', re.DOTALL)
 _DECODER = json.JSONDecoder()
 _TRUE_FALSE = re.compile(r"\b(TRUE|FALSE)\b", re.IGNORECASE)
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
+_T = TypeVar("_T")
 
 
 def strip_reasoning(text: str) -> str:
@@ -68,7 +71,7 @@ def json_value_start(text: str) -> int | None:
 
 
 def extract_json_value(text: str):
-    """Decode the first JSON object or array of an agent response.
+    """Decode the first JSON object or array of a response.
 
     Text around the value is never read. Only when the value fails to
     decode are its trailing commas dropped and the decode tried again;
@@ -79,11 +82,40 @@ def extract_json_value(text: str):
     whole-document reply fails here rather than decoding some entry
     after it. A baseline step reads a reply in the canonical document
     layout with ``document.revise_document`` and calls this only for any
-    other reply.
+    other reply; an agent reads its reply with ``interpret_json_value``.
     """
     start = json_value_start(text)
     if start is None:
         raise ParseFailure("response contains no JSON object or array")
+    return _decode_at(text, start)
+
+
+def interpret_json_value(text: str, interpret: Callable[[object], _T]) -> _T:
+    """``interpret`` of the first JSON object or array of an agent reply that it accepts.
+
+    Each ``{`` or ``[`` outside a reasoning block is tried in turn, read
+    as ``extract_json_value`` reads the first, until one decodes to a
+    value that ``interpret`` returns for instead of raising
+    ``ParseFailure``. So a bracket in the prose before the value (``Based
+    on [1], ...``) does not hide it. When none is accepted, the failure
+    of the first is raised, the one ``extract_json_value`` and then
+    ``interpret`` would give, so the correction hint stays that of the
+    first value.
+    """
+    first: ParseFailure | None = None
+    for match in _VALUE_START.finditer(text):
+        if match.group(1):
+            try:
+                return interpret(_decode_at(text, match.start()))
+            except ParseFailure as exc:
+                first = first or exc
+    if first is None:
+        raise ParseFailure("response contains no JSON object or array")
+    raise first
+
+
+def _decode_at(text: str, start: int):
+    """The JSON value at ``start``; see ``extract_json_value``."""
     try:
         return _DECODER.raw_decode(text, start)[0]
     except json.JSONDecodeError:

@@ -18,8 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynsurvey import demo, parsing
+from dynsurvey.agents import run_section_routing
 from dynsurvey.document import serialize_document
-from dynsurvey.parsing import ParseFailure, extract_json_value
+from dynsurvey.parsing import ParseFailure, extract_json_value, interpret_json_value
+
+from conftest import make_generator, make_summary
 
 # --- reference implementation -----------------------------------------------
 
@@ -225,3 +228,71 @@ def test_repair_hints_are_pinned(text, hint):
 def test_a_trailing_comma_reply_is_repaired():
     assert extract_json_value('Sure: {"a": [1, 2,], "b": {"c": "x,]\\\\", "d": "\\",}"},}') == \
         {"a": [1, 2], "b": {"c": "x,]\\", "d": '",}'}}
+
+
+# --- an agent reads past a bracket in its prose ---------------------------------
+#
+# An agent reply is read by ``interpret_json_value``, which tries each
+# ``{``/``[`` in turn; a baseline's whole-document reply by
+# ``extract_json_value``, which tries only the first.
+
+
+def _three(value):
+    if not isinstance(value, list) or len(value) != 3:
+        raise ParseFailure("return a JSON array of exactly 3 section IDs")
+    return value
+
+
+def test_a_bracketed_citation_before_the_ranking_is_read_past():
+    text = 'Based on [1], my ranking: ["s1", "s2", "s3"]'
+    assert extract_json_value(text) == [1]
+    assert interpret_json_value(text, _three) == ["s1", "s2", "s3"]
+
+
+def test_a_brace_in_the_prose_that_does_not_decode_is_read_past():
+    text = 'Sections {see outline}: ["s1", "s2", "s3"]'
+    with pytest.raises(ParseFailure):
+        extract_json_value(text)
+    assert interpret_json_value(text, _three) == ["s1", "s2", "s3"]
+
+
+def test_section_routing_takes_the_ranking_after_a_bracketed_citation():
+    state = demo.demo_full_state()
+    generator = make_generator({
+        "section_routing|p1|0": 'Based on [1], my ranking: ["2", "1", "3"]',
+        "insertion_point|p1|0": "append",
+    }, max_retries=0)
+    decision = run_section_routing(make_summary("p1"), state.outline, state.document, generator)
+    assert decision.ranked_sections == ("2", "1", "3")
+
+
+@pytest.mark.parametrize("text, hint", [
+    ("Based on [1], then [2, 3]", "return a JSON array of exactly 3 section IDs"),
+    ('Sections {see outline}: ["s1", "s2"',
+     "JSON payload failed to parse: Expecting property name enclosed in double quotes"),
+    ("no value", "response contains no JSON object or array"),
+])
+def test_with_no_value_accepted_the_first_hint_is_reported(text, hint):
+    with pytest.raises(ParseFailure) as failure:
+        interpret_json_value(text, _three)
+    assert failure.value.hint == hint
+
+
+def _first_outcome(text):
+    """What extract_json_value and then _three give: the value, or the hint."""
+    try:
+        return "value", repr(_three(extract_json_value(text)))
+    except ParseFailure as exc:
+        return "failure", exc.hint
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_soup | _near_json())
+def test_an_agent_reads_the_first_value_as_before_and_reads_on_only_past_a_failure(text):
+    first = _first_outcome(text)
+    try:
+        outcome = "value", repr(interpret_json_value(text, _three))
+    except ParseFailure as exc:
+        outcome = "failure", exc.hint
+    if first[0] == "value" or outcome[0] == "failure":
+        assert outcome == first
