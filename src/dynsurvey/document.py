@@ -273,14 +273,12 @@ class SurveyDocument:
     def replace_section(self, new_section: Section) -> "SurveyDocument":
         """The document with every section of ``new_section``'s id replaced by it."""
         positions = self._positions()
-        if positions is None:
-            return self._derived(sections=tuple(
-                new_section if s.id == new_section.id else s for s in self.sections))
-        position = positions.get(new_section.id)
+        position = positions.get(new_section.id) if positions is not None else None
         if position is None:
-            return self._derived(sections=self.sections)
-        return self._derived(sections=(*self.sections[:position], new_section,
-                                       *self.sections[position + 1:]))
+            sections = tuple(new_section if s.id == new_section.id else s for s in self.sections)
+        else:
+            sections = (*self.sections[:position], new_section, *self.sections[position + 1:])
+        return self._derived(sections=sections)
 
     def append_table_row(self, table_id: str, row: dict) -> "SurveyDocument":
         table = self.table(table_id)
