@@ -100,7 +100,9 @@ def interpret_json_value(text: str, interpret: Callable[[object], _T]) -> _T:
     on [1], ...``) does not hide it. When none is accepted, the failure
     of the first is raised, the one ``extract_json_value`` and then
     ``interpret`` would give, so the correction hint stays that of the
-    first value.
+    first value. A reply that decodes and is accepted at its first
+    bracket costs what ``extract_json_value`` does; a rejected one costs
+    up to one read of the rest of the text per bracket.
     """
     first: ParseFailure | None = None
     for match in _VALUE_START.finditer(text):
