@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import jsonio
 from .corpus import SurveyScope
@@ -79,7 +79,7 @@ class Section:
     # body text, numbered from 1, so parsing the section's entry
     # (``_json``) builds an equal section.
     _segmented: bool = field(default=False, init=False, repr=False, compare=False)
-    # ``next_sentence_counter``, once found or set by ``engine.insert_paragraph``.
+    # ``next_sentence_counter``, once found or set by ``with_sentences``.
     _next_counter: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def sentence_ids(self) -> list[str]:
@@ -92,9 +92,9 @@ class Section:
         """One more than the largest counter of the sentence ids, 1 for no sentences.
 
         Parsed from the ids once per section whose sentences are a tuple
-        and kept; ``engine.insert_paragraph`` sets it on the section it
-        builds, so a step reads only the counters of a section it has
-        not touched before.
+        and kept; ``with_sentences`` sets it on the section it builds, so
+        a step reads only the counters of a section it has not touched
+        before.
         """
         if self._next_counter is not None:
             return self._next_counter
@@ -103,6 +103,14 @@ class Section:
         if type(self.sentences) is tuple:
             object.__setattr__(self, "_next_counter", counter)
         return counter
+
+    def with_sentences(self, sentences: tuple[Sentence, ...], next_counter: int) -> "Section":
+        """This section holding ``sentences``, whose largest id counter is
+        ``next_counter - 1``."""
+        section = Section(id=self.id, title=self.title, sentences=sentences,
+                          non_maintained=self.non_maintained)
+        object.__setattr__(section, "_next_counter", next_counter)
+        return section
 
 
 @dataclass(frozen=True)
@@ -198,49 +206,36 @@ class SurveyDocument:
 
     Two lookups keep an index on the document, built on first use:
     section id -> position, and reference key -> position, which is the
-    reference's number, numbering being dense. ``replace_section``,
-    ``with_references`` and ``append_table_row`` hand both on to the
-    document they derive, so an update stream builds each once per
-    loaded document. The reference index is shared along a document's
-    lineage: see ``reference_positions``.
+    reference's number, numbering being dense. Each maps an id or key to
+    its first occurrence. ``replace_section``, ``with_references`` and
+    ``append_table_row`` hand both on to the document they derive, so an
+    update stream builds each once per loaded document.
     """
 
     metadata: dict
     sections: tuple[Section, ...]
     tables: tuple[SurveyTable, ...]
     references: tuple[Reference, ...]
-    # Section id -> position; False when two sections share an id, and
-    # the lookups then scan.
-    _section_positions: dict[str, int] | bool | None = field(
+    # Section id -> position of its first section.
+    _section_positions: dict[str, int] | None = field(
         default=None, init=False, repr=False, compare=False)
-    # Reference key -> position of its first reference, complete for this
-    # document's references; see ``reference_positions``.
+    # Reference key -> position (from 1) of its first reference. Never
+    # changed once built: a derived document gets a copy to extend.
     _reference_positions: dict[str, int] | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    def _positions(self) -> dict[str, int] | None:
-        """The section id -> position index, or None when the ids are not unique."""
+    def _section_position(self, section_id: str) -> int | None:
         if self._section_positions is None:
-            positions = _index_sections(self.sections)
-            object.__setattr__(self, "_section_positions",
-                               positions if len(positions) == len(self.sections) else False)
-        return self._section_positions or None
+            object.__setattr__(self, "_section_positions", _first_positions(
+                (section.id for section in self.sections), 0))
+        return self._section_positions.get(section_id)
 
     def section(self, section_id: str) -> Section:
-        """The section with ``section_id``, the first one if the ids repeat.
-
-        Found through the section index; with repeated ids, by a scan.
-        """
-        positions = self._positions()
-        if positions is not None:
-            position = positions.get(section_id)
-            if position is not None:
-                return self.sections[position]
-        else:
-            for section in self.sections:
-                if section.id == section_id:
-                    return section
-        raise KeyError(f"no section {section_id!r}")
+        """The first section with ``section_id``, found through the section index."""
+        position = self._section_position(section_id)
+        if position is None:
+            raise KeyError(f"no section {section_id!r}")
+        return self.sections[position]
 
     def table(self, table_id: str) -> SurveyTable:
         for table in self.tables:
@@ -248,36 +243,29 @@ class SurveyDocument:
                 return table
         raise KeyError(f"no table {table_id!r}")
 
-    def reference_positions(self) -> dict[str, int]:
-        """Reference key -> position of the first reference with that key.
-
-        Built on first use and shared along the document's lineage, so it
-        may hold keys that documents derived from this one appended (in a
-        step that then failed, or on another branch): read it only by
-        ``known_position``'s rule, which finds such a key invisible here.
-        It is complete for this document's references.
-        """
+    def reference_position(self, key: str) -> int | None:
+        """The position (from 1) of the first reference with ``key``, None
+        if none has it; found through the reference index."""
         if self._reference_positions is None:
-            object.__setattr__(self, "_reference_positions",
-                               index_references(self.references))
-        return self._reference_positions
+            object.__setattr__(self, "_reference_positions", _first_positions(
+                (reference.key for reference in self.references), 1))
+        return self._reference_positions.get(key)
 
     def _derived(self, **changes) -> "SurveyDocument":
         """``replace(self, **changes)`` keeping both indexes; the caller
-        keeps the section order and appends references only."""
+        keeps the section ids and their order, and the references."""
         doc = replace(self, **changes)
         object.__setattr__(doc, "_section_positions", self._section_positions)
         object.__setattr__(doc, "_reference_positions", self._reference_positions)
         return doc
 
     def replace_section(self, new_section: Section) -> "SurveyDocument":
-        """The document with every section of ``new_section``'s id replaced by it."""
-        positions = self._positions()
-        position = positions.get(new_section.id) if positions is not None else None
-        if position is None:
-            sections = tuple(new_section if s.id == new_section.id else s for s in self.sections)
-        else:
-            sections = (*self.sections[:position], new_section, *self.sections[position + 1:])
+        """The document with ``new_section`` in place of the first section
+        of its id; with no such section, the same sections."""
+        position = self._section_position(new_section.id)
+        sections = self.sections
+        if position is not None:
+            sections = (*sections[:position], new_section, *sections[position + 1:])
         return self._derived(sections=sections)
 
     def append_table_row(self, table_id: str, row: dict) -> "SurveyDocument":
@@ -294,67 +282,30 @@ class SurveyDocument:
     def with_references(self, references: tuple[Reference, ...]) -> "SurveyDocument":
         """The document with ``references``.
 
-        When they extend this document's references, the reference index
-        goes on to the result with the appended keys added; otherwise the
-        result builds its own.
+        When they extend this document's references, the result gets a
+        copy of the reference index with the appended keys added, so the
+        index of this document, of a failed step's and of another branch
+        never change each other. Otherwise the result builds its own.
         """
-        doc = self._derived(references=references)
+        doc = replace(self, references=references)
+        object.__setattr__(doc, "_section_positions", self._section_positions)
         positions = self._reference_positions
-        if positions is not None and references is not self.references:
-            positions = _extended_positions(positions, self.references, references)
+        count = len(self.references)
+        if references is self.references:
+            object.__setattr__(doc, "_reference_positions", positions)
+        elif positions is not None and references[:count] == self.references:
+            positions = dict(positions)
+            for position in range(count + 1, len(references) + 1):
+                positions.setdefault(references[position - 1].key, position)
             object.__setattr__(doc, "_reference_positions", positions)
         return doc
 
 
-def _index_sections(sections: Sequence[Section]) -> dict[str, int]:
-    """Section id -> position; shorter than ``sections`` when an id repeats."""
-    return {section.id: position for position, section in enumerate(sections)}
-
-
-def index_references(references: Sequence[Reference]) -> dict[str, int]:
-    """Reference key -> position (from 1) of its first reference."""
+def _first_positions(ids: Iterable[str], start: int) -> dict[str, int]:
+    """Id -> position of its first occurrence, counting from ``start``."""
     positions: dict[str, int] = {}
-    for position, reference in enumerate(references, start=1):
-        positions.setdefault(reference.key, position)
-    return positions
-
-
-def known_position(positions: Mapping[str, int], references: Sequence[Reference],
-                   count: int, key: str) -> int | None:
-    """The position of ``key``'s first reference among ``references[:count]``.
-
-    ``positions`` must be complete for those references: each of their
-    keys maps to the position of its first reference. It may hold other
-    keys and positions too, so a position counts only when it is at most
-    ``count`` and the reference there has ``key``.
-    """
-    position = positions.get(key)
-    if position is not None and position <= count and references[position - 1].key == key:
-        return position
-    return None
-
-
-def _extended_positions(positions: dict[str, int], before: tuple[Reference, ...],
-                        after: tuple[Reference, ...]) -> dict[str, int] | None:
-    """``positions``, complete for ``before``, made complete for ``after``.
-
-    None when ``after`` does not extend ``before``. An appended key the
-    index lacks is added in place: no document that shares the index
-    holds that key, so none can read the new entry. A key whose entry
-    would change (one appended by a step that failed, or on another
-    branch, at another position) is written to a copy, which the other
-    documents never see.
-    """
-    count = len(before)
-    if len(after) < count or after[:count] != before:
-        return None
-    for position in range(count + 1, len(after) + 1):
-        key = after[position - 1].key
-        if key not in positions:
-            positions[key] = position
-        elif known_position(positions, after, position, key) is None:
-            positions = dict(positions)
-            positions[key] = position
+    for position, id_ in enumerate(ids, start):
+        positions.setdefault(id_, position)
     return positions
 
 
@@ -462,26 +413,20 @@ def validate_additions(
     section: Section,
     inserted_ids: Sequence[str],
     references: Sequence[Reference],
-    appended_from: int,
-    positions: Mapping[str, int] | None = None,
+    before: SurveyDocument,
 ) -> None:
     """Check what one additive step added to a valid document; raise on violation.
 
-    ``section`` is the routed section after the step and ``inserted_ids``
-    the ids of its new sentences; ``references[appended_from:]`` is the
-    appended tail of the reference list. Each new sentence id must occur
-    once in the section and its text must not be blank; the tail must
-    continue the dense numbering with keys not used before. Other
-    sections and the tables are not read (``append_table_row`` checks
-    its row). When the document before the step passed
-    ``validate_document``, this raises exactly when ``validate_document``
-    would raise on the result.
-
-    ``positions`` is the reference index of the document before the step
-    (``SurveyDocument.reference_positions``), read by ``known_position``'s
-    rule to tell whether an appended key was used before, so the earlier
-    references are not read. Without it, one is built from
-    ``references[:appended_from]``.
+    ``before`` is the document before the step, ``section`` the routed
+    section after it and ``inserted_ids`` the ids of its new sentences;
+    ``references`` extends ``before.references`` by the appended tail.
+    Each new sentence id must occur once in the section and its text
+    must not be blank; the tail must continue the dense numbering with
+    keys not used before, which ``before.reference_position`` tells
+    without reading the earlier references. Other sections and the
+    tables are not read (``append_table_row`` checks its row). When
+    ``before`` passed ``validate_document``, this raises exactly when
+    ``validate_document`` would raise on the result.
     """
     if inserted_ids:
         wanted = set(inserted_ids)
@@ -495,17 +440,15 @@ def validate_additions(
                 if not sentence.text.strip():
                     raise DocumentIntegrityError(
                         f"empty sentence {sentence.id!r} in section {section.id!r}")
+    appended_from = len(before.references)
     if appended_from < len(references):
-        if positions is None:
-            positions = index_references(references[:appended_from])
         appended: set[str] = set()
         for number, reference in enumerate(references[appended_from:], start=appended_from + 1):
             if reference.number != number:
                 raise DocumentIntegrityError(
                     f"appended reference {reference.key!r} has number {reference.number}, "
                     f"expected {number} for dense 1..n")
-            if reference.key in appended or known_position(
-                    positions, references, appended_from, reference.key) is not None:
+            if reference.key in appended or before.reference_position(reference.key) is not None:
                 raise DocumentIntegrityError(f"duplicate reference keys: {reference.key!r}")
             appended.add(reference.key)
 
@@ -1050,8 +993,7 @@ def outline_fingerprint(outline: StructuredOutline) -> str:
 __all__ = [
     "COLUMN_KINDS", "ColumnSpec", "Reference", "Section", "SectionEntry", "Sentence",
     "StructuredOutline", "SurveyDocument", "SurveyState", "SurveyTable", "TableEntry",
-    "document_from_dict", "document_to_dict", "index_references", "known_position",
-    "load_document", "load_outline",
+    "document_from_dict", "document_to_dict", "load_document", "load_outline",
     "make_reference", "make_section", "make_table", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
     "parse_outline", "revise_document", "save_document", "save_outline", "serialize_document",

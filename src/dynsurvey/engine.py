@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import jsonio
 from .agents import (
@@ -42,8 +42,6 @@ from .document import (
     Sentence,
     SurveyDocument,
     SurveyState,
-    index_references,
-    known_position,
     serialize_document,
     validate_additions,
     validate_document,
@@ -131,43 +129,34 @@ def insert_paragraph(
     inserted = tuple(
         Sentence(id=f"{section.id}:{counter + i}", text=text) for i, text in enumerate(texts))
     sentences = section.sentences[:position] + inserted + section.sentences[position:]
-    new_section = Section(
-        id=section.id, title=section.title, sentences=sentences,
-        non_maintained=section.non_maintained)
-    object.__setattr__(new_section, "_next_counter", counter + len(texts))
-    return new_section, tuple(s.id for s in inserted)
+    return section.with_sentences(sentences, counter + len(texts)), tuple(s.id for s in inserted)
 
 
 def resolve_citations(
     draft: str,
     bib: dict,
-    references: tuple[Reference, ...],
-    positions: Mapping[str, int] | None = None,
+    doc: SurveyDocument,
 ) -> tuple[str, tuple[Reference, ...], tuple[str, ...]]:
     """Replace a draft's ``[cite]`` placeholders with the number of its paper.
 
     An update step integrates one paper, so every placeholder of its draft
     cites that paper's bib entry ``bib`` (empty when the feed gave none).
-    A key the references already hold keeps its number; a new key is
-    appended as ``len(references) + 1``. Numbering is dense
+    A key ``doc``'s references already hold keeps its number; a new key
+    is appended as ``len(references) + 1``. Numbering is dense
     (``validate_document`` checks it on load, ``validate_additions`` at
-    every step), so that is the next number. Returns the final text, the
-    reference list and the cited key once per placeholder.
-
-    The key is looked up in ``positions``, the reference index of the
-    document that holds ``references``
-    (``SurveyDocument.reference_positions``), by ``known_position``'s
-    rule, so the references are not scanned. Without it, one is built.
+    every step), so that is the next number. The key is looked up with
+    ``doc.reference_position``, which does not scan the references.
+    Returns the final text, the reference list and the cited key once
+    per placeholder.
     """
+    references = doc.references
     count = draft.count(CITE_PLACEHOLDER)
     if count == 0:
         return draft, references, ()
     if not bib:
         raise CitationError("draft contains a [cite] placeholder but no bib entry was provided")
     key = bib_key(bib)
-    if positions is None:
-        positions = index_references(references)
-    position = known_position(positions, references, len(references), key)
+    position = doc.reference_position(key)
     if position is not None:
         number = references[position - 1].number
     else:
@@ -187,12 +176,10 @@ def _merge(
     routed_table: str | None,
 ) -> tuple[SurveyDocument, tuple[str, ...], tuple[str, ...]]:
     """Deterministic merge of synthesis outputs into a new document."""
-    positions = doc.reference_positions()
-    resolved_text, references, resolved_keys = resolve_citations(
-        draft, paper.bib, doc.references, positions)
+    resolved_text, references, resolved_keys = resolve_citations(draft, paper.bib, doc)
     section = doc.section(routed_section)
     new_section, inserted_ids = insert_paragraph(section, insertion, resolved_text)
-    validate_additions(new_section, inserted_ids, references, len(doc.references), positions)
+    validate_additions(new_section, inserted_ids, references, doc)
     new_doc = doc.replace_section(new_section).with_references(references)
     if row is not None and routed_table is not None:
         new_doc = new_doc.append_table_row(routed_table, row)

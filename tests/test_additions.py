@@ -89,7 +89,7 @@ def test_delta_check_raises_exactly_when_the_full_check_does(step):
     new_doc, new_section = _apply(doc, section_id, position, inserted, appended)
     expected = _raises(validate_document, new_doc)
     observed = _raises(validate_additions, new_section, [s.id for s in inserted],
-                       new_doc.references, len(doc.references))
+                       new_doc.references, doc)
     assert observed == expected
 
 
@@ -112,7 +112,7 @@ def test_each_broken_invariant_is_caught(inserted, appended, message):
     with pytest.raises(DocumentIntegrityError):
         validate_document(new_doc)
     with pytest.raises(DocumentIntegrityError, match=message):
-        validate_additions(new_section, [s.id for s in inserted], new_doc.references, 2)
+        validate_additions(new_section, [s.id for s in inserted], new_doc.references, doc)
 
 
 def test_a_valid_step_passes_and_may_reuse_ids_of_other_sections():
@@ -120,4 +120,4 @@ def test_a_valid_step_passes_and_may_reuse_ids_of_other_sections():
     inserted = [Sentence("1:4", "Fresh claim."), Sentence("2:1", "Same id, other section.")]
     new_doc, new_section = _apply(doc, "1", 3, inserted, _NEXT)
     validate_document(new_doc)
-    validate_additions(new_section, ["1:4", "2:1"], new_doc.references, 2)
+    validate_additions(new_section, ["1:4", "2:1"], new_doc.references, doc)

@@ -114,5 +114,5 @@ def test_single_bib_resolution_matches_reference(data):
     bib = data.draw(_bib(references))
     doc = SurveyDocument(metadata={}, sections=(), tables=(), references=references)
     expected = _outcome(lambda: reference_resolve_citations(draft, [bib] if bib else [], doc))
-    assert _outcome(lambda: resolve_citations(draft, bib, references)) == expected
+    assert _outcome(lambda: resolve_citations(draft, bib, doc)) == expected
 

@@ -126,7 +126,7 @@ def _doc_with_refs(n: int):
 def test_fresh_key_gets_next_number():
     doc = _doc_with_refs(57)
     text, refs, keys = resolve_citations(
-        "X [cite] improves Y.", {"key": "new2024", "title": "New"}, doc.references)
+        "X [cite] improves Y.", {"key": "new2024", "title": "New"}, doc)
     assert text == "X [58] improves Y."
     assert refs[-1].number == 58 and refs[-1].key == "new2024"
     assert keys == ("new2024",)
@@ -134,7 +134,7 @@ def test_fresh_key_gets_next_number():
 
 def test_no_placeholders_is_identity():
     doc = _doc_with_refs(3)
-    text, refs, keys = resolve_citations("No markers here.", {"key": "a"}, doc.references)
+    text, refs, keys = resolve_citations("No markers here.", {"key": "a"}, doc)
     assert text == "No markers here."
     assert refs == doc.references
     assert keys == ()
@@ -143,7 +143,7 @@ def test_no_placeholders_is_identity():
 def test_same_key_cited_twice_gets_one_entry():
     doc = _doc_with_refs(2)
     text, refs, keys = resolve_citations(
-        "A [cite] and again [cite].", {"key": "dup", "title": "D"}, doc.references)
+        "A [cite] and again [cite].", {"key": "dup", "title": "D"}, doc)
     assert text == "A [3] and again [3]."
     assert len(refs) == 3
     assert keys == ("dup", "dup")
@@ -151,7 +151,7 @@ def test_same_key_cited_twice_gets_one_entry():
 
 def test_existing_key_reuses_number():
     doc = _doc_with_refs(4)
-    text, refs, _ = resolve_citations("Again [cite].", {"key": "k2"}, doc.references)
+    text, refs, _ = resolve_citations("Again [cite].", {"key": "k2"}, doc)
     assert text == "Again [2]."
     assert refs == doc.references
 
@@ -159,7 +159,7 @@ def test_existing_key_reuses_number():
 def test_placeholder_without_entry_is_an_error():
     doc = _doc_with_refs(1)
     with pytest.raises(CitationError, match="no bib entry"):
-        resolve_citations("X [cite].", {}, doc.references)
+        resolve_citations("X [cite].", {}, doc)
 
 
 # --- apply_update ----------------------------------------------------------
@@ -298,7 +298,7 @@ def test_null_bib_keys_fail_their_steps_and_the_feed_goes_on(full_state, tmp_pat
 def test_non_string_bib_key_is_a_citation_error(full_state, key):
     bib = {"key": key, "title": "T"}
     with pytest.raises(CitationError, match="must be a string"):
-        resolve_citations("X [cite].", bib, full_state.document.references)
+        resolve_citations("X [cite].", bib, full_state.document)
     with pytest.raises(CitationError, match="must be a string"):
         make_paper("pK", bib=bib).bib_key
 

@@ -2,10 +2,10 @@
 
 A document keeps a section id -> position index and a reference key ->
 position index, a section its next sentence counter, an outline its
-routing section list. The reference index is shared along a document's
-lineage and read only by ``known_position``'s rule. The copies below are
-the lookups as they were before the indexes: every derivation, branch
-and failed step must leave the indexed lookups giving what they give.
+routing section list. A derived document extends a copy of the reference
+index. The copies below are the lookups as they were before the indexes:
+every derivation, branch and failed step must leave the indexed lookups
+giving what they give.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dynsurvey.document import (
     make_table,
     serialize_document,
     validate_additions,
+    validate_document,
 )
 from dynsurvey.engine import (
     CITE_PLACEHOLDER,
@@ -122,8 +123,7 @@ def _outcome(call):
 def _resolved(draft: str, key: str, doc: SurveyDocument, indexed: bool):
     bib = {"key": key, "title": key.upper()}
     if indexed:
-        return _outcome(lambda: resolve_citations(draft, bib, doc.references,
-                                                  doc.reference_positions()))
+        return _outcome(lambda: resolve_citations(draft, bib, doc))
     return _outcome(lambda: old_resolve_citations(draft, bib, doc.references))
 
 
@@ -153,9 +153,10 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
     """``engine._merge``'s derivations, checked against the scans as they go.
 
     Returns the derived document, or None when the step fails (a bad row
-    fails after the reference was appended).
+    fails after the reference was appended). With repeated section ids,
+    which ``validate_document`` rejects wherever a document enters,
+    ``replace_section`` replaces the first section of the id only.
     """
-    positions = doc.reference_positions()
     draft = f"Claim of {key} [cite]. More."
     outcome = _resolved(draft, key, doc, True)
     assert outcome == _resolved(draft, key, doc, False)
@@ -166,13 +167,19 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
     new_section, inserted = insert_paragraph(section, APPEND, text)
     assert inserted == (f"{section_id}:{counter}", f"{section_id}:{counter + 1}")
     assert new_section.next_sentence_counter() == old_next_sentence_counter(new_section)
-    checks = [_outcome(lambda: check(new_section, inserted, references, len(doc.references)))
-              for check in (validate_additions, old_validate_additions)]
-    checks.append(_outcome(lambda: validate_additions(
-        new_section, inserted, references, len(doc.references), positions)))
-    assert checks[0] == checks[1] == checks[2]
+    assert _outcome(lambda: validate_additions(new_section, inserted, references, doc)) == \
+        _outcome(lambda: old_validate_additions(new_section, inserted, references,
+                                                len(doc.references)))
     derived = doc.replace_section(new_section)
-    assert derived.sections == old_replace_section(doc, new_section).sections
+    ids = [s.id for s in doc.sections]
+    if len(set(ids)) == len(ids):
+        assert derived.sections == old_replace_section(doc, new_section).sections
+    else:
+        with pytest.raises(DocumentIntegrityError, match="duplicate section ids"):
+            validate_document(doc)
+        position = ids.index(section_id)
+        assert derived.sections == (*doc.sections[:position], new_section,
+                                    *doc.sections[position + 1:])
     derived = derived.with_references(references)
     if row is not None:
         try:
@@ -188,9 +195,8 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
 def test_a_key_appended_by_a_failed_step_stays_invisible_to_the_state_it_keeps():
     parent = _document("abc", [(1, 2), (1,), ()], 2)
     assert _step(parent, "a", "new1", row={"Name": "x", "Score": 9}) is None
-    # The failed step wrote new1 -> 3 into the shared index; the kept
-    # state has two references, so new1 is still new there.
-    assert parent.reference_positions().get("new1") == 3
+    # The failed step's merge added new1 -> 3 to its own copy of the index.
+    assert parent.reference_position("new1") is None
     second = _step(parent, "b", "new2")
     third = _step(second, "c", "new1")
     assert [r.key for r in third.references] == ["k1", "k2", "new2", "new1"]
@@ -210,28 +216,34 @@ def test_two_branches_from_one_parent_never_see_each_others_keys():
     parent = _document("abc", [(1,), (2,), (3,)], 1)
     left = _step(parent, "a", "new1")
     right = _step(parent, "b", "new2")
-    # Both wrote number 2 into the shared index; the remap on the right
-    # must go to a copy, or the left would lose new1.
+    # Both branches gave number 2 to their own key.
     right_again = _step(right, "c", "new1")
-    assert left.reference_positions() is parent.reference_positions()
-    assert right_again.reference_positions() is not left.reference_positions()
+    assert (parent.reference_position("new1"), parent.reference_position("new2")) == (None, None)
+    assert (left.reference_position("new1"), left.reference_position("new2")) == (2, None)
+    assert (right_again.reference_position("new1"),
+            right_again.reference_position("new2")) == (3, 2)
     _assert_lookups_agree([parent, left, right, right_again])
 
 
-def test_repeated_section_ids_fall_back_to_the_scan():
+def test_repeated_section_ids_are_rejected_and_read_as_the_first():
     doc = _document(["a", "b", "a"], [(1,), (1,), (5,)], 0)
+    with pytest.raises(DocumentIntegrityError, match="duplicate section ids"):
+        validate_document(doc)
     assert doc.section("a") is doc.sections[0]
     grown = Section("a", "A", (Sentence("a:9", "New."),))
-    assert doc.replace_section(grown).sections == old_replace_section(doc, grown).sections
+    assert doc.replace_section(grown).sections == (grown, *doc.sections[1:])
+    missing = Section("d", "D", ())
+    assert doc.replace_section(missing).sections == doc.sections
     _assert_lookups_agree([doc, doc.replace_section(grown)])
 
 
 def test_references_that_do_not_extend_the_document_get_a_new_index():
     doc = _document("abc", [(), (), ()], 3)
-    doc.reference_positions()
+    assert doc.reference_position("k3") == 3
     renumbered = doc.with_references(
         (Reference("k1", 1, {}), Reference("k3", 2, {})))
-    assert renumbered._reference_positions is None
+    assert renumbered.reference_position("k3") == 2
+    assert renumbered.reference_position("k2") is None
     _assert_lookups_agree([doc, renumbered])
 
 
@@ -254,7 +266,7 @@ def test_indexed_lookups_match_the_scans_along_any_lineage(data):
         derived = _step(parent, section_id, key, row)
         if derived is not None and data.draw(st.booleans()):
             pool.append(derived)  # else a step that failed after its merge
-        # An arbitrary appended tail, checked with the shared index.
+        # An arbitrary appended tail.
         doc = data.draw(st.sampled_from(pool))
         tail = data.draw(st.lists(st.tuples(st.sampled_from(_KEYS), st.integers(-1, 1)),
                                   max_size=3))
@@ -262,8 +274,7 @@ def test_indexed_lookups_match_the_scans_along_any_lineage(data):
             Reference(key, len(doc.references) + 1 + i + offset, {})
             for i, (key, offset) in enumerate(tail))
         section = doc.sections[0]
-        assert _outcome(lambda: validate_additions(
-            section, (), references, len(doc.references), doc.reference_positions())) == \
+        assert _outcome(lambda: validate_additions(section, (), references, doc)) == \
             _outcome(lambda: old_validate_additions(section, (), references, len(doc.references)))
         _assert_lookups_agree(pool)
 
@@ -338,19 +349,20 @@ def _run_stream(state, fresh_indexes: bool):
 
 def test_the_indexes_are_built_once_per_loaded_document(monkeypatch):
     builds = {"sections": 0, "references": 0, "outline": 0}
+    first_positions = document._first_positions
 
-    def counted(name, build):
-        def wrapper(*args):
-            builds[name] += 1
-            return build(*args)
-        return wrapper
+    def counted_positions(ids, start):
+        builds["references" if start else "sections"] += 1
+        return first_positions(ids, start)
 
-    monkeypatch.setattr(document, "_index_sections",
-                        counted("sections", document._index_sections))
-    monkeypatch.setattr(document, "index_references",
-                        counted("references", document.index_references))
-    monkeypatch.setattr(StructuredOutline, "section_ids",
-                        counted("outline", StructuredOutline.section_ids))
+    section_ids = StructuredOutline.section_ids
+
+    def counted_section_ids(outline):
+        builds["outline"] += 1
+        return section_ids(outline)
+
+    monkeypatch.setattr(document, "_first_positions", counted_positions)
+    monkeypatch.setattr(StructuredOutline, "section_ids", counted_section_ids)
     state, records = _run_stream(demo.demo_full_state(), fresh_indexes=False)
     assert builds == {"sections": 1, "references": 1, "outline": 1}
 
