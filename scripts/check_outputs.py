@@ -10,9 +10,14 @@ working tree and from an export of ``REV``:
   ``audit.ndjson``;
 - ``benchmark --methods framework`` on ``retro_framework_embed`` and
   ``benchmark --methods one_step,oracle`` on ``retro_baselines``,
-  comparing ``report.csv`` and ``report.txt``.
+  comparing ``report.csv`` and ``report.txt``;
+- the same baseline run on a copy of ``retro_baselines`` whose scenario
+  holds every reply that decodes re-written as
+  ``json.dumps(value, indent=1, ensure_ascii=False)`` (the truncated
+  replies stay as they are). No such reply is in the canonical layout,
+  so each one takes the full parse.
 
-On ``retro_baselines`` it also compares one digest line per baseline step,
+On both baseline runs it also compares one digest line per baseline step,
 written by a small in-process run of ``benchmark.run_method`` under each
 tree's ``PYTHONPATH``. A line holds the hash of
 ``serialize_document(after)``, every section's sentence ids, the inserted
@@ -31,6 +36,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -38,13 +44,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# Workload, command-line arguments after the config, and the files to compare.
+BASELINES = ["benchmark", "--methods", "one_step,oracle"]
+REPORTS = ("report.csv", "report.txt")
+# Run name, workload, command-line arguments after the config, and the
+# files to compare.
 RUNS = (
-    ("update_feed", ["update"], ("survey.updated.json", "audit.ndjson")),
-    ("retro_framework_embed", ["benchmark", "--methods", "framework"],
-     ("report.csv", "report.txt")),
-    ("retro_baselines", ["benchmark", "--methods", "one_step,oracle"],
-     ("report.csv", "report.txt")),
+    ("update_feed", "update_feed", ["update"], ("survey.updated.json", "audit.ndjson")),
+    ("retro_framework_embed", "retro_framework_embed", ["benchmark", "--methods", "framework"],
+     REPORTS),
+    ("retro_baselines", "retro_baselines", BASELINES, REPORTS),
+    ("retro_baselines_indent1", "retro_baselines", BASELINES, REPORTS),
 )
 CLI = "import sys; from dynsurvey.cli import main; sys.exit(main(sys.argv[1:]))"
 # Prints one line per baseline step of every benchmark instance in the
@@ -82,6 +91,30 @@ def export(rev: str, out: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(out)], input=archive, check=True)
 
 
+def reindent_replies(workspace: Path) -> int:
+    """Re-write each baseline reply of the scenario that decodes as ``indent=1`` JSON.
+
+    Returns how many replies it re-wrote.
+    """
+    path = workspace / "scenario.json"
+    scenario = json.loads(path.read_text(encoding="utf-8"))
+    script = scenario["generation"]
+    decoder = json.JSONDecoder()
+    count = 0
+    for key, reply in script.items():
+        if not key.startswith(("one_step|", "oracle|")) or "{" not in reply:
+            continue
+        try:
+            value, _ = decoder.raw_decode(reply, reply.index("{"))
+        except json.JSONDecodeError:
+            continue  # a truncated reply stays as it is
+        script[key] = json.dumps(value, indent=1, ensure_ascii=False)
+        count += 1
+    path.write_text(json.dumps(scenario, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    return count
+
+
 def run_cli(tree: Path, workspace: Path, out: Path, args: list[str]) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     subprocess.run([sys.executable, "-c", CLI, "--config", str(workspace / "config.json"),
@@ -101,11 +134,13 @@ def check(rev: str, seeds: list[int], scratch: Path) -> int:
     export(rev, base)
     different = 0
     for seed in seeds:
-        for workload, args, names in RUNS:
-            workspace = scratch / f"{workload}-seed{seed}"
+        for run, workload, args, names in RUNS:
+            workspace = scratch / f"{run}-seed{seed}"
             subprocess.run([sys.executable, str(ROOT / "perfbench" / "workspace.py"),
                             "--workload", workload, "--seed", str(seed),
                             "--out", str(workspace)], check=True)
+            if run == "retro_baselines_indent1":
+                print(f"seed {seed}  {run}: {reindent_replies(workspace)} replies re-indented")
             outs = {}
             for label, tree in (("tree", ROOT), ("rev", base)):
                 outs[label] = workspace / f"out-{label}"
@@ -113,14 +148,14 @@ def check(rev: str, seeds: list[int], scratch: Path) -> int:
             for name in names:
                 same = (outs["tree"] / name).read_bytes() == (outs["rev"] / name).read_bytes()
                 different += not same
-                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {workload}/{name}")
+                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {run}/{name}")
             if workload == "retro_baselines":
                 digests = {label: step_digests(tree, workspace)
                            for label, tree in (("tree", ROOT), ("rev", base))}
                 same = digests["tree"] == digests["rev"] and digests["tree"] != ""
                 different += not same
                 steps = len(digests["tree"].splitlines())
-                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {workload}/"
+                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {run}/"
                       f"step digests ({steps} steps)")
     return different
 

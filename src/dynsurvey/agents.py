@@ -309,9 +309,10 @@ def run_section_routing(
         section_text=numbered,
         paper_summary=summary.as_text(),
     )
-    raw = generator.generate(GenerationRequest(
-        "insertion_point", summary.source_paper_id, 0, part2_prompt))
-    insertion = _choose_insertion(raw, top_section)
+    # ``_choose_insertion`` falls back to appending and never rejects a
+    # reply, so this call makes one attempt.
+    insertion = _call(generator, "insertion_point", summary.source_paper_id, part2_prompt,
+                      lambda raw: _choose_insertion(raw, top_section), RoutingError)
     return RoutingDecision(ranked_sections=ranked, insertion_sentence_id=insertion)
 
 
@@ -337,9 +338,10 @@ def run_table_routing(
             table_description=entry.summary,
             paper_summary=summary.as_text(),
         )
-        raw = generator.generate(GenerationRequest(
-            "table_routing", f"{summary.source_paper_id}:{entry.id}", 0, prompt))
-        answer = extract_yes_no(raw)
+        # ``extract_yes_no`` gives None for an unparseable answer and never
+        # rejects one, so this call makes one attempt.
+        answer = _call(generator, "table_routing", f"{summary.source_paper_id}:{entry.id}",
+                       prompt, extract_yes_no, RoutingError)
         if answer is None:
             logger.warning("unparseable table-routing answer for %s on table %s; treating as no",
                            summary.source_paper_id, entry.id)

@@ -259,7 +259,7 @@ def _baseline_step(
         # A reply in the canonical layout is decoded only where it
         # changed; any other goes through the full parse, which raises
         # the error of a reply neither accepts.
-        new_doc = revise_document(raw, doc) or document_from_dict(extract_json_value(raw), doc)
+        new_doc = revise_document(raw, doc) or document_from_dict(extract_json_value(raw))
     except (AgentError, ParseFailure, DocumentParseError, DocumentIntegrityError) as exc:
         # Fail closed: a failed call or an unparseable full-document
         # response must not end or corrupt the stream, so the original

@@ -114,6 +114,11 @@ def cmd_benchmark(config: RunConfig, methods: list[str]) -> int:
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+    if not methods:
+        raise ConfigError(f"no methods given; choose from {list(METHODS)}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"methods {repeated} given more than once")
     generator = make_generator(config)
     embedder = make_embedder(config)
     evaluations = []

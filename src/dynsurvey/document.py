@@ -502,10 +502,8 @@ def make_reference(key: str, number: int, bib: dict) -> Reference:
     number and the bib's items with the type of each value, so ``1`` and
     ``True`` never share an entry. A bib holding any other value than a
     string, integer, boolean or null (a float, list or object) is built
-    plainly. ``document_from_dict`` takes an unchanged reference of the
-    document a reply revises as it is, without this call; the sharing
-    lets any other reference that was built before, such as one the
-    reply moved, keep its rendered JSON.
+    plainly. The full parse rebuilds every reference of a baseline reply,
+    and the sharing lets an unchanged or moved one keep its rendered JSON.
     """
     types = tuple(type(value) for value in bib.values())
     if _SHARED_VALUE_TYPES.issuperset(types):
@@ -600,28 +598,12 @@ def _column_to_dict(column: ColumnSpec) -> dict:
     return data
 
 
-def _same_reference(raw: dict, reference: Reference) -> bool:
-    """Whether the entry ``raw`` reads as a reference equal to ``reference``.
-
-    True when the key, the number and the bib's items in order equal the
-    reference's, each value has the type of the reference's, and every bib
-    value's type is one whose equal values render the same JSON. So the
-    two render the same entry, and ``raw`` passes every ``jsonio`` read of
-    ``document_from_dict``.
-    """
-    key, number, bib = raw.get("key"), raw.get("number"), raw.get("bib")
-    if not (type(key) is str and type(number) is int and type(bib) is dict
-            and type(reference.key) is str and type(reference.number) is int
-            and key == reference.key and number == reference.number):
-        return False
-    types = tuple(map(type, bib.values()))
-    return (_SHARED_VALUE_TYPES.issuperset(types)
-            and tuple(bib.items()) == tuple(reference.bib.items())
-            and types == tuple(map(type, reference.bib.values())))
-
-
 def _reference_reparses(reference: Reference) -> bool:
-    """Whether ``_same_reference`` holds for the reference's own entry, decoded."""
+    """Whether reading the reference's own entry gives it back, value types included.
+
+    So it does for a str key, an int number and str bib keys whose values
+    each have a type whose equal values render the same JSON.
+    """
     if type(reference.key) is not str or type(reference.number) is not int:
         return False
     for key, value in reference.bib.items():
@@ -641,10 +623,7 @@ def _section_from_dict(raw: dict) -> Section:
     )
 
 
-def _reference_from_dict(raw: dict, known: Reference | None) -> Reference:
-    """The reference of an entry; ``known`` when ``_same_reference`` finds it equal."""
-    if known is not None and _same_reference(raw, known):
-        return known
+def _reference_from_dict(raw: dict) -> Reference:
     key = jsonio.field(raw, "key", str, DocumentParseError, "reference")
     where = ("reference", key)
     return make_reference(
@@ -674,30 +653,23 @@ def _table_reparses(table: SurveyTable) -> bool:
     return table._reparses
 
 
-def document_from_dict(data: dict, previous: SurveyDocument | None = None) -> SurveyDocument:
+def document_from_dict(data: dict) -> SurveyDocument:
     """Build and validate a SurveyDocument from its canonical JSON mapping.
 
     Input from outside the program, read by ``jsonio``'s rules: a wrongly
     shaped value raises ``DocumentParseError``, a broken invariant
-    ``DocumentIntegrityError``.
-
-    ``previous`` is the document the mapping is expected to revise, such
-    as a baseline step's input. A reference entry that ``_same_reference``
-    finds equal to the reference at the same position of ``previous`` is
-    that reference, read without building its memo key; any other entry
-    is read as without ``previous``, so the result, and every error and
-    its message, is the same either way.
+    ``DocumentIntegrityError``. Every entry is built by ``make_section``,
+    ``make_table`` or ``make_reference``, so an entry equal in value to
+    one built before is that object.
     """
     data = jsonio.check(data, dict, DocumentParseError, "survey document")
     sections = [_section_from_dict(raw) for raw in
                 jsonio.array(data, "sections", dict, DocumentParseError, "survey document", ())]
     tables = [_table_from_dict(raw) for raw in
               jsonio.array(data, "tables", dict, DocumentParseError, "survey document", ())]
-    known = previous.references if previous is not None else ()
-    references = [
-        _reference_from_dict(raw, known[index] if index < len(known) else None)
-        for index, raw in enumerate(jsonio.array(data, "references", dict, DocumentParseError,
-                                                 "survey document", ()))]
+    references = [_reference_from_dict(raw) for raw in
+                  jsonio.array(data, "references", dict, DocumentParseError,
+                               "survey document", ())]
     return _document(data, sections, tables, references)
 
 
@@ -747,27 +719,28 @@ def _revised_entries(text: str, pos: int, known: Sequence, reparses: Callable[..
             pos += len(kept)
         else:
             raw, pos = _DECODER.raw_decode(text, _after(text, pos, "    "))
-            entries.append(read(jsonio.check(raw, dict, DocumentParseError, "entry"), old))
+            entries.append(read(jsonio.check(raw, dict, DocumentParseError, "entry")))
         if not text.startswith(",\n", pos):
             return entries, _after(text, pos, "\n  ]")
         pos += 2
 
 
 def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | None:
-    """``document_from_dict(extract_json_value(text), previous)``, decoding only what changed.
+    """``document_from_dict(extract_json_value(text))``, decoding only what changed.
 
     For a reply that holds a document in the layout ``serialize_document``
-    writes. A section, table or reference entry that stands byte for byte
-    where ``previous`` keeps it (``_json``) is that object, provided
-    reading the entry gives it back: for a section, when ``make_section``
-    built it; for a reference, when ``_reference_reparses`` holds; for a table, when
-    ``_table_reparses`` found so. The other entries and the metadata are
-    decoded and read as ``document_from_dict`` reads them. Any other
-    layout or whitespace, and any reply the full parse rejects, gives
-    None; the caller then runs the full parse, which raises its own
-    error. The layout fixes the four keys and their order, so no key
-    repeats, and every byte outside the kept entries goes through
-    ``json``'s decoder.
+    writes, a kept entry is reused by its bytes: a section, table or
+    reference entry that stands byte for byte where ``previous`` keeps it
+    (``_json``) is that object, provided reading the entry gives it back:
+    for a section, when ``make_section`` built it; for a reference, when
+    ``_reference_reparses`` holds; for a table, when ``_table_reparses``
+    found so. The other entries and the metadata are decoded and read as
+    ``document_from_dict`` reads them. Any other layout or whitespace, and
+    any reply the full parse rejects, gives None; the caller then runs the
+    full parse, which reuses an entry only by its value (through the
+    memos of the ``make_*`` builders) and raises the reply's error. The
+    layout fixes the four keys and their order, so no key repeats, and
+    every byte outside the kept entries goes through ``json``'s decoder.
     """
     start = json_value_start(text)
     if start is None:
@@ -776,10 +749,10 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
         metadata, pos = _DECODER.raw_decode(text, _after(text, start, '{\n  "metadata": '))
         sections, pos = _revised_entries(
             text, _after(text, pos, ',\n  "sections": '), previous.sections,
-            lambda section: section._segmented, lambda raw, _: _section_from_dict(raw))
+            lambda section: section._segmented, _section_from_dict)
         tables, pos = _revised_entries(
             text, _after(text, pos, ',\n  "tables": '), previous.tables,
-            _table_reparses, lambda raw, _: _table_from_dict(raw))
+            _table_reparses, _table_from_dict)
         references, pos = _revised_entries(
             text, _after(text, pos, ',\n  "references": '), previous.references,
             _reference_reparses, _reference_from_dict)

@@ -285,9 +285,13 @@ def replay_update(
             raise DocumentIntegrityError(
                 f"audit record of {record.paper_id} routes to {kind} {target!r}, "
                 f"which the survey does not have") from None
+    insertion = record.insertion_sentence_id or APPEND
+    if insertion != APPEND and insertion not in doc.section(record.routed_section).sentence_ids():
+        raise DocumentIntegrityError(
+            f"audit record of {record.paper_id} inserts after sentence {insertion!r}, "
+            f"which section {record.routed_section!r} does not have")
     new_doc, inserted_ids, _ = _merge(
-        doc, paper, record.routed_section,
-        record.insertion_sentence_id or APPEND, record.draft_text,
+        doc, paper, record.routed_section, insertion, record.draft_text,
         record.inserted_row, record.routed_table)
     if inserted_ids != record.inserted_sentence_ids:
         raise DocumentIntegrityError(

@@ -66,9 +66,20 @@ def test_benchmark_methods_flag_restricts_runs(workspace):
     assert "oracle," not in csv_text
 
 
-def test_benchmark_unknown_method_is_config_error(workspace):
-    assert main(["--config", str(workspace["config"]),
-                 "benchmark", "--methods", "nonsense"]) == EXIT_CONFIG
+def test_benchmark_unknown_method_is_config_error(workspace, capsys):
+    # An unknown, empty or repeated method list is rejected before any
+    # instance is read, so no report is written.
+    for methods, message in [
+        ("nonsense", "unknown methods ['nonsense']"),
+        ("", "no methods given"),
+        (",", "no methods given"),
+        ("oracle,oracle", "methods ['oracle'] given more than once"),
+        ("framework,oracle, framework", "methods ['framework'] given more than once"),
+    ]:
+        assert main(["--config", str(workspace["config"]),
+                     "benchmark", "--methods", methods]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+    assert not (_config_dir(workspace) / "out").exists()
 
 
 def test_missing_embedding_endpoint_reports_absent_columns(workspace):

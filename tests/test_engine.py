@@ -419,6 +419,19 @@ def test_replay_of_record_routed_outside_the_survey_names_the_paper(full_state, 
         f"audit record of pR routes to {kind} 'nope', which the survey does not have"
 
 
+def test_replay_of_record_inserting_after_a_missing_sentence_names_the_paper(full_state):
+    draft = "Misplaced Method [cite]: One claim."
+    script = _framework_script("pI", "1", "append", {"t1": "no", "t2": "no"}, draft)
+    paper = make_paper("pI")
+    _, record = apply_update(full_state, paper, make_generator(script))
+    data = update_record_to_dict(record)
+    data["insertion_sentence_id"] = "1:9999"
+    with pytest.raises(DocumentIntegrityError) as failure:
+        replay_update(full_state, update_record_from_dict(data), paper)
+    assert str(failure.value) == \
+        "audit record of pI inserts after sentence '1:9999', which section '1' does not have"
+
+
 @pytest.mark.parametrize("row", ["row", 1, ["Method", "M"], True])
 def test_audit_inserted_row_must_be_an_object_or_null(row):
     data = update_record_to_dict(
