@@ -198,6 +198,9 @@ class Reference:
     # The reference's entry in the canonical document once rendered; a
     # field for the reason given on ``Section._json``.
     _json: str | None = field(default=None, init=False, repr=False, compare=False)
+    # Whether reading the reference's entry gives it back, once
+    # ``_reference_reparses`` has found out.
+    _reparses: bool | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,8 @@ class SurveyDocument:
     reference's number, numbering being dense. Each maps an id or key to
     its first occurrence. ``replace_section``, ``with_references`` and
     ``append_table_row`` hand both on to the document they derive, so an
-    update stream builds each once per loaded document.
+    update stream builds each once per loaded document. The token regions
+    that scoring diffs are kept the same way, once per document.
     """
 
     metadata: dict
@@ -223,6 +227,10 @@ class SurveyDocument:
     # changed once built: a derived document gets a copy to extend.
     _reference_positions: dict[str, int] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # The token regions of the sections and tables, and their bounds,
+    # once diffed (``metrics.document_regions``).
+    _regions: tuple[list, list] | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def _section_position(self, section_id: str) -> int | None:
         if self._section_positions is None:
@@ -602,14 +610,16 @@ def _reference_reparses(reference: Reference) -> bool:
     """Whether reading the reference's own entry gives it back, value types included.
 
     So it does for a str key, an int number and str bib keys whose values
-    each have a type whose equal values render the same JSON.
+    each have a type whose equal values render the same JSON. Found once
+    per reference object and kept, as ``_table_reparses`` keeps its
+    answer; the bib must not change once the reference is built.
     """
-    if type(reference.key) is not str or type(reference.number) is not int:
-        return False
-    for key, value in reference.bib.items():
-        if type(key) is not str or type(value) not in _SHARED_VALUE_TYPES:
-            return False
-    return True
+    if reference._reparses is None:
+        same = type(reference.key) is str and type(reference.number) is int and all(
+            type(key) is str and type(value) in _SHARED_VALUE_TYPES
+            for key, value in reference.bib.items())
+        object.__setattr__(reference, "_reparses", same)
+    return reference._reparses
 
 
 def _section_from_dict(raw: dict) -> Section:
@@ -698,6 +708,28 @@ def _after(text: str, pos: int, literal: str) -> int:
     return pos + len(literal)
 
 
+def _kept_list_end(text: str, pos: int, known: Sequence,
+                   reparses: Callable[..., bool]) -> int | None:
+    """The position after the kept entries of ``known`` when they stand at ``pos``.
+
+    The entries are taken joined as a canonical list joins them. None
+    when some object has no kept entry, when reading some entry would not
+    give its object back, or when the joined entries do not stand there.
+    The last entry is looked for first, where the joined ones would end,
+    so a list changed in the middle is not joined.
+    """
+    kept = [o._json for o in known]
+    try:
+        end = pos + sum(map(len, kept)) + 2 * (len(kept) - 1)
+    except TypeError:  # an object not rendered yet
+        return None
+    if not kept or not text.startswith(kept[-1], end - len(kept[-1])):
+        return None
+    if all(map(reparses, known)) and text.startswith(",\n".join(kept), pos):
+        return end
+    return None
+
+
 def _revised_entries(text: str, pos: int, known: Sequence, reparses: Callable[..., bool],
                      read: Callable) -> tuple[list, int]:
     """The sections, tables or references list standing at ``pos``, and the position after it.
@@ -705,12 +737,22 @@ def _revised_entries(text: str, pos: int, known: Sequence, reparses: Callable[..
     Entry ``i`` is ``known[i]`` when its kept entry (``_json``) stands
     there byte for byte and ``reparses(known[i])`` says that reading its
     entry gives it back; any other entry is decoded and read by ``read``
-    as ``document_from_dict`` reads it.
+    as ``document_from_dict`` reads it. The whole kept list is compared
+    first, in one ``startswith``: when it stands there, ending the list or
+    followed by more entries (a reply that appends references), every
+    known object is taken at once. Otherwise the entries are compared one
+    by one, which gives the same list where the whole one matches.
     """
     if text.startswith("[]", pos):
         return [], pos + 2
     pos = _after(text, pos, "[\n")
     entries: list = []
+    end = _kept_list_end(text, pos, known, reparses)
+    if end is not None:
+        if text.startswith("\n  ]", end):
+            return list(known), end + 4
+        if text.startswith(",\n", end):
+            entries, pos = list(known), end + 2
     while True:
         old = known[len(entries)] if len(entries) < len(known) else None
         kept = old._json if old is not None else None

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import logging
 import math
 from collections import Counter
@@ -37,6 +36,8 @@ DEFAULT_FIDELITY_TAU = 0.6
 _TOKEN_MEMO_SIZE = 2 ** 14
 # First slice length a diagonal run is compared in.
 _SNAKE_CHUNK = 16
+# The region starts of a stream of one region.
+_ONE_START = (0,)
 
 # Text -> embedding, as ``embed`` returns it.
 Vectors = Mapping[str, Sequence[float]]
@@ -78,7 +79,9 @@ def _common_run(a: tuple[str, ...], i: int, b: tuple[str, ...], j: int, limit: i
     """
     run, step, grow = 0, _SNAKE_CHUNK, True
     while step and run < limit:
-        span = min(step, limit - run)
+        span = limit - run
+        if step < span:
+            span = step
         if a[i + run:i + run + span] == b[j + run:j + run + span]:
             run += span
             if grow:
@@ -92,26 +95,42 @@ def _common_run(a: tuple[str, ...], i: int, b: tuple[str, ...], j: int, limit: i
 class _Stream:
     """One side of a diff after the shared leading regions are skipped.
 
-    Positions count from the end of the skipped regions. The ``window``
-    holds the tokens up to the end of the last region that differs from
-    the other side, flattened into one tuple; past ``split`` lie the
-    shared trailing regions, read in place and found by bisection over
-    their starts.
+    Positions count from the end of the skipped regions. Every region is
+    read where it lies, never joined: the first is the ``window``, read by
+    index up to ``split``; past it, a region is found by bisection over
+    the region starts. ``jumps`` (see ``_pair_equal_regions``) says, for
+    each region of the before side, how far a diagonal run that enters
+    it at its partner's offset must reach.
     """
 
-    __slots__ = ("window", "split", "chunks", "starts", "length")
+    __slots__ = ("window", "split", "chunks", "starts", "length", "jumps")
 
-    def __init__(self, window: Sequence[tuple[str, ...]], tail: Sequence[tuple[str, ...]]):
-        self.window = tuple(itertools.chain.from_iterable(window))
+    def __init__(self, regions: Sequence[Sequence[str]]):
+        # Tuples, so that slices of two regions compare equal.
+        first = regions[0] if regions else ()
+        self.window = first if type(first) is tuple else tuple(first)
         self.split = self.length = len(self.window)
-        self.chunks: list[tuple[str, ...]] = []
-        self.starts: list[int] = []
-        for region in tail:
-            if region:
-                # A tuple, so that its slices compare equal to the window's.
-                self.chunks.append(tuple(region))
-                self.starts.append(self.length)
-                self.length += len(region)
+        self.jumps: list[tuple[int, int] | None] | None = None
+        if len(regions) < 2:
+            self.chunks: Sequence[tuple[str, ...]] = (self.window,)
+            self.starts: Sequence[int] = _ONE_START
+            return
+        self.chunks = [self.window]
+        self.starts = [0]
+        for region in regions[1:]:
+            self.chunks.append(region if type(region) is tuple else tuple(region))
+            self.starts.append(self.length)
+            self.length += len(region)
+
+    def chunk(self, x: int) -> int:
+        """The index of the region holding position ``x``.
+
+        Regions sharing a start are all empty but the last, which is the
+        one bisection lands on.
+        """
+        if x < self.split:
+            return 0
+        return bisect.bisect_right(self.starts, x) - 1
 
     def locate(self, x: int) -> tuple[tuple[str, ...], int]:
         """The tuple holding position ``x`` and the index of ``x`` in it."""
@@ -125,28 +144,58 @@ class _Stream:
         return tokens[index]
 
 
+def _pair_equal_regions(a: _Stream, b: _Stream) -> None:
+    """Fill ``a.jumps``: for each region of ``a`` equal to its partner in ``b``,
+    the diagonal it shares with the partner and the end of their run.
+
+    Region ``i`` of ``a`` is partnered with region ``i + len(b) - len(a)``
+    of ``b``. With as many regions on both sides that pairs every region
+    by position, equal middle regions included; otherwise only the
+    trailing regions equal in pairs, counted from the end. A diagonal run
+    that stands in a pair at the same offset in both (on the entry's
+    diagonal, ``x - y == shift``) agrees to the end of the pair, and on
+    through each consecutive equal pair after it: to ``end``.
+    """
+    delta = len(b.chunks) - len(a.chunks)
+    jumps: list[tuple[int, int] | None] = [None] * len(a.chunks)
+    end = None
+    for i in range(len(a.chunks) - 1, max(-delta, 0) - 1, -1):
+        region, partner = a.chunks[i], b.chunks[i + delta]
+        if region is partner or region == partner:
+            if end is None:
+                end = a.starts[i] + len(region)
+            jumps[i] = (a.starts[i] - b.starts[i + delta], end)
+        elif delta:
+            break
+        else:
+            end = None
+    a.jumps = jumps
+
+
 def _snake(a: _Stream, b: _Stream, x: int, y: int) -> int:
     """Follow the diagonal from ``(x, y)`` while the tokens agree; return the end x.
 
-    The run is compared tuple by tuple. The trailing regions are equal in
-    pairs, so a run that stands in both of them at the same offset agrees
-    to the end of both streams and jumps there.
+    The run is compared tuple by tuple, and never copied past a slice. A
+    run that enters a pair of equal regions at the same offset in both
+    jumps to the end of their run of equal pairs in one step.
     """
     n, m = a.length, b.length
-    aligned = a.split - b.split
+    jumps = a.jumps
     while x < n and y < m:
         if x < a.split and y < b.split:
             limit = min(a.split - x, b.split - y)
             run = _common_run(a.window, x, b.window, y, limit)
-        elif x - y == aligned:
-            # Past one window, hence past both: in the trailing regions at
-            # the same offset.
-            return n
         else:
-            tokens_a, i = a.locate(x)
-            tokens_b, j = b.locate(y)
-            limit = min(len(tokens_a) - i, len(tokens_b) - j)
-            run = _common_run(tokens_a, i, tokens_b, j, limit)
+            chunk = a.chunk(x)
+            jump = jumps[chunk] if jumps is not None else None
+            if jump is not None and x - y == jump[0]:
+                run = limit = jump[1] - x
+            else:
+                i = x - a.starts[chunk]
+                tokens_a = a.chunks[chunk]
+                tokens_b, j = b.locate(y)
+                limit = min(len(tokens_a) - i, len(tokens_b) - j)
+                run = _common_run(tokens_a, i, tokens_b, j, limit)
         x += run
         y += run
         if run < limit:
@@ -241,15 +290,18 @@ def region_edit_script(
     """Minimal token edit script between two streams given as token regions.
 
     Each stream is its regions joined in order, and the script is the one
-    ``token_edit_script`` gives for the joined streams, op for op. Only
-    the regions from the first to the last that differ are joined:
+    ``token_edit_script`` gives for the joined streams, op for op. No
+    region is joined or copied:
     - leading regions equal in pairs are skipped, because the search's
       first diagonal run would cross them anyway;
-    - trailing regions equal in pairs are read in place, and a diagonal
-      run that reaches them at the same offset on both sides ends at the
-      end of both streams. That is the run the search would follow, so
-      this is not trimming the suffix, which can change the script (see
-      ``token_edit_script``).
+    - every other region is read where it lies (``_Stream``). Regions
+      equal in pairs (``_pair_equal_regions``) are crossed in one step
+      by a diagonal run that enters them at the same offset on both
+      sides: the run the search would follow, which reads every token of
+      the pair equal. Between two changed regions that is each equal
+      middle region; past the last, the trailing regions, which take a
+      run to the end of both streams. So this is not trimming the
+      suffix, which can change the script (see ``token_edit_script``).
 
     When the before regions are a subsequence of the after ones, as for
     every insertion-only step, the script comes from one walk along the
@@ -263,13 +315,11 @@ def region_edit_script(
         head += 1
     if head == len(before) == len(after):
         return EditScript(ops=())
-    tail = 0
-    while tail < shared - head and (before[-1 - tail] is after[-1 - tail]
-                                    or before[-1 - tail] == after[-1 - tail]):
-        tail += 1
     offset = sum(map(len, before[:head]))
-    a = _Stream(before[head:len(before) - tail], before[len(before) - tail:])
-    b = _Stream(after[head:len(after) - tail], after[len(after) - tail:])
+    a = _Stream(before[head:])
+    b = _Stream(after[head:])
+    if len(a.chunks) > 1 and len(b.chunks) > 1:
+        _pair_equal_regions(a, b)
     inserts = _insertion_walk(a, b, offset)
     if inserts is not None:
         return EditScript(ops=tuple(inserts))
@@ -356,8 +406,12 @@ def document_regions(doc: SurveyDocument) -> tuple[list[tuple[str, ...]], list[T
     cell values in schema order, each joined once per ``Section`` or
     ``SurveyTable`` object. References and metadata are left out. The
     region bounds are the offsets the tuples would have in the joined
-    stream.
+    stream. Both lists are built once per document and kept on it (one
+    step's after document is the next step's before), so callers must
+    not change them.
     """
+    if doc._regions is not None:
+        return doc._regions
     parts = [_section_tokens(section) for section in doc.sections]
     parts += [_table_tokens(table) for table in doc.tables]
     ids = [f"section:{section.id}" for section in doc.sections]
@@ -367,6 +421,7 @@ def document_regions(doc: SurveyDocument) -> tuple[list[tuple[str, ...]], list[T
     for region_id, part in zip(ids, parts):
         regions.append(TokenRegion(region_id, start, start + len(part)))
         start += len(part)
+    object.__setattr__(doc, "_regions", (parts, regions))
     return parts, regions
 
 

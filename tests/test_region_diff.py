@@ -292,8 +292,8 @@ def test_evaluate_step_flattens_only_the_changed_section(monkeypatch):
     windows = []
 
     class RecordingStream(metrics._Stream):
-        def __init__(self, window, tail):
-            super().__init__(window, tail)
+        def __init__(self, regions):
+            super().__init__(regions)
             windows.append(len(self.window))
 
     monkeypatch.setattr(metrics, "_Stream", RecordingStream)
@@ -302,6 +302,38 @@ def test_evaluate_step_flattens_only_the_changed_section(monkeypatch):
     scored = evaluate_step(result, "s")
     assert (scored.delta_tokens, scored.delta_out) == (6, 0)
     assert windows == [len(sections[3]._tokens), len(grown._tokens)]
+
+
+def test_evaluate_step_of_a_table_row_step_flattens_only_the_routed_section(monkeypatch):
+    # A framework step that appends a row changes the routed section and
+    # the table; the sections between them are equal and stay where they
+    # lie, as does every other region.
+    sections = [_section(str(i), [["a", "b", "c"]] * 20) for i in range(8)]
+    before = _document(sections, [{"Method": "a", "Note": "b"}])
+    grown = _section("3", [["a", "b", "c"]] * 20 + [["d", "e"]] * 2)
+    after = _document([*sections[:3], grown, *sections[4:]],
+                      [{"Method": "a", "Note": "b"}, {"Method": "(b)", "Note": "c"}])
+    streams = []
+
+    class RecordingStream(metrics._Stream):
+        def __init__(self, regions):
+            super().__init__(regions)
+            streams.append((self, list(regions)))
+
+    monkeypatch.setattr(metrics, "_Stream", RecordingStream)
+    result = StepResult(method=FRAMEWORK, paper_id="p", out_of_scope=False, abstained=False,
+                        before=before, after=after, gt_span=None, routed_section="3",
+                        routed_table="t1")
+    scored = evaluate_step(result, "s")
+    assert scored.delta_out == 0
+    assert scored.delta_tokens == len(flat_edit_script(reference_stream(before)[0],
+                                                       reference_stream(after)[0]))
+    assert [len(stream.window) for stream, _ in streams] == [
+        len(sections[3]._tokens), len(grown._tokens)]
+    # No region is copied: each stream reads the documents' own tuples.
+    for stream, regions in streams:
+        assert len(stream.chunks) == len(regions) == 6
+        assert all(chunk is region for chunk, region in zip(stream.chunks, regions))
 
 
 @pytest.mark.parametrize("kind", [list, tuple])
@@ -412,3 +444,77 @@ def test_a_step_with_a_deletion_runs_the_search():
     assert search.call_count == 1
     assert scored.delta_tokens == len(flat_edit_script(reference_stream(before)[0],
                                                        reference_stream(after)[0]))
+
+
+# --- equal middle regions -------------------------------------------------------
+
+
+@st.composite
+def _middle_pair(draw, insert_only):
+    """Two changed regions with K equal middle regions between them.
+
+    Leading and trailing regions may be shared too. A middle region on
+    the after side is the same tuple or an equal copy. The two changed
+    regions are edited by insertions, or (``insert_only`` false) also by
+    deletions and substitutions, so the search must run.
+    """
+    letters = st.sampled_from(draw(st.sampled_from(WALK_ALPHABETS)))
+    region = st.lists(letters, max_size=12).map(tuple)
+
+    def edited(tokens):
+        tokens = list(tokens)
+        for _ in range(draw(st.integers(1, 3))):
+            kind = "insert" if insert_only or not tokens else draw(
+                st.sampled_from(["insert", "delete", "replace"]))
+            at = draw(st.integers(0, max(len(tokens) - 1, 0)))
+            if kind == "insert":
+                tokens[at:at] = draw(st.lists(letters, min_size=1, max_size=4))
+            elif kind == "delete":
+                del tokens[at:at + draw(st.integers(1, 3))]
+            else:
+                tokens[at] = "z"
+        return tuple(tokens)
+
+    lead = draw(st.lists(region, max_size=2))
+    middle = draw(st.lists(region, min_size=1, max_size=6))
+    trail = draw(st.lists(region, max_size=2))
+    first, last = draw(region), draw(region)
+    before = [*lead, first, *middle, last, *trail]
+    after = [*lead, edited(first),
+             *(tokens if draw(st.booleans()) else tuple(list(tokens)) for tokens in middle),
+             edited(last), *trail]
+    return before, after
+
+
+@settings(max_examples=300, deadline=None)
+@given(_middle_pair(insert_only=True))
+def test_equal_middle_regions_of_an_insertion_pair_match_flat_search(pair):
+    before, after = pair
+    expected = flat_edit_script(joined(before), joined(after))
+    with _without_search():
+        assert region_ops(before, after) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_middle_pair(insert_only=False))
+def test_equal_middle_regions_of_a_searched_pair_match_flat_search(pair):
+    before, after = pair
+    assert region_ops(before, after) == flat_edit_script(joined(before), joined(after))
+
+
+def test_a_run_crosses_equal_middle_regions_in_one_step(monkeypatch):
+    # The run from the end of the first changed region to the second
+    # crosses 50 equal middle regions without comparing their tokens.
+    middle = [tuple("ab" * 20) for _ in range(50)]
+    before = [("a", "b"), *middle, ("c",)]
+    after = [("a", "x", "b"), *(tuple(list(tokens)) for tokens in middle), ("c", "x")]
+    compared = []
+    common_run = metrics._common_run
+
+    def counting(a, i, b, j, limit):
+        compared.append(limit)
+        return common_run(a, i, b, j, limit)
+
+    monkeypatch.setattr(metrics, "_common_run", counting)
+    assert region_ops(before, after) == flat_edit_script(joined(before), joined(after))
+    assert sum(compared) < 10
