@@ -290,6 +290,12 @@ def replay_update(
         raise DocumentIntegrityError(
             f"audit record of {record.paper_id} inserts after sentence {insertion!r}, "
             f"which section {record.routed_section!r} does not have")
+    if record.inserted_row is not None and record.routed_table is not None:
+        problems = doc.table(record.routed_table).check_row(record.inserted_row)
+        if problems:
+            raise DocumentIntegrityError(
+                f"audit record of {record.paper_id} inserts a row that table "
+                f"{record.routed_table!r} rejects: " + "; ".join(problems))
     new_doc, inserted_ids, _ = _merge(
         doc, paper, record.routed_section, insertion, record.draft_text,
         record.inserted_row, record.routed_table)

@@ -432,6 +432,22 @@ def test_replay_of_record_inserting_after_a_missing_sentence_names_the_paper(ful
         "audit record of pI inserts after sentence '1:9999', which section '1' does not have"
 
 
+def test_replay_of_record_with_a_row_the_table_rejects_names_the_paper(full_state):
+    draft = "Rowed Method [cite]: One claim."
+    row = '{"Method": "Rowed", "Domain": "Spatial", "Supervision": "None", "Score": 3}'
+    script = _framework_script("pW", "2", "append", {"t1": "yes", "t2": "no"}, draft, row)
+    paper = make_paper("pW")
+    _, record = apply_update(full_state, paper, make_generator(script))
+    assert record.decision == "updated" and record.routed_table == "t1"
+    data = update_record_to_dict(record)
+    data["inserted_row"] = {"Method": "x"}
+    with pytest.raises(DocumentIntegrityError) as failure:
+        replay_update(full_state, update_record_from_dict(data), paper)
+    assert str(failure.value) == (
+        "audit record of pW inserts a row that table 't1' rejects: "
+        "row missing columns ['Domain', 'Supervision', 'Score'] of table 't1'")
+
+
 @pytest.mark.parametrize("row", ["row", 1, ["Method", "M"], True])
 def test_audit_inserted_row_must_be_an_object_or_null(row):
     data = update_record_to_dict(
