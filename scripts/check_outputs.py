@@ -17,12 +17,14 @@ working tree and from an export of ``REV``:
   replies stay as they are). No such reply is in the canonical layout,
   so each one takes the full parse.
 
-On both baseline runs it also compares one digest line per baseline step,
-written by a small in-process run of ``benchmark.run_method`` under each
-tree's ``PYTHONPATH``. A line holds the hash of
-``serialize_document(after)``, every section's sentence ids, the inserted
-sentence ids and the error, so a changed sentence id shows even where the
-aggregate reports hide it.
+On the framework run and both baseline runs it also compares one digest
+line per step, written by a small in-process run of
+``benchmark.run_method`` under each tree's ``PYTHONPATH``. A line holds
+the hash of ``serialize_document(after)``, every section's sentence ids,
+the inserted sentence ids, the error, the step's ``delta_tokens`` and
+``delta_out`` (``evaluation.evaluate_step`` without an embedder) and the
+hash of its token edit script's ops, so a changed sentence id or edit
+script shows even where the aggregate reports hide it.
 
 ``REV`` is exported with ``git archive`` into a temporary directory, so an
 interrupted run leaves nothing registered in the repository. Prints one
@@ -56,16 +58,24 @@ RUNS = (
     ("retro_baselines_indent1", "retro_baselines", BASELINES, REPORTS),
 )
 CLI = "import sys; from dynsurvey.cli import main; sys.exit(main(sys.argv[1:]))"
-# Prints one line per baseline step of every benchmark instance in the
-# config named by argv[1]. It uses only calls that every revision since
-# the baselines existed has.
+# The methods whose steps are digested, by workload.
+DIGESTED = {"retro_framework_embed": "framework", "retro_baselines": "one_step,oracle"}
+# Prints one line per step of each method in argv[2] (comma-separated)
+# over every benchmark instance in the config named by argv[1]. It uses
+# only calls that every revision since the region-wise edit script
+# (``metrics.region_edit_script``) has.
 STEP_DIGESTS = """
 import hashlib, sys
-from dynsurvey.benchmark import ONE_STEP, ORACLE, build_instance, load_span_annotations, run_method
+from dynsurvey.benchmark import build_instance, load_span_annotations, run_method
 from dynsurvey.config import load_config, make_generator
 from dynsurvey.corpus import ingest_feed
 from dynsurvey.document import SurveyState, load_document, load_outline, serialize_document
 from dynsurvey.engine import make_step_clock
+from dynsurvey.evaluation import evaluate_step
+from dynsurvey.metrics import document_regions, region_edit_script
+
+def sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 config = load_config(sys.argv[1])
 generator = make_generator(config)
@@ -74,12 +84,16 @@ for spec in config.instances:
     instance = build_instance(
         spec.name, state, ingest_feed(spec.late_feed, config.candidate_filter),
         load_span_annotations(spec.spans), ingest_feed(spec.oos_feed, config.candidate_filter))
-    for method in (ONE_STEP, ORACLE):
+    for method in sys.argv[2].split(","):
         for step, result in enumerate(run_method(method, instance, generator, make_step_clock())):
-            text = serialize_document(result.after).encode("utf-8")
             ids = [section.sentence_ids() for section in result.after.sections]
-            print(spec.name, method, step, result.paper_id, hashlib.sha256(text).hexdigest(),
-                  ids, [sentence.id for sentence in result.inserted], repr(result.error))
+            script = region_edit_script(document_regions(result.before)[0],
+                                        document_regions(result.after)[0])
+            ops = [(op.op, op.before_pos, op.after_pos, op.token) for op in script.ops]
+            scored = evaluate_step(result, spec.name)
+            print(spec.name, method, step, result.paper_id, sha(serialize_document(result.after)),
+                  ids, [sentence.id for sentence in result.inserted], repr(result.error),
+                  scored.delta_tokens, scored.delta_out, sha(repr(ops)))
 """
 
 
@@ -122,9 +136,10 @@ def run_cli(tree: Path, workspace: Path, out: Path, args: list[str]) -> None:
                    check=True, env=env, cwd=workspace, capture_output=True, text=True)
 
 
-def step_digests(tree: Path, workspace: Path) -> str:
+def step_digests(tree: Path, workspace: Path, methods: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.run([sys.executable, "-c", STEP_DIGESTS, str(workspace / "config.json")],
+    return subprocess.run([sys.executable, "-c", STEP_DIGESTS, str(workspace / "config.json"),
+                           methods],
                           check=True, env=env, cwd=workspace, capture_output=True,
                           text=True).stdout
 
@@ -149,8 +164,8 @@ def check(rev: str, seeds: list[int], scratch: Path) -> int:
                 same = (outs["tree"] / name).read_bytes() == (outs["rev"] / name).read_bytes()
                 different += not same
                 print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {run}/{name}")
-            if workload == "retro_baselines":
-                digests = {label: step_digests(tree, workspace)
+            if workload in DIGESTED:
+                digests = {label: step_digests(tree, workspace, DIGESTED[workload])
                            for label, tree in (("tree", ROOT), ("rev", base))}
                 same = digests["tree"] == digests["rev"] and digests["tree"] != ""
                 different += not same
