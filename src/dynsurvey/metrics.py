@@ -149,12 +149,12 @@ def _pair_equal_regions(a: _Stream, b: _Stream) -> None:
     the diagonal it shares with the partner and the end of their run.
 
     Region ``i`` of ``a`` is partnered with region ``i + len(b) - len(a)``
-    of ``b``. With as many regions on both sides that pairs every region
-    by position, equal middle regions included; otherwise only the
-    trailing regions equal in pairs, counted from the end. A diagonal run
-    that stands in a pair at the same offset in both (on the entry's
-    diagonal, ``x - y == shift``) agrees to the end of the pair, and on
-    through each consecutive equal pair after it: to ``end``.
+    of ``b``: by position when both sides have as many regions, equal
+    middle regions included, and counted from the end otherwise, which
+    pairs the trailing regions. A diagonal run that stands in an equal
+    pair at the same offset in both (on its diagonal, ``x - y ==
+    shift``) agrees to the end of the pair, and on through each
+    consecutive equal pair after it: to ``end``.
     """
     delta = len(b.chunks) - len(a.chunks)
     jumps: list[tuple[int, int] | None] = [None] * len(a.chunks)
@@ -165,8 +165,6 @@ def _pair_equal_regions(a: _Stream, b: _Stream) -> None:
             if end is None:
                 end = a.starts[i] + len(region)
             jumps[i] = (a.starts[i] - b.starts[i + delta], end)
-        elif delta:
-            break
         else:
             end = None
     a.jumps = jumps
