@@ -134,9 +134,7 @@ class _Stream:
 
     def locate(self, x: int) -> tuple[tuple[str, ...], int]:
         """The tuple holding position ``x`` and the index of ``x`` in it."""
-        if x < self.split:
-            return self.window, x
-        chunk = bisect.bisect_right(self.starts, x) - 1
+        chunk = self.chunk(x)
         return self.chunks[chunk], x - self.starts[chunk]
 
     def token(self, x: int) -> str:
