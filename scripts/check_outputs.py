@@ -15,9 +15,19 @@ working tree and from an export of ``REV``:
   holds every reply that decodes re-written as
   ``json.dumps(value, indent=1, ensure_ascii=False)`` (the truncated
   replies stay as they are). No such reply is in the canonical layout,
-  so each one takes the full parse.
+  so each one takes the full parse;
+- the same baseline run on a copy of ``retro_baselines`` whose scenario
+  holds every reply that decodes cut off at a point drawn with the seed,
+  the kind of point taken in turn: inside a string, inside a
+  ``\\uXXXX`` escape (written at a point inside a string, as the replies
+  hold none), after a comma, after a key's colon, inside a number and
+  before the value's last bracket. Each such step fails closed. A cut
+  after a ``\\u`` goes through the trailing-comma repair before it is
+  reported as not balanced; every other cut is reported at once, where
+  the decode runs out of text. The error text is in the step digests,
+  so both paths are compared.
 
-On the framework run and both baseline runs it also compares one digest
+On the framework run and the three baseline runs it also compares one digest
 line per step, written by a small in-process run of
 ``benchmark.run_method`` under each tree's ``PYTHONPATH``. A line holds
 the hash of ``serialize_document(after)``, every section's sentence ids,
@@ -38,8 +48,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -56,6 +69,7 @@ RUNS = (
      REPORTS),
     ("retro_baselines", "retro_baselines", BASELINES, REPORTS),
     ("retro_baselines_indent1", "retro_baselines", BASELINES, REPORTS),
+    ("retro_baselines_cut", "retro_baselines", BASELINES, REPORTS),
 )
 CLI = "import sys; from dynsurvey.cli import main; sys.exit(main(sys.argv[1:]))"
 # The methods whose steps are digested, by workload.
@@ -105,10 +119,11 @@ def export(rev: str, out: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(out)], input=archive, check=True)
 
 
-def reindent_replies(workspace: Path) -> int:
-    """Re-write each baseline reply of the scenario that decodes as ``indent=1`` JSON.
+def rewrite_replies(workspace: Path, rewrite) -> int:
+    """Replace each baseline reply of the scenario that decodes by ``rewrite(reply, value, start)``.
 
-    Returns how many replies it re-wrote.
+    ``value`` is the reply's decoded JSON value and ``start`` where it
+    starts. Returns how many replies it replaced.
     """
     path = workspace / "scenario.json"
     scenario = json.loads(path.read_text(encoding="utf-8"))
@@ -122,11 +137,44 @@ def reindent_replies(workspace: Path) -> int:
             value, _ = decoder.raw_decode(reply, reply.index("{"))
         except json.JSONDecodeError:
             continue  # a truncated reply stays as it is
-        script[key] = json.dumps(value, indent=1, ensure_ascii=False)
+        script[key] = rewrite(reply, value, reply.index("{"))
         count += 1
     path.write_text(json.dumps(scenario, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
                     encoding="utf-8")
     return count
+
+
+def reindent(reply: str, value, start: int) -> str:
+    return json.dumps(value, indent=1, ensure_ascii=False)
+
+
+def cutter(seed: int):
+    """A ``rewrite_replies`` rewrite that cuts each reply at the next kind of point."""
+    rng = random.Random(seed)
+
+    def in_string(reply: str, start: int) -> str:
+        opened = rng.choice(list(re.finditer(r'"text": "', reply))).end()
+        return reply[:rng.randrange(opened, reply.index('"', opened))]
+
+    def in_escape(reply: str, start: int) -> str:
+        return in_string(reply, start) + "\\u00e9"[:rng.randint(1, 5)]
+
+    def after_comma(reply: str, start: int) -> str:
+        return reply[:rng.choice([m.end() for m in re.finditer(",", reply[start:])]) + start]
+
+    def after_colon(reply: str, start: int) -> str:
+        return reply[:rng.choice(list(re.finditer(r'"\w+": ', reply))).end()]
+
+    def in_number(reply: str, start: int) -> str:
+        digits = rng.choice(list(re.finditer(r": (\d{2,})", reply)))
+        return reply[:rng.randrange(digits.start(1) + 1, digits.end(1))]
+
+    def before_last_bracket(reply: str, start: int) -> str:
+        return reply[:reply.rindex("}")]
+
+    kinds = itertools.cycle(
+        [in_string, in_escape, after_comma, after_colon, in_number, before_last_bracket])
+    return lambda reply, value, start: next(kinds)(reply, start)
 
 
 def run_cli(tree: Path, workspace: Path, out: Path, args: list[str]) -> None:
@@ -155,7 +203,10 @@ def check(rev: str, seeds: list[int], scratch: Path) -> int:
                             "--workload", workload, "--seed", str(seed),
                             "--out", str(workspace)], check=True)
             if run == "retro_baselines_indent1":
-                print(f"seed {seed}  {run}: {reindent_replies(workspace)} replies re-indented")
+                print(f"seed {seed}  {run}: {rewrite_replies(workspace, reindent)} replies "
+                      f"re-indented")
+            if run == "retro_baselines_cut":
+                print(f"seed {seed}  {run}: {rewrite_replies(workspace, cutter(seed))} replies cut")
             outs = {}
             for label, tree in (("tree", ROOT), ("rev", base)):
                 outs[label] = workspace / f"out-{label}"

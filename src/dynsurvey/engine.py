@@ -100,6 +100,9 @@ class UpdateRecord:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(UpdateRecord))
+# The encoder of every audit line: ``json.dumps`` with options builds a
+# new encoder per call.
+_AUDIT_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 def insert_paragraph(
@@ -318,15 +321,30 @@ def publish(state: SurveyState, out: str | Path) -> Path:
     """
     validate_document(state.document)
     path = Path(out)
+    _replace_file(path, serialize_document(state.document))
+    return path
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and move it over ``path``.
+
+    A failed write removes the temporary file and leaves ``path`` as it was.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.tmp")
     try:
-        temp.write_text(serialize_document(state.document), encoding="utf-8")
+        temp.write_text(text, encoding="utf-8")
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-    return path
+
+
+def _record_fields(record: UpdateRecord) -> dict:
+    """The record's fields by name, with each table vote as a list; no value is copied."""
+    data = {name: getattr(record, name) for name in _RECORD_FIELDS}
+    data["table_votes"] = [[table_id, vote] for table_id, vote in record.table_votes]
+    return data
 
 
 def update_record_to_dict(record: UpdateRecord) -> dict:
@@ -336,8 +354,7 @@ def update_record_to_dict(record: UpdateRecord) -> dict:
     its recursive copy of every value: the other fields are immutable, and
     only the inserted row is copied.
     """
-    data = {name: getattr(record, name) for name in _RECORD_FIELDS}
-    data["table_votes"] = [[table_id, vote] for table_id, vote in record.table_votes]
+    data = _record_fields(record)
     data["inserted_row"] = copy.deepcopy(record.inserted_row)
     return data
 
@@ -362,12 +379,14 @@ def update_record_from_dict(data: dict) -> UpdateRecord:
 
 
 def write_audit_log(records: list[UpdateRecord], path: str | Path) -> None:
-    """Store update records as newline-delimited JSON."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(update_record_to_dict(r), ensure_ascii=False, sort_keys=True)
-             for r in records]
-    out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """Store update records as newline-delimited JSON, replacing the file as ``publish`` does.
+
+    Each line is ``json.dumps(update_record_to_dict(record),
+    ensure_ascii=False, sort_keys=True)``, encoded from the record's own
+    values: encoding reads them and copies none.
+    """
+    lines = [_AUDIT_ENCODER.encode(_record_fields(r)) for r in records]
+    _replace_file(Path(path), "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_audit_log(path: str | Path) -> list[UpdateRecord]:

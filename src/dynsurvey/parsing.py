@@ -40,6 +40,7 @@ _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _STRING_OR_TRAILING_COMMA = re.compile(rf"({_STRING})|,(?=\s*[}}\]])", re.DOTALL)
 _STRING_OR_BRACKET = re.compile(rf'{_STRING}|["{{}}\[\]]', re.DOTALL)
 _DECODER = json.JSONDecoder()
+_NOT_BALANCED = "JSON payload is not balanced; close all brackets"
 _TRUE_FALSE = re.compile(r"\b(TRUE|FALSE)\b", re.IGNORECASE)
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 _T = TypeVar("_T")
@@ -73,16 +74,18 @@ def json_value_start(text: str) -> int | None:
 def extract_json_value(text: str):
     """Decode the first JSON object or array of a response.
 
-    Text around the value is never read. Only when the value fails to
-    decode are its trailing commas dropped and the decode tried again;
-    if that fails too, a value whose brackets do not close (a reply cut
-    off at the model's output limit) is reported as not balanced. The
-    repair and the bracket count each scan the text once, in time linear
-    in its length. Only the first ``{`` or ``[`` is tried, so a truncated
-    whole-document reply fails here rather than decoding some entry
-    after it. A baseline step reads a reply in the canonical document
-    layout with ``document.revise_document`` and calls this only for any
-    other reply; an agent reads its reply with ``interpret_json_value``.
+    Text around the value is never read. A value cut off where the text
+    ends (a reply cut off at the model's output limit) is reported as not
+    balanced as soon as the decode reaches the end. Only when the value
+    fails to decode anywhere else are its trailing commas dropped and the
+    decode tried again; if that fails too, a value whose brackets do not
+    close is reported as not balanced. The repair and the bracket count
+    each scan the text once, in time linear in its length. Only the first
+    ``{`` or ``[`` is tried, so a truncated whole-document reply fails
+    here rather than decoding some entry after it. A baseline step reads
+    a reply in the canonical document layout with
+    ``document.revise_document`` and calls this only for any other reply;
+    an agent reads its reply with ``interpret_json_value``.
     """
     start = json_value_start(text)
     if start is None:
@@ -117,17 +120,27 @@ def interpret_json_value(text: str, interpret: Callable[[object], _T]) -> _T:
 
 
 def _decode_at(text: str, start: int):
-    """The JSON value at ``start``; see ``extract_json_value``."""
+    """The JSON value at ``start``; see ``extract_json_value``.
+
+    A decode that fails where the text ends, at ``len(text)`` or in a
+    string that never closes (the decoder reports an unterminated string
+    only there), accepted every byte before: there is no trailing comma
+    outside a string to drop, and the open value cannot close. The repair
+    would decode no further and the bracket count would find the value
+    open, so the hint is raised at once. Any other failure takes the
+    repair.
+    """
     try:
         return _DECODER.raw_decode(text, start)[0]
-    except json.JSONDecodeError:
-        pass
+    except json.JSONDecodeError as exc:
+        if exc.pos == len(text) or exc.msg == "Unterminated string starting at":
+            raise ParseFailure(_NOT_BALANCED) from exc
     repaired = _STRING_OR_TRAILING_COMMA.sub(r"\1", text[start:])
     try:
         return _DECODER.raw_decode(repaired)[0]
     except json.JSONDecodeError as exc:
         if not _brackets_pair_up(repaired):
-            raise ParseFailure("JSON payload is not balanced; close all brackets") from exc
+            raise ParseFailure(_NOT_BALANCED) from exc
         raise ParseFailure(f"JSON payload failed to parse: {exc.msg}") from exc
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -562,6 +563,56 @@ def test_record_dict_equals_asdict_reference(record):
     assert list(data) == list(expected)
     assert json.dumps(data, ensure_ascii=False, sort_keys=True) == \
         json.dumps(expected, ensure_ascii=False, sort_keys=True)
+
+
+def _old_audit_text(records) -> str:
+    """The audit log as it was written with one ``json.dumps`` per record dict."""
+    return "".join(json.dumps(update_record_to_dict(r), ensure_ascii=False, sort_keys=True) + "\n"
+                   for r in records)
+
+
+_RICH_ROW = {"Zeta": "Grüße, 東京", "Alpha": {"b": [1, "ü", {"y": None, "x": True}], "a": -2},
+             "Mid": 3, "Émoji": "🙂", "Quote": 'a "q" \\ b\n'}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_records, max_size=4))
+def test_audit_log_bytes_equal_one_dumps_per_record(records):
+    records = [*records, UpdateRecord(paper_id="pR", decision="updated", routed_section="2",
+                                      routed_table="t1", inserted_row=_RICH_ROW)]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "audit.ndjson"
+        write_audit_log(records, path)
+        assert path.read_bytes() == _old_audit_text(records).encode("utf-8")
+    assert update_record_from_dict(json.loads(_old_audit_text(records[-1:]))).inserted_row == \
+        _RICH_ROW
+
+
+def test_audit_log_copies_no_row(tmp_path, monkeypatch):
+    record = UpdateRecord(paper_id="pR", decision="updated", routed_table="t1",
+                          inserted_row=_RICH_ROW)
+    monkeypatch.setattr(engine.copy, "deepcopy", None)  # any copy would fail
+    write_audit_log([record], tmp_path / "audit.ndjson")
+    monkeypatch.undo()
+    assert (tmp_path / "audit.ndjson").read_text(encoding="utf-8") == _old_audit_text([record])
+
+
+def test_failed_audit_write_keeps_the_old_log(tmp_path, monkeypatch):
+    path = tmp_path / "audit.ndjson"
+    write_audit_log([UpdateRecord(paper_id="pA", decision="abstained")], path)
+    before = path.read_bytes()
+    original = Path.write_text
+
+    def torn_write(self, data, *args, **kwargs):
+        original(self, data[:10], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        write_audit_log([UpdateRecord(paper_id="pB", decision="updated", inserted_row=_RICH_ROW)],
+                        path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["audit.ndjson"]
 
 
 def test_record_dict_copies_the_nested_row():

@@ -296,3 +296,195 @@ def test_an_agent_reads_the_first_value_as_before_and_reads_on_only_past_a_failu
         outcome = "failure", exc.hint
     if first[0] == "value" or outcome[0] == "failure":
         assert outcome == first
+
+
+# --- a value cut off where the text ends ----------------------------------------
+#
+# ``_decode_at`` reports a value whose decode runs out of text as not
+# balanced without the repair. ``old_decode_at`` is the function as it was
+# before: every failed decode went through the repair and the bracket
+# count. Both must give the same value, or the same hint, on every text.
+
+
+def old_decode_at(text, start):
+    try:
+        return parsing._DECODER.raw_decode(text, start)[0]
+    except json.JSONDecodeError:
+        pass
+    repaired = parsing._STRING_OR_TRAILING_COMMA.sub(r"\1", text[start:])
+    try:
+        return parsing._DECODER.raw_decode(repaired)[0]
+    except json.JSONDecodeError as exc:
+        if not parsing._brackets_pair_up(repaired):
+            raise ParseFailure("JSON payload is not balanced; close all brackets") from exc
+        raise ParseFailure(f"JSON payload failed to parse: {exc.msg}") from exc
+
+
+def old_extract(text):
+    start = parsing.json_value_start(text)
+    if start is None:
+        raise ParseFailure("response contains no JSON object or array")
+    return old_decode_at(text, start)
+
+
+def old_interpret(text, interpret):
+    first = None
+    for match in parsing._VALUE_START.finditer(text):
+        if match.group(1):
+            try:
+                return interpret(old_decode_at(text, match.start()))
+            except ParseFailure as exc:
+                first = first or exc
+    if first is None:
+        raise ParseFailure("response contains no JSON object or array")
+    raise first
+
+
+def _hinted(read, *args):
+    """The value ``read`` gives, or its hint."""
+    try:
+        return "value", repr(read(*args))
+    except ParseFailure as exc:
+        return "failure", exc.hint
+
+
+CUT_KINDS = ("string", "escape", "comma", "colon", "number", "bracket", "anywhere")
+_NUMBER_OR_LITERAL = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|true|false|null")
+_ESCAPE = re.compile(r"\\(?:u[0-9a-fA-F]{4}|.)")
+
+
+def cut_points(text: str) -> dict[str, list[int]]:
+    """For each kind of point, every ``i`` where ``text[:i]`` ends at such a point.
+
+    ``text`` is a JSON value as ``json.dumps`` writes it.
+    """
+    inside = _string_positions(text)
+    points = {kind: [] for kind in CUT_KINDS}
+    points["anywhere"] = list(range(1, len(text)))
+    for i, char in enumerate(text):
+        if inside[i]:
+            points["string"].append(i)
+        elif char == ",":
+            points["comma"].append(i + 1)
+        elif char == ":":
+            points["colon"] += [i + 1, i + 2]
+        elif char in "}]":
+            points["bracket"] = [i]
+    for match in _ESCAPE.finditer(text):
+        if inside[match.start()]:
+            points["escape"] += range(match.start() + 1, match.end())
+    for match in _NUMBER_OR_LITERAL.finditer(text):
+        if not inside[match.start()]:
+            points["number"] += range(match.start() + 1, match.end())
+    return points
+
+
+_SURVEY = serialize_document(demo.demo_full_document())
+_SURVEY_ASCII = json.dumps(json.loads(_SURVEY), indent=2, ensure_ascii=True)
+
+
+@st.composite
+def _cut_reply(draw):
+    """A JSON value cut at a point of a drawn kind, perhaps with prose and reasoning around it."""
+    value = draw(st.sampled_from([_SURVEY, _SURVEY_ASCII]) | _json_containers.map(
+        lambda v: json.dumps(v, ensure_ascii=False)) | _json_containers.map(
+        lambda v: json.dumps(v, indent=2, ensure_ascii=True)))
+    points = cut_points(value)
+    kind = draw(st.sampled_from([k for k in CUT_KINDS if points[k]] or ["anywhere"]))
+    cut = value[:draw(st.sampled_from(points[kind]))] if points[kind] else value
+    before = draw(st.sampled_from(["", "Here is the survey:\n```json\n",
+                                   "<think>draft {a: [1,</think>\n", "Based on [1], then {x}: "]))
+    after = draw(st.sampled_from(["", "", "\n```", " (cut)", "<think>more</think>"]))
+    return before + cut + after
+
+
+def _accept(value):
+    return value
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_cut_reply())
+def test_a_cut_value_reads_as_the_repair_read_it(text):
+    assert _hinted(extract_json_value, text) == _hinted(old_extract, text)
+    for interpret in (_accept, _three):
+        assert _hinted(interpret_json_value, text, interpret) == \
+            _hinted(old_interpret, text, interpret)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_token_soup | _near_json() | _STRING_SOUP)
+def test_any_text_reads_as_the_repair_read_it(text):
+    assert _hinted(extract_json_value, text) == _hinted(old_extract, text)
+    assert _hinted(interpret_json_value, text, _three) == _hinted(old_interpret, text, _three)
+
+
+@pytest.mark.parametrize("kind", CUT_KINDS)
+def test_every_cut_of_the_survey_reads_as_the_repair_read_it(kind):
+    for text in (_SURVEY, _SURVEY_ASCII):
+        points = cut_points(text)[kind]
+        for i in points[::max(1, len(points) // 150)]:
+            assert _hinted(extract_json_value, text[:i]) == _hinted(old_extract, text[:i])
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """The texts the trailing-comma repair scanned."""
+    scanned = []
+    pattern = parsing._STRING_OR_TRAILING_COMMA
+
+    class Recording:
+        def sub(self, replacement, text):
+            scanned.append(text)
+            return pattern.sub(replacement, text)
+
+    monkeypatch.setattr(parsing, "_STRING_OR_TRAILING_COMMA", Recording())
+    return scanned
+
+
+@pytest.mark.parametrize("text, message", [
+    ('Sure: {"sections": [{"id": "1", "text": "A cat', "Unterminated string starting at"),
+    ('{"text": "a \\', "Unterminated string starting at"),
+    ('[1, ', "Expecting value"),
+    ('{"a": ', "Expecting value"),
+    ('{"a": [1, 22', "Expecting ',' delimiter"),
+    ('{"a": 1}\n  ]', None),
+    ('{"a"', "Expecting ':' delimiter"),
+    ('{"a": 1, ', "Expecting property name enclosed in double quotes"),
+    ('{', "Expecting property name enclosed in double quotes"),
+])
+def test_a_value_that_runs_out_of_text_is_not_balanced_without_the_repair(
+        repairs, text, message):
+    if message is None:  # a complete value: decoded, no repair
+        assert extract_json_value(text) == {"a": 1}
+        assert repairs == []
+        return
+    start = parsing.json_value_start(text)
+    with pytest.raises(json.JSONDecodeError) as error:
+        json.JSONDecoder().raw_decode(text, start)
+    assert error.value.msg == message
+    with pytest.raises(ParseFailure) as failure:
+        extract_json_value(text)
+    assert failure.value.hint == "JSON payload is not balanced; close all brackets"
+    assert repairs == []
+
+
+@pytest.mark.parametrize("text, hint", [
+    # Errors before the end of the text: the repair runs.
+    ('{"a": [1, 2,], "b": 3}', None),
+    ('{"a": tru, "b": 1}', "JSON payload failed to parse: Expecting value"),
+    ('{"a": [1, 2}', "JSON payload is not balanced; close all brackets"),
+    ('{"a": [1, 2] (cut)}', "JSON payload failed to parse: Expecting ',' delimiter"),
+    ('{"a": [1, 2] (cut)', "JSON payload is not balanced; close all brackets"),
+    ('{"a": "caf\\u00', "JSON payload is not balanced; close all brackets"),
+    ('{"a": 1.', "JSON payload is not balanced; close all brackets"),
+    ('[tru', "JSON payload is not balanced; close all brackets"),
+])
+def test_an_error_before_the_end_still_takes_the_repair(repairs, text, hint):
+    if hint is None:
+        assert extract_json_value(text) == {"a": [1, 2], "b": 3}
+    else:
+        with pytest.raises(ParseFailure) as failure:
+            extract_json_value(text)
+        assert failure.value.hint == hint
+    assert repairs == [text[parsing.json_value_start(text):]]
+    assert _hinted(extract_json_value, text) == _hinted(old_extract, text)

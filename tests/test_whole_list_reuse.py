@@ -1,11 +1,13 @@
 """The revision parse's whole-list reuse against the entry-by-entry parse it replaced.
 
 ``per_entry_revised_entries`` below is ``document._revised_entries`` as it
-was before a kept list was compared whole: entry ``i`` is ``known[i]``
+was before kept entries were compared whole: entry ``i`` is ``known[i]``
 when its kept entry stands there byte for byte and reads back, any other
 entry is decoded. ``revise_document`` must read every reply as the full
 parse reads it, and take by identity exactly the entries the per-entry
-parse takes: each input entry that stands unchanged where it was.
+parse takes: each input entry that stands unchanged where it was. It
+checks only the lists it did not take whole from its input, and must
+give None exactly where the full parse's ``validate_document`` raises.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dynsurvey.document import (
     revise_document,
     serialize_document,
 )
-from dynsurvey.errors import DocumentParseError
+from dynsurvey.errors import DocumentIntegrityError, DocumentParseError
 from dynsurvey.parsing import extract_json_value
 
 from test_document import _parse_outcome
@@ -58,7 +60,8 @@ _VALUES = st.one_of(st.text(alphabet='ab "\\é', max_size=4), st.integers(-2, 2)
 _TEXTS = st.text(alphabet=st.sampled_from("ab .!\n"), max_size=20)
 _TABLE = {"id": "t1", "title": "Tab", "schema": [{"name": "A", "kind": "text"}],
           "rows": [{"A": "x"}]}
-REPLY_KINDS = ("unchanged", "append", "middle", "section", "drop", "reorder")
+REPLY_KINDS = ("unchanged", "append", "middle", "section", "first", "last", "two_sections",
+               "drop", "reorder", "repeated_section_id", "repeated_key", "broken_number")
 
 
 def _reference(key, number, draw):
@@ -77,7 +80,7 @@ def _previous(draw):
     if references and draw(st.booleans()):
         draw(st.sampled_from(references))["bib"]["year"] = 2020.5
     sections = [{"id": str(i), "title": "T", "text": draw(_TEXTS)}
-                for i in range(1, draw(st.integers(1, 3)) + 1)]
+                for i in range(1, draw(st.integers(1, 5)) + 1)]
     tables = [_TABLE] if draw(st.booleans()) else []
     previous = document_from_dict({"metadata": {"title": "T"}, "sections": sections,
                                    "tables": tables, "references": references})
@@ -87,9 +90,15 @@ def _previous(draw):
 
 @st.composite
 def _reply(draw, previous):
-    """The previous survey's dict with the changes of one or two reply kinds."""
+    """The previous survey's dict with the changes of one or two reply kinds.
+
+    The last three kinds break an invariant that ``validate_document``
+    checks: a decoded section takes another's id, or an appended
+    reference repeats a key or breaks the dense numbering.
+    """
     reply = json.loads(json.dumps(document_to_dict(previous)))
     references = reply["references"]
+    sections = reply["sections"]
     for kind in draw(st.lists(st.sampled_from(REPLY_KINDS), min_size=1, max_size=2)):
         if kind == "append":
             used = {r["key"] for r in references}
@@ -99,9 +108,27 @@ def _reply(draw, previous):
         elif kind == "middle" and references:
             reference = references[draw(st.integers(0, len(references) - 1))]
             reference["bib"]["note"] = draw(_VALUES)
-        elif kind == "section":
-            section = draw(st.sampled_from(reply["sections"]))
+        elif kind in ("section", "first", "last"):
+            section = {"section": draw(st.sampled_from(sections)), "first": sections[0],
+                       "last": sections[-1]}[kind]
             section["text"] += " More words."
+        elif kind == "two_sections" and len(sections) > 1:
+            for section in draw(st.lists(st.sampled_from(sections), min_size=2, max_size=2,
+                                         unique_by=id)):
+                section["text"] += " More words."
+        elif kind == "repeated_section_id" and len(sections) > 1:
+            section, other = draw(st.lists(st.sampled_from(sections), min_size=2, max_size=2,
+                                           unique_by=id))
+            section["id"] = other["id"]
+            section["text"] += " Moved."
+        elif kind == "repeated_key" and references:
+            key = draw(st.sampled_from(references))["key"]
+            references.append(_reference(key, len(references) + 1, draw))
+        elif kind == "broken_number":
+            used = {r["key"] for r in references}
+            key = draw(_KEYS.filter(lambda k: k not in used))
+            number = draw(st.sampled_from([0, len(references), len(references) + 2]))
+            references.append(_reference(key, number, draw))
         elif kind == "drop" and references:
             del references[draw(st.integers(0, len(references) - 1))]
         elif kind == "reorder":
@@ -125,6 +152,9 @@ def _check(text, previous):
         patch.setattr(document, "_revised_entries", per_entry_revised_entries)
         oracle = revise_document(text, previous)
     assert (got is None) == (oracle is None)
+    # A canonical reply is given up on exactly where the full parse
+    # raises; a broken invariant is ``validate_document``'s error there.
+    assert (got is None) == (type(want[0]) is type)
     if got is None:
         return None
     assert _parse_outcome(lambda: got) == want
@@ -195,13 +225,14 @@ def test_an_unchanged_list_is_taken_whole(kept_list_ends, appended):
     assert kept_list_ends == [("Section", True), ("SurveyTable", True), ("Reference", True)]
 
 
-def test_a_list_changed_in_the_middle_is_compared_entry_by_entry(kept_list_ends):
+def test_the_kept_entries_after_a_changed_one_are_compared_whole(kept_list_ends):
     previous = _survey([{"title": f"t{i}"} for i in range(6)])
     reply = document_to_dict(previous)
     reply["references"][3]["bib"]["title"] = "changed"
     got = _check(_canonical(reply), previous)
     assert _kept_positions(got.references, previous.references) == [0, 1, 2, None, 4, 5]
-    assert kept_list_ends[-1] == ("Reference", False)
+    # The whole list does not stand there; the two after the change do.
+    assert kept_list_ends[2:] == [("Reference", False), ("Reference", True)]
 
 
 @pytest.mark.parametrize("change", ["drop", "reorder"])
@@ -217,7 +248,7 @@ def test_dropped_or_reordered_references_are_compared_entry_by_entry(kept_list_e
         reference["number"] = number
     got = _check(_canonical(reply), previous)
     assert _kept_positions(got.references, previous.references)[0] == 0
-    assert kept_list_ends[-1] == ("Reference", False)
+    assert kept_list_ends[2] == ("Reference", False)
 
 
 def test_a_kept_reference_that_does_not_reparse_takes_the_per_entry_path(kept_list_ends):
@@ -230,4 +261,155 @@ def test_a_kept_reference_that_does_not_reparse_takes_the_per_entry_path(kept_li
     got = _check(_canonical(reply), previous)
     assert _kept_positions(got.references, previous.references) == [0, None, 2, None]
     assert got.references[1] == previous.references[1]
-    assert kept_list_ends[-1] == ("Reference", False)
+    # The reference after the decoded one is taken by the compare that
+    # follows a decoded entry.
+    assert kept_list_ends[2:] == [("Reference", False), ("Reference", True)]
+
+
+def _sectioned_survey():
+    previous = document_from_dict({
+        "metadata": {"title": "T"},
+        "sections": [{"id": f"s{i}", "title": "T", "text": f"Section {i} says a thing. It ends."}
+                     for i in range(5)],
+        "tables": [_TABLE],
+        "references": [{"key": f"k{i}", "number": i, "bib": {"title": f"t{i}"}}
+                       for i in range(1, 5)]})
+    serialize_document(previous)
+    return previous
+
+
+@pytest.mark.parametrize("changed, section_ends", [
+    ([0], [True]),
+    ([2], [False, True]),
+    ([4], [False]),
+    ([1, 3], [False, False, True]),
+], ids=["first", "middle", "last", "two"])
+@pytest.mark.parametrize("appended", [0, 1])
+def test_a_reply_that_edits_sections_compares_the_kept_ones_after_each_whole(
+        kept_list_ends, changed, section_ends, appended):
+    previous = _sectioned_survey()
+    reply = document_to_dict(previous)
+    for i in changed:
+        reply["sections"][i]["text"] += " More words."
+    reply["references"] += [{"key": "new", "number": 5, "bib": {"title": "new"}}][:appended]
+    got = _check(_canonical(reply), previous)
+    assert _kept_positions(got.sections, previous.sections) == [
+        None if i in changed else i for i in range(5)]
+    assert _kept_positions(got.references, previous.references) == [0, 1, 2, 3, None][:4 + appended]
+    assert [end for kind, end in kept_list_ends if kind == "Section"] == section_ends
+
+
+def _broken(previous, kind):
+    reply = document_to_dict(previous)
+    if kind == "repeated_section_id":
+        reply["sections"][3]["id"] = "s1"
+        reply["sections"][3]["text"] += " Moved."
+    elif kind == "repeated_key":
+        reply["references"].append({"key": "k2", "number": 5, "bib": {}})
+    elif kind == "repeated_appended_key":
+        reply["references"] += [{"key": "n", "number": 5, "bib": {}},
+                                {"key": "n", "number": 6, "bib": {}}]
+    elif kind == "broken_number":
+        reply["references"].append({"key": "n", "number": 6, "bib": {}})
+    elif kind == "repeated_number":
+        reply["references"].append({"key": "n", "number": 4, "bib": {}})
+    return _canonical(reply)
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("repeated_section_id", "duplicate section ids"),
+    ("repeated_key", "duplicate reference keys"),
+    ("repeated_appended_key", "duplicate reference keys"),
+    ("broken_number", "not dense"),
+    ("repeated_number", "not dense"),
+])
+def test_a_broken_invariant_gives_none_where_the_full_parse_raises(kind, error):
+    previous = _sectioned_survey()
+    text = _broken(previous, kind)
+    assert _check(text, previous) is None
+    with pytest.raises(DocumentIntegrityError, match=error):
+        document_from_dict(extract_json_value(text))
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The names of the list checks ``revise_document`` ran, in order."""
+    ran = []
+    for name in ("_check_sections", "_check_tables", "_check_references",
+                 "_check_appended_references"):
+        def recording(*args, _name=name, _plain=getattr(document, name)):
+            ran.append(_name)
+            return _plain(*args)
+        monkeypatch.setattr(document, name, recording)
+    return ran
+
+
+@pytest.mark.parametrize("change, ran", [
+    ("none", ["_check_appended_references"]),
+    ("section", ["_check_sections", "_check_appended_references"]),
+    ("table", ["_check_tables", "_check_appended_references"]),
+    ("append", ["_check_appended_references"]),
+    ("drop", ["_check_references"]),
+])
+def test_only_the_lists_not_taken_whole_are_checked(checks, change, ran):
+    previous = _sectioned_survey()
+    reply = document_to_dict(previous)
+    if change == "section":
+        reply["sections"][2]["text"] += " More words."
+    elif change == "table":
+        reply["tables"][0]["rows"].append({"A": "y"})
+    elif change == "append":
+        reply["references"].append({"key": "n", "number": 5, "bib": {}})
+    elif change == "drop":
+        del reply["references"][-1]
+    checks.clear()  # those of the parse of the input
+    got = revise_document(_canonical(reply), previous)
+    assert got is not None and got._checked
+    assert checks == ran
+
+
+def test_a_previous_document_not_checked_gets_every_list_checked(checks):
+    checked = _sectioned_survey()
+    previous = document.SurveyDocument(checked.metadata, checked.sections, checked.tables,
+                                       checked.references)
+    checks.clear()
+    got = revise_document(serialize_document(previous), previous)
+    assert got is not None and got.references == previous.references
+    assert checks == ["_check_sections", "_check_tables", "_check_references"]
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_a_reply_that_extends_the_references_hands_the_index_on(built):
+    previous = _sectioned_survey()
+    if built:
+        previous.reference_position("k1")
+    reply = document_to_dict(previous)
+    reply["references"] += [{"key": f"n{i}", "number": 5 + i, "bib": {}} for i in range(2)]
+    got = revise_document(_canonical(reply), previous)
+    # The tail check builds the input's index when it has none.
+    assert previous._reference_positions == {f"k{i}": i for i in range(1, 5)}
+    assert got._reference_positions == {r.key: r.number for r in got.references}
+    assert got._reference_positions is not previous._reference_positions
+
+
+@pytest.mark.parametrize("edited", [None, 2])
+@pytest.mark.parametrize("closer", ["\n  }", "\n ]X", "\n  ] ", "\r\n  ]"])
+@pytest.mark.parametrize("listed", ["sections", "references"])
+def test_kept_entries_not_followed_by_the_layout_give_none(kept_list_ends, listed, closer, edited):
+    # The kept entries, taken whole from the list's start or after the
+    # edited entry, must still close the list as the layout does.
+    previous = _sectioned_survey()
+    reply = document_to_dict(previous)
+    if edited is not None:
+        reply[listed][edited]["title" if listed == "sections" else "bib"] = {
+            "sections": "Edited", "references": {"title": "edited"}}[listed]
+    text = _canonical(reply)
+    end = text.index('\n  ],\n  "tables"' if listed == "sections" else "\n  ]\n}")
+    text = text[:end] + closer + text[end + 4:]
+    assert revise_document(text, previous) is None
+    # Where the reply is still JSON, only its whitespace left the layout.
+    assert (type(_parse_outcome(lambda: document_from_dict(extract_json_value(text)))[0])
+            is str) == (closer.strip() == "]")
+    # The kept entries did stand there, and were compared whole.
+    assert (listed, True) in [({"Section": "sections", "Reference": "references"}.get(kind), found)
+                              for kind, found in kept_list_ends]
