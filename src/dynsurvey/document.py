@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import operator
 from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -213,10 +212,8 @@ class SurveyDocument:
     reference's number, numbering being dense. Each maps an id or key to
     its first occurrence. ``replace_section``, ``with_references`` and
     ``append_table_row`` hand both on to the document they derive, so an
-    update stream builds each once per loaded document, and
-    ``revise_document`` hands the reference index on to a reply whose
-    references extend its input's. The token regions that scoring diffs
-    are kept the same way, once per document.
+    update stream builds each once per loaded document. The token regions
+    that scoring diffs are kept the same way, once per document.
     """
 
     metadata: dict
@@ -234,9 +231,6 @@ class SurveyDocument:
     # once diffed (``metrics.document_regions``).
     _regions: tuple[list, list] | None = field(default=None, init=False, repr=False,
                                                compare=False)
-    # Whether the document passed ``validate_document``; a derived
-    # document has not.
-    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def _section_position(self, section_id: str) -> int | None:
         if self._section_positions is None:
@@ -296,30 +290,23 @@ class SurveyDocument:
     def with_references(self, references: tuple[Reference, ...]) -> "SurveyDocument":
         """The document with ``references``.
 
-        When they extend this document's references, the result gets the
-        reference index of ``_extended_positions``, so the index of this
-        document, of a failed step's and of another branch never change
-        each other. Otherwise the result builds its own.
+        When they extend this document's references, the result gets a
+        copy of the reference index with the appended keys added, so the
+        index of this document, of a failed step's and of another branch
+        never change each other. Otherwise the result builds its own.
         """
         doc = replace(self, references=references)
         object.__setattr__(doc, "_section_positions", self._section_positions)
-        if references[:len(self.references)] == self.references:
-            object.__setattr__(doc, "_reference_positions", self._extended_positions(references))
-        return doc
-
-    def _extended_positions(self, references: Sequence[Reference]) -> dict[str, int] | None:
-        """The reference index of ``references``, which extend this document's.
-
-        This document's index when nothing is appended, else a copy of it
-        with the appended keys added; None while this one is not built.
-        """
         positions = self._reference_positions
         count = len(self.references)
-        if positions is not None and len(references) > count:
+        if references is self.references:
+            object.__setattr__(doc, "_reference_positions", positions)
+        elif positions is not None and references[:count] == self.references:
             positions = dict(positions)
             for position in range(count + 1, len(references) + 1):
                 positions.setdefault(references[position - 1].key, position)
-        return positions
+            object.__setattr__(doc, "_reference_positions", positions)
+        return doc
 
 
 def _first_positions(ids: Iterable[str], start: int) -> dict[str, int]:
@@ -388,24 +375,26 @@ def validate_document(doc: SurveyDocument) -> None:
     (the schema) are checked once per object when they cannot change: a
     ``Section`` whose sentences are a tuple, a table whose rows are
     read-only mappings. A baseline step therefore checks only the
-    sections and tables its reply changed. A document that passes is
-    marked (``_checked``), so ``revise_document`` need not read again the
-    lists that a reply keeps of it.
+    sections and tables its reply changed.
     """
-    _check_sections(doc.sections)
-    _check_tables(doc.tables)
-    _check_references(doc.references)
-    object.__setattr__(doc, "_checked", True)
-
-
-def _check_sections(sections: Sequence[Section]) -> None:
-    section_ids = [s.id for s in sections]
+    section_ids = [s.id for s in doc.sections]
     if len(section_ids) != len(set(section_ids)):
         raise DocumentIntegrityError(f"duplicate section ids in {sorted(section_ids)}")
-    # The sentences of a section are checked once per object: an
-    # unchanged section that ``make_section`` shared costs nothing here.
-    # Sentences held in a list are checked on every call.
-    for section in sections:
+    table_ids = [t.id for t in doc.tables]
+    if len(table_ids) != len(set(table_ids)):
+        raise DocumentIntegrityError(f"duplicate table ids in {sorted(table_ids)}")
+    keys = [r.key for r in doc.references]
+    if len(keys) != len(set(keys)):
+        raise DocumentIntegrityError("duplicate reference keys")
+    numbers = [r.number for r in doc.references]
+    if numbers != list(range(1, len(numbers) + 1)):
+        raise DocumentIntegrityError(f"reference numbering {numbers} is not dense 1..n")
+    # The sentences of a section, and the rows of a table with frozen
+    # rows, are checked once per object: an unchanged section or table
+    # that ``make_section`` or ``make_table`` shared costs nothing here.
+    # Sentences held in a list, and rows that can still change, are
+    # checked on every call.
+    for section in doc.sections:
         if section._checked:
             continue
         ids = section.sentence_ids()
@@ -417,15 +406,7 @@ def _check_sections(sections: Sequence[Section]) -> None:
                     f"empty sentence {sentence.id!r} in section {section.id!r}")
         if type(section.sentences) is tuple:
             object.__setattr__(section, "_checked", True)
-
-
-def _check_tables(tables: Sequence[SurveyTable]) -> None:
-    table_ids = [t.id for t in tables]
-    if len(table_ids) != len(set(table_ids)):
-        raise DocumentIntegrityError(f"duplicate table ids in {sorted(table_ids)}")
-    # The rows of a table with frozen rows are checked once per object, as
-    # a section's sentences are; rows that can still change on every call.
-    for table in tables:
+    for table in doc.tables:
         if table._rows_checked:
             continue
         for index, row in enumerate(table.rows):
@@ -434,34 +415,6 @@ def _check_tables(tables: Sequence[SurveyTable]) -> None:
                 raise DocumentIntegrityError(f"table {table.id!r} row {index}: " + "; ".join(problems))
         if all(type(row) is MappingProxyType for row in table.rows):
             object.__setattr__(table, "_rows_checked", True)
-
-
-def _check_references(references: Sequence[Reference]) -> None:
-    keys = [r.key for r in references]
-    if len(keys) != len(set(keys)):
-        raise DocumentIntegrityError("duplicate reference keys")
-    numbers = [r.number for r in references]
-    if numbers != list(range(1, len(numbers) + 1)):
-        raise DocumentIntegrityError(f"reference numbering {numbers} is not dense 1..n")
-
-
-def _check_appended_references(references: Sequence[Reference], before: SurveyDocument) -> None:
-    """Check the references appended to those of a valid ``before``, which ``references`` extend.
-
-    The tail must continue the dense numbering with keys not used
-    before, which ``before.reference_position`` tells without reading
-    the earlier references.
-    """
-    appended_from = len(before.references)
-    appended: set[str] = set()
-    for number, reference in enumerate(references[appended_from:], start=appended_from + 1):
-        if reference.number != number:
-            raise DocumentIntegrityError(
-                f"appended reference {reference.key!r} has number {reference.number}, "
-                f"expected {number} for dense 1..n")
-        if reference.key in appended or before.reference_position(reference.key) is not None:
-            raise DocumentIntegrityError(f"duplicate reference keys: {reference.key!r}")
-        appended.add(reference.key)
 
 
 def validate_additions(
@@ -476,10 +429,11 @@ def validate_additions(
     section after it and ``inserted_ids`` the ids of its new sentences;
     ``references`` extends ``before.references`` by the appended tail.
     Each new sentence id must occur once in the section and its text
-    must not be blank; the tail is checked by
-    ``_check_appended_references``. Other sections and the tables are
-    not read (``append_table_row`` checks its row). When ``before``
-    passed ``validate_document``, this raises exactly when
+    must not be blank; the tail must continue the dense numbering with
+    keys not used before, which ``before.reference_position`` tells
+    without reading the earlier references. Other sections and the
+    tables are not read (``append_table_row`` checks its row). When
+    ``before`` passed ``validate_document``, this raises exactly when
     ``validate_document`` would raise on the result.
     """
     if inserted_ids:
@@ -494,7 +448,17 @@ def validate_additions(
                 if not sentence.text.strip():
                     raise DocumentIntegrityError(
                         f"empty sentence {sentence.id!r} in section {section.id!r}")
-    _check_appended_references(references, before)
+    appended_from = len(before.references)
+    if appended_from < len(references):
+        appended: set[str] = set()
+        for number, reference in enumerate(references[appended_from:], start=appended_from + 1):
+            if reference.number != number:
+                raise DocumentIntegrityError(
+                    f"appended reference {reference.key!r} has number {reference.number}, "
+                    f"expected {number} for dense 1..n")
+            if reference.key in appended or before.reference_position(reference.key) is not None:
+                raise DocumentIntegrityError(f"duplicate reference keys: {reference.key!r}")
+            appended.add(reference.key)
 
 
 def validate_state(state: SurveyState) -> None:
@@ -716,21 +680,21 @@ def document_from_dict(data: dict) -> SurveyDocument:
     references = [_reference_from_dict(raw) for raw in
                   jsonio.array(data, "references", dict, DocumentParseError,
                                "survey document", ())]
-    doc = _document(data, sections, tables, references)
-    validate_document(doc)
-    return doc
+    return _document(data, sections, tables, references)
 
 
 def _document(data: dict, sections: list[Section], tables: list[SurveyTable],
               references: list[Reference]) -> SurveyDocument:
-    """The document of the parts read, with the metadata of ``data``; not checked yet."""
-    return SurveyDocument(
+    """The validated document of the parts read, with the metadata of ``data``."""
+    doc = SurveyDocument(
         metadata=dict(jsonio.field(data, "metadata", dict, DocumentParseError,
                                    "survey document", {})),
         sections=tuple(sections),
         tables=tuple(tables),
         references=tuple(references),
     )
+    validate_document(doc)
+    return doc
 
 
 class _OffLayout(Exception):
@@ -773,50 +737,38 @@ def _revised_entries(text: str, pos: int, known: Sequence, reparses: Callable[..
     Entry ``i`` is ``known[i]`` when its kept entry (``_json``) stands
     there byte for byte and ``reparses(known[i])`` says that reading its
     entry gives it back; any other entry is decoded and read by ``read``
-    as ``document_from_dict`` reads it. Where a run of kept entries may
-    start, at the list's start and after each decoded entry, the kept
-    entries from there to the end are compared whole, in one
-    ``startswith`` (``_kept_list_end``), once the first of them stands
-    there. When they all stand there, ending the list or followed by
-    more entries (a reply that appends references), they are taken at
-    once; otherwise the entries are compared one by one. So a reply that
-    edits one entry costs one by one compares up to it, its decode and
-    one whole compare after it. The result is the list that comparing
-    every entry one by one gives.
+    as ``document_from_dict`` reads it. The whole kept list is compared
+    first, in one ``startswith``: when it stands there, ending the list or
+    followed by more entries (a reply that appends references), every
+    known object is taken at once. Otherwise the entries are compared one
+    by one, which gives the same list where the whole one matches.
     """
     if text.startswith("[]", pos):
         return [], pos + 2
     pos = _after(text, pos, "[\n")
     entries: list = []
-    run_start = True
+    end = _kept_list_end(text, pos, known, reparses)
+    if end is not None:
+        if text.startswith("\n  ]", end):
+            return list(known), end + 4
+        if text.startswith(",\n", end):
+            entries, pos = list(known), end + 2
     while True:
         old = known[len(entries)] if len(entries) < len(known) else None
         kept = old._json if old is not None else None
         if kept is not None and text.startswith(kept, pos) and reparses(old):
-            end = _kept_list_end(text, pos, known[len(entries):], reparses) if run_start else None
-            if end is None:
-                entries.append(old)
-                pos += len(kept)
-            else:
-                entries += known[len(entries):]
-                pos = end
-            run_start = False
+            entries.append(old)
+            pos += len(kept)
         else:
             raw, pos = _DECODER.raw_decode(text, _after(text, pos, "    "))
             entries.append(read(jsonio.check(raw, dict, DocumentParseError, "entry")))
-            run_start = True
         if not text.startswith(",\n", pos):
             return entries, _after(text, pos, "\n  ]")
         pos += 2
 
 
-def _same_objects(objects: Sequence, known: Sequence) -> bool:
-    """Whether ``objects`` are the objects of ``known``, in order."""
-    return len(objects) == len(known) and all(map(operator.is_, objects, known))
-
-
 def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | None:
-    """``document_from_dict(extract_json_value(text))``, decoding and checking only what changed.
+    """``document_from_dict(extract_json_value(text))``, decoding only what changed.
 
     For a reply that holds a document in the layout ``serialize_document``
     writes, a kept entry is reused by its bytes: a section, table or
@@ -825,15 +777,8 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
     for a section, when ``make_section`` built it; for a reference, when
     ``_reference_reparses`` holds; for a table, when ``_table_reparses``
     found so. The other entries and the metadata are decoded and read as
-    ``document_from_dict`` reads them. The document is then checked as
-    ``validate_document`` checks it, but when ``previous`` passed that
-    check, only where it is new: a list that is ``previous``'s own
-    objects in order is not read, and of a references list that extends
-    ``previous``'s only the appended tail is, through
-    ``previous.reference_position``, as ``validate_additions`` checks
-    it; such a list hands the reference index on
-    (``_extended_positions``). Any other layout or whitespace, and any
-    reply the full parse rejects, gives None; the caller then runs the
+    ``document_from_dict`` reads them. Any other layout or whitespace, and
+    any reply the full parse rejects, gives None; the caller then runs the
     full parse, which reuses an entry only by its value (through the
     memos of the ``make_*`` builders) and raises the reply's error. The
     layout fixes the four keys and their order, so no key repeats, and
@@ -854,20 +799,7 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
             text, _after(text, pos, ',\n  "references": '), previous.references,
             _reference_reparses, _reference_from_dict)
         _after(text, pos, "\n}")
-        doc = _document({"metadata": metadata}, sections, tables, references)
-        checked = previous._checked
-        if not (checked and _same_objects(sections, previous.sections)):
-            _check_sections(doc.sections)
-        if not (checked and _same_objects(tables, previous.tables)):
-            _check_tables(doc.tables)
-        if checked and _same_objects(references[:len(previous.references)], previous.references):
-            _check_appended_references(doc.references, previous)
-            object.__setattr__(doc, "_reference_positions",
-                               previous._extended_positions(doc.references))
-        else:
-            _check_references(doc.references)
-        object.__setattr__(doc, "_checked", True)
-        return doc
+        return _document({"metadata": metadata}, sections, tables, references)
     except (_OffLayout, json.JSONDecodeError, DocumentParseError, DocumentIntegrityError):
         return None
 
