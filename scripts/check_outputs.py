@@ -31,10 +31,12 @@ On the framework run and the three baseline runs it also compares one digest
 line per step, written by a small in-process run of
 ``benchmark.run_method`` under each tree's ``PYTHONPATH``. A line holds
 the hash of ``serialize_document(after)``, every section's sentence ids,
-the inserted sentence ids, the error, the step's ``delta_tokens`` and
-``delta_out`` (``evaluation.evaluate_step`` without an embedder) and the
-hash of its token edit script's ops, so a changed sentence id or edit
-script shows even where the aggregate reports hide it.
+the inserted sentence ids, the error, the step's ``delta_tokens``,
+``delta_out`` and the ``repr`` of its BLEU-4 and ROUGE-L scores
+(``evaluation.evaluate_step`` without an embedder) and the hash of its
+token edit script's ops, so a changed sentence id, edit script or last
+bit of a score shows even where the aggregate reports, which print six
+decimals, hide it.
 
 ``REV`` is exported with ``git archive`` into a temporary directory, so an
 interrupted run leaves nothing registered in the repository. Prints one
@@ -107,7 +109,8 @@ for spec in config.instances:
             scored = evaluate_step(result, spec.name)
             print(spec.name, method, step, result.paper_id, sha(serialize_document(result.after)),
                   ids, [sentence.id for sentence in result.inserted], repr(result.error),
-                  scored.delta_tokens, scored.delta_out, sha(repr(ops)))
+                  scored.delta_tokens, scored.delta_out, repr(scored.bleu4),
+                  repr(scored.rouge_l_f), sha(repr(ops)))
 """
 
 

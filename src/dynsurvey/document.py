@@ -783,9 +783,11 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
     memos of the ``make_*`` builders) and raises the reply's error. The
     layout fixes the four keys and their order, so no key repeats, and
     every byte outside the kept entries goes through ``json``'s decoder.
+    The layout closes the document with ``"\n}"``; a reply cut off before
+    that (at the model's output limit) gives None before any list is read.
     """
     start = json_value_start(text)
-    if start is None:
+    if start is None or text.rfind("\n}", start) < 0:
         return None
     try:
         metadata, pos = _DECODER.raw_decode(text, _after(text, start, '{\n  "metadata": '))

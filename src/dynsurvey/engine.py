@@ -19,7 +19,6 @@ import copy
 import itertools
 import json
 import logging
-import os
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -321,23 +320,8 @@ def publish(state: SurveyState, out: str | Path) -> Path:
     """
     validate_document(state.document)
     path = Path(out)
-    _replace_file(path, serialize_document(state.document))
+    jsonio.replace_text(path, serialize_document(state.document))
     return path
-
-
-def _replace_file(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path`` and move it over ``path``.
-
-    A failed write removes the temporary file and leaves ``path`` as it was.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.tmp")
-    try:
-        temp.write_text(text, encoding="utf-8")
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
 
 
 def _record_fields(record: UpdateRecord) -> dict:
@@ -386,7 +370,7 @@ def write_audit_log(records: list[UpdateRecord], path: str | Path) -> None:
     values: encoding reads them and copies none.
     """
     lines = [_AUDIT_ENCODER.encode(_record_fields(r)) for r in records]
-    _replace_file(Path(path), "\n".join(lines) + ("\n" if lines else ""))
+    jsonio.replace_text(Path(path), "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_audit_log(path: str | Path) -> list[UpdateRecord]:

@@ -20,6 +20,8 @@ from .errors import MetricUnavailableError
 from .metrics import (
     DEFAULT_COHERENCE_WINDOW,
     DEFAULT_ROUGE_BETA,
+    _joined_tokens,
+    _memo_tokens,
     abstention_precision_recall,
     bert_similarity,
     bleu_4,
@@ -128,13 +130,15 @@ def evaluate_step(
     d_tokens = delta_tokens(script)
     d_out = delta_out(script, _step_scope(result), before_regions, after_regions)
 
-    update_text = " ".join(s.text for s in result.inserted)
     bleu = rouge = bert = align = coherence = None
     if result.gt_span is not None:
-        reference = result.gt_span.text
-        bleu = bleu_4(update_text, reference)
-        rouge = rouge_l(update_text, reference, beta=rouge_beta)
+        # Each text is tokenized once, through the memo the regions use.
+        candidate = _joined_tokens(s.text for s in result.inserted)
+        reference = _memo_tokens(result.gt_span.text)
+        bleu = bleu_4(candidate, reference)
+        rouge = rouge_l(candidate, reference, beta=rouge_beta)
     if embedder is not None:
+        update_text = " ".join(s.text for s in result.inserted)
         bert, align, coherence = _embedding_metrics(
             result, update_text, coherence_window, embedder)
 

@@ -12,6 +12,10 @@ A read that succeeds costs one ``type(value) is kind`` test; a message
 is built only on failure. ``where`` names the object a field sits in:
 a string, or a ``(label, id)`` pair that is then formatted as
 ``label 'id'``.
+
+Whole output files, the published survey, the audit log and the two
+reports, are written through ``replace_text``, so a failed write leaves
+the old file.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import reprlib
 import types
 import typing
@@ -42,6 +47,22 @@ def read_text(path: str | Path, error: type[Exception], what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def replace_text(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and move it over ``path``.
+
+    A reader sees the old file or the new one, never a torn file. A failed
+    write removes the temporary file and leaves ``path`` as it was.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def loads(text: str, error: type[Exception], what: str) -> dict:

@@ -17,7 +17,8 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .document import Section, Sentence, SurveyDocument, SurveyTable
 from .endpoints import TextEmbedder
@@ -365,6 +366,14 @@ def _memo_tokens(text: str) -> tuple[str, ...]:
     return tuple(tokenize(text))
 
 
+def _joined_tokens(texts: Iterable[str]) -> tuple[str, ...]:
+    """The memoised tokens of ``texts``, chained into one tuple.
+
+    No token spans whitespace, so this is ``tokenize(" ".join(texts))``.
+    """
+    return tuple(chain.from_iterable(map(_memo_tokens, texts)))
+
+
 def _section_tokens(section: Section) -> tuple[str, ...]:
     """The tokens of a section's sentences, joined once and kept on the section.
 
@@ -372,8 +381,7 @@ def _section_tokens(section: Section) -> tuple[str, ...]:
     """
     tokens = section._tokens
     if tokens is None:
-        tokens = tuple(token for sentence in section.sentences
-                       for token in _memo_tokens(sentence.text))
+        tokens = _joined_tokens(sentence.text for sentence in section.sentences)
         object.__setattr__(section, "_tokens", tokens)
     return tokens
 
@@ -386,11 +394,8 @@ def _table_tokens(table: SurveyTable) -> tuple[str, ...]:
     """
     tokens = table._tokens
     if tokens is None:
-        joined = list(_memo_tokens(table.title))
-        for row in table.rows:
-            for column in table.schema:
-                joined += _memo_tokens(str(row.get(column.name, "")))
-        tokens = tuple(joined)
+        tokens = _joined_tokens(chain((table.title,), (
+            str(row.get(column.name, "")) for row in table.rows for column in table.schema)))
         object.__setattr__(table, "_tokens", tokens)
     return tokens
 
@@ -514,21 +519,21 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(a) - v.bit_count()
 
 
-def rouge_l(candidate: str, reference: str, beta: float = DEFAULT_ROUGE_BETA) -> float:
-    """Longest-common-subsequence F score between two texts.
+def rouge_l(candidate: Sequence[str], reference: Sequence[str],
+            beta: float = DEFAULT_ROUGE_BETA) -> float:
+    """Longest-common-subsequence F score between two token sequences.
 
-    Recall is LCS over the reference length, precision LCS over the
-    candidate length, combined with the weighted harmonic mean. Empty
-    candidate or reference scores 0 by convention.
+    The sequences are ``tokenize``'s tokens of the two texts. Recall is
+    LCS over the reference length, precision LCS over the candidate
+    length, combined with the weighted harmonic mean. An empty candidate
+    or reference scores 0 by convention.
     """
-    candidate_tokens = tokenize(candidate)
-    reference_tokens = tokenize(reference)
-    if not candidate_tokens or not reference_tokens:
+    if not candidate or not reference:
         logger.info("rouge_l over an empty side scores 0 by convention")
         return 0.0
-    lcs = _lcs_length(candidate_tokens, reference_tokens)
-    recall = lcs / len(reference_tokens)
-    precision = lcs / len(candidate_tokens)
+    lcs = _lcs_length(candidate, reference)
+    recall = lcs / len(reference)
+    precision = lcs / len(candidate)
     denominator = recall + beta * beta * precision
     if denominator == 0.0:
         return 0.0
@@ -544,32 +549,34 @@ def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(order))))
 
 
-def bleu_4(candidate: str, reference: str) -> float:
-    """BLEU-4 with brevity penalty and add-one smoothing on zero orders.
+def bleu_4(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """BLEU-4 of two token sequences, with brevity penalty and add-one smoothing on zero orders.
 
-    Modified n-gram precisions are clipped against the reference counts.
-    An order with zero matches is smoothed to ``1 / (total + 1)``; orders
-    the candidate is too short to populate contribute a factor of one.
-    An empty candidate scores 0.
+    The sequences are ``tokenize``'s tokens of the two texts. Modified
+    n-gram precisions are clipped against the reference counts: only the
+    n-grams both sides hold match, each up to the smaller of its two
+    counts. An order with zero matches is smoothed to ``1 / (total + 1)``;
+    orders the candidate is too short to populate contribute a factor of
+    one. An empty candidate scores 0.
     """
-    candidate_tokens = tokenize(candidate)
-    reference_tokens = tokenize(reference)
-    if not candidate_tokens:
+    if not candidate:
         return 0.0
     log_sum = 0.0
     for order in range(1, 5):
-        counts = _ngram_counts(candidate_tokens, order)
-        total = max(len(candidate_tokens) - order + 1, 0)
+        total = max(len(candidate) - order + 1, 0)
         if total == 0:
             continue  # factor of one after smoothing over an empty order
-        reference_counts = _ngram_counts(reference_tokens, order)
-        matched = sum(min(count, reference_counts[gram]) for gram, count in counts.items())
+        counts = _ngram_counts(candidate, order)
+        reference_counts = _ngram_counts(reference, order)
+        common = counts.keys() & reference_counts.keys()
+        matched = sum(map(min, map(counts.__getitem__, common),
+                          map(reference_counts.__getitem__, common)))
         if matched == 0:
             precision = 1.0 / (total + 1)
         else:
             precision = matched / total
         log_sum += math.log(precision)
-    c, r = len(candidate_tokens), len(reference_tokens)
+    c, r = len(candidate), len(reference)
     brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
     return brevity * math.exp(log_sum / 4.0)
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import jsonio
 from .evaluation import REPORTED_METRICS, AggregateReport, MetricSummary, StepEvaluation, \
     aggregate
 from .metrics import BLEU_SMOOTHING_ID, DEFAULT_COHERENCE_WINDOW, DEFAULT_FIDELITY_TAU, \
@@ -110,11 +111,14 @@ def write_reports(
     out_dir: str | Path,
     knobs: ReportKnobs,
 ) -> tuple[Path, Path]:
+    """Write ``report.csv`` and ``report.txt`` into ``out_dir``, each replacing its file atomically.
+
+    A failed write leaves that report as it was.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "report.csv"
     text_path = out / "report.txt"
     report = aggregate(evals)
-    csv_path.write_text(render_csv(report, knobs), encoding="utf-8")
-    text_path.write_text(render_text(report, knobs), encoding="utf-8")
+    jsonio.replace_text(csv_path, render_csv(report, knobs))
+    jsonio.replace_text(text_path, render_text(report, knobs))
     return csv_path, text_path

@@ -36,6 +36,7 @@ from dynsurvey.metrics import (
     token_edit_script,
 )
 from dynsurvey.mock import ScriptedGeneration
+from dynsurvey.text import tokenize
 
 from helpers import apply_edit_script, count_unresolved_placeholders, document_token_stream
 from test_metrics import oracle_bleu_4, oracle_rouge_l
@@ -261,9 +262,10 @@ def test_c6_metric_oracles_on_200_pairs():
         for _ in range(200):
             candidate = " ".join(rng.choice(_VOCAB) for _ in range(rng.randint(1, 10)))
             reference = " ".join(rng.choice(_VOCAB) for _ in range(rng.randint(1, 10)))
-            assert abs(rouge_l(candidate, reference)
+            candidate_tokens, reference_tokens = tokenize(candidate), tokenize(reference)
+            assert abs(rouge_l(candidate_tokens, reference_tokens)
                        - oracle_rouge_l(candidate, reference)) < 1e-9
-            assert abs(bleu_4(candidate, reference)
+            assert abs(bleu_4(candidate_tokens, reference_tokens)
                        - oracle_bleu_4(candidate, reference)) < 1e-9
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"oracle comparison took {elapsed:.2f}s"

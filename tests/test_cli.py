@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from dynsurvey.demo import write_demo_workspace
 from dynsurvey.document import load_outline
 from dynsurvey.engine import read_audit_log
 from dynsurvey.errors import EXIT_CONFIG, EXIT_PARSE
+from dynsurvey.evaluation import StepEvaluation
+from dynsurvey.report import ReportKnobs, write_reports
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 ROOT = Path(__file__).parent.parent
@@ -46,6 +49,28 @@ def test_mock_benchmark_script_reproduces_golden_reports(tmp_path):
     assert done.returncode == 0, done.stderr
     for name in ("report.csv", "report.txt"):
         assert (workdir / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("failing", ["report.csv", "report.txt"])
+def test_failed_report_write_keeps_the_old_report(tmp_path, monkeypatch, failing):
+    step = StepEvaluation(survey="s", method="framework", paper_id="p", out_of_scope=0,
+                          abstained=0, delta_tokens=3, delta_out=0, bleu4=0.5)
+    paths = write_reports([step], tmp_path, ReportKnobs())
+    before = {path.name: path.read_bytes() for path in paths}
+    original = Path.write_text
+
+    def torn_write(self, data, *args, **kwargs):
+        if self.name == f".{failing}.tmp":
+            original(self, data[:10], *args, **kwargs)
+            raise OSError("disk full")
+        return original(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        write_reports([step, dataclasses.replace(step, paper_id="q", bleu4=0.25)], tmp_path,
+                      ReportKnobs())
+    assert (tmp_path / failing).read_bytes() == before[failing]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.txt"]
 
 
 def test_benchmark_is_byte_deterministic(workspace, tmp_path):

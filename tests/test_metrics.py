@@ -99,34 +99,37 @@ def test_rouge_and_bleu_match_oracles_on_200_random_pairs():
     rng = random.Random(20240810)
     for _ in range(200):
         candidate, reference = _random_sentence(rng), _random_sentence(rng)
-        assert abs(rouge_l(candidate, reference) - oracle_rouge_l(candidate, reference)) < 1e-9
-        assert abs(bleu_4(candidate, reference) - oracle_bleu_4(candidate, reference)) < 1e-9
+        candidate_tokens, reference_tokens = tokenize(candidate), tokenize(reference)
+        assert abs(rouge_l(candidate_tokens, reference_tokens)
+                   - oracle_rouge_l(candidate, reference)) < 1e-9
+        assert abs(bleu_4(candidate_tokens, reference_tokens)
+                   - oracle_bleu_4(candidate, reference)) < 1e-9
 
 
 # --- ROUGE-L ---------------------------------------------------------------
 
 
 def test_rouge_identical_strings():
-    assert rouge_l("the cat sat", "the cat sat") == pytest.approx(1.0)
+    assert rouge_l(tokenize("the cat sat"), tokenize("the cat sat")) == pytest.approx(1.0)
 
 
 def test_rouge_hand_computed_example():
     # LCS("the cat sat", "the cat") = 2, P = 2/3, R = 1, F(beta=1) = 0.8.
-    assert rouge_l("the cat sat", "the cat") == pytest.approx(0.8)
+    assert rouge_l(tokenize("the cat sat"), tokenize("the cat")) == pytest.approx(0.8)
 
 
 def test_rouge_disjoint_tokens():
-    assert rouge_l("alpha beta", "gamma delta") == 0.0
+    assert rouge_l(tokenize("alpha beta"), tokenize("gamma delta")) == 0.0
 
 
 def test_rouge_empty_sides():
-    assert rouge_l("", "words here") == 0.0
-    assert rouge_l("words here", "") == 0.0
+    assert rouge_l(tokenize(""), tokenize("words here")) == 0.0
+    assert rouge_l(tokenize("words here"), tokenize("")) == 0.0
 
 
 @given(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=12).map(" ".join))
 def test_rouge_self_similarity_is_one(text):
-    assert rouge_l(text, text) == pytest.approx(1.0)
+    assert rouge_l(tokenize(text), tokenize(text)) == pytest.approx(1.0)
 
 
 # --- BLEU-4 ----------------------------------------------------------------
@@ -134,13 +137,14 @@ def test_rouge_self_similarity_is_one(text):
 
 def test_bleu_identical_ten_tokens():
     text = "one two three four five six seven eight nine ten"
-    assert bleu_4(text, text) == pytest.approx(1.0)
+    assert bleu_4(tokenize(text), tokenize(text)) == pytest.approx(1.0)
 
 
 def test_bleu_golden_value():
     # Pinned by the counting oracle before the implementation was written:
     # p1 = 3/4, p2 = 2/3, p3 = 1/2, p4 smoothed to 1/2, BP = 1.
-    assert bleu_4("a b c d", "a b c e") == pytest.approx(0.5946035575013605, abs=1e-12)
+    assert bleu_4(tokenize("a b c d"), tokenize("a b c e")) == \
+        pytest.approx(0.5946035575013605, abs=1e-12)
 
 
 def test_bleu_brevity_penalty_applied():
@@ -148,18 +152,18 @@ def test_bleu_brevity_penalty_applied():
     # so the score is exactly BP = exp(1 - r/c) = exp(-1).
     reference = "alpha beta gamma delta epsilon zeta eta theta"
     candidate = "alpha beta gamma delta"
-    value = bleu_4(candidate, reference)
+    value = bleu_4(tokenize(candidate), tokenize(reference))
     assert value == pytest.approx(math.exp(1.0 - 8 / 4), abs=1e-12)
     assert value == pytest.approx(oracle_bleu_4(candidate, reference), abs=1e-12)
 
 
 def test_bleu_empty_candidate():
-    assert bleu_4("", "something") == 0.0
+    assert bleu_4(tokenize(""), tokenize("something")) == 0.0
 
 
 @given(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=12).map(" ".join))
 def test_bleu_self_similarity_is_one(text):
-    assert bleu_4(text, text) == pytest.approx(1.0)
+    assert bleu_4(tokenize(text), tokenize(text)) == pytest.approx(1.0)
 
 
 def slice_ngram_counts(tokens: list[str], order: int) -> Counter:

@@ -3,10 +3,10 @@
 Each reference is the straightforward version of a scoring step: the
 O(n·m) LCS table, a token stream tokenized sentence by sentence
 (``test_edit_script.reference_stream``), a local coherence that maps
-every sentence of the document, and an ``evaluate_step`` that calls the
-embedder once per embedding metric. The
-library versions must give exactly the same values, or raise the same
-errors.
+every sentence of the document, BLEU-4 and ROUGE-L as they were when
+they took the two texts and tokenized them, and an ``evaluate_step``
+that calls the embedder once per embedding metric. The library versions
+must give exactly the same values, or raise the same errors.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,45 @@ def reference_lcs_length(a, b) -> int:
                 current.append(max(current[j - 1], previous[j]))
         previous = current
     return previous[len(b)]
+
+
+def string_rouge_l(candidate: str, reference: str, beta: float = 1.0) -> float:
+    """``metrics.rouge_l`` as it was when it took two texts and tokenized both."""
+    candidate_tokens = tokenize(candidate)
+    reference_tokens = tokenize(reference)
+    if not candidate_tokens or not reference_tokens:
+        return 0.0
+    lcs = reference_lcs_length(candidate_tokens, reference_tokens)
+    recall = lcs / len(reference_tokens)
+    precision = lcs / len(candidate_tokens)
+    denominator = recall + beta * beta * precision
+    if denominator == 0.0:
+        return 0.0
+    return (1 + beta * beta) * precision * recall / denominator
+
+
+def string_bleu_4(candidate: str, reference: str) -> float:
+    """``metrics.bleu_4`` as it was when it took two texts and clipped each candidate n-gram."""
+    candidate_tokens = tokenize(candidate)
+    reference_tokens = tokenize(reference)
+    if not candidate_tokens:
+        return 0.0
+    log_sum = 0.0
+    for order in range(1, 5):
+        counts = Counter(zip(*(candidate_tokens[i:] for i in range(order))))
+        total = max(len(candidate_tokens) - order + 1, 0)
+        if total == 0:
+            continue
+        reference_counts = Counter(zip(*(reference_tokens[i:] for i in range(order))))
+        matched = sum(min(count, reference_counts[gram]) for gram, count in counts.items())
+        if matched == 0:
+            precision = 1.0 / (total + 1)
+        else:
+            precision = matched / total
+        log_sum += math.log(precision)
+    c, r = len(candidate_tokens), len(reference_tokens)
+    brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return brevity * math.exp(log_sum / 4.0)
 
 
 def reference_embed(texts, embedder):
@@ -131,8 +171,8 @@ def reference_evaluate_step(result, survey, embedder=None, coherence_window=2, r
     bleu = rouge = bert = align = coherence = None
     if result.gt_span is not None:
         reference = result.gt_span.text
-        bleu = bleu_4(update_text, reference)
-        rouge = rouge_l(update_text, reference, beta=rouge_beta)
+        bleu = string_bleu_4(update_text, reference)
+        rouge = string_rouge_l(update_text, reference, beta=rouge_beta)
         if embedder is not None and update_text:
             try:
                 bert = reference_bert_similarity(update_text, reference, embedder)
@@ -188,6 +228,49 @@ def test_lcs_length_pinned_cases():
     long_a = ["x"] * 200 + ["y"]
     assert _lcs_length(long_a, ["y"] + ["x"] * 150) == 150
     assert _lcs_length(["a", "b"] * 100, ["b", "a"] * 100) == 199
+
+
+# --- BLEU-4 and ROUGE-L over tokens ---------------------------------------------
+
+# Words that repeat, so n-grams repeat and clipping binds; unicode letters,
+# digits, underscores, a combining mark and punctuation, each a token or
+# part of one.
+_SCORED_WORDS = ["model", "noise", "model noise", "naïve", "Ünïcode", "日本語", "x_1", "42",
+                 "e.g.", "(deep)", "[1]", "—", "…", "’s", "e\u0301", "a", "a a"]
+_scored_text = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(_SCORED_WORDS), max_size=14).map(" ".join),
+    st.lists(st.sampled_from(_SCORED_WORDS), max_size=3).map("".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_scored_text, _scored_text, st.sampled_from([0.5, 1.0, 2.0]))
+def test_token_scores_equal_the_string_scores(candidate, reference, beta):
+    want_bleu = string_bleu_4(candidate, reference)
+    want_rouge = string_rouge_l(candidate, reference, beta)
+    assert bleu_4(tokenize(candidate), tokenize(reference)) == want_bleu
+    assert rouge_l(tokenize(candidate), tokenize(reference), beta) == want_rouge
+    # The memoised tuples the step scorer reads score alike.
+    memo = metrics._memo_tokens
+    assert bleu_4(memo(candidate), memo(reference)) == want_bleu
+    assert rouge_l(memo(candidate), memo(reference), beta) == want_rouge
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_scored_text, max_size=6))
+def test_chained_text_tokens_equal_the_joined_text_tokens(texts):
+    assert metrics._joined_tokens(texts) == tuple(tokenize(" ".join(texts)))
+
+
+def test_token_scores_pinned_cases():
+    assert bleu_4((), ("a",)) == string_bleu_4("", "a") == 0.0
+    assert bleu_4(("a",), ()) == string_bleu_4("a", "")
+    assert rouge_l((), ("a",)) == rouge_l(("a",), ()) == 0.0
+    # Fewer than four tokens: the empty orders are left out.
+    assert bleu_4(tokenize("a b"), tokenize("a b")) == string_bleu_4("a b", "a b") == 1.0
+    # A repeated n-gram is clipped at the reference's count.
+    assert bleu_4(tokenize("a a a a"), tokenize("a a b")) == string_bleu_4("a a a a", "a a b")
 
 
 # --- token stream over kept section tuples -------------------------------------
@@ -345,19 +428,19 @@ class CountingEmbedder:
 
 
 @st.composite
-def _step_results(draw):
+def _step_results(draw, texts=_section_text):
     """One step that inserts a paragraph into a section, or changes nothing."""
     count = draw(st.integers(1, 3))
-    sections = tuple(make_section(f"s{i}", "S", draw(_section_text)) for i in range(count))
+    sections = tuple(make_section(f"s{i}", "S", draw(texts)) for i in range(count))
     before = _document(sections)
     index = draw(st.integers(0, count - 1))
     section = sections[index]
     anchor = draw(st.sampled_from(["append", *section.sentence_ids()]))
-    new_section, inserted_ids = insert_paragraph(section, anchor, draw(_section_text))
+    new_section, inserted_ids = insert_paragraph(section, anchor, draw(texts))
     after = before.replace_section(new_section)
     inserted = tuple(s for s in new_section.sentences if s.id in inserted_ids)
     gt_span = draw(st.one_of(
-        st.none(), _section_text.map(lambda text: GroundTruthSpan(section.id, text))))
+        st.none(), texts.map(lambda text: GroundTruthSpan(section.id, text))))
     return StepResult(
         method=draw(st.sampled_from(METHODS)), paper_id="p", out_of_scope=gt_span is None,
         abstained=not inserted, before=before, after=after, gt_span=gt_span,
@@ -377,6 +460,13 @@ _embedders = st.one_of(
 def test_evaluate_step_matches_three_call_reference(result, embedder, window, beta):
     assert evaluate_step(result, "s", embedder, window, beta) == \
         reference_evaluate_step(result, "s", embedder, window, beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_results(_scored_text), st.sampled_from([0.5, 1.0, 2.0]))
+def test_evaluate_step_matches_the_string_scores_on_any_text(result, beta):
+    assert evaluate_step(result, "s", rouge_beta=beta) == \
+        reference_evaluate_step(result, "s", rouge_beta=beta)
 
 
 def test_evaluate_step_matches_three_call_reference_on_demo_streams(hash_embedder):

@@ -26,7 +26,7 @@ from dynsurvey.document import (
     serialize_document,
 )
 from dynsurvey.errors import DocumentIntegrityError, DocumentParseError
-from dynsurvey.parsing import extract_json_value
+from dynsurvey.parsing import ParseFailure, extract_json_value
 
 from test_document import _parse_outcome
 
@@ -320,6 +320,19 @@ def test_a_broken_invariant_gives_none_where_the_full_parse_raises(kind, error):
     text = _broken(previous, kind)
     assert _check(text, previous) is None
     with pytest.raises(DocumentIntegrityError, match=error):
+        document_from_dict(extract_json_value(text))
+
+
+@pytest.mark.parametrize("cut", ['"sections": [', "Section 2 says", '"references": [\n', "\n}"])
+def test_a_cut_reply_reads_no_list_and_raises_the_full_parse_error(cut, monkeypatch):
+    previous = _sectioned_survey()
+    text = _canonical(document_to_dict(previous))
+    text = text[:text.index(cut) + len(cut) - 1]
+    read = []
+    monkeypatch.setattr(document, "_revised_entries", lambda *args: read.append(args))
+    assert revise_document(text, previous) is None
+    assert read == []
+    with pytest.raises(ParseFailure, match="not balanced"):
         document_from_dict(extract_json_value(text))
 
 
