@@ -463,8 +463,14 @@ def test_evaluate_step_matches_three_call_reference(result, embedder, window, be
 
 
 @settings(max_examples=200, deadline=None)
-@given(_step_results(_scored_text), st.sampled_from([0.5, 1.0, 2.0]))
-def test_evaluate_step_matches_the_string_scores_on_any_text(result, beta):
+@given(_step_results(_scored_text), st.none() | st.lists(_scored_text, max_size=4),
+       st.sampled_from([0.5, 1.0, 2.0]))
+def test_evaluate_step_matches_the_string_scores_on_any_text(result, texts, beta):
+    if texts is not None:
+        # Inserted sentences as a reply may scatter them, one ending in a
+        # word character before another: only the joining space parts them.
+        result = dataclasses.replace(
+            result, inserted=tuple(Sentence(id=f"s0:{90 + i}", text=t) for i, t in enumerate(texts)))
     assert evaluate_step(result, "s", rouge_beta=beta) == \
         reference_evaluate_step(result, "s", rouge_beta=beta)
 
