@@ -13,9 +13,8 @@ is built only on failure. ``where`` names the object a field sits in:
 a string, or a ``(label, id)`` pair that is then formatted as
 ``label 'id'``.
 
-Whole output files, the published survey, the audit log and the two
-reports, are written through ``replace_text``, so a failed write leaves
-the old file.
+The published survey, the audit log and the two reports are written
+whole through ``replace_text``, so a failed write leaves the old file.
 """
 
 from __future__ import annotations
