@@ -32,11 +32,14 @@ line per step, written by a small in-process run of
 ``benchmark.run_method`` under each tree's ``PYTHONPATH``. A line holds
 the hash of ``serialize_document(after)``, every section's sentence ids,
 the inserted sentence ids, the error, the step's ``delta_tokens``,
-``delta_out`` and the ``repr`` of its BLEU-4 and ROUGE-L scores
-(``evaluation.evaluate_step`` without an embedder) and the hash of its
-token edit script's ops, so a changed sentence id, edit script or last
-bit of a score shows even where the aggregate reports, which print six
-decimals, hide it.
+``delta_out``, the ``repr`` of its BLEU-4, ROUGE-L, ``bert_sim``,
+``semantic_align`` and ``local_coherence`` scores
+(``evaluation.evaluate_step`` with the workspace's embedder and metric
+settings; the embedding scores read None on ``retro_baselines``, which
+configures no embedder) and the hash of its token edit script's ops, so
+a changed sentence id, edit script, embedding or last bit of a score
+shows even where the aggregate reports, which print six decimals, hide
+it.
 
 ``REV`` is exported with ``git archive`` into a temporary directory, so an
 interrupted run leaves nothing registered in the repository. Prints one
@@ -83,7 +86,7 @@ DIGESTED = {"retro_framework_embed": "framework", "retro_baselines": "one_step,o
 STEP_DIGESTS = """
 import hashlib, sys
 from dynsurvey.benchmark import build_instance, load_span_annotations, run_method
-from dynsurvey.config import load_config, make_generator
+from dynsurvey.config import load_config, make_embedder, make_generator
 from dynsurvey.corpus import ingest_feed
 from dynsurvey.document import SurveyState, load_document, load_outline, serialize_document
 from dynsurvey.engine import make_step_clock
@@ -95,6 +98,7 @@ def sha(text):
 
 config = load_config(sys.argv[1])
 generator = make_generator(config)
+embedder = make_embedder(config)
 for spec in config.instances:
     state = SurveyState(document=load_document(spec.survey), outline=load_outline(spec.outline))
     instance = build_instance(
@@ -106,11 +110,14 @@ for spec in config.instances:
             script = region_edit_script(document_regions(result.before)[0],
                                         document_regions(result.after)[0])
             ops = [(op.op, op.before_pos, op.after_pos, op.token) for op in script.ops]
-            scored = evaluate_step(result, spec.name)
+            scored = evaluate_step(result, spec.name, embedder=embedder,
+                                   coherence_window=config.metrics.coherence_window,
+                                   rouge_beta=config.metrics.rouge_beta)
             print(spec.name, method, step, result.paper_id, sha(serialize_document(result.after)),
                   ids, [sentence.id for sentence in result.inserted], repr(result.error),
                   scored.delta_tokens, scored.delta_out, repr(scored.bleu4),
-                  repr(scored.rouge_l_f), sha(repr(ops)))
+                  repr(scored.rouge_l_f), repr(scored.bert_sim), repr(scored.semantic_align),
+                  repr(scored.local_coherence), sha(repr(ops)))
 """
 
 

@@ -15,6 +15,7 @@ import bisect
 import functools
 import logging
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -592,11 +593,14 @@ class _Vector(list):
 
     def __init__(self, values: Sequence[float]):
         super().__init__(values)
-        self.norm = _norm(self)
+        try:
+            self.norm = _norm(self)
+        except OverflowError:  # the squares sum past the largest double
+            self.norm = math.inf
 
 
 def _norm(x: Sequence[float]) -> float:
-    return math.sqrt(math.fsum(v * v for v in x))
+    return math.sqrt(math.fsum(map(operator.mul, x, x)))
 
 
 def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]]:
@@ -604,9 +608,11 @@ def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]
 
     Each text is sent once, in first-seen order, which is exact only for
     an embedder that meets the ``TextEmbedder`` contract. Transport
-    failures and short replies surface as MetricUnavailableError so
-    callers report the metric absent. Each vector comes with its norm,
-    which ``cosine`` then reads instead of computing it on every call.
+    failures, short replies and vectors no cosine is defined on (a norm
+    that is zero or not finite, or a length other than the first
+    vector's) surface as MetricUnavailableError so callers report the
+    metric absent. Each vector comes with its norm, which ``cosine``
+    then reads instead of computing it on every call.
     """
     distinct = list(dict.fromkeys(texts))
     if not distinct:
@@ -619,7 +625,18 @@ def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]
         raise MetricUnavailableError(f"embedding backend failed: {exc}") from exc
     if len(vectors) != len(distinct):
         raise MetricUnavailableError(f"{len(vectors)} embeddings for {len(distinct)} texts")
-    return {text: _Vector(vector) for text, vector in zip(distinct, vectors)}
+    dimension = len(vectors[0])
+    embedded: dict[str, list[float]] = {}
+    for position, (text, values) in enumerate(zip(distinct, vectors)):
+        vector = embedded[text] = _Vector(values)
+        if not 0.0 < vector.norm < math.inf:
+            raise MetricUnavailableError(
+                f"the vector of text {position} of {len(distinct)} has norm {vector.norm}")
+        if len(vector) != dimension:
+            raise MetricUnavailableError(
+                f"the vector of text {position} of {len(distinct)} has {len(vector)} "
+                f"components, the first has {dimension}")
+    return embedded
 
 
 def cosine(x: Sequence[float], y: Sequence[float]) -> float:
@@ -634,7 +651,7 @@ def cosine(x: Sequence[float], y: Sequence[float]) -> float:
     norm_y = y.norm if type(y) is _Vector else _norm(y)
     if norm_x == 0.0 or norm_y == 0.0:
         raise EvaluationError("cosine similarity is undefined for a zero vector")
-    return math.fsum(a * b for a, b in zip(x, y)) / (norm_x * norm_y)
+    return math.fsum(map(operator.mul, x, y)) / (norm_x * norm_y)
 
 
 def bert_similarity(update_text: str, reference_text: str, vectors: Vectors) -> float:

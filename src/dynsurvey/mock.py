@@ -10,6 +10,7 @@ keeps embedding-metric tests discriminative without model assets.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -24,6 +25,13 @@ from . import jsonio
 from .endpoints import GenerationRequest
 from .errors import ConfigError, ScriptGapError
 from .text import tokenize
+
+# Maps an unsigned 64-bit chunk to ``chunk / 2**63`` without the long-integer
+# division. Both give the same double: the int -> float conversion rounds
+# correctly (half to even), and a chunk's magnitude keeps the product far
+# from overflow and underflow, so scaling by a power of two is exact and
+# rounding commutes with it.
+_CHUNK_SCALE = 2.0 ** -63
 
 
 @dataclass
@@ -97,19 +105,22 @@ class HashEmbedding:
             sentinel = [0.0] * self.dimension
             sentinel[0] = 1.0
             return sentinel
+        memo = self._token_vectors
         total = [0.0] * self.dimension
         for token in tokens:
-            total = list(map(operator.add, total, self._token_vector(token)))
-        norm = math.sqrt(math.fsum(v * v for v in total))
+            vector = memo.get(token)
+            if vector is None:
+                vector = self._token_vector(token)
+            total = list(map(operator.add, total, vector))
+        norm = math.sqrt(math.fsum(map(operator.mul, total, total)))
         if norm == 0.0:  # astronomically unlikely with hashed components
             total[0] = 1.0
             norm = 1.0
         return [v / norm for v in total]
 
     def _token_vector(self, token: str) -> array:
-        vector = self._token_vectors.get(token)
-        if vector is None:
-            vector = self._token_vectors[token] = array("d", self._hashed_values(token))
+        """Hash a token missing from the memo and remember its vector."""
+        vector = self._token_vectors[token] = array("d", self._hashed_values(token))
         return vector
 
     def _hashed_values(self, token: str) -> list[float]:
@@ -121,12 +132,18 @@ class HashEmbedding:
         """
         prefix = hashlib.sha256(f"{self.seed}|{token}|".encode("utf-8"))
         digests = []
-        for block in range(-(-self.dimension // 4)):
+        for suffix in _block_suffixes(-(-self.dimension // 4)):
             digest = prefix.copy()
-            digest.update(b"%d" % block)
+            digest.update(suffix)
             digests.append(digest.digest())
         chunks = struct.unpack_from(f">{self.dimension}Q", b"".join(digests))
-        return [chunk / 2 ** 63 - 1.0 for chunk in chunks]
+        return [chunk * _CHUNK_SCALE - 1.0 for chunk in chunks]
+
+
+@functools.cache
+def _block_suffixes(blocks: int) -> tuple[bytes, ...]:
+    """The encoded block numbers ``b"0"``, ``b"1"``, ... of ``blocks`` blocks."""
+    return tuple(b"%d" % block for block in range(blocks))
 
 
 def load_scenario(path: str | Path) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -11,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from dynsurvey import cli
 from dynsurvey.cli import main
+from dynsurvey.config import make_embedder
 from dynsurvey.demo import write_demo_workspace
 from dynsurvey.document import load_outline
 from dynsurvey.engine import read_audit_log
 from dynsurvey.errors import EXIT_CONFIG, EXIT_PARSE
-from dynsurvey.evaluation import StepEvaluation
+from dynsurvey.evaluation import StepEvaluation, evaluate_step
 from dynsurvey.report import ReportKnobs, write_reports
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -105,6 +108,48 @@ def test_benchmark_unknown_method_is_config_error(workspace, capsys):
                      "benchmark", "--methods", methods]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
     assert not (_config_dir(workspace) / "out").exists()
+
+
+class ZeroOneText:
+    """The wrapped embedder, except that one text gets a zero vector."""
+
+    def __init__(self, inner, text):
+        self.inner, self.text = inner, text
+        self.model_id = inner.model_id
+
+    def embed(self, texts):
+        return [[0.0] * len(vector) if text == self.text else vector
+                for text, vector in zip(texts, self.inner.embed(texts))]
+
+
+def test_a_zero_embedding_leaves_only_its_step_unscored(workspace, monkeypatch, caplog):
+    def run(embedder_of):
+        steps = []
+
+        def scored(result, *args, **kwargs):
+            steps.append((result, evaluate_step(result, *args, **kwargs)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(cli, "make_embedder", embedder_of)
+        monkeypatch.setattr(cli, "evaluate_step", scored)
+        assert main(["--config", str(workspace["config"]), "benchmark", "--methods",
+                     "framework"]) == 0
+        return steps
+
+    plain = run(make_embedder)
+    bad = next(result for result, _ in plain if result.inserted and result.paper_repr)
+    with caplog.at_level(logging.WARNING, logger="dynsurvey.evaluation"):
+        zeroed = run(lambda config: ZeroOneText(make_embedder(config), bad.paper_repr))
+    unscored = dict.fromkeys(("bert_sim", "semantic_align", "local_coherence"))
+    assert [result.paper_id for result, _ in zeroed] == [result.paper_id for result, _ in plain]
+    for (result, want), (_, got) in zip(plain, zeroed):
+        if result.paper_id == bad.paper_id:
+            assert want.semantic_align is not None
+            want = dataclasses.replace(want, **unscored)
+        assert got == want
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert bad.paper_id in warnings[0] and "has norm 0.0" in warnings[0]
 
 
 def test_missing_embedding_endpoint_reports_absent_columns(workspace):

@@ -13,6 +13,7 @@ from dynsurvey.endpoints import GenerationRequest
 from dynsurvey.errors import ScriptGapError
 from dynsurvey.metrics import cosine
 from dynsurvey.mock import (
+    _CHUNK_SCALE,
     HashEmbedding,
     ScriptedGeneration,
     hash_embedding_from_scenario,
@@ -60,10 +61,15 @@ def test_scenario_loading_round_trip():
     assert hash_embedding_from_scenario({"generation": {}}) is None
 
 
+def _bits(values) -> list[str]:
+    """Each float as ``float.hex``, so vectors compare bit for bit."""
+    return [value.hex() for value in values]
+
+
 def test_same_text_embeds_identically():
     embedder = HashEmbedding(seed=7, dimension=64)
     first, second = embedder.embed(["abc", "abc"])
-    assert first == second
+    assert _bits(first) == _bits(second)
     assert cosine(first, second) == pytest.approx(1.0)
 
 
@@ -76,7 +82,7 @@ def test_embedding_dimension_and_unit_norm():
 
 def test_empty_string_has_a_defined_sentinel():
     embedder = HashEmbedding(seed=7, dimension=8)
-    assert embedder.embed([""])[0] == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert _bits(embedder.embed([""])[0]) == _bits([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_pinned_fixture_cosines():
@@ -104,7 +110,7 @@ def test_overlapping_texts_beat_disjoint_texts():
 def test_seed_changes_vectors():
     one = HashEmbedding(seed=1, dimension=16).embed(["abc"])[0]
     two = HashEmbedding(seed=2, dimension=16).embed(["abc"])[0]
-    assert one != two
+    assert _bits(one) != _bits(two)
 
 
 def reference_hashed_values(seed: int, dimension: int, token: str) -> list[float]:
@@ -120,6 +126,22 @@ def reference_hashed_values(seed: int, dimension: int, token: str) -> list[float
             values.append(chunk / 2 ** 63 - 1.0)
         block += 1
     return values
+
+
+# Chunks at the ends of the range, and chunks whose 11 low bits (those a
+# 64-bit chunk loses on the way to a 53-bit double) fall just below, on
+# and just above the halfway point, with the kept part's last bit even
+# and odd; 2**64 - 2**11 + 0x400 rounds up to 2**64.
+_PINNED_CHUNKS = [0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1] + [
+    high + low
+    for high in (0, 2 ** 52, 2 ** 62, 2 ** 63, 2 ** 63 + 2 ** 11, 2 ** 64 - 2 ** 11)
+    for low in (0x3ff, 0x400, 0x401)]
+
+
+def test_chunk_scaling_is_bit_identical_to_the_division():
+    assert _CHUNK_SCALE.hex() == "0x1.0000000000000p-63"
+    for chunk in _PINNED_CHUNKS:
+        assert (chunk * _CHUNK_SCALE - 1.0).hex() == (chunk / 2 ** 63 - 1.0).hex(), hex(chunk)
 
 
 def _uncached_vector(seed: int, dimension: int, text: str) -> list[float]:
@@ -143,7 +165,7 @@ def test_memoised_vectors_are_bit_identical_to_the_formula():
         # Twice over, so the second round is served from the memo.
         for vectors in (embedder.embed(texts), embedder.embed(texts[::-1])[::-1]):
             for text, vector in zip(texts, vectors):
-                assert vector == _uncached_vector(7, dimension, text)
+                assert _bits(vector) == _bits(_uncached_vector(7, dimension, text))
 
 
 def test_equal_settings_stay_equal_after_use():
@@ -159,9 +181,10 @@ def test_instances_never_share_cached_vectors():
     base.embed(["abc def"])
     other_seed = HashEmbedding(seed=2, dimension=16)
     other_dimension = HashEmbedding(seed=1, dimension=8)
-    assert other_seed.embed(["abc def"])[0] == _uncached_vector(2, 16, "abc def")
-    assert other_dimension.embed(["abc def"])[0] == _uncached_vector(1, 8, "abc def")
-    assert base.embed(["abc def"])[0] == _uncached_vector(1, 16, "abc def")
+    assert _bits(other_seed.embed(["abc def"])[0]) == _bits(_uncached_vector(2, 16, "abc def"))
+    assert _bits(other_dimension.embed(["abc def"])[0]) == \
+        _bits(_uncached_vector(1, 8, "abc def"))
+    assert _bits(base.embed(["abc def"])[0]) == _bits(_uncached_vector(1, 16, "abc def"))
 
 
 _odd_tokens = st.one_of(
@@ -173,7 +196,8 @@ _odd_tokens = st.one_of(
 @given(st.integers(-3, 40), st.sampled_from([1, 4, 5, 8, 64, 65]), _odd_tokens)
 def test_hashed_values_are_bit_identical_to_one_digest_per_block(seed, dimension, token):
     embedder = HashEmbedding(seed=seed, dimension=dimension)
-    assert embedder._hashed_values(token) == reference_hashed_values(seed, dimension, token)
+    assert _bits(embedder._hashed_values(token)) == \
+        _bits(reference_hashed_values(seed, dimension, token))
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,4 +206,4 @@ def test_embeddings_are_bit_identical_to_the_formula_on_any_text(dimension, text
     embedder = HashEmbedding(seed=11, dimension=dimension)
     for text, vector in zip(texts, embedder.embed(texts)):
         if tokenize(text):
-            assert vector == _uncached_vector(11, dimension, text)
+            assert _bits(vector) == _bits(_uncached_vector(11, dimension, text))

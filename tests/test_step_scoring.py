@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import random
+import struct
 from collections import Counter
 
 import pytest
@@ -523,12 +525,31 @@ def test_short_embedding_reply_is_unavailable():
         embed(["a", "b", "a"], ShortEmbedder())
 
 
+@pytest.mark.parametrize("vectors, message", [
+    ([[1.0, 2.0], [0.0, 0.0]], "text 1 of 2 has norm 0.0"),
+    ([[1.0, 2.0], []], "text 1 of 2 has norm 0.0"),
+    ([[1.0, math.nan], [1.0, 2.0]], "text 0 of 2 has norm nan"),
+    ([[1.0, 2.0], [math.inf, 2.0]], "text 1 of 2 has norm inf"),
+    ([[1.0, 2.0], [1e200, 2.0]], "text 1 of 2 has norm inf"),
+    ([[1.0, 2.0], [1e154, 1e154]], "text 1 of 2 has norm inf"),
+    ([[1.0, 2.0], [1.0, 2.0, 3.0]], "text 1 of 2 has 3 components, the first has 2"),
+])
+def test_embed_rejects_a_vector_no_cosine_is_defined_on(vectors, message):
+    with pytest.raises(MetricUnavailableError, match=message):
+        embed(["0", "1"], ListEmbedder(vectors))
+
+
+def reference_norm(x):
+    """``metrics._norm`` as a generator over the squares."""
+    return math.sqrt(math.fsum(v * v for v in x))
+
+
 def reference_cosine(x, y):
     """``metrics.cosine`` as it was before ``embed`` kept each vector's norm."""
     if len(x) != len(y):
         raise EvaluationError(f"cosine over mismatched dimensions {len(x)} and {len(y)}")
-    norm_x = math.sqrt(math.fsum(v * v for v in x))
-    norm_y = math.sqrt(math.fsum(v * v for v in y))
+    norm_x = reference_norm(x)
+    norm_y = reference_norm(y)
     if norm_x == 0.0 or norm_y == 0.0:
         raise EvaluationError("cosine similarity is undefined for a zero vector")
     return math.fsum(a * b for a, b in zip(x, y)) / (norm_x * norm_y)
@@ -559,13 +580,64 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=32)
        st.data())
 def test_cosine_of_embedded_vectors_matches_the_plain_cosine(vectors, data):
     texts = [str(i) for i in range(len(vectors))]
-    embedded = embed(texts, ListEmbedder(vectors))
     x, y = data.draw(st.sampled_from(texts)), data.draw(st.sampled_from(texts))
     want = _cosine_outcome(reference_cosine, vectors[int(x)], vectors[int(y)])
+    assert _cosine_outcome(cosine, vectors[int(x)], vectors[int(y)]) == want
+    # A zero vector, or one of another length than the first, has no
+    # cosine; ``embed`` names the first such vector instead of returning it.
+    undefined = [i for i, vector in enumerate(vectors)
+                 if len(vector) != len(vectors[0]) or reference_norm(vector) == 0.0]
+    if undefined:
+        with pytest.raises(MetricUnavailableError, match=f"text {undefined[0]} of "):
+            embed(texts, ListEmbedder(vectors))
+        return
+    embedded = embed(texts, ListEmbedder(vectors))
     assert _cosine_outcome(cosine, embedded[x], embedded[y]) == want
     assert _cosine_outcome(cosine, embedded[x], vectors[int(y)]) == want
-    assert _cosine_outcome(cosine, vectors[int(x)], vectors[int(y)]) == want
     assert embedded[x] == vectors[int(x)]
+
+
+def _bits_outcome(kernel, *vectors):
+    """The value's bit pattern, or the error a kernel raises."""
+    try:
+        return "value", struct.pack("<d", kernel(*vectors))
+    except (ArithmeticError, ValueError, EvaluationError) as exc:
+        return "error", type(exc), str(exc)
+
+
+@st.composite
+def _wide_vectors(draw):
+    """Two vectors of 1 to 3072 components over an exponent range Hypothesis draws."""
+    dimension = draw(st.sampled_from([1, 3072]) | st.integers(1, 3072))
+    low = draw(st.integers(-1074, 1024))
+    high = draw(st.integers(low, 1024))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def vector():
+        return [0.0 if rng.random() < zeros else math.ldexp(rng.uniform(-1.0, 1.0),
+                                                            rng.randint(low, high))
+                for _ in range(dimension)]
+
+    return vector(), vector()
+
+
+_any_floats = st.lists(st.floats(), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_wide_vectors(), st.tuples(_any_floats, _any_floats)))
+def test_metric_kernels_are_bit_equal_to_the_generator_kernels(vectors):
+    x, y = vectors
+    for vector in vectors:
+        want = _bits_outcome(reference_norm, vector)
+        assert _bits_outcome(metrics._norm, vector) == want
+        # The one difference: a norm whose squares sum past the largest
+        # double is infinite, not an error, so ``embed`` can reject it.
+        assert _bits_outcome(lambda v: metrics._Vector(v).norm, vector) == \
+            (("value", struct.pack("<d", math.inf)) if want[1] is OverflowError else want)
+    for pair in ((x, y), (x, x), (y, x)):
+        assert _bits_outcome(cosine, *pair) == _bits_outcome(reference_cosine, *pair)
 
 
 def test_evaluate_step_takes_one_norm_per_distinct_text(hash_embedder, monkeypatch):
