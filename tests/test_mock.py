@@ -176,6 +176,18 @@ def test_equal_settings_stay_equal_after_use():
     assert "_token_vectors" not in repr(used)
 
 
+def test_each_token_is_hashed_once_per_instance(monkeypatch):
+    hashed = []
+    plain = HashEmbedding._hashed_values
+    monkeypatch.setattr(HashEmbedding, "_hashed_values",
+                        lambda self, token: hashed.append(token) or plain(self, token))
+    embedder = HashEmbedding(seed=3, dimension=16)
+    first = embedder.embed(["image denoising image", "denoising video"])
+    again = embedder.embed(["image denoising image", "denoising video"])
+    assert sorted(hashed) == ["denoising", "image", "video"]
+    assert [_bits(v) for v in again] == [_bits(v) for v in first]
+
+
 def test_instances_never_share_cached_vectors():
     base = HashEmbedding(seed=1, dimension=16)
     base.embed(["abc def"])
