@@ -250,18 +250,6 @@ def _choose_insertion(raw: str, section: Section) -> str:
     return APPEND
 
 
-def _routing_sections(outline: StructuredOutline) -> tuple[str, frozenset[str]]:
-    """The routing prompt's section list and the section ids a ranking may name.
-
-    Built once per outline and kept on it: the outline is frozen.
-    """
-    if outline._section_list is None:
-        object.__setattr__(outline, "_section_id_set", frozenset(outline.section_ids()))
-        object.__setattr__(outline, "_section_list", "\n".join(
-            f"{e.id}: {e.section_title} -- {e.summary}" for e in outline.section_entries))
-    return outline._section_list, outline._section_id_set
-
-
 def run_section_routing(
     summary: PaperSummary,
     outline: StructuredOutline,
@@ -277,7 +265,7 @@ def run_section_routing(
     if not outline.approved:
         raise OutlineNotApprovedError("section routing requires an approved outline")
     topic = outline.scope.title if outline.scope else ""
-    section_list, valid_ids = _routing_sections(outline)
+    section_list, valid_ids = outline.routing_sections()
     prompt = prompts.render(
         prompts.SECTION_ROUTING,
         survey_topic=topic,

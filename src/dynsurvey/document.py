@@ -9,6 +9,14 @@ bib dict or a table cell (a list or object value) must not be mutated
 once its reference or table is built. Table rows themselves are
 read-only mappings.
 
+A value derived from a frozen object and kept on it sits in a private
+field of its class (``init=False, compare=False, repr=False``), written
+only here: by the class's accessor, on first use, or by its one
+derivation constructor (``Section._numbered``,
+``SurveyDocument._derived``). ``_entries`` fills the JSON entries of a
+list in one render. A fill reads only the frozen object, so two fills
+that race store equal values.
+
 Sentence identifiers are ``"{section_id}:{counter}"`` with counters
 assigned monotonically per section and never reused, which keeps
 pre-existing identifiers stable under additive edits.
@@ -20,6 +28,7 @@ import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
@@ -29,7 +38,7 @@ from . import jsonio
 from .corpus import SurveyScope
 from .errors import DocumentIntegrityError, DocumentParseError
 from .parsing import json_value_start
-from .text import segment_sentences
+from .text import joined_tokens, segment_sentences
 
 COLUMN_KINDS = ("text", "categorical", "int")
 _DECODER = json.JSONDecoder()
@@ -58,6 +67,13 @@ class Sentence:
 
 
 @dataclass(frozen=True)
+class TokenRegion:
+    region_id: str  # "section:<id>" or "table:<id>"
+    start: int
+    end: int  # exclusive
+
+
+@dataclass(frozen=True)
 class Section:
     id: str
     title: str
@@ -69,18 +85,26 @@ class Section:
     # as ``functools.cached_property`` does, made attribute reads on all
     # of them about five times slower under CPython 3.11.
     _json: str | None = field(default=None, init=False, repr=False, compare=False)
-    # The tokens of the section's sentences in order, once diffed or
-    # streamed (``metrics.document_regions``).
+    # ``tokens()``, once diffed or streamed.
     _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    # Set once ``validate_document`` has found the sentences valid and
-    # held in a tuple.
+    # Set once ``_check_sentences`` has passed a tuple of sentences.
     _checked: bool = field(default=False, init=False, repr=False, compare=False)
     # Set by ``make_section``: the sentences are its segmentation of the
     # body text, numbered from 1, so parsing the section's entry
     # (``_json``) builds an equal section.
     _segmented: bool = field(default=False, init=False, repr=False, compare=False)
-    # ``next_sentence_counter``, once found or set by ``with_sentences``.
+    # ``next_sentence_counter``, once found or set by ``_numbered``.
     _next_counter: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _numbered(cls, section_id: str, title: str, sentences: tuple[Sentence, ...],
+                  non_maintained: bool, next_counter: int, segmented: bool) -> "Section":
+        """The section of ``sentences``, whose largest id counter is
+        ``next_counter - 1``; ``segmented`` when ``make_section`` built them."""
+        section = cls(section_id, title, sentences, non_maintained)
+        object.__setattr__(section, "_next_counter", next_counter)
+        object.__setattr__(section, "_segmented", segmented)
+        return section
 
     def sentence_ids(self) -> list[str]:
         return [s.id for s in self.sentences]
@@ -88,13 +112,19 @@ class Section:
     def body_text(self) -> str:
         return " ".join(s.text for s in self.sentences)
 
+    def tokens(self) -> tuple[str, ...]:
+        """The tokens of the sentences in order, joined once and kept."""
+        if self._tokens is None:
+            object.__setattr__(self, "_tokens", joined_tokens(s.text for s in self.sentences))
+        return self._tokens
+
     def next_sentence_counter(self) -> int:
         """One more than the largest counter of the sentence ids, 1 for no sentences.
 
         Parsed from the ids once per section whose sentences are a tuple
-        and kept; ``with_sentences`` sets it on the section it builds, so
-        a step reads only the counters of a section it has not touched
-        before.
+        and kept; ``make_section`` and ``with_sentences`` set it on the
+        section they build, so a step reads only the counters of a
+        section it has not touched before.
         """
         if self._next_counter is not None:
             return self._next_counter
@@ -107,10 +137,20 @@ class Section:
     def with_sentences(self, sentences: tuple[Sentence, ...], next_counter: int) -> "Section":
         """This section holding ``sentences``, whose largest id counter is
         ``next_counter - 1``."""
-        section = Section(id=self.id, title=self.title, sentences=sentences,
-                          non_maintained=self.non_maintained)
-        object.__setattr__(section, "_next_counter", next_counter)
-        return section
+        return Section._numbered(self.id, self.title, sentences, self.non_maintained,
+                                 next_counter, False)
+
+    def _check_sentences(self) -> None:
+        """Raise on a repeated sentence id or a blank sentence (``validate_document``)."""
+        ids = self.sentence_ids()
+        if len(ids) != len(set(ids)):
+            raise DocumentIntegrityError(f"duplicate sentence ids in section {self.id!r}")
+        for sentence in self.sentences:
+            if not sentence.text.strip():
+                raise DocumentIntegrityError(
+                    f"empty sentence {sentence.id!r} in section {self.id!r}")
+        if type(self.sentences) is tuple:
+            object.__setattr__(self, "_checked", True)
 
 
 @dataclass(frozen=True)
@@ -163,13 +203,11 @@ class SurveyTable:
     # The table's entry in the canonical document once rendered; a field
     # for the reason given on ``Section._json``.
     _json: str | None = field(default=None, init=False, repr=False, compare=False)
-    # The tokens of the title and the cells, once diffed or streamed
-    # (``metrics.document_regions``).
+    # ``tokens()``, once diffed or streamed.
     _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    # Set once ``validate_document`` has found every row valid and frozen.
+    # Set once ``_check_rows`` has found every row valid and frozen.
     _rows_checked: bool = field(default=False, init=False, repr=False, compare=False)
-    # Whether reading the table's entry (``_json``) builds an equal table
-    # with the same entry, once ``_table_reparses`` has found out.
+    # ``reparses()``, once found.
     _reparses: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def check_row(self, row: Mapping[str, object]) -> list[str]:
@@ -189,6 +227,43 @@ class SurveyTable:
                     problems.append(problem)
         return problems
 
+    def tokens(self) -> tuple[str, ...]:
+        """The tokens of the title, then of each cell's ``str`` row by row in
+        schema order (a missing cell reads ``""``); joined once and kept."""
+        if self._tokens is None:
+            cells = (row.get(column.name, "") for row in self.rows for column in self.schema)
+            tokens = joined_tokens(chain((self.title,), map(str, cells)))
+            object.__setattr__(self, "_tokens", tokens)
+        return self._tokens
+
+    def reparses(self) -> bool:
+        """Whether reading the table's own entry builds an equal table with the same entry.
+
+        Found by reading the entry once per table object, as
+        ``document_from_dict`` reads it, and kept. A table's schema and rows
+        have many ways not to come back as they were (a column's ``values``
+        outside a categorical column are not written, rows that are not in
+        schema order are put in it), so the read itself is the test.
+        """
+        if self._reparses is None:
+            try:
+                read = _table_from_dict(jsonio.check(json.loads(self._json), dict,
+                                                     DocumentParseError, "table"))
+                same = read == self and _render_tables([read]) == [self._json]
+            except (ValueError, DocumentParseError):
+                same = False
+            object.__setattr__(self, "_reparses", same)
+        return self._reparses
+
+    def _check_rows(self) -> None:
+        """Raise on the first row the schema rejects (``validate_document``)."""
+        for index, row in enumerate(self.rows):
+            problems = self.check_row(row)
+            if problems:
+                raise DocumentIntegrityError(f"table {self.id!r} row {index}: " + "; ".join(problems))
+        if all(type(row) is MappingProxyType for row in self.rows):
+            object.__setattr__(self, "_rows_checked", True)
+
 
 @dataclass(frozen=True)
 class Reference:
@@ -198,9 +273,19 @@ class Reference:
     # The reference's entry in the canonical document once rendered; a
     # field for the reason given on ``Section._json``.
     _json: str | None = field(default=None, init=False, repr=False, compare=False)
-    # Whether reading the reference's entry gives it back, once
-    # ``_reference_reparses`` has found out.
+    # ``reparses()``, once found.
     _reparses: bool | None = field(default=None, init=False, repr=False, compare=False)
+
+    def reparses(self) -> bool:
+        """Whether reading the reference's own entry gives it back, value types included:
+        so for a str key, an int number and str bib keys whose values each
+        have a type whose equal values render the same JSON."""
+        if self._reparses is None:
+            same = type(self.key) is str and type(self.number) is int and all(
+                type(key) is str and type(value) in _SHARED_VALUE_TYPES
+                for key, value in self.bib.items())
+            object.__setattr__(self, "_reparses", same)
+        return self._reparses
 
 
 @dataclass(frozen=True)
@@ -211,9 +296,9 @@ class SurveyDocument:
     section id -> position, and reference key -> position, which is the
     reference's number, numbering being dense. Each maps an id or key to
     its first occurrence. ``replace_section``, ``with_references`` and
-    ``append_table_row`` hand both on to the document they derive, so an
-    update stream builds each once per loaded document. The token regions
-    that scoring diffs are kept the same way, once per document.
+    ``append_table_row`` hand both on (``_derived``), so an update stream
+    builds each once per loaded document. The token regions that scoring
+    diffs are kept too, once per document.
     """
 
     metadata: dict
@@ -227,8 +312,7 @@ class SurveyDocument:
     # changed once built: a derived document gets a copy to extend.
     _reference_positions: dict[str, int] | None = field(
         default=None, init=False, repr=False, compare=False)
-    # The token regions of the sections and tables, and their bounds,
-    # once diffed (``metrics.document_regions``).
+    # ``regions()``, once diffed.
     _regions: tuple[list, list] | None = field(default=None, init=False, repr=False,
                                                compare=False)
 
@@ -259,12 +343,46 @@ class SurveyDocument:
                 (reference.key for reference in self.references), 1))
         return self._reference_positions.get(key)
 
+    def regions(self) -> tuple[list[tuple[str, ...]], list[TokenRegion]]:
+        """The maintained body as one token tuple per region, and the region bounds.
+
+        One region per section, then one per table (``Section.tokens``,
+        ``SurveyTable.tokens``); references and metadata are left out. The
+        bounds are the offsets the tuples would have in the joined stream.
+        Both lists are kept on the document (one step's after document is
+        the next step's before), so callers must not change them.
+        """
+        if self._regions is None:
+            parts = [section.tokens() for section in self.sections]
+            parts += [table.tokens() for table in self.tables]
+            ids = [f"section:{section.id}" for section in self.sections]
+            ids += [f"table:{table.id}" for table in self.tables]
+            bounds: list[TokenRegion] = []
+            start = 0
+            for region_id, part in zip(ids, parts):
+                bounds.append(TokenRegion(region_id, start, start + len(part)))
+                start += len(part)
+            object.__setattr__(self, "_regions", (parts, bounds))
+        return self._regions
+
     def _derived(self, **changes) -> "SurveyDocument":
-        """``replace(self, **changes)`` keeping both indexes; the caller
-        keeps the section ids and their order, and the references."""
+        """``replace(self, **changes)`` handing on both indexes; the caller
+        keeps the section ids and their order. New references that extend
+        this document's get a copy of its reference index with the
+        appended keys added, so the indexes of two branches never change
+        each other; any other new references get an index of their own."""
         doc = replace(self, **changes)
+        positions, references = self._reference_positions, doc.references
+        if positions is not None and references is not self.references:
+            count = len(self.references)
+            if references[:count] == self.references:
+                positions = dict(positions)
+                for position in range(count + 1, len(references) + 1):
+                    positions.setdefault(references[position - 1].key, position)
+            else:
+                positions = None
         object.__setattr__(doc, "_section_positions", self._section_positions)
-        object.__setattr__(doc, "_reference_positions", self._reference_positions)
+        object.__setattr__(doc, "_reference_positions", positions)
         return doc
 
     def replace_section(self, new_section: Section) -> "SurveyDocument":
@@ -288,25 +406,12 @@ class SurveyDocument:
         return self._derived(tables=tables)
 
     def with_references(self, references: tuple[Reference, ...]) -> "SurveyDocument":
-        """The document with ``references``.
+        """The document with ``references``."""
+        return self._derived(references=references)
 
-        When they extend this document's references, the result gets a
-        copy of the reference index with the appended keys added, so the
-        index of this document, of a failed step's and of another branch
-        never change each other. Otherwise the result builds its own.
-        """
-        doc = replace(self, references=references)
-        object.__setattr__(doc, "_section_positions", self._section_positions)
-        positions = self._reference_positions
-        count = len(self.references)
-        if references is self.references:
-            object.__setattr__(doc, "_reference_positions", positions)
-        elif positions is not None and references[:count] == self.references:
-            positions = dict(positions)
-            for position in range(count + 1, len(references) + 1):
-                positions.setdefault(references[position - 1].key, position)
-            object.__setattr__(doc, "_reference_positions", positions)
-        return doc
+
+# The name ``metrics`` and its callers use for ``SurveyDocument.regions``.
+document_regions = SurveyDocument.regions
 
 
 def _first_positions(ids: Iterable[str], start: int) -> dict[str, int]:
@@ -342,11 +447,9 @@ class StructuredOutline:
     table_entries: tuple[TableEntry, ...]
     scope: SurveyScope | None = None
     approved: bool = False
-    # The section routing prompt's section list and the set of section
-    # ids it accepts, once ``agents.run_section_routing`` has built them;
-    # fields for the reason given on ``Section._json``.
-    _section_list: str | None = field(default=None, init=False, repr=False, compare=False)
-    _section_id_set: frozenset[str] | None = field(
+    # ``routing_sections()``, once built; a field for the reason given on
+    # ``Section._json``.
+    _routing: tuple[str, frozenset[str]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def section_ids(self) -> list[str]:
@@ -354,6 +457,16 @@ class StructuredOutline:
 
     def table_ids(self) -> list[str]:
         return [e.id for e in self.table_entries]
+
+    def routing_sections(self) -> tuple[str, frozenset[str]]:
+        """The section routing prompt's section list, one ``"id: title --
+        summary"`` line per entry, and the set of section ids; built once
+        per outline object and kept, the outline being frozen."""
+        if self._routing is None:
+            object.__setattr__(self, "_routing", ("\n".join(
+                f"{e.id}: {e.section_title} -- {e.summary}" for e in self.section_entries),
+                frozenset(self.section_ids())))
+        return self._routing
 
 
 @dataclass(frozen=True)
@@ -395,26 +508,11 @@ def validate_document(doc: SurveyDocument) -> None:
     # Sentences held in a list, and rows that can still change, are
     # checked on every call.
     for section in doc.sections:
-        if section._checked:
-            continue
-        ids = section.sentence_ids()
-        if len(ids) != len(set(ids)):
-            raise DocumentIntegrityError(f"duplicate sentence ids in section {section.id!r}")
-        for sentence in section.sentences:
-            if not sentence.text.strip():
-                raise DocumentIntegrityError(
-                    f"empty sentence {sentence.id!r} in section {section.id!r}")
-        if type(section.sentences) is tuple:
-            object.__setattr__(section, "_checked", True)
+        if not section._checked:
+            section._check_sentences()
     for table in doc.tables:
-        if table._rows_checked:
-            continue
-        for index, row in enumerate(table.rows):
-            problems = table.check_row(row)
-            if problems:
-                raise DocumentIntegrityError(f"table {table.id!r} row {index}: " + "; ".join(problems))
-        if all(type(row) is MappingProxyType for row in table.rows):
-            object.__setattr__(table, "_rows_checked", True)
+        if not table._rows_checked:
+            table._check_rows()
 
 
 def validate_additions(
@@ -463,7 +561,7 @@ def validate_additions(
 
 def validate_state(state: SurveyState) -> None:
     """Check document/outline coherence for a maintained state."""
-    outline_sections = set(state.outline.section_ids())
+    outline_sections = state.outline.routing_sections()[1]
     outline_tables = set(state.outline.table_ids())
     for section in state.document.sections:
         if section.id not in outline_sections and not section.non_maintained:
@@ -494,12 +592,11 @@ def make_section(section_id: str, title: str, text: str, non_maintained: bool = 
     """
     texts = segment_sentences(text)
     sentences = tuple(Sentence(id=f"{section_id}:{i}", text=t) for i, t in enumerate(texts, start=1))
-    section = Section(id=section_id, title=title, sentences=sentences, non_maintained=non_maintained)
     # Segmenting the joined sentences gives them back: ``body_text`` is
     # the text with its whitespace normalised, and segmenting normalises
     # first.
-    object.__setattr__(section, "_segmented", True)
-    return section
+    return Section._numbered(section_id, title, sentences, non_maintained,
+                             len(sentences) + 1, True)
 
 
 def make_reference(key: str, number: int, bib: dict) -> Reference:
@@ -606,22 +703,6 @@ def _column_to_dict(column: ColumnSpec) -> dict:
     return data
 
 
-def _reference_reparses(reference: Reference) -> bool:
-    """Whether reading the reference's own entry gives it back, value types included.
-
-    So it does for a str key, an int number and str bib keys whose values
-    each have a type whose equal values render the same JSON. Found once
-    per reference object and kept, as ``_table_reparses`` keeps its
-    answer; the bib must not change once the reference is built.
-    """
-    if reference._reparses is None:
-        same = type(reference.key) is str and type(reference.number) is int and all(
-            type(key) is str and type(value) in _SHARED_VALUE_TYPES
-            for key, value in reference.bib.items())
-        object.__setattr__(reference, "_reparses", same)
-    return reference._reparses
-
-
 def _section_from_dict(raw: dict) -> Section:
     section_id = jsonio.field(raw, "id", str, DocumentParseError, "section")
     where = ("section", section_id)
@@ -641,26 +722,6 @@ def _reference_from_dict(raw: dict) -> Reference:
         jsonio.field(raw, "number", int, DocumentParseError, where),
         dict(jsonio.field(raw, "bib", dict, DocumentParseError, where, {})),
     )
-
-
-def _table_reparses(table: SurveyTable) -> bool:
-    """Whether reading the table's own entry builds an equal table with the same entry.
-
-    Found by reading the entry once per table object, as
-    ``document_from_dict`` reads it, and kept. A table's schema and rows
-    have many ways not to come back as they were (a column's ``values``
-    outside a categorical column are not written, rows that are not in
-    schema order are put in it), so the read itself is the test.
-    """
-    if table._reparses is None:
-        try:
-            read = _table_from_dict(jsonio.check(json.loads(table._json), dict,
-                                                 DocumentParseError, "table"))
-            same = read == table and _render_tables([read]) == [table._json]
-        except (ValueError, DocumentParseError):
-            same = False
-        object.__setattr__(table, "_reparses", same)
-    return table._reparses
 
 
 def document_from_dict(data: dict) -> SurveyDocument:
@@ -773,18 +834,18 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
     For a reply that holds a document in the layout ``serialize_document``
     writes, a kept entry is reused by its bytes: a section, table or
     reference entry that stands byte for byte where ``previous`` keeps it
-    (``_json``) is that object, provided reading the entry gives it back:
-    for a section, when ``make_section`` built it; for a reference, when
-    ``_reference_reparses`` holds; for a table, when ``_table_reparses``
-    found so. The other entries and the metadata are decoded and read as
-    ``document_from_dict`` reads them. Any other layout or whitespace, and
-    any reply the full parse rejects, gives None; the caller then runs the
-    full parse, which reuses an entry only by its value (through the
-    memos of the ``make_*`` builders) and raises the reply's error. The
-    layout fixes the four keys and their order, so no key repeats, and
-    every byte outside the kept entries goes through ``json``'s decoder.
-    The layout closes the document with ``"\n}"``; a reply cut off before
-    that (at the model's output limit) gives None before any list is read.
+    (``_json``) is that object, provided reading the entry gives it back
+    (for a section, when ``make_section`` built it; else its
+    ``reparses()``). The other entries and the metadata are
+    decoded and read as ``document_from_dict`` reads them. Any other
+    layout or whitespace, and any reply the full parse rejects, gives
+    None; the caller then runs the full parse, which reuses an entry only
+    by its value (through the memos of the ``make_*`` builders) and raises
+    the reply's error. The layout fixes the four keys and their order, so
+    no key repeats, and every byte outside the kept entries goes through
+    ``json``'s decoder. The layout closes the document with ``"\n}"``; a
+    reply cut off before that (at the model's output limit) gives None
+    before any list is read.
     """
     start = json_value_start(text)
     if start is None or text.rfind("\n}", start) < 0:
@@ -796,10 +857,10 @@ def revise_document(text: str, previous: SurveyDocument) -> SurveyDocument | Non
             lambda section: section._segmented, _section_from_dict)
         tables, pos = _revised_entries(
             text, _after(text, pos, ',\n  "tables": '), previous.tables,
-            _table_reparses, _table_from_dict)
+            SurveyTable.reparses, _table_from_dict)
         references, pos = _revised_entries(
             text, _after(text, pos, ',\n  "references": '), previous.references,
-            _reference_reparses, _reference_from_dict)
+            Reference.reparses, _reference_from_dict)
         _after(text, pos, "\n}")
         return _document({"metadata": metadata}, sections, tables, references)
     except (_OffLayout, json.JSONDecodeError, DocumentParseError, DocumentIntegrityError):
@@ -1010,7 +1071,8 @@ def outline_fingerprint(outline: StructuredOutline) -> str:
 __all__ = [
     "COLUMN_KINDS", "ColumnSpec", "Reference", "Section", "SectionEntry", "Sentence",
     "StructuredOutline", "SurveyDocument", "SurveyState", "SurveyTable", "TableEntry",
-    "document_from_dict", "document_to_dict", "load_document", "load_outline",
+    "TokenRegion", "document_from_dict", "document_regions", "document_to_dict",
+    "load_document", "load_outline",
     "make_reference", "make_section", "make_table", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
     "parse_outline", "revise_document", "save_document", "save_outline", "serialize_document",

@@ -20,8 +20,6 @@ from .errors import MetricUnavailableError
 from .metrics import (
     DEFAULT_COHERENCE_WINDOW,
     DEFAULT_ROUGE_BETA,
-    _joined_tokens,
-    _memo_tokens,
     abstention_precision_recall,
     bert_similarity,
     bleu_4,
@@ -35,6 +33,7 @@ from .metrics import (
     rouge_l,
     semantic_alignment,
 )
+from .text import joined_tokens, memo_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -133,8 +132,8 @@ def evaluate_step(
     bleu = rouge = bert = align = coherence = None
     if result.gt_span is not None:
         # Each text is tokenized once, through the memo the regions use.
-        candidate = _joined_tokens(s.text for s in result.inserted)
-        reference = _memo_tokens(result.gt_span.text)
+        candidate = joined_tokens(s.text for s in result.inserted)
+        reference = memo_tokens(result.gt_span.text)
         bleu = bleu_4(candidate, reference)
         rouge = rouge_l(candidate, reference, beta=rouge_beta)
     if embedder is not None:

@@ -12,19 +12,17 @@ embedder is available; absent values are never replaced by zeros.
 from __future__ import annotations
 
 import bisect
-import functools
 import logging
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .document import Section, Sentence, SurveyDocument, SurveyTable
+# ``TokenRegion`` and ``document_regions`` are named here for scoring's callers.
+from .document import Sentence, SurveyDocument, TokenRegion, document_regions
 from .endpoints import TextEmbedder
 from .errors import EvaluationError, MetricUnavailableError
-from .text import tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -33,9 +31,6 @@ DEFAULT_ROUGE_BETA = 1.0
 DEFAULT_COHERENCE_WINDOW = 2
 DEFAULT_FIDELITY_TAU = 0.6
 
-# Distinct texts whose tokens stay memoised; room for every sentence of
-# a 120k-word survey plus its table cells.
-_TOKEN_MEMO_SIZE = 2 ** 14
 # First slice length a diagonal run is compared in.
 _SNAKE_CHUNK = 16
 # The region starts of a stream of one region.
@@ -63,13 +58,6 @@ class EditOp:
 @dataclass(frozen=True)
 class EditScript:
     ops: tuple[EditOp, ...]
-
-
-@dataclass(frozen=True)
-class TokenRegion:
-    region_id: str  # "section:<id>" or "table:<id>"
-    start: int
-    end: int  # exclusive
 
 
 def _common_run(a: tuple[str, ...], i: int, b: tuple[str, ...], j: int, limit: int) -> int:
@@ -361,72 +349,6 @@ def token_edit_script(before: Sequence[str], after: Sequence[str]) -> EditScript
     return region_edit_script((before,), (after,))
 
 
-@functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
-def _memo_tokens(text: str) -> tuple[str, ...]:
-    """``tokenize`` memoised per text; a tuple, so callers cannot alter it."""
-    return tuple(tokenize(text))
-
-
-def _joined_tokens(texts: Iterable[str]) -> tuple[str, ...]:
-    """The memoised tokens of ``texts``, chained into one tuple.
-
-    No token spans whitespace, so this is ``tokenize(" ".join(texts))``.
-    """
-    return tuple(chain.from_iterable(map(_memo_tokens, texts)))
-
-
-def _section_tokens(section: Section) -> tuple[str, ...]:
-    """The tokens of a section's sentences, joined once and kept on the section.
-
-    The section is frozen, so the kept tuple cannot go stale.
-    """
-    tokens = section._tokens
-    if tokens is None:
-        tokens = _joined_tokens(sentence.text for sentence in section.sentences)
-        object.__setattr__(section, "_tokens", tokens)
-    return tokens
-
-
-def _table_tokens(table: SurveyTable) -> tuple[str, ...]:
-    """The tokens of a table's title, then of its cells row by row in schema order.
-
-    Joined once and kept on the table, which is frozen, so the kept tuple
-    cannot go stale.
-    """
-    tokens = table._tokens
-    if tokens is None:
-        tokens = _joined_tokens(chain((table.title,), (
-            str(row.get(column.name, "")) for row in table.rows for column in table.schema)))
-        object.__setattr__(table, "_tokens", tokens)
-    return tokens
-
-
-def document_regions(doc: SurveyDocument) -> tuple[list[tuple[str, ...]], list[TokenRegion]]:
-    """The maintained body of a document as one token tuple per region.
-
-    Sections contribute their sentence text and tables their title and
-    cell values in schema order, each joined once per ``Section`` or
-    ``SurveyTable`` object. References and metadata are left out. The
-    region bounds are the offsets the tuples would have in the joined
-    stream. Both lists are built once per document and kept on it (one
-    step's after document is the next step's before), so callers must
-    not change them.
-    """
-    if doc._regions is not None:
-        return doc._regions
-    parts = [_section_tokens(section) for section in doc.sections]
-    parts += [_table_tokens(table) for table in doc.tables]
-    ids = [f"section:{section.id}" for section in doc.sections]
-    ids += [f"table:{table.id}" for table in doc.tables]
-    regions: list[TokenRegion] = []
-    start = 0
-    for region_id, part in zip(ids, parts):
-        regions.append(TokenRegion(region_id, start, start + len(part)))
-        start += len(part)
-    object.__setattr__(doc, "_regions", (parts, regions))
-    return parts, regions
-
-
 def delta_tokens(script: EditScript) -> int:
     """Total edit magnitude: insertions plus deletions."""
     return len(script.ops)
@@ -608,11 +530,12 @@ def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]
 
     Each text is sent once, in first-seen order, which is exact only for
     an embedder that meets the ``TextEmbedder`` contract. Transport
-    failures, short replies and vectors no cosine is defined on (a norm
-    that is zero or not finite, or a length other than the first
-    vector's) surface as MetricUnavailableError so callers report the
-    metric absent. Each vector comes with its norm, which ``cosine``
-    then reads instead of computing it on every call.
+    failures, short replies and vectors no cosine is defined on (a
+    component that is not a real number, a norm that is zero or not
+    finite, or a length other than the first vector's) surface as
+    MetricUnavailableError, naming the text's batch position, so callers
+    report the metric absent. Each vector comes with its norm, which
+    ``cosine`` then reads instead of computing it on every call.
     """
     distinct = list(dict.fromkeys(texts))
     if not distinct:
@@ -625,17 +548,20 @@ def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]
         raise MetricUnavailableError(f"embedding backend failed: {exc}") from exc
     if len(vectors) != len(distinct):
         raise MetricUnavailableError(f"{len(vectors)} embeddings for {len(distinct)} texts")
-    dimension = len(vectors[0])
     embedded: dict[str, list[float]] = {}
     for position, (text, values) in enumerate(zip(distinct, vectors)):
-        vector = embedded[text] = _Vector(values)
+        where = f"the vector of text {position} of {len(distinct)}"
+        try:
+            vector = embedded[text] = _Vector(values)
+        except TypeError as exc:
+            raise MetricUnavailableError(
+                f"{where} is not a sequence of real numbers: {exc}") from exc
         if not 0.0 < vector.norm < math.inf:
+            raise MetricUnavailableError(f"{where} has norm {vector.norm}")
+        first = embedded[distinct[0]]
+        if len(vector) != len(first):
             raise MetricUnavailableError(
-                f"the vector of text {position} of {len(distinct)} has norm {vector.norm}")
-        if len(vector) != dimension:
-            raise MetricUnavailableError(
-                f"the vector of text {position} of {len(distinct)} has {len(vector)} "
-                f"components, the first has {dimension}")
+                f"{where} has {len(vector)} components, the first has {len(first)}")
     return embedded
 
 

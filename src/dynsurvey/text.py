@@ -4,14 +4,21 @@ Every component that touches survey text goes through these two
 functions, so segmentation and token counts are comparable across the
 update engine, the benchmark harness, and the metric suite. Both are
 pure string functions with no configuration and no model assets; the
-tokenizer identity is exported so reports can record it.
+tokenizer identity is exported so reports can record it. This module
+imports nothing from the package, so the document model can tokenize.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from itertools import chain
+from typing import Iterable
 
 TOKENIZER_ID = "whitespace-punct-v1"
+# Distinct texts whose tokens stay memoised; room for every sentence of
+# a 120k-word survey plus its table cells.
+TOKEN_MEMO_SIZE = 2 ** 14
 
 # Trailing abbreviations that never end a sentence, even when followed by
 # whitespace and a capitalized word or a digit.
@@ -68,3 +75,17 @@ def tokenize(text: str) -> list[str]:
     non-space characters; all non-whitespace content is covered.
     """
     return _TOKEN.findall(text)
+
+
+@functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def memo_tokens(text: str) -> tuple[str, ...]:
+    """``tokenize`` memoised per text; a tuple, so callers cannot alter it."""
+    return tuple(tokenize(text))
+
+
+def joined_tokens(texts: Iterable[str]) -> tuple[str, ...]:
+    """The memoised tokens of ``texts``, chained into one tuple.
+
+    No token spans whitespace, so this is ``tokenize(" ".join(texts))``.
+    """
+    return tuple(chain.from_iterable(map(memo_tokens, texts)))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsurvey import benchmark, demo, document, metrics, prompts
+from dynsurvey import benchmark, demo, document, metrics, prompts, text
 from dynsurvey.benchmark import (
     ONE_STEP,
     ORACLE,
@@ -373,9 +373,9 @@ def test_a_step_renders_only_the_sections_its_reply_changed(monkeypatch, kinds):
     # table is rendered, tokenized and row-checked only when the reply
     # changed it.
     tokenized = []
-    memo_tokens = metrics._memo_tokens
-    monkeypatch.setattr(metrics, "_memo_tokens", lambda text: tokenized.append(text) or
-                        memo_tokens(text))
+    memo_tokens = text.memo_tokens
+    monkeypatch.setattr(text, "memo_tokens", lambda value: tokenized.append(value) or
+                        memo_tokens(value))
     for result in results:
         metrics.document_regions(result.before)
         tokenized.clear()

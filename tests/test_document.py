@@ -659,8 +659,11 @@ _COLUMNS_AB = (ColumnSpec("A"), ColumnSpec("B", "int"))
     SurveyDocument({}, (), (SurveyTable("t", "T", (ColumnSpec("B", "int", minimum=True),),
                                         ({"B": 1},)),), ()),
     SurveyDocument({}, (Section("s", "S", (Sentence("s:2", "A cat."),)),), (), ()),
+    SurveyDocument({}, (make_section("s", "S", "A cat. A dog.").with_sentences(
+        (Sentence("s:1", "A cat."), Sentence("s:3", "A cow."), Sentence("s:2", "A dog.")),
+        4),), (), ()),
 ], ids=["bool_number", "int_bib_key", "nan_bib_value", "rows_out_of_schema_order",
-        "text_column_values", "bool_bound", "gapped_section"])
+        "text_column_values", "bool_bound", "gapped_section", "inserted_section"])
 def test_revision_parse_decodes_an_entry_that_does_not_read_back(previous):
     text = serialize_document(previous)
     want = _parse_outcome(lambda: document_from_dict(extract_json_value(text)))

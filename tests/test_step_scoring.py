@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsurvey import demo, metrics
+from dynsurvey import demo, metrics, text
 from dynsurvey.benchmark import FRAMEWORK, METHODS, GroundTruthSpan, StepResult, run_method
 from dynsurvey.document import (
     ColumnSpec,
@@ -254,7 +254,7 @@ def test_token_scores_equal_the_string_scores(candidate, reference, beta):
     assert bleu_4(tokenize(candidate), tokenize(reference)) == want_bleu
     assert rouge_l(tokenize(candidate), tokenize(reference), beta) == want_rouge
     # The memoised tuples the step scorer reads score alike.
-    memo = metrics._memo_tokens
+    memo = text.memo_tokens
     assert bleu_4(memo(candidate), memo(reference)) == want_bleu
     assert rouge_l(memo(candidate), memo(reference), beta) == want_rouge
 
@@ -262,7 +262,7 @@ def test_token_scores_equal_the_string_scores(candidate, reference, beta):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_scored_text, max_size=6))
 def test_chained_text_tokens_equal_the_joined_text_tokens(texts):
-    assert metrics._joined_tokens(texts) == tuple(tokenize(" ".join(texts)))
+    assert text.joined_tokens(texts) == tuple(tokenize(" ".join(texts)))
 
 
 def test_token_scores_pinned_cases():
@@ -355,6 +355,14 @@ def test_shared_section_keeps_the_tokens_of_its_sentences():
     assert second is first
     expected = tuple(token for s in second.sentences for token in tokenize(s.text))
     assert second._tokens == expected
+
+
+def test_a_document_keeps_its_regions():
+    doc = _document((make_section("k4", "Kept", "Alpha beta. Gamma delta."),))
+    regions = metrics.document_regions(doc)
+    assert metrics.document_regions(doc) is regions
+    assert doc.regions() is regions
+    assert dataclasses.replace(doc)._regions is None
 
 
 # --- local coherence over the touched sections ---------------------------------
@@ -533,6 +541,8 @@ def test_short_embedding_reply_is_unavailable():
     ([[1.0, 2.0], [1e200, 2.0]], "text 1 of 2 has norm inf"),
     ([[1.0, 2.0], [1e154, 1e154]], "text 1 of 2 has norm inf"),
     ([[1.0, 2.0], [1.0, 2.0, 3.0]], "text 1 of 2 has 3 components, the first has 2"),
+    ([[1.0, None], [1.0, 2.0]], "text 0 of 2 is not a sequence of real numbers"),
+    ([[1.0, 2.0], ["x", 1.0]], "text 1 of 2 is not a sequence of real numbers"),
 ])
 def test_embed_rejects_a_vector_no_cosine_is_defined_on(vectors, message):
     with pytest.raises(MetricUnavailableError, match=message):

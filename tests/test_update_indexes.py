@@ -11,6 +11,7 @@ giving what they give.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsurvey import demo, document
-from dynsurvey.agents import APPEND
+from dynsurvey.agents import APPEND, approve_outline
 from dynsurvey.corpus import bib_key
 from dynsurvey.document import (
     ColumnSpec,
@@ -31,6 +32,7 @@ from dynsurvey.document import (
     serialize_document,
     validate_additions,
     validate_document,
+    validate_state,
 )
 from dynsurvey.engine import (
     CITE_PLACEHOLDER,
@@ -380,3 +382,44 @@ def test_the_indexes_are_built_once_per_loaded_document(monkeypatch):
     fresh_state, fresh_records = _run_stream(demo.demo_full_state(), fresh_indexes=True)
     assert serialize_document(state.document) == serialize_document(fresh_state.document)
     assert records == fresh_records
+
+
+def plain_section_list(outline: StructuredOutline) -> str:
+    return "\n".join(f"{e.id}: {e.section_title} -- {e.summary}" for e in outline.section_entries)
+
+
+def test_the_routing_sections_are_built_once_per_outline(monkeypatch):
+    builds = Counter()
+    section_ids = StructuredOutline.section_ids
+
+    def counted_section_ids(outline):
+        builds[id(outline)] += 1
+        return section_ids(outline)
+
+    monkeypatch.setattr(StructuredOutline, "section_ids", counted_section_ids)
+    state = demo.demo_full_state()
+    outline = state.outline
+    final, records = _run_stream(state, fresh_indexes=False)
+    assert final.outline is outline
+    assert sum(r.decision == "updated" for r in records) == 36
+    kept = outline.routing_sections()
+    validate_state(final)
+    assert outline.routing_sections() is kept
+    assert builds == {id(outline): 1}
+
+    # ``approve_outline`` derives a new outline through ``replace``, which
+    # starts without the kept pair; the approved one builds its own.
+    draft = demo.demo_outline(approved=False)
+    assert draft.routing_sections() == kept
+    approved = approve_outline(draft)
+    assert approved is not draft and approved._routing is None
+    assert approved.routing_sections() == kept
+    assert approved.routing_sections() is approved.routing_sections()
+    assert builds == {id(outline): 1, id(draft): 1, id(approved): 1}
+
+
+def test_the_routing_sections_equal_the_plain_render():
+    for outline in (demo.demo_outline(), StructuredOutline((), ())):
+        section_list, ids = outline.routing_sections()
+        assert section_list == plain_section_list(outline)
+        assert ids == frozenset(e.id for e in outline.section_entries)

@@ -166,7 +166,7 @@ def _check(text, previous):
     reply = json.loads(text)["references"]
     for i, old in enumerate(previous.references):
         if i < len(reply) and document._render_dicts([reply[i]])[0] == old._json \
-                and document._reference_reparses(old):
+                and old.reparses():
             assert got.references[i] is old
     return got
 
@@ -254,7 +254,7 @@ def test_a_kept_reference_that_does_not_reparse_takes_the_per_entry_path(kept_li
     # A float bib value: reading the entry gives an equal reference, but
     # one the memo of make_reference cannot share, so it is decoded.
     previous = _survey([{"title": "a"}, {"title": "b", "year": 2020.5}, {"title": "c"}])
-    assert not document._reference_reparses(previous.references[1])
+    assert not previous.references[1].reparses()
     reply = document_to_dict(previous)
     reply["references"].append({"key": "n", "number": 4, "bib": {"title": "new"}})
     got = _check(_canonical(reply), previous)
