@@ -36,10 +36,14 @@ the inserted sentence ids, the error, the step's ``delta_tokens``,
 ``semantic_align`` and ``local_coherence`` scores
 (``evaluation.evaluate_step`` with the workspace's embedder and metric
 settings; the embedding scores read None on ``retro_baselines``, which
-configures no embedder) and the hash of its token edit script's ops, so
-a changed sentence id, edit script, embedding or last bit of a score
-shows even where the aggregate reports, which print six decimals, hide
-it.
+configures no embedder), the hash of its token edit script's ops, and
+the hash of the ops of the sentence-level ``token_edit_script`` of each
+section that ``derive_inserted_sentences`` diffs. Some of those
+sentence diffs have no insertion-only script and take the full search,
+so both paths are compared op for op, not only through the inserted
+ids. A changed sentence id, edit script, embedding or last bit of a
+score shows even where the aggregate reports, which print six
+decimals, hide it.
 
 ``REV`` is exported with ``git archive`` into a temporary directory, so an
 interrupted run leaves nothing registered in the repository. Prints one
@@ -91,10 +95,25 @@ from dynsurvey.corpus import ingest_feed
 from dynsurvey.document import SurveyState, load_document, load_outline, serialize_document
 from dynsurvey.engine import make_step_clock
 from dynsurvey.evaluation import evaluate_step
-from dynsurvey.metrics import document_regions, region_edit_script
+from dynsurvey.metrics import document_regions, region_edit_script, token_edit_script
 
 def sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+def op_tuples(script):
+    return [(op.op, op.before_pos, op.after_pos, op.token) for op in script.ops]
+
+def sentence_scripts(before, after):
+    # The sentence diffs of ``derive_inserted_sentences``, section by section.
+    before_sections = {s.id: s for s in before.sections}
+    scripts = []
+    for section in after.sections:
+        old = before_sections.get(section.id)
+        if old is not section:
+            script = token_edit_script([s.text for s in old.sentences] if old else [],
+                                       [s.text for s in section.sentences])
+            scripts.append((section.id, op_tuples(script)))
+    return scripts
 
 config = load_config(sys.argv[1])
 generator = make_generator(config)
@@ -109,7 +128,7 @@ for spec in config.instances:
             ids = [section.sentence_ids() for section in result.after.sections]
             script = region_edit_script(document_regions(result.before)[0],
                                         document_regions(result.after)[0])
-            ops = [(op.op, op.before_pos, op.after_pos, op.token) for op in script.ops]
+            ops = op_tuples(script)
             scored = evaluate_step(result, spec.name, embedder=embedder,
                                    coherence_window=config.metrics.coherence_window,
                                    rouge_beta=config.metrics.rouge_beta)
@@ -117,7 +136,8 @@ for spec in config.instances:
                   ids, [sentence.id for sentence in result.inserted], repr(result.error),
                   scored.delta_tokens, scored.delta_out, repr(scored.bleu4),
                   repr(scored.rouge_l_f), repr(scored.bert_sim), repr(scored.semantic_align),
-                  repr(scored.local_coherence), sha(repr(ops)))
+                  repr(scored.local_coherence), sha(repr(ops)),
+                  sha(repr(sentence_scripts(result.before, result.after))))
 """
 
 

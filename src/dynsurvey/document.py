@@ -28,11 +28,11 @@ import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import jsonio
 from .corpus import SurveyScope
@@ -66,8 +66,14 @@ class Sentence:
     text: str
 
 
-@dataclass(frozen=True)
-class TokenRegion:
+class TokenRegion(NamedTuple):
+    """Where one section's or table's tokens lie in a document's stream.
+
+    A named tuple, not a frozen dataclass, as ``metrics.EditOp`` is: a
+    document builds one per region, and a tuple costs about half as much
+    to build. So a region also equals the plain tuple of its fields.
+    """
+
     region_id: str  # "section:<id>" or "table:<id>"
     start: int
     end: int  # exclusive
@@ -357,11 +363,8 @@ class SurveyDocument:
             parts += [table.tokens() for table in self.tables]
             ids = [f"section:{section.id}" for section in self.sections]
             ids += [f"table:{table.id}" for table in self.tables]
-            bounds: list[TokenRegion] = []
-            start = 0
-            for region_id, part in zip(ids, parts):
-                bounds.append(TokenRegion(region_id, start, start + len(part)))
-                start += len(part)
+            starts = list(accumulate(map(len, parts), initial=0))
+            bounds = list(map(TokenRegion, ids, starts, starts[1:]))
             object.__setattr__(self, "_regions", (parts, bounds))
         return self._regions
 

@@ -17,7 +17,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate, repeat
+from typing import Mapping, NamedTuple, Sequence
 
 # ``TokenRegion`` and ``document_regions`` are named here for scoring's callers.
 from .document import Sentence, SurveyDocument, TokenRegion, document_regions
@@ -44,10 +45,14 @@ Vectors = Mapping[str, Sequence[float]]
 # Token diff and disruption
 
 
-@dataclass(frozen=True)
-class EditOp:
+class EditOp(NamedTuple):
     """One token edit. Deletes carry a before-stream index; inserts carry
-    the before-stream gap they land in plus their after-stream index."""
+    the before-stream gap they land in plus their after-stream index.
+
+    A named tuple, not a frozen dataclass: a step builds one per edited
+    token, and a tuple costs about half as much to build. So an op also
+    equals the plain tuple of its fields and unpacks like one.
+    """
 
     op: str  # "insert" | "delete"
     before_pos: int
@@ -106,11 +111,10 @@ class _Stream:
             self.starts: Sequence[int] = _ONE_START
             return
         self.chunks = [self.window]
-        self.starts = [0]
-        for region in regions[1:]:
-            self.chunks.append(region if type(region) is tuple else tuple(region))
-            self.starts.append(self.length)
-            self.length += len(region)
+        self.chunks += [region if type(region) is tuple else tuple(region)
+                        for region in regions[1:]]
+        self.starts = list(accumulate(map(len, self.chunks), initial=0))
+        self.length = self.starts.pop()
 
     def chunk(self, x: int) -> int:
         """The index of the region holding position ``x``.
@@ -235,38 +239,60 @@ def _insertion_walk(a: _Stream, b: _Stream, offset: int) -> list[EditOp] | None:
     """The search's edit script when ``a`` is a subsequence of ``b``, else None.
 
     Walks the search's boundary diagonals: from the common run at
-    (0, 0), each mismatch inserts ``b[y]`` at (x, y) and follows the run
-    from (x, y + 1), for at most ``m - n`` inserts.
+    (0, 0), each mismatch at (x, y) inserts ``b[y]`` and compares
+    ``a[x]`` with ``b[y + 1]``, for at most ``m - n`` inserts. A run of
+    inserts is taken at once. In the region of ``b`` holding ``y``, the
+    next match is the first ``b[k] == a[x]`` with ``k > y``, found by
+    ``tuple.index`` no further than the region's last token or the last
+    one the budget reaches; the ``k - y`` inserts are emitted with one
+    C-level ``extend`` and the run from ``(x + 1, k + 1)`` is followed.
+    If ``a[x]`` is not there (or ``x == n``), the walk fails when the
+    budget ends inside the region; otherwise it inserts to the region's
+    end and compares ``a[x]`` once with the next region's first token.
+    Each run costs a few region lookups and one ``index`` call, not one
+    Python iteration per inserted token.
 
     This is exact. In the search the furthest point on diagonal -d
     depends only on diagonal -(d - 1) (its ``k == -d`` branch), and the
-    walk computes those points, one per d, the same way. If ``a`` is a
-    subsequence of ``b``, the shortest script has d = m - n edits, and
-    the search stops at that d on its first diagonal, k = -d, the only
-    one ending at (n, m). Its backtrack then takes the ``k == -d`` branch
-    at every d and reads only those points, so it emits these inserts in
-    this order. Otherwise the point on diagonal -(m - n) stops short of
+    walk computes those points, one per d, the same way: every token it
+    skips is a mismatch the search makes too. If ``a`` is a subsequence
+    of ``b``, the shortest script has d = m - n edits, and the search
+    stops at that d on its first diagonal, k = -d, the only one ending
+    at (n, m). Its backtrack then takes the ``k == -d`` branch at every
+    d and reads only those points, so it emits these inserts in this
+    order. Otherwise the point on diagonal -(m - n) stops short of
     (n, m), the walk returns None, and the caller runs the search, which
     needs at least m - n rounds anyway.
     """
     n, m = a.length, b.length
-    if m < n:
+    budget = m - n
+    if budget < 0:
         return None
-    window_a, window_b = a.window, b.window
-    split_a, split_b = a.split, b.split
     ops: list[EditOp] = []
-    x = 0
-    for d in range(m - n + 1):
-        y = x + d
-        if d:
-            token = window_b[y - 1] if y - 1 < split_b else b.token(y - 1)
-            ops.append(EditOp("insert", offset + x, offset + y - 1, token))
-        if x < split_a and y < split_b:
-            if window_a[x] == window_b[y]:
-                x = _snake(a, b, x + 1, y + 1)
-        elif x < n and y < m and a.token(x) == b.token(y):
+    x = y = 0
+    matched = n > 0 and m > 0 and a.token(0) == b.token(0)
+    while True:
+        if matched:
+            d = y - x
             x = _snake(a, b, x + 1, y + 1)
-    return ops if x == n else None
+            y = x + d
+        d = y - x
+        if d == budget:
+            return ops if x == n else None
+        tokens_b, j = b.locate(y)
+        end = k = len(tokens_b)
+        if x < n:
+            token = a.token(x)
+            last = j + budget - d  # the index in ``tokens_b`` the budget ends at
+            try:
+                k = tokens_b.index(token, j + 1, min(last + 1, end))
+            except ValueError:
+                if last < end:
+                    return None
+        ops.extend(map(EditOp, repeat("insert"), repeat(offset + x),
+                       range(offset + y, offset + y + k - j), tokens_b[j:k]))
+        y += k - j
+        matched = k < end or (x < n and token == b.token(y))
 
 
 def region_edit_script(
@@ -480,7 +506,8 @@ def bleu_4(candidate: Sequence[str], reference: Sequence[str]) -> float:
     n-grams both sides hold match, each up to the smaller of its two
     counts. An order with zero matches is smoothed to ``1 / (total + 1)``;
     orders the candidate is too short to populate contribute a factor of
-    one. An empty candidate scores 0.
+    one. An empty candidate scores 0. Order 1 counts the tokens
+    themselves, which gives the same counts as their 1-tuples.
     """
     if not candidate:
         return 0.0
@@ -489,8 +516,11 @@ def bleu_4(candidate: Sequence[str], reference: Sequence[str]) -> float:
         total = max(len(candidate) - order + 1, 0)
         if total == 0:
             continue  # factor of one after smoothing over an empty order
-        counts = _ngram_counts(candidate, order)
-        reference_counts = _ngram_counts(reference, order)
+        if order == 1:
+            counts, reference_counts = Counter(candidate), Counter(reference)
+        else:
+            counts = _ngram_counts(candidate, order)
+            reference_counts = _ngram_counts(reference, order)
         common = counts.keys() & reference_counts.keys()
         matched = sum(map(min, map(counts.__getitem__, common),
                           map(reference_counts.__getitem__, common)))
@@ -530,12 +560,13 @@ def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]
 
     Each text is sent once, in first-seen order, which is exact only for
     an embedder that meets the ``TextEmbedder`` contract. Transport
-    failures, short replies and vectors no cosine is defined on (a
-    component that is not a real number, a norm that is zero or not
-    finite, or a length other than the first vector's) surface as
-    MetricUnavailableError, naming the text's batch position, so callers
-    report the metric absent. Each vector comes with its norm, which
-    ``cosine`` then reads instead of computing it on every call.
+    failures, a reply that is not a sized sequence (named by its type),
+    short replies and vectors no cosine is defined on (a component that
+    is not a real number, a norm that is zero or not finite, or a length
+    other than the first vector's; named by the text's batch position)
+    surface as MetricUnavailableError, so callers report the metric
+    absent. Each vector comes with its norm, which ``cosine`` then reads
+    instead of computing it on every call.
     """
     distinct = list(dict.fromkeys(texts))
     if not distinct:
@@ -546,8 +577,14 @@ def embed(texts: Sequence[str], embedder: TextEmbedder) -> dict[str, list[float]
         raise
     except Exception as exc:
         raise MetricUnavailableError(f"embedding backend failed: {exc}") from exc
-    if len(vectors) != len(distinct):
-        raise MetricUnavailableError(f"{len(vectors)} embeddings for {len(distinct)} texts")
+    try:
+        count = len(vectors)
+    except TypeError as exc:
+        raise MetricUnavailableError(
+            f"the embedding reply is a {type(vectors).__name__}, not a sequence of vectors"
+        ) from exc
+    if count != len(distinct):
+        raise MetricUnavailableError(f"{count} embeddings for {len(distinct)} texts")
     embedded: dict[str, list[float]] = {}
     for position, (text, values) in enumerate(zip(distinct, vectors)):
         where = f"the vector of text {position} of {len(distinct)}"

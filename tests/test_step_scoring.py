@@ -549,6 +549,21 @@ def test_embed_rejects_a_vector_no_cosine_is_defined_on(vectors, message):
         embed(["0", "1"], ListEmbedder(vectors))
 
 
+@pytest.mark.parametrize("reply, kind", [
+    (None, "NoneType"),
+    (iter([[1.0, 2.0]]), "list_iterator"),
+    (3, "int"),
+])
+def test_embed_rejects_a_reply_that_is_not_a_sequence(reply, kind):
+    class ReplyEmbedder:
+        def embed(self, texts):
+            return reply
+
+    with pytest.raises(MetricUnavailableError,
+                       match=f"the embedding reply is a {kind}, not a sequence of vectors"):
+        embed(["a"], ReplyEmbedder())
+
+
 def reference_norm(x):
     """``metrics._norm`` as a generator over the squares."""
     return math.sqrt(math.fsum(v * v for v in x))
