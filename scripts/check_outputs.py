@@ -43,7 +43,11 @@ sentence diffs have no insertion-only script and take the full search,
 so both paths are compared op for op, not only through the inserted
 ids. A changed sentence id, edit script, embedding or last bit of a
 score shows even where the aggregate reports, which print six
-decimals, hide it.
+decimals, hide it. The digest code reads an edit script as its ``ops``
+where it has them (a ``metrics.EditScript``, up to 5606653) and as the
+tuple of ops it is otherwise, and takes ``document_regions`` from
+``dynsurvey.document``, which has it on both sides, so ``--against``
+works across the change that dropped ``EditScript``.
 
 ``REV`` is exported with ``git archive`` into a temporary directory, so an
 interrupted run leaves nothing registered in the repository. Prints one
@@ -92,16 +96,18 @@ import hashlib, sys
 from dynsurvey.benchmark import build_instance, load_span_annotations, run_method
 from dynsurvey.config import load_config, make_embedder, make_generator
 from dynsurvey.corpus import ingest_feed
-from dynsurvey.document import SurveyState, load_document, load_outline, serialize_document
+from dynsurvey.document import (SurveyState, document_regions, load_document, load_outline,
+                                serialize_document)
 from dynsurvey.engine import make_step_clock
 from dynsurvey.evaluation import evaluate_step
-from dynsurvey.metrics import document_regions, region_edit_script, token_edit_script
+from dynsurvey.metrics import region_edit_script, token_edit_script
 
 def sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 def op_tuples(script):
-    return [(op.op, op.before_pos, op.after_pos, op.token) for op in script.ops]
+    return [(op.op, op.before_pos, op.after_pos, op.token)
+            for op in getattr(script, "ops", script)]
 
 def sentence_scripts(before, after):
     # The sentence diffs of ``derive_inserted_sentences``, section by section.

@@ -49,7 +49,9 @@ logger = logging.getLogger(__name__)
 APPEND = "append"
 
 _T = TypeVar("_T")
-_SENTENCE_ID = re.compile(r"[^\s:]+:\d+")
+# A sentence id ``"{section_id}:{counter}"``: the section part runs up to
+# the last colon, so a section id may hold colons.
+_SENTENCE_ID = re.compile(r"\S+:\d+")
 
 
 @dataclass(frozen=True)

@@ -81,17 +81,21 @@ class SurveyScope:
 class CandidateFilter:
     """Coarse feed filter: categories, venues, date range, review status.
 
-    Empty category or venue lists impose no constraint. Peer-review status
-    is encoded by convention: a record with venue equal to
-    ``PREPRINT_VENUE`` is not peer reviewed.
+    Empty category or venue lists and an empty date range impose no
+    constraint. A set date range holds a start and an end, both inclusive,
+    and drops a record with no date. Peer-review status is encoded by
+    convention: a record with venue equal to ``PREPRINT_VENUE`` is not
+    peer reviewed.
     """
 
     allowed_categories: tuple[str, ...] = ()
     allowed_venues: tuple[str, ...] = ()
-    date_range: tuple[str, str] = ("0000-01-01", "9999-12-31")
+    date_range: tuple[str, ...] = ()
     require_peer_reviewed: bool = False
 
     def __post_init__(self) -> None:
+        if not self.date_range:
+            return
         if len(self.date_range) != 2:
             raise ConfigError(
                 f"filter date_range must hold a start and an end, got {self.date_range!r}")
@@ -104,9 +108,10 @@ class CandidateFilter:
             return False
         if self.allowed_venues and record.venue not in self.allowed_venues:
             return False
-        start, end = self.date_range
-        if not start <= record.date <= end:
-            return False
+        if self.date_range:
+            start, end = self.date_range
+            if not start <= record.date <= end:
+                return False
         if self.require_peer_reviewed and record.venue == PREPRINT_VENUE:
             return False
         return True

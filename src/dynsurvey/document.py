@@ -32,7 +32,7 @@ from itertools import accumulate, chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import jsonio
 from .corpus import SurveyScope
@@ -64,19 +64,6 @@ _SHARED_BOUND_TYPES = frozenset({int, type(None)})
 class Sentence:
     id: str
     text: str
-
-
-class TokenRegion(NamedTuple):
-    """Where one section's or table's tokens lie in a document's stream.
-
-    A named tuple, not a frozen dataclass, as ``metrics.EditOp`` is: a
-    document builds one per region, and a tuple costs about half as much
-    to build. So a region also equals the plain tuple of its fields.
-    """
-
-    region_id: str  # "section:<id>" or "table:<id>"
-    start: int
-    end: int  # exclusive
 
 
 @dataclass(frozen=True)
@@ -319,8 +306,8 @@ class SurveyDocument:
     _reference_positions: dict[str, int] | None = field(
         default=None, init=False, repr=False, compare=False)
     # ``regions()``, once diffed.
-    _regions: tuple[list, list] | None = field(default=None, init=False, repr=False,
-                                               compare=False)
+    _regions: tuple[list, list, list] | None = field(default=None, init=False, repr=False,
+                                                     compare=False)
 
     def _section_position(self, section_id: str) -> int | None:
         if self._section_positions is None:
@@ -349,23 +336,24 @@ class SurveyDocument:
                 (reference.key for reference in self.references), 1))
         return self._reference_positions.get(key)
 
-    def regions(self) -> tuple[list[tuple[str, ...]], list[TokenRegion]]:
-        """The maintained body as one token tuple per region, and the region bounds.
+    def regions(self) -> tuple[list[tuple[str, ...]], list[str], list[int]]:
+        """The maintained body as one token tuple per region, the region ids and their starts.
 
         One region per section, then one per table (``Section.tokens``,
-        ``SurveyTable.tokens``); references and metadata are left out. The
-        bounds are the offsets the tuples would have in the joined stream.
-        Both lists are kept on the document (one step's after document is
-        the next step's before), so callers must not change them.
+        ``SurveyTable.tokens``); references and metadata are left out. A
+        region's id is ``region_id`` of its kind and id, and its start is
+        the offset its tuple would have in the joined stream; the starts
+        hold one more offset, the stream's length. All three lists are
+        kept on the document (one step's after document is the next
+        step's before), so callers must not change them.
         """
         if self._regions is None:
             parts = [section.tokens() for section in self.sections]
             parts += [table.tokens() for table in self.tables]
-            ids = [f"section:{section.id}" for section in self.sections]
-            ids += [f"table:{table.id}" for table in self.tables]
+            ids = [region_id("section", section.id) for section in self.sections]
+            ids += [region_id("table", table.id) for table in self.tables]
             starts = list(accumulate(map(len, parts), initial=0))
-            bounds = list(map(TokenRegion, ids, starts, starts[1:]))
-            object.__setattr__(self, "_regions", (parts, bounds))
+            object.__setattr__(self, "_regions", (parts, ids, starts))
         return self._regions
 
     def _derived(self, **changes) -> "SurveyDocument":
@@ -413,8 +401,13 @@ class SurveyDocument:
         return self._derived(references=references)
 
 
-# The name ``metrics`` and its callers use for ``SurveyDocument.regions``.
+# The name scoring and its callers use for ``SurveyDocument.regions``.
 document_regions = SurveyDocument.regions
+
+
+def region_id(kind: str, item_id: str) -> str:
+    """The id of a section's (``kind`` "section") or table's ("table") token region."""
+    return f"{kind}:{item_id}"
 
 
 def _first_positions(ids: Iterable[str], start: int) -> dict[str, int]:
@@ -1074,10 +1067,11 @@ def outline_fingerprint(outline: StructuredOutline) -> str:
 __all__ = [
     "COLUMN_KINDS", "ColumnSpec", "Reference", "Section", "SectionEntry", "Sentence",
     "StructuredOutline", "SurveyDocument", "SurveyState", "SurveyTable", "TableEntry",
-    "TokenRegion", "document_from_dict", "document_regions", "document_to_dict",
+    "document_from_dict", "document_regions", "document_to_dict",
     "load_document", "load_outline",
     "make_reference", "make_section", "make_table", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
-    "parse_outline", "revise_document", "save_document", "save_outline", "serialize_document",
-    "serialize_outline", "validate_additions", "validate_document", "validate_state",
+    "parse_outline", "region_id", "revise_document", "save_document", "save_outline",
+    "serialize_document", "serialize_outline", "validate_additions", "validate_document",
+    "validate_state",
 ]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .benchmark import FRAMEWORK, StepResult
+from .document import document_regions, region_id
 from .endpoints import TextEmbedder
 from .errors import MetricUnavailableError
 from .metrics import (
@@ -26,7 +27,6 @@ from .metrics import (
     coherence_windows,
     delta_out,
     delta_tokens,
-    document_regions,
     embed,
     local_coherence,
     region_edit_script,
@@ -73,12 +73,12 @@ def _step_scope(result: StepResult) -> set[str]:
     if result.method == FRAMEWORK:
         scope = set()
         if result.routed_section:
-            scope.add(f"section:{result.routed_section}")
+            scope.add(region_id("section", result.routed_section))
         if result.routed_table:
-            scope.add(f"table:{result.routed_table}")
+            scope.add(region_id("table", result.routed_table))
         return scope
     if result.gt_span is not None:
-        return {f"section:{result.gt_span.section_id}"}
+        return {region_id("section", result.gt_span.section_id)}
     return set()
 
 
@@ -123,11 +123,11 @@ def evaluate_step(
     rouge_beta: float = DEFAULT_ROUGE_BETA,
 ) -> StepEvaluation:
     """Score one step: similarity, property quality, disruption, routing."""
-    before_parts, before_regions = document_regions(result.before)
-    after_parts, after_regions = document_regions(result.after)
-    script = region_edit_script(before_parts, after_parts)
-    d_tokens = delta_tokens(script)
-    d_out = delta_out(script, _step_scope(result), before_regions, after_regions)
+    before_regions = document_regions(result.before)
+    after_regions = document_regions(result.after)
+    ops = region_edit_script(before_regions[0], after_regions[0])
+    d_tokens = delta_tokens(ops)
+    d_out = delta_out(ops, _step_scope(result), before_regions, after_regions)
 
     bleu = rouge = bert = align = coherence = None
     if result.gt_span is not None:

@@ -16,12 +16,10 @@ import logging
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Mapping, NamedTuple, Sequence
 
-# ``TokenRegion`` and ``document_regions`` are named here for scoring's callers.
-from .document import Sentence, SurveyDocument, TokenRegion, document_regions
+from .document import Sentence, SurveyDocument
 from .endpoints import TextEmbedder
 from .errors import EvaluationError, MetricUnavailableError
 
@@ -58,11 +56,6 @@ class EditOp(NamedTuple):
     before_pos: int
     after_pos: int
     token: str
-
-
-@dataclass(frozen=True)
-class EditScript:
-    ops: tuple[EditOp, ...]
 
 
 def _common_run(a: tuple[str, ...], i: int, b: tuple[str, ...], j: int, limit: int) -> int:
@@ -298,7 +291,7 @@ def _insertion_walk(a: _Stream, b: _Stream, offset: int) -> list[EditOp] | None:
 def region_edit_script(
     before: Sequence[tuple[str, ...]],
     after: Sequence[tuple[str, ...]],
-) -> EditScript:
+) -> tuple[EditOp, ...]:
     """Minimal token edit script between two streams given as token regions.
 
     Each stream is its regions joined in order, and the script is the one
@@ -326,7 +319,7 @@ def region_edit_script(
     while head < shared and (before[head] is after[head] or before[head] == after[head]):
         head += 1
     if head == len(before) == len(after):
-        return EditScript(ops=())
+        return ()
     offset = sum(map(len, before[:head]))
     a = _Stream(before[head:])
     b = _Stream(after[head:])
@@ -334,7 +327,7 @@ def region_edit_script(
         _pair_equal_regions(a, b)
     inserts = _insertion_walk(a, b, offset)
     if inserts is not None:
-        return EditScript(ops=tuple(inserts))
+        return tuple(inserts)
     trace = _shortest_edit_trace(a, b)
     ops: list[EditOp] = []
     x, y = a.length, b.length
@@ -353,10 +346,10 @@ def region_edit_script(
             ops.append(EditOp("delete", offset + prev_x, offset + prev_y, a.token(prev_x)))
         x, y = prev_x, prev_y
     ops.reverse()
-    return EditScript(ops=tuple(ops))
+    return tuple(ops)
 
 
-def token_edit_script(before: Sequence[str], after: Sequence[str]) -> EditScript:
+def token_edit_script(before: Sequence[str], after: Sequence[str]) -> tuple[EditOp, ...]:
     """Minimal token edit script turning ``before`` into ``after``.
 
     Only insert and delete operations are emitted; a substitution appears
@@ -375,43 +368,35 @@ def token_edit_script(before: Sequence[str], after: Sequence[str]) -> EditScript
     return region_edit_script((before,), (after,))
 
 
-def delta_tokens(script: EditScript) -> int:
+def delta_tokens(ops: Sequence[EditOp]) -> int:
     """Total edit magnitude: insertions plus deletions."""
-    return len(script.ops)
-
-
-def _region_at(position: int, regions: list[TokenRegion], starts: list[int]) -> str | None:
-    """The id of the region holding ``position``, found by bisection over ``starts``.
-
-    Regions are in stream order, so regions sharing a start are all empty
-    but the last, which is the one bisection lands on.
-    """
-    index = bisect.bisect_right(starts, position) - 1
-    if index >= 0 and position < regions[index].end:
-        return regions[index].region_id
-    return None
+    return len(ops)
 
 
 def delta_out(
-    script: EditScript,
+    ops: Sequence[EditOp],
     scope: set[str],
-    before_regions: list[TokenRegion],
-    after_regions: list[TokenRegion],
+    before_regions: tuple[list, list[str], list[int]],
+    after_regions: tuple[list, list[str], list[int]],
 ) -> int:
     """Count edit operations that fall outside the scope regions.
 
-    Deletions are attributed by their before-stream position, insertions
-    by their after-stream position. With scope covering every region the
-    count is zero; with an empty scope it equals ``delta_tokens``.
+    The regions are the streams' ``SurveyDocument.regions``, of which the
+    ids and starts are read. Deletions are attributed by their
+    before-stream position, insertions by their after-stream position,
+    each to the region whose start bisection lands on: every position
+    lies inside its stream, and regions sharing a start are all empty but
+    the last. With scope covering every region the count is zero; with
+    an empty scope it equals ``delta_tokens``.
     """
-    before_starts = [region.start for region in before_regions]
-    after_starts = [region.start for region in after_regions]
+    _, before_ids, before_starts = before_regions
+    _, after_ids, after_starts = after_regions
     outside = 0
-    for op in script.ops:
-        if op.op == "delete":
-            region = _region_at(op.before_pos, before_regions, before_starts)
+    for kind, before_pos, after_pos, _ in ops:
+        if kind == "delete":
+            region = before_ids[bisect.bisect_right(before_starts, before_pos) - 1]
         else:
-            region = _region_at(op.after_pos, after_regions, after_starts)
+            region = after_ids[bisect.bisect_right(after_starts, after_pos) - 1]
         if region not in scope:
             outside += 1
     return outside
@@ -436,8 +421,8 @@ def derive_inserted_sentences(
             continue
         old_texts = [s.text for s in old.sentences] if old else []
         new_texts = [s.text for s in section.sentences]
-        script = token_edit_script(old_texts, new_texts)
-        new_positions = {op.after_pos for op in script.ops if op.op == "insert"}
+        ops = token_edit_script(old_texts, new_texts)
+        new_positions = {op.after_pos for op in ops if op.op == "insert"}
         inserted.extend(s for i, s in enumerate(section.sentences) if i in new_positions)
     return inserted
 

@@ -7,36 +7,32 @@ import itertools
 import re
 from typing import Sequence
 
-from dynsurvey.document import Sentence, SurveyDocument
+from dynsurvey.document import Sentence, SurveyDocument, document_regions
 from dynsurvey.endpoints import TextEmbedder
 from dynsurvey.engine import CITE_PLACEHOLDER
-from dynsurvey.metrics import (
-    EditScript,
-    TokenRegion,
-    coherence_windows,
-    document_regions,
-    embed,
-    local_coherence,
-)
+from dynsurvey.metrics import EditOp, coherence_windows, embed, local_coherence
 
 _NUMERIC_MARKER = re.compile(r"\[(\d+)\]")
 
 
-def document_token_stream(doc: SurveyDocument) -> tuple[list[str], list[TokenRegion]]:
-    """The maintained body of a document as one token stream with its regions.
+def document_token_stream(
+    doc: SurveyDocument,
+) -> tuple[list[str], tuple[list[tuple[str, ...]], list[str], list[int]]]:
+    """The maintained body of a document as one token stream, with its regions.
 
-    The regions of ``document_regions``, joined: the whole-document
-    stream the region-wise metrics are checked against.
+    The token tuples of ``document_regions`` joined: the whole-document
+    stream the region-wise metrics are checked against; and the regions
+    themselves, which ``delta_out`` reads.
     """
-    parts, regions = document_regions(doc)
-    return list(itertools.chain.from_iterable(parts)), regions
+    regions = document_regions(doc)
+    return list(itertools.chain.from_iterable(regions[0])), regions
 
 
-def apply_edit_script(before: Sequence[str], script: EditScript) -> list[str]:
-    """Replay an edit script over the before stream."""
+def apply_edit_script(before: Sequence[str], ops: Sequence[EditOp]) -> list[str]:
+    """Replay an edit script's ops over the before stream."""
     out: list[str] = []
     cursor = 0
-    for op in script.ops:
+    for op in ops:
         out.extend(before[cursor:op.before_pos])
         cursor = op.before_pos
         if op.op == "insert":

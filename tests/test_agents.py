@@ -10,6 +10,7 @@ from conftest import RecordingGenerator, make_generator, make_paper, make_summar
 from dynsurvey import demo
 from dynsurvey.agents import (
     APPEND,
+    _choose_insertion,
     approve_outline,
     run_abstention_agent,
     run_analysis_agent,
@@ -22,6 +23,7 @@ from dynsurvey.agents import (
 from dynsurvey.document import (
     ColumnSpec,
     SurveyTable,
+    make_section,
     outline_fingerprint,
     outline_to_dict,
     serialize_outline,
@@ -227,6 +229,14 @@ def test_unknown_insertion_sentence_falls_back_to_append(full_state):
     decision = run_section_routing(
         make_summary("p1"), full_state.outline, full_state.document, generator)
     assert decision.insertion_sentence_id == APPEND
+
+
+def test_insertion_point_reads_a_section_id_holding_a_colon():
+    section = make_section("a:b", "Colon", "First sentence. Second sentence.")
+    assert section.sentence_ids() == ["a:b:1", "a:b:2"]
+    assert _choose_insertion("after a:b:1", section) == "a:b:1"
+    assert _choose_insertion("Insert after a:b:2.", section) == "a:b:2"
+    assert _choose_insertion("after b:1", section) == APPEND
 
 
 def test_routing_requires_approved_outline(full_state):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsurvey import benchmark, demo, document, metrics, prompts, text
+from dynsurvey import benchmark, demo, document, prompts, text
 from dynsurvey.benchmark import (
     ONE_STEP,
     ORACLE,
@@ -58,8 +58,8 @@ def _reference_inserted(before, after):
     for section in after.sections:
         old = before_sections.get(section.id)
         old_texts = [s.text for s in old.sentences] if old else []
-        script = token_edit_script(old_texts, [s.text for s in section.sentences])
-        new_positions = {op.after_pos for op in script.ops if op.op == "insert"}
+        ops = token_edit_script(old_texts, [s.text for s in section.sentences])
+        new_positions = {op.after_pos for op in ops if op.op == "insert"}
         inserted.extend(s for i, s in enumerate(section.sentences) if i in new_positions)
     return inserted
 
@@ -377,9 +377,9 @@ def test_a_step_renders_only_the_sections_its_reply_changed(monkeypatch, kinds):
     monkeypatch.setattr(text, "memo_tokens", lambda value: tokenized.append(value) or
                         memo_tokens(value))
     for result in results:
-        metrics.document_regions(result.before)
+        document.document_regions(result.before)
         tokenized.clear()
-        metrics.document_regions(result.after)
+        document.document_regions(result.after)
         if result is results[0] or result.error is not None:
             continue
         changed = sum(s != result.before.section(s.id) for s in result.after.sections)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_paper
 from dynsurvey.corpus import (
     CandidateFilter,
+    PaperRecord,
     filter_from_dict,
     ingest_feed,
     record_to_dict,
@@ -93,6 +94,27 @@ def test_category_and_venue_filters():
 def test_inverted_date_range_rejected():
     with pytest.raises(ConfigError, match="exceeds"):
         CandidateFilter(date_range=("2025-01-01", "2024-01-01"))
+
+
+def test_an_empty_date_range_keeps_an_undated_record():
+    # Only the id is required; an empty range, the default, imposes no
+    # constraint, as empty category and venue lists do.
+    undated = PaperRecord(id="p")
+    assert PERMISSIVE.matches(undated)
+    assert filter_from_dict({}).matches(undated)
+    assert filter_from_dict({"date_range": []}).matches(undated)
+
+
+@pytest.mark.parametrize("date_range", [("2024-01-01",), ("2024-01-01", "2024-06-01", "x")])
+def test_a_set_date_range_holds_a_start_and_an_end(date_range):
+    with pytest.raises(ConfigError, match="a start and an end"):
+        CandidateFilter(date_range=date_range)
+
+
+def test_a_set_date_range_drops_an_undated_record():
+    bounded = CandidateFilter(date_range=("0000-01-01", "9999-12-31"))
+    assert not bounded.matches(PaperRecord(id="p"))
+    assert bounded.matches(make_paper("p", date="2024-01-01"))
 
 
 _papers = st.builds(

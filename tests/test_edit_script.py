@@ -17,8 +17,6 @@ from dynsurvey.document import document_from_dict
 from dynsurvey.evaluation import evaluate_step
 from dynsurvey.metrics import (
     EditOp,
-    EditScript,
-    TokenRegion,
     delta_out,
     token_edit_script,
 )
@@ -86,25 +84,31 @@ def reference_ops(before, after) -> list[tuple[str, int, int, str]]:
 
 
 def reference_stream(doc):
-    tokens, regions = [], []
+    tokens, parts, ids, starts = [], [], [], [0]
+
+    def close(region_id, start):
+        parts.append(tuple(tokens[start:]))
+        ids.append(region_id)
+        starts.append(len(tokens))
+
     for section in doc.sections:
         start = len(tokens)
         for sentence in section.sentences:
             tokens.extend(tokenize(sentence.text))
-        regions.append(TokenRegion(f"section:{section.id}", start, len(tokens)))
+        close(f"section:{section.id}", start)
     for table in doc.tables:
         start = len(tokens)
         tokens.extend(tokenize(table.title))
         for row in table.rows:
             for column in table.schema:
                 tokens.extend(tokenize(str(row.get(column.name, ""))))
-        regions.append(TokenRegion(f"table:{table.id}", start, len(tokens)))
-    return tokens, regions
+        close(f"table:{table.id}", start)
+    return tokens, (parts, ids, starts)
 
 
 def library_ops(before, after) -> list[tuple[str, int, int, str]]:
     return [(op.op, op.before_pos, op.after_pos, op.token)
-            for op in token_edit_script(before, after).ops]
+            for op in token_edit_script(before, after)]
 
 
 # --- token sequences ----------------------------------------------------------
@@ -167,8 +171,8 @@ def test_long_shared_prefix_and_suffix():
 
 
 def test_identical_and_empty_sequences():
-    assert token_edit_script([], []).ops == ()
-    assert token_edit_script(["a", "b"], ["a", "b"]).ops == ()
+    assert token_edit_script([], []) == ()
+    assert token_edit_script(["a", "b"], ["a", "b"]) == ()
     assert library_ops([], ["a"]) == [("insert", 0, 0, "a")]
     assert library_ops(["a"], []) == [("delete", 0, 0, "a")]
 
@@ -252,8 +256,7 @@ def test_step_disruption_matches_reference(step):
     after_tokens, after_regions = reference_stream(after)
     assert document_token_stream(before) == (before_tokens, before_regions)
     assert document_token_stream(after) == (after_tokens, after_regions)
-    ops = [EditOp(*op) for op in reference_ops(before_tokens, after_tokens)]
-    script = EditScript(ops=tuple(ops))
+    ops = tuple(EditOp(*op) for op in reference_ops(before_tokens, after_tokens))
     scope = {f"section:{routed}", "table:t1"}
     assert evaluation.delta_tokens == len(ops)
-    assert evaluation.delta_out == delta_out(script, scope, before_regions, after_regions)
+    assert evaluation.delta_out == delta_out(ops, scope, before_regions, after_regions)

@@ -80,8 +80,8 @@ def both_walks(before, after):
         return ops
 
     with mock.patch.object(metrics, "_insertion_walk", recording):
-        script = region_edit_script(before, after)
-    return as_tuples(script.ops), walks
+        ops = region_edit_script(before, after)
+    return as_tuples(ops), walks
 
 
 def as_tuples(ops) -> list[tuple[str, int, int, str]]:
@@ -236,7 +236,7 @@ def _counted_script(monkeypatch, run_size: int) -> Counter:
     with monkeypatch.context() as patch:
         patch.setattr(_Stream, "locate", counted_locate)
         patch.setattr(metrics, "_snake", counted_snake)
-        ops = region_edit_script(before, after).ops
+        ops = region_edit_script(before, after)
     (walk, expected), = both_walks(before, after)[1]
     assert list(ops) == walk == expected
     assert len(ops) == run_size + 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -15,8 +16,6 @@ from dynsurvey.errors import EvaluationError
 from dynsurvey.evaluation import StepEvaluation, aggregate
 from dynsurvey.metrics import (
     EditOp,
-    EditScript,
-    TokenRegion,
     _ngram_counts,
     bleu_4,
     cosine,
@@ -200,7 +199,7 @@ def test_script_round_trips(before, after):
 def test_substitution_is_delete_plus_insert():
     script = token_edit_script(["the", "model", "works", "well"],
                                ["the", "model", "works", "badly"])
-    kinds = sorted(op.op for op in script.ops)
+    kinds = sorted(op.op for op in script)
     assert kinds == ["delete", "insert"]
     assert delta_tokens(script) == 2
 
@@ -225,14 +224,14 @@ def token_diff(before, after):
 
 def test_identical_documents_have_empty_script():
     doc = _doc({"1": "Alpha beta gamma."})
-    assert token_diff(doc, doc).ops == ()
+    assert token_diff(doc, doc) == ()
 
 
 def test_inserted_sentence_counts_as_pure_inserts():
     before = _doc({"1": "Alpha beta gamma."})
     after = _doc({"1": "Alpha beta gamma. Totally fresh words arrive."})
     script = token_diff(before, after)
-    assert all(op.op == "insert" for op in script.ops)
+    assert all(op.op == "insert" for op in script)
     assert delta_tokens(script) == 5
 
 
@@ -263,33 +262,47 @@ def test_delta_out_scope_boundaries():
     assert delta_out(script, set(), before_regions, after_regions) == delta_tokens(script)
 
 
-def _ops_at(*positions: int) -> EditScript:
-    return EditScript(ops=tuple(EditOp("insert", 0, p, "t") for p in positions))
+def _ops_at(*positions: int) -> tuple[EditOp, ...]:
+    return tuple(EditOp("insert", 0, p, "t") for p in positions)
+
+
+def _regions(lengths: dict[str, int]):
+    """Section regions of these names and lengths, in order, as
+    ``SurveyDocument.regions`` keeps them."""
+    parts = [("t",) * length for length in lengths.values()]
+    return (parts, [f"section:{name}" for name in lengths],
+            list(accumulate(lengths.values(), initial=0)))
 
 
 def test_delta_out_charges_an_empty_region_nothing():
     # Empty x and y share their start with z; every op there belongs to z.
-    regions = [TokenRegion("section:w", 0, 2), TokenRegion("section:x", 2, 2),
-               TokenRegion("section:y", 2, 2), TokenRegion("section:z", 2, 5)]
+    regions = _regions({"w": 2, "x": 0, "y": 0, "z": 3})
     script = _ops_at(0, 1, 2, 4)
     assert delta_out(script, {"section:z"}, regions, regions) == 2
     assert delta_out(script, {"section:x", "section:y"}, regions, regions) == 4
+    # The tokens on both edges of the empty middle regions.
+    assert delta_out(_ops_at(1, 2), {"section:w", "section:z"}, regions, regions) == 0
     # An op on the last token lies in the last region.
     assert delta_out(_ops_at(4), {"section:z"}, regions, regions) == 0
-    # A leading empty region and a position past the end.
-    leading = [TokenRegion("section:x", 0, 0), TokenRegion("section:w", 0, 3)]
-    assert delta_out(_ops_at(0, 2, 3), {"section:w"}, leading, leading) == 1
+    # A leading empty region: the first token lies in the region after it.
+    leading = _regions({"x": 0, "w": 3})
+    assert delta_out(_ops_at(0, 2), {"section:w"}, leading, leading) == 0
+    assert delta_out(_ops_at(0, 2), {"section:x"}, leading, leading) == 2
+    # Trailing empty regions: the last token lies in the region before them.
+    trailing = _regions({"w": 3, "x": 0, "y": 0})
+    assert delta_out(_ops_at(0, 2), {"section:w"}, trailing, trailing) == 0
+    assert delta_out(_ops_at(2), {"section:x", "section:y"}, trailing, trailing) == 1
 
 
 @given(st.lists(st.integers(0, 3), max_size=8), st.lists(st.integers(0, 12), max_size=10))
 def test_delta_out_matches_a_linear_region_scan(lengths, positions):
-    regions, start = [], 0
-    for i, length in enumerate(lengths):
-        regions.append(TokenRegion(f"section:{i}", start, start + length))
-        start += length
+    regions = _regions({str(i): length for i, length in enumerate(lengths)})
+    _, ids, starts = regions
+    # Every op position lies inside its stream.
+    positions = [p for p in positions if p < starts[-1]]
     script = _ops_at(*positions)
     for scope in ({"section:0"}, {"section:1", "section:3"}):
-        outside = sum(next((r.region_id for r in regions if r.start <= p < r.end), None)
+        outside = sum(next(ids[i] for i in range(len(ids)) if starts[i] <= p < starts[i + 1])
                       not in scope for p in positions)
         assert delta_out(script, scope, regions, regions) == outside
 

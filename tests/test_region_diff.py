@@ -28,13 +28,12 @@ from dynsurvey.document import (
     Sentence,
     SurveyDocument,
     SurveyTable,
+    document_regions,
 )
 from dynsurvey.evaluation import _step_scope, evaluate_step
 from dynsurvey.metrics import (
     EditOp,
-    EditScript,
     delta_out,
-    document_regions,
     region_edit_script,
     token_edit_script,
 )
@@ -117,7 +116,7 @@ def flat_edit_script(before, after) -> list[tuple[str, int, int, str]]:
 
 def region_ops(before, after) -> list[tuple[str, int, int, str]]:
     return [(op.op, op.before_pos, op.after_pos, op.token)
-            for op in region_edit_script(before, after).ops]
+            for op in region_edit_script(before, after)]
 
 
 def joined(regions) -> list[str]:
@@ -174,7 +173,7 @@ def test_region_script_matches_flat_search(pair):
 def test_one_region_script_matches_flat_search(pair):
     before, after = joined(pair[0]), joined(pair[1])
     ops = [(op.op, op.before_pos, op.after_pos, op.token)
-           for op in token_edit_script(before, after).ops]
+           for op in token_edit_script(before, after)]
     assert ops == flat_edit_script(before, after)
 
 
@@ -188,10 +187,10 @@ def test_edit_in_a_shared_trailing_region():
 
 def test_equal_regions_give_an_empty_script():
     regions = [("a", "b"), (), ("c",)]
-    assert region_edit_script(regions, [tuple(list(r)) for r in regions]).ops == ()
-    assert region_edit_script([], []).ops == ()
+    assert region_edit_script(regions, [tuple(list(r)) for r in regions]) == ()
+    assert region_edit_script([], []) == ()
     # Different bounds over the same tokens: still nothing to edit.
-    assert region_edit_script([("a", "b"), ("c",)], [("a",), ("b", "c")]).ops == ()
+    assert region_edit_script([("a", "b"), ("c",)], [("a",), ("b", "c")]) == ()
 
 
 # --- whole documents ----------------------------------------------------------
@@ -249,15 +248,15 @@ def _check_step(result: StepResult) -> None:
     """The region script and regions of a step equal the flat reference's."""
     before_tokens, before_regions = reference_stream(result.before)
     after_tokens, after_regions = reference_stream(result.after)
-    before_parts, regions = document_regions(result.before)
-    after_parts, after_bounds = document_regions(result.after)
-    assert (joined(before_parts), regions) == (before_tokens, before_regions)
-    assert (joined(after_parts), after_bounds) == (after_tokens, after_regions)
+    kept_before = document_regions(result.before)
+    kept_after = document_regions(result.after)
+    assert (joined(kept_before[0]), kept_before) == (before_tokens, before_regions)
+    assert (joined(kept_after[0]), kept_after) == (after_tokens, after_regions)
     expected = flat_edit_script(before_tokens, after_tokens)
-    assert region_ops(before_parts, after_parts) == expected
+    assert region_ops(kept_before[0], kept_after[0]) == expected
 
     scored = evaluate_step(result, "s")
-    script = EditScript(ops=tuple(EditOp(*op) for op in expected))
+    script = tuple(EditOp(*op) for op in expected)
     assert scored.delta_tokens == len(expected)
     assert scored.delta_out == delta_out(
         script, _step_scope(result), before_regions, after_regions)
@@ -340,7 +339,7 @@ def test_evaluate_step_of_a_table_row_step_flattens_only_the_routed_section(monk
 def test_one_region_of_either_sequence_type(kind):
     before, after = kind("abcab"), ["a", "b", "d", "a", "b"]
     assert [(op.op, op.before_pos, op.after_pos, op.token)
-            for op in token_edit_script(before, after).ops] == \
+            for op in token_edit_script(before, after)] == \
         flat_edit_script(before, after)
 
 
@@ -410,7 +409,7 @@ def test_insertion_walk_matches_flat_search(pair):
     with _without_search():
         assert region_ops(before, after) == expected
         assert [(op.op, op.before_pos, op.after_pos, op.token)
-                for op in token_edit_script(joined(before), joined(after)).ops] == expected
+                for op in token_edit_script(joined(before), joined(after))] == expected
 
 
 @settings(max_examples=200, deadline=None)

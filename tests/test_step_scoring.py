@@ -30,6 +30,7 @@ from dynsurvey.document import (
     Sentence,
     SurveyDocument,
     SurveyTable,
+    document_regions,
     make_section,
 )
 from dynsurvey.engine import insert_paragraph
@@ -343,8 +344,8 @@ def test_replaced_section_starts_without_kept_tokens():
     document_token_stream(_document((section,)))
     changed = dataclasses.replace(section, sentences=section.sentences[:1])
     assert changed._tokens is None
-    tokens, regions = document_token_stream(_document((changed,)))
-    assert tokens[regions[0].start:regions[0].end] == tokenize("Alpha beta.")
+    tokens, (_, _, starts) = document_token_stream(_document((changed,)))
+    assert tokens[starts[0]:starts[1]] == tokenize("Alpha beta.")
 
 
 def test_shared_section_keeps_the_tokens_of_its_sentences():
@@ -359,8 +360,8 @@ def test_shared_section_keeps_the_tokens_of_its_sentences():
 
 def test_a_document_keeps_its_regions():
     doc = _document((make_section("k4", "Kept", "Alpha beta. Gamma delta."),))
-    regions = metrics.document_regions(doc)
-    assert metrics.document_regions(doc) is regions
+    regions = document_regions(doc)
+    assert document_regions(doc) is regions
     assert doc.regions() is regions
     assert dataclasses.replace(doc)._regions is None
 
