@@ -237,6 +237,9 @@ def test_insertion_point_reads_a_section_id_holding_a_colon():
     assert _choose_insertion("after a:b:1", section) == "a:b:1"
     assert _choose_insertion("Insert after a:b:2.", section) == "a:b:2"
     assert _choose_insertion("after b:1", section) == APPEND
+    # The last colon, not the first one followed by digits.
+    numbered = make_section("v:2", "Numbered", "First sentence. Second sentence.")
+    assert _choose_insertion("after v:2:1", numbered) == "v:2:1"
 
 
 def test_routing_requires_approved_outline(full_state):
