@@ -7,15 +7,23 @@ makes no relevance judgment and never touches survey state.
 
 from __future__ import annotations
 
+import calendar
 import json
+import logging
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import jsonio
 from .errors import CitationError, ConfigError, FeedError
 
+logger = logging.getLogger(__name__)
+
 # Venue string that marks a record as not peer reviewed.
 PREPRINT_VENUE = "preprint"
+# An ISO YYYY-MM-DD date opening a text and ending it or followed by a T
+# or a space; a day past the 28th is checked against its month apart.
+_DATE_PART = re.compile(r"(\d{4})-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])(?=[T ]|\Z)", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -82,10 +90,14 @@ class CandidateFilter:
     """Coarse feed filter: categories, venues, date range, review status.
 
     Empty category or venue lists and an empty date range impose no
-    constraint. A set date range holds a start and an end, both inclusive,
-    and drops a record with no date. Peer-review status is encoded by
-    convention: a record with venue equal to ``PREPRINT_VENUE`` is not
-    peer reviewed.
+    constraint. A set date range holds a start and an end, both inclusive
+    and both ISO ``YYYY-MM-DD`` dates. It compares a record's date part,
+    the text before a ``T`` or a space, so a timestamp on the end day is
+    kept; a record whose date part does not read as ``YYYY-MM-DD``, an
+    undated one included, is dropped with a warning. Two such dates
+    compare as their strings do, the fields being fixed-width.
+    Peer-review status is encoded by convention: a record with venue equal
+    to ``PREPRINT_VENUE`` is not peer reviewed.
     """
 
     allowed_categories: tuple[str, ...] = ()
@@ -100,6 +112,9 @@ class CandidateFilter:
             raise ConfigError(
                 f"filter date_range must hold a start and an end, got {self.date_range!r}")
         start, end = self.date_range
+        for bound in (start, end):
+            if _date_part(bound) != bound:
+                raise ConfigError(f"filter date_range bound {bound!r} is not a YYYY-MM-DD date")
         if start > end:
             raise ConfigError(f"filter date_range start {start!r} exceeds end {end!r}")
 
@@ -110,11 +125,29 @@ class CandidateFilter:
             return False
         if self.date_range:
             start, end = self.date_range
-            if not start <= record.date <= end:
+            day = _date_part(record.date)
+            if day is None:
+                logger.warning("dropping feed record %s: date %r does not read as YYYY-MM-DD",
+                               record.id, record.date)
+                return False
+            if not start <= day <= end:
                 return False
         if self.require_peer_reviewed and record.venue == PREPRINT_VENUE:
             return False
         return True
+
+
+def _date_part(text: str) -> str | None:
+    """The text before the first ``T`` or space of ``text`` when it reads as
+    an ISO ``YYYY-MM-DD`` date (years 0000-9999), else None."""
+    match = _DATE_PART.match(text)
+    if match is None:
+        return None
+    year, month, day = match.groups()
+    if day > "28" and int(day) > calendar.mdays[int(month)] + (
+            month == "02" and calendar.isleap(int(year))):
+        return None
+    return match.group()
 
 
 def filter_from_dict(data: dict) -> CandidateFilter:

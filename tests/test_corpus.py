@@ -141,3 +141,59 @@ def test_tightening_filters_is_monotone(papers, venue, category):
         kept = [p for p in papers if tight.matches(p)]
         assert len(kept) <= len(base)
         assert set(p.id for p in kept) <= set(p.id for p in base)
+
+
+@pytest.mark.parametrize("bound", ["2024-1-01", "2024-01-1", "24-01-01", "2024-13-01",
+                                   "2023-02-29", "2024-04-31", "2024-01-01T00:00:00",
+                                   "2024/01/01", "", "２０２４-01-01"])
+def test_a_date_range_bound_must_read_as_a_date(bound):
+    for date_range in ((bound, "2030-01-01"), ("2000-01-01", bound)):
+        with pytest.raises(ConfigError, match="is not a YYYY-MM-DD date"):
+            CandidateFilter(date_range=date_range)
+    with pytest.raises(ConfigError, match="is not a YYYY-MM-DD date"):
+        filter_from_dict({"date_range": [bound, "2030-01-01"]})
+
+
+def test_a_leap_day_bound_reads_in_a_leap_year():
+    assert CandidateFilter(date_range=("2024-02-29", "2400-02-29")).matches(
+        make_paper("p", date="2024-02-29"))
+
+
+@pytest.mark.parametrize("date", ["2024-12-31T10:00:00Z", "2024-12-31 23:59",
+                                  "2024-01-01T00:00:00+02:00", "2024-06-30"])
+def test_a_timestamp_in_the_range_is_kept_by_its_date_part(date):
+    year = CandidateFilter(date_range=("2024-01-01", "2024-12-31"))
+    assert year.matches(make_paper("p", date=date))
+
+
+@pytest.mark.parametrize("date", ["2025-01-01T00:00:00Z", "2023-12-31 23:59", "2023-12-31"])
+def test_a_timestamp_outside_the_range_is_dropped_by_its_date_part(date, caplog):
+    year = CandidateFilter(date_range=("2024-01-01", "2024-12-31"))
+    assert not year.matches(make_paper("p", date=date))
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("date", ["2024-9-1", "2024-09-31", "September 2024", "2024",
+                                  "2024-09-01x", "", "T2024-09-01"])
+def test_a_date_that_does_not_read_is_dropped_with_a_warning(date, caplog):
+    year = CandidateFilter(date_range=("2024-01-01", "2024-12-31"))
+    with caplog.at_level("WARNING", logger="dynsurvey.corpus"):
+        assert not year.matches(make_paper("p7", date=date))
+    [record] = caplog.records
+    assert record.levelname == "WARNING"
+    assert "p7" in record.getMessage() and repr(date) in record.getMessage()
+
+
+def test_an_unreadable_date_passes_without_a_date_range(caplog):
+    assert PERMISSIVE.matches(make_paper("p", date="2024-9-1"))
+    assert caplog.records == []
+
+
+def test_ingest_keeps_readable_dates_and_warns_on_the_rest(tmp_path, caplog):
+    dates = ["2024-09-01", "2024-9-1", "2024-12-31T10:00:00Z", "2025-01-01", "2024-01-01 08:00"]
+    path = _write(tmp_path, [make_paper(f"p{i}", date=d) for i, d in enumerate(dates)])
+    year = CandidateFilter(date_range=("2024-01-01", "2024-12-31"))
+    with caplog.at_level("WARNING", logger="dynsurvey.corpus"):
+        assert [r.id for r in ingest_feed(path, year)] == ["p0", "p2", "p4"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropping feed record p1: date '2024-9-1' does not read as YYYY-MM-DD"]
