@@ -8,6 +8,12 @@ working tree and from an export of ``REV``:
 
 - ``update`` on ``update_feed``, comparing ``survey.updated.json`` and
   ``audit.ndjson``;
+- the same update on a copy of ``update_feed`` in which every third
+  section text holds letters outside ASCII and every fifth U+007F, every
+  fourth feed bib holds a float, a list and a nested object, and the
+  survey metadata holds a nested value. So the published survey is
+  written through both of ``document._encode``'s encoders and through
+  the canonical renderer's hand-over to ``json.dumps``;
 - ``benchmark --methods framework`` on ``retro_framework_embed`` and
   ``benchmark --methods one_step,oracle`` on ``retro_baselines``,
   comparing ``report.csv`` and ``report.txt``;
@@ -78,6 +84,7 @@ REPORTS = ("report.csv", "report.txt")
 # files to compare.
 RUNS = (
     ("update_feed", "update_feed", ["update"], ("survey.updated.json", "audit.ndjson")),
+    ("update_feed_unicode", "update_feed", ["update"], ("survey.updated.json", "audit.ndjson")),
     ("retro_framework_embed", "retro_framework_embed", ["benchmark", "--methods", "framework"],
      REPORTS),
     ("retro_baselines", "retro_baselines", BASELINES, REPORTS),
@@ -180,6 +187,41 @@ def rewrite_replies(workspace: Path, rewrite) -> int:
     return count
 
 
+def widen_update_feed(workspace: Path) -> str:
+    """Put values outside ASCII and outside the renderer's own types into a
+    copy of ``update_feed``: letters outside ASCII into every third
+    section text, U+007F into every fifth, a float, a list and a nested
+    object into every fourth feed bib, and a nested value into the survey
+    metadata. Each text gains one word, so it splits into the same
+    sentences. Returns a summary line."""
+    survey_path = workspace / "survey.json"
+    survey = json.loads(survey_path.read_text(encoding="utf-8"))
+    survey["metadata"]["editors"] = {"names": ["Zoë Ångström", "Łukasz"], "round": 2,
+                                     "weight": 0.5, "tags": [], "notes": {}}
+    sections = survey["sections"]
+    for i, section in enumerate(sections):
+        words = []
+        if i % 3 == 0:
+            words.append("naïve-Übersicht")
+        if i % 5 == 0:
+            words.append("del\x7fete")
+        if words:
+            head, _, tail = section["text"].partition(" ")
+            section["text"] = " ".join([head, *words, tail])
+    survey_path.write_text(json.dumps(survey, indent=2, ensure_ascii=False) + "\n",
+                           encoding="utf-8")
+    feed_path = workspace / "feed.ndjson"
+    records = [json.loads(line) for line in feed_path.read_text(encoding="utf-8").splitlines()]
+    for i, record in enumerate(records[::4]):
+        record["bib"].update(score=1.5 + i, pages=[1, "12–14"],
+                             venue={"name": "Café", "year": 2024, "rank": None})
+    feed_path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                         encoding="utf-8")
+    changed = sum(1 for i in range(len(sections)) if i % 3 == 0 or i % 5 == 0)
+    return (f"{changed} section texts widened, {len(records[::4])} feed bibs widened, "
+            f"metadata nested")
+
+
 def reindent(reply: str, value, start: int) -> str:
     return json.dumps(value, indent=1, ensure_ascii=False)
 
@@ -238,6 +280,8 @@ def check(rev: str, seeds: list[int], scratch: Path) -> int:
             subprocess.run([sys.executable, str(ROOT / "perfbench" / "workspace.py"),
                             "--workload", workload, "--seed", str(seed),
                             "--out", str(workspace)], check=True)
+            if run == "update_feed_unicode":
+                print(f"seed {seed}  {run}: {widen_update_feed(workspace)}")
             if run == "retro_baselines_indent1":
                 print(f"seed {seed}  {run}: {rewrite_replies(workspace, reindent)} replies "
                       f"re-indented")

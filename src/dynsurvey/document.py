@@ -27,9 +27,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, chain
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -58,6 +59,7 @@ _SHARED_VALUE_TYPES = frozenset({str, int, bool, type(None)})
 # Column bound types that may share a table: a bound is in the memo key
 # without its type.
 _SHARED_BOUND_TYPES = frozenset({int, type(None)})
+_TEXT = attrgetter("text")
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class Section:
         return [s.id for s in self.sentences]
 
     def body_text(self) -> str:
-        return " ".join(s.text for s in self.sentences)
+        return " ".join(map(_TEXT, self.sentences))
 
     def tokens(self) -> tuple[str, ...]:
         """The tokens of the sentences in order, joined once and kept."""
@@ -288,10 +290,11 @@ class SurveyDocument:
     Two lookups keep an index on the document, built on first use:
     section id -> position, and reference key -> position, which is the
     reference's number, numbering being dense. Each maps an id or key to
-    its first occurrence. ``replace_section``, ``with_references`` and
-    ``append_table_row`` hand both on (``_derived``), so an update stream
-    builds each once per loaded document. The token regions that scoring
-    diffs are kept too, once per document.
+    its first occurrence. ``replace_section``, ``with_references``,
+    ``append_table_row`` and ``with_additions`` hand both on
+    (``_derived``), so an update stream builds each once per loaded
+    document. The token regions that scoring diffs are kept too, once per
+    document.
     """
 
     metadata: dict
@@ -356,14 +359,20 @@ class SurveyDocument:
             object.__setattr__(self, "_regions", (parts, ids, starts))
         return self._regions
 
-    def _derived(self, **changes) -> "SurveyDocument":
-        """``replace(self, **changes)`` handing on both indexes; the caller
-        keeps the section ids and their order. New references that extend
-        this document's get a copy of its reference index with the
-        appended keys added, so the indexes of two branches never change
-        each other; any other new references get an index of their own."""
-        doc = replace(self, **changes)
-        positions, references = self._reference_positions, doc.references
+    def _derived(self, sections: tuple[Section, ...] | None = None,
+                 tables: tuple[SurveyTable, ...] | None = None,
+                 references: tuple[Reference, ...] | None = None) -> "SurveyDocument":
+        """This document with the parts given in place of its own, handing on
+        both indexes; the caller keeps the section ids and their order. New
+        references that extend this document's get a copy of its reference
+        index with the appended keys added, so the indexes of two branches
+        never change each other; any other new references get an index of
+        their own."""
+        if references is None:
+            references = self.references
+        doc = SurveyDocument(self.metadata, self.sections if sections is None else sections,
+                             self.tables if tables is None else tables, references)
+        positions = self._reference_positions
         if positions is not None and references is not self.references:
             count = len(self.references)
             if references[:count] == self.references:
@@ -376,29 +385,52 @@ class SurveyDocument:
         object.__setattr__(doc, "_reference_positions", positions)
         return doc
 
-    def replace_section(self, new_section: Section) -> "SurveyDocument":
-        """The document with ``new_section`` in place of the first section
-        of its id; with no such section, the same sections."""
+    def _sections_with(self, new_section: Section) -> tuple[Section, ...]:
+        """The sections with ``new_section`` in place of the first of its id;
+        with no such section, the same sections."""
         position = self._section_position(new_section.id)
         sections = self.sections
         if position is not None:
             sections = (*sections[:position], new_section, *sections[position + 1:])
-        return self._derived(sections=sections)
+        return sections
 
-    def append_table_row(self, table_id: str, row: dict) -> "SurveyDocument":
+    def _tables_with_row(self, table_id: str, row: Mapping[str, object]) -> tuple[SurveyTable, ...]:
+        """The tables with ``row`` appended to table ``table_id``; raise
+        ``KeyError`` for no such table, ``DocumentIntegrityError`` for a row
+        its schema rejects."""
         table = self.table(table_id)
         problems = table.check_row(row)
         if problems:
             raise DocumentIntegrityError("; ".join(problems))
         # Schema column order, whatever order the row came in: the audit
         # log stores rows with sorted keys, and replay must give the same bytes.
-        new_table = replace(table, rows=table.rows + (_frozen_row(row, table.schema),))
-        tables = tuple(new_table if t.id == table_id else t for t in self.tables)
-        return self._derived(tables=tables)
+        new_table = SurveyTable(table.id, table.title, table.schema,
+                                table.rows + (_frozen_row(row, table.schema),))
+        return tuple(new_table if t.id == table_id else t for t in self.tables)
+
+    def replace_section(self, new_section: Section) -> "SurveyDocument":
+        """The document with ``new_section`` in place of the first section
+        of its id; with no such section, the same sections."""
+        return self._derived(sections=self._sections_with(new_section))
+
+    def append_table_row(self, table_id: str, row: dict) -> "SurveyDocument":
+        return self._derived(tables=self._tables_with_row(table_id, row))
 
     def with_references(self, references: tuple[Reference, ...]) -> "SurveyDocument":
         """The document with ``references``."""
         return self._derived(references=references)
+
+    def with_additions(self, new_section: Section, references: tuple[Reference, ...],
+                       table_id: str | None = None,
+                       row: Mapping[str, object] | None = None) -> "SurveyDocument":
+        """``replace_section(new_section).with_references(references)``, then
+        ``.append_table_row(table_id, row)`` when both are given, in one
+        derivation: what one update step merges. A row its table rejects
+        raises before anything is derived."""
+        tables = None
+        if table_id is not None and row is not None:
+            tables = self._tables_with_row(table_id, row)
+        return self._derived(self._sections_with(new_section), tables, references)
 
 
 # The name scoring and its callers use for ``SurveyDocument.regions``.
@@ -473,7 +505,7 @@ class SurveyState:
     outline: StructuredOutline
 
     def with_document(self, document: SurveyDocument) -> "SurveyState":
-        return replace(self, document=document)
+        return SurveyState(document, self.outline)
 
 
 def validate_document(doc: SurveyDocument) -> None:
@@ -897,52 +929,102 @@ def parse_document(raw: str) -> SurveyDocument:
     return document_from_dict(jsonio.loads(raw, DocumentParseError, "survey document"))
 
 
-def _dumps(value: object, indent: str = "") -> str:
-    """Canonical JSON of ``value``, its inner lines indented by ``indent`` more.
+def _dumps(value: object, indent: str) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, its inner lines
+    indented by ``indent`` more.
 
     JSON strings hold no raw newline, so the re-indent is exact.
+    ``_canonical`` writes the same text for the values a document holds;
+    this is its fallback for any other value.
     """
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
+
+
+def _encode(text: str) -> str:
+    """``text`` as a JSON string literal, as ``json.dumps(ensure_ascii=False)`` writes it.
+
+    ``encode_basestring`` is the encoder ``json.dumps`` uses. On ASCII
+    text the ASCII encoder escapes the same characters, all but U+007F,
+    which only it escapes, and runs in about half the time; so it takes
+    ASCII text without U+007F.
+    """
+    if text.isascii() and "\x7f" not in text:
+        return encode_basestring_ascii(text)
+    return encode_basestring(text)
+
+
+def _canonical(value: object, indent: str) -> str:
+    """``_dumps(value, indent)``, written here for the values a document holds.
+
+    Dicts with str keys, lists, tuples, str, int, bool and None (exactly
+    those types) are written as the pure-Python encoder that
+    ``json.dumps`` runs when ``indent`` is set writes them, every string
+    through ``_encode``; any other value (a float, a dict with a key that
+    is not a str, a subclass) goes whole to ``_dumps``. The values are
+    trees, as read from JSON: a value that holds itself recurses without
+    end instead of raising ``json``'s ``ValueError``.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                return _dumps(value, indent)
+            items.append(f"{_encode(key)}: "
+                         f"{_encode(item) if type(item) is str else _canonical(item, inner)}")
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_encode(item) if type(item) is str else _canonical(item, inner)
+                 for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _dumps(value, indent)
 
 
 def _render_sections(sections: list[Section]) -> list[str]:
     """Each section as an entry of the canonical document's ``sections`` list.
 
-    The JSON of ``_section_entry``, written out rather than passed through
-    ``json.dumps``, which would copy each text twice more to join and
-    re-indent it; ``encode_basestring`` is the string encoder
-    ``json.dumps`` uses.
+    The JSON of ``_section_entry``, written out, so that each text is
+    copied only by its encode.
     """
     entries = []
     for section in sections:
         flag = ',\n      "non_maintained": true' if section.non_maintained else ""
-        entries.append(f'    {{\n      "id": {encode_basestring(section.id)},\n'
-                       f'      "title": {encode_basestring(section.title)},\n'
-                       f'      "text": {encode_basestring(section.body_text())}{flag}\n    }}')
+        entries.append(f'    {{\n      "id": {_encode(section.id)},\n'
+                       f'      "title": {_encode(section.title)},\n'
+                       f'      "text": {_encode(section.body_text())}{flag}\n    }}')
     return entries
-
-
-def _render_dicts(entries: list[dict]) -> list[str]:
-    """Each dict as an entry of a canonical document list that sits one key deep.
-
-    All from one ``json.dumps``: a call per entry costs half as much
-    again.
-    """
-    text = _dumps(entries, "  ")
-    # Only the first and last line of an entry are indented by exactly
-    # four spaces, so ",\n    {" occurs only between entries.
-    first, *rest = text[2:-4].split(",\n    {")
-    return [first, *("    {" + part for part in rest)]
 
 
 def _render_tables(tables: list[SurveyTable]) -> list[str]:
     """Each table as an entry of the canonical document's ``tables`` list."""
-    return _render_dicts([_table_entry(t) for t in tables])
+    return ["    " + _canonical(_table_entry(t), "    ") for t in tables]
 
 
 def _render_references(references: list[Reference]) -> list[str]:
-    """Each reference as an entry of the canonical document's ``references`` list."""
-    return _render_dicts([_reference_entry(r) for r in references])
+    """Each reference as an entry of the canonical document's ``references`` list.
+
+    The JSON of ``_reference_entry``, its keys written out and its values
+    through ``_canonical``.
+    """
+    return [f'    {{\n      "key": {_canonical(r.key, "      ")},\n'
+            f'      "number": {_canonical(r.number, "      ")},\n'
+            f'      "bib": {_canonical(dict(r.bib), "      ")}\n    }}' for r in references]
 
 
 def _entries(objects: Sequence[Section] | Sequence[SurveyTable] | Sequence[Reference],
@@ -977,10 +1059,12 @@ def serialize_document(doc: SurveyDocument) -> str:
     ensure_ascii=False) + "\\n"``, joined once from the entries that each
     section, table and reference renders once and keeps. An object that
     an earlier serialize rendered costs one lookup, so a baseline step
-    re-renders only what its reply changed. Metadata is rendered on every
-    call.
+    re-renders only what its reply changed. Everything is written by
+    ``_canonical`` and the entry templates, which hand a value they do not
+    write themselves to ``json.dumps``. The metadata is rendered on every
+    call; for a few flat keys that costs a few microseconds.
     """
-    parts = ['{\n  "metadata": ', _dumps(dict(doc.metadata), "  "), ',\n  "sections": ']
+    parts = ['{\n  "metadata": ', _canonical(dict(doc.metadata), "  "), ',\n  "sections": ']
     _add_list(parts, _entries(doc.sections, _render_sections))
     parts.append(',\n  "tables": ')
     _add_list(parts, _entries(doc.tables, _render_tables))
@@ -1048,7 +1132,7 @@ def parse_outline(raw: str) -> StructuredOutline:
 
 
 def serialize_outline(outline: StructuredOutline) -> str:
-    return _dumps(outline_to_dict(outline)) + "\n"
+    return _canonical(outline_to_dict(outline), "") + "\n"
 
 
 def load_outline(path: str | Path) -> StructuredOutline:

@@ -182,9 +182,7 @@ def _merge(
     section = doc.section(routed_section)
     new_section, inserted_ids = insert_paragraph(section, insertion, resolved_text)
     validate_additions(new_section, inserted_ids, references, doc)
-    new_doc = doc.replace_section(new_section).with_references(references)
-    if row is not None and routed_table is not None:
-        new_doc = new_doc.append_table_row(routed_table, row)
+    new_doc = doc.with_additions(new_section, references, routed_table, row)
     return new_doc, inserted_ids, resolved_keys
 
 

@@ -10,6 +10,7 @@ retry machinery feeds back into the prompt.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from typing import Callable, TypeVar
@@ -158,17 +159,22 @@ def extract_yes_no(text: str) -> bool | None:
     return _last_answer(_YES_NO, text, "yes")
 
 
+@functools.cache
+def _heading_pattern(headings: tuple[str, ...]) -> re.Pattern:
+    """The pattern of a heading line naming one of ``headings``, compiled once per tuple."""
+    return re.compile(
+        r"^\s{0,3}#{2,4}\s*(" + "|".join(re.escape(h) for h in headings) + r")\s*$",
+        re.MULTILINE | re.IGNORECASE,
+    )
+
+
 def parse_headed_summary(text: str, headings: tuple[str, ...]) -> dict[str, str]:
     """Split ``### Heading`` structured output into a heading -> body map.
 
     Every requested heading must be present with a non-empty body.
     """
     cleaned = strip_reasoning(text)
-    pattern = re.compile(
-        r"^\s{0,3}#{2,4}\s*(" + "|".join(re.escape(h) for h in headings) + r")\s*$",
-        re.MULTILINE | re.IGNORECASE,
-    )
-    matches = list(pattern.finditer(cleaned))
+    matches = list(_heading_pattern(headings).finditer(cleaned))
     found: dict[str, str] = {}
     for index, match in enumerate(matches):
         body_end = matches[index + 1].start() if index + 1 < len(matches) else len(cleaned)

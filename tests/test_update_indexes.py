@@ -10,6 +10,7 @@ giving what they give.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 from dataclasses import replace
@@ -28,6 +29,7 @@ from dynsurvey.document import (
     Sentence,
     StructuredOutline,
     SurveyDocument,
+    SurveyState,
     make_table,
     serialize_document,
     validate_additions,
@@ -37,6 +39,7 @@ from dynsurvey.document import (
 from dynsurvey.engine import (
     CITE_PLACEHOLDER,
     UpdateRecord,
+    _merge,
     apply_update,
     insert_paragraph,
     make_step_clock,
@@ -151,12 +154,19 @@ def _document(section_ids, counters, reference_count: int) -> SurveyDocument:
     return SurveyDocument({}, sections, (_TABLE,), references)
 
 
+def _all_fields(doc: SurveyDocument) -> list[tuple[str, object]]:
+    """Every field of a document by name, the kept indexes and regions included."""
+    return [(f.name, getattr(doc, f.name)) for f in dataclasses.fields(doc)]
+
+
 def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = None):
-    """``engine._merge``'s derivations, checked against the scans as they go.
+    """``engine._merge``'s derivation, checked against the scans and against
+    the chain of three derivations it replaces as it goes.
 
     Returns the derived document, or None when the step fails (a bad row
-    fails after the reference was appended). With repeated section ids,
-    which ``validate_document`` rejects wherever a document enters,
+    fails after the chain appended the reference, and before the one
+    derivation derives anything). With repeated section ids, which
+    ``validate_document`` rejects wherever a document enters,
     ``replace_section`` replaces the first section of the id only.
     """
     draft = f"Claim of {key} [cite]. More."
@@ -183,12 +193,21 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
         assert derived.sections == (*doc.sections[:position], new_section,
                                     *doc.sections[position + 1:])
     derived = derived.with_references(references)
+    kept = doc._reference_positions
+    kept_items = None if kept is None else dict(kept)
+    merged = _outcome(lambda: doc.with_additions(new_section, references, "t", row))
+    assert doc._reference_positions is kept
+    assert kept_items is None or kept == kept_items
     if row is not None:
         try:
             derived = derived.append_table_row("t", row)
-        except DocumentIntegrityError:
+        except DocumentIntegrityError as exc:
+            assert merged == ("DocumentIntegrityError", str(exc))
             return None
-    return derived
+    assert merged[0] == "ok"
+    assert _all_fields(merged[1]) == _all_fields(derived)
+    assert merged[1]._section_positions is doc._section_positions
+    return merged[1]
 
 
 # --- named cases ---------------------------------------------------------------
@@ -247,6 +266,61 @@ def test_references_that_do_not_extend_the_document_get_a_new_index():
     assert renumbered.reference_position("k3") == 2
     assert renumbered.reference_position("k2") is None
     _assert_lookups_agree([doc, renumbered])
+
+
+def test_one_derivation_equals_the_chain_of_three(monkeypatch):
+    derivations = Counter()
+    derived = SurveyDocument._derived
+
+    def counted(doc, *args, **kwargs):
+        derivations["all"] += 1
+        return derived(doc, *args, **kwargs)
+
+    parent = _document("abc", [(1, 2), (1,), ()], 2)
+    assert parent.section("b") is parent.sections[1]  # build both indexes
+    assert parent.reference_position("k2") == 2
+    sections, kept = parent._section_positions, parent._reference_positions
+    kept_items = dict(kept)
+    paper = make_paper("p", bib={"key": "new1", "title": "New"})
+    row = {"Score": 4, "Name": "x"}  # out of schema order
+    monkeypatch.setattr(SurveyDocument, "_derived", counted)
+    merged, inserted, keys = _merge(parent, paper, "b", APPEND, "New [cite]. Fast.", row, "t")
+    assert (inserted, keys) == (("b:2", "b:3"), ("new1",))
+    assert derivations["all"] == 1
+    monkeypatch.undo()
+
+    text, references, _ = resolve_citations("New [cite]. Fast.", paper.bib, parent)
+    section, _ = insert_paragraph(parent.section("b"), APPEND, text)
+    chained = parent.replace_section(section).with_references(references) \
+        .append_table_row("t", row)
+    assert _all_fields(merged) == _all_fields(chained)
+    assert serialize_document(merged) == serialize_document(chained)
+    assert merged._section_positions is sections
+    assert merged._reference_positions == {**kept_items, "new1": 3}
+    assert list(merged.tables[0].rows[-1]) == ["Name", "Score"]
+    assert merged.sections[0] is parent.sections[0] and merged.sections[2] is parent.sections[2]
+
+    # A branch from the same parent, and merges that fail: a row the table
+    # rejects fails before anything is derived, a replay whose recorded ids
+    # disagree fails after its merge derived a document.
+    monkeypatch.setattr(SurveyDocument, "_derived", counted)
+    branch, _, _ = _merge(parent, make_paper("q", bib={"key": "new2"}), "a", APPEND,
+                          "Other [cite].", None, "t")
+    assert (branch.reference_position("new2"), branch.reference_position("new1")) == (3, None)
+    assert branch.tables is parent.tables
+    with pytest.raises(DocumentIntegrityError, match="above maximum"):
+        _merge(parent, paper, "b", APPEND, "New [cite].", {"Name": "x", "Score": 9}, "t")
+    assert derivations["all"] == 2  # the branch's; the rejected row derived nothing
+    monkeypatch.undo()
+    late = UpdateRecord(paper_id="p", decision="updated", routed_section="c",
+                        draft_text="Late [cite].", inserted_sentence_ids=("c:999",))
+    state = SurveyState(parent, StructuredOutline((), ()))
+    with pytest.raises(DocumentIntegrityError, match="produced sentence ids"):
+        replay_update(state, late, make_paper("p", bib={"key": "late"}))
+    assert parent._reference_positions is kept and kept == kept_items
+    assert parent._section_positions is sections
+    assert parent.reference_position("new1") is None
+    _assert_lookups_agree([parent, merged, branch])
 
 
 # --- the differential ---------------------------------------------------------------

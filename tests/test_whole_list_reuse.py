@@ -165,7 +165,7 @@ def _check(text, previous):
     # back, is taken as it is.
     reply = json.loads(text)["references"]
     for i, old in enumerate(previous.references):
-        if i < len(reply) and document._render_dicts([reply[i]])[0] == old._json \
+        if i < len(reply) and "    " + document._canonical(reply[i], "    ") == old._json \
                 and old.reparses():
             assert got.references[i] is old
     return got
