@@ -198,8 +198,8 @@ def widen_update_feed(workspace: Path) -> str:
     survey = json.loads(survey_path.read_text(encoding="utf-8"))
     survey["metadata"]["editors"] = {"names": ["Zoë Ångström", "Łukasz"], "round": 2,
                                      "weight": 0.5, "tags": [], "notes": {}}
-    sections = survey["sections"]
-    for i, section in enumerate(sections):
+    widened = 0
+    for i, section in enumerate(survey["sections"]):
         words = []
         if i % 3 == 0:
             words.append("naïve-Übersicht")
@@ -208,6 +208,7 @@ def widen_update_feed(workspace: Path) -> str:
         if words:
             head, _, tail = section["text"].partition(" ")
             section["text"] = " ".join([head, *words, tail])
+            widened += 1
     survey_path.write_text(json.dumps(survey, indent=2, ensure_ascii=False) + "\n",
                            encoding="utf-8")
     feed_path = workspace / "feed.ndjson"
@@ -217,8 +218,7 @@ def widen_update_feed(workspace: Path) -> str:
                              venue={"name": "Café", "year": 2024, "rank": None})
     feed_path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
                          encoding="utf-8")
-    changed = sum(1 for i in range(len(sections)) if i % 3 == 0 or i % 5 == 0)
-    return (f"{changed} section texts widened, {len(records[::4])} feed bibs widened, "
+    return (f"{widened} section texts widened, {len(records[::4])} feed bibs widened, "
             f"metadata nested")
 
 

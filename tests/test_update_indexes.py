@@ -5,7 +5,10 @@ position index, a section its next sentence counter, an outline its
 routing section list. A derived document extends a copy of the reference
 index. The copies below are the lookups as they were before the indexes:
 every derivation, branch and failed step must leave the indexed lookups
-giving what they give.
+giving what they give. A merge derives its document once
+(``with_additions``); the chain of three derivations it replaced,
+``replace_section``, ``with_references`` and ``append_table_row``, is its
+reference.
 """
 
 from __future__ import annotations
@@ -270,11 +273,11 @@ def test_references_that_do_not_extend_the_document_get_a_new_index():
 
 def test_one_derivation_equals_the_chain_of_three(monkeypatch):
     derivations = Counter()
-    derived = SurveyDocument._derived
+    plain = SurveyDocument._derived
 
     def counted(doc, *args, **kwargs):
         derivations["all"] += 1
-        return derived(doc, *args, **kwargs)
+        return plain(doc, *args, **kwargs)
 
     parent = _document("abc", [(1, 2), (1,), ()], 2)
     assert parent.section("b") is parent.sections[1]  # build both indexes
