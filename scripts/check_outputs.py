@@ -9,11 +9,15 @@ working tree and from an export of ``REV``:
 - ``update`` on ``update_feed``, comparing ``survey.updated.json`` and
   ``audit.ndjson``;
 - the same update on a copy of ``update_feed`` in which every third
-  section text holds letters outside ASCII and every fifth U+007F, every
-  fourth feed bib holds a float, a list and a nested object, and the
-  survey metadata holds a nested value. So the published survey is
-  written through both of ``document._encode``'s encoders and through
-  the canonical renderer's hand-over to ``json.dumps``;
+  section text and scripted draft holds letters outside ASCII and every
+  fifth U+007F, every fourth feed bib holds a float, a list and a nested
+  object, every fourth table-synthesis reply that decodes holds a float
+  or a list in its free-text ``Venue`` column, and the survey metadata
+  holds a nested value. So the published survey is written through both
+  of ``document._encode``'s encoders and through the canonical
+  renderer's hand-over to ``json.dumps``, and the audit log through its
+  line template with both encoders and through the template's hand-over
+  to ``json``'s encoder;
 - ``benchmark --methods framework`` on ``retro_framework_embed`` and
   ``benchmark --methods one_step,oracle`` on ``retro_baselines``,
   comparing ``report.csv`` and ``report.txt``;
@@ -138,7 +142,7 @@ for spec in config.instances:
         load_span_annotations(spec.spans), ingest_feed(spec.oos_feed, config.candidate_filter))
     for method in sys.argv[2].split(","):
         for step, result in enumerate(run_method(method, instance, generator, make_step_clock())):
-            ids = [section.sentence_ids() for section in result.after.sections]
+            ids = [list(section.sentence_ids()) for section in result.after.sections]
             script = region_edit_script(document_regions(result.before)[0],
                                         document_regions(result.after)[0])
             ops = op_tuples(script)
@@ -187,30 +191,58 @@ def rewrite_replies(workspace: Path, rewrite) -> int:
     return count
 
 
+def _widened_words(i: int) -> list[str]:
+    """The words outside ASCII that the ``i``-th text of its kind gains."""
+    return ["naïve-Übersicht"] * (i % 3 == 0) + ["del\x7fete"] * (i % 5 == 0)
+
+
 def widen_update_feed(workspace: Path) -> str:
-    """Put values outside ASCII and outside the renderer's own types into a
+    """Put values outside ASCII and outside the renderers' own types into a
     copy of ``update_feed``: letters outside ASCII into every third
-    section text, U+007F into every fifth, a float, a list and a nested
-    object into every fourth feed bib, and a nested value into the survey
-    metadata. Each text gains one word, so it splits into the same
-    sentences. Returns a summary line."""
+    section text and scripted draft, U+007F into every fifth, a float, a
+    list and a nested object into every fourth feed bib, a float or a
+    list into the free-text ``Venue`` column of every fourth
+    table-synthesis reply that decodes, and a nested value into the
+    survey metadata. Each text gains words after its first, so it splits
+    into the same sentences. Returns a summary line."""
     survey_path = workspace / "survey.json"
     survey = json.loads(survey_path.read_text(encoding="utf-8"))
     survey["metadata"]["editors"] = {"names": ["Zoë Ångström", "Łukasz"], "round": 2,
                                      "weight": 0.5, "tags": [], "notes": {}}
     widened = 0
     for i, section in enumerate(survey["sections"]):
-        words = []
-        if i % 3 == 0:
-            words.append("naïve-Übersicht")
-        if i % 5 == 0:
-            words.append("del\x7fete")
+        words = _widened_words(i)
         if words:
             head, _, tail = section["text"].partition(" ")
             section["text"] = " ".join([head, *words, tail])
             widened += 1
     survey_path.write_text(json.dumps(survey, indent=2, ensure_ascii=False) + "\n",
                            encoding="utf-8")
+    scenario_path = workspace / "scenario.json"
+    scenario = json.loads(scenario_path.read_text(encoding="utf-8"))
+    script = scenario["generation"]
+    drafts = [key for key in script if key.startswith("text_synthesis|")]
+    for i, key in enumerate(drafts):
+        words = _widened_words(i)
+        if words:
+            head, _, tail = script[key].partition(" ")
+            script[key] = " ".join([head, *words, tail])
+    decoder = json.JSONDecoder()
+    rows = []
+    for key, reply in script.items():
+        if key.startswith("table_synthesis|") and "{" in reply:
+            start = reply.index("{")
+            try:
+                row, end = decoder.raw_decode(reply, start)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(row, dict) and "Venue" in row:
+                rows.append((key, row, start, end))
+    for i, (key, row, start, end) in enumerate(rows[::4]):
+        row["Venue"] = [2024, "Café"] if i % 2 else 1.5 + i
+        script[key] = script[key][:start] + json.dumps(row, ensure_ascii=False) + script[key][end:]
+    scenario_path.write_text(json.dumps(scenario, indent=2, ensure_ascii=False, sort_keys=True)
+                             + "\n", encoding="utf-8")
     feed_path = workspace / "feed.ndjson"
     records = [json.loads(line) for line in feed_path.read_text(encoding="utf-8").splitlines()]
     for i, record in enumerate(records[::4]):
@@ -218,7 +250,9 @@ def widen_update_feed(workspace: Path) -> str:
                              venue={"name": "Café", "year": 2024, "rank": None})
     feed_path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
                          encoding="utf-8")
-    return (f"{widened} section texts widened, {len(records[::4])} feed bibs widened, "
+    return (f"{widened} section texts and "
+            f"{sum(bool(_widened_words(i)) for i in range(len(drafts)))} drafts widened, "
+            f"{len(records[::4])} feed bibs and {len(rows[::4])} table rows widened, "
             f"metadata nested")
 
 

@@ -242,9 +242,8 @@ def run_abstention_agent(
 def _choose_insertion(raw: str, section: Section) -> str:
     """Pick the insertion sentence from a part-2 response; fall back to append."""
     cleaned = strip_reasoning(raw)
-    known = set(section.sentence_ids())
     match = _SENTENCE_ID.search(cleaned)
-    if match and match.group(0) in known:
+    if match and match.group(0) in section.sentence_ids():
         return match.group(0)
     if match:
         logger.info("insertion point %r not in section %s; appending",

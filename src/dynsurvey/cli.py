@@ -76,7 +76,11 @@ def cmd_review(config: RunConfig) -> int:
         print(f"  [{entry.id}] {entry.section_title}: {entry.summary}")
     for entry in outline.table_entries:
         print(f"  [table {entry.id}] {entry.title}: {entry.summary}")
-    answer = input("Approve this outline and freeze it? [y/N] ").strip().lower()
+    try:
+        answer = input("Approve this outline and freeze it? [y/N] ").strip().lower()
+    except EOFError:  # stdin closed: the prompt's default, no
+        print()
+        answer = ""
     if answer not in ("y", "yes"):
         print("outline left unapproved")
         return 0

@@ -15,7 +15,10 @@ only here: by the class's accessor, on first use, or by its one
 derivation constructor (``Section._numbered``,
 ``SurveyDocument._derived``). ``_entries`` fills the JSON entries of a
 list in one render. A fill reads only the frozen object, so two fills
-that race store equal values.
+that race store equal values. The one value shared between objects is
+the reference index of a lineage of documents (``_ReferenceIndex``):
+each document reads only its own prefix of it, and a lock guards its
+growth.
 
 Sentence identifiers are ``"{section_id}:{counter}"`` with counters
 assigned monotonically per section and never reused, which keeps
@@ -27,6 +30,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import threading
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, chain
 from json.encoder import encode_basestring, encode_basestring_ascii
@@ -60,6 +64,9 @@ _SHARED_VALUE_TYPES = frozenset({str, int, bool, type(None)})
 # without its type.
 _SHARED_BOUND_TYPES = frozenset({int, type(None)})
 _TEXT = attrgetter("text")
+# Guards ``_ReferenceIndex.grown``, so that two derivations from one
+# lineage that race do not both grow its index.
+_INDEX_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,12 @@ class Section:
     _segmented: bool = field(default=False, init=False, repr=False, compare=False)
     # ``next_sentence_counter``, once found or set by ``_numbered``.
     _next_counter: int | None = field(default=None, init=False, repr=False, compare=False)
+    # ``sentence_ids()``, once found or set by ``with_inserted``.
+    _ids: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # Set by ``with_inserted`` on a section derived from a checked one: the
+    # ids of the sentences it inserted. Once ``validate_additions`` has
+    # checked exactly those, the section is checked.
+    _added: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def _numbered(cls, section_id: str, title: str, sentences: tuple[Sentence, ...],
@@ -101,8 +114,15 @@ class Section:
         object.__setattr__(section, "_segmented", segmented)
         return section
 
-    def sentence_ids(self) -> list[str]:
-        return [s.id for s in self.sentences]
+    def sentence_ids(self) -> tuple[str, ...]:
+        """The sentence ids in order; kept once found when the sentences are a
+        tuple, and set by ``with_inserted`` on the section it builds."""
+        if self._ids is not None:
+            return self._ids
+        ids = tuple(s.id for s in self.sentences)
+        if type(self.sentences) is tuple:
+            object.__setattr__(self, "_ids", ids)
+        return ids
 
     def body_text(self) -> str:
         return " ".join(map(_TEXT, self.sentences))
@@ -117,7 +137,7 @@ class Section:
         """One more than the largest counter of the sentence ids, 1 for no sentences.
 
         Parsed from the ids once per section whose sentences are a tuple
-        and kept; ``make_section`` and ``with_sentences`` set it on the
+        and kept; ``make_section`` and ``with_inserted`` set it on the
         section they build, so a step reads only the counters of a
         section it has not touched before.
         """
@@ -129,11 +149,26 @@ class Section:
             object.__setattr__(self, "_next_counter", counter)
         return counter
 
-    def with_sentences(self, sentences: tuple[Sentence, ...], next_counter: int) -> "Section":
-        """This section holding ``sentences``, whose largest id counter is
-        ``next_counter - 1``."""
-        return Section._numbered(self.id, self.title, sentences, self.non_maintained,
-                                 next_counter, False)
+    def with_inserted(self, position: int, texts: Sequence[str]) -> "Section":
+        """This section with one sentence per text after its first ``position``
+        sentences, numbered on from ``next_sentence_counter``.
+
+        Every sentence before keeps its id, text and order. The new
+        section keeps its sentence ids and next counter, and, when this
+        section is checked, the inserted ids (``_added``).
+        """
+        counter = self.next_sentence_counter()
+        added = tuple(f"{self.id}:{counter + i}" for i in range(len(texts)))
+        sentences = self.sentences
+        section = Section._numbered(
+            self.id, self.title,
+            sentences[:position] + tuple(map(Sentence, added, texts)) + sentences[position:],
+            self.non_maintained, counter + len(texts), False)
+        ids = self.sentence_ids()
+        object.__setattr__(section, "_ids", ids[:position] + added + ids[position:])
+        if self._checked:
+            object.__setattr__(section, "_added", added)
+        return section
 
     def _check_sentences(self) -> None:
         """Raise on a repeated sentence id or a blank sentence (``validate_document``)."""
@@ -283,6 +318,44 @@ class Reference:
         return self._reparses
 
 
+class _ReferenceIndex(dict):
+    """Reference key -> position (from 1) of its first reference, shared by
+    the documents of one lineage.
+
+    The documents that share an index each hold a prefix of one reference
+    list, the index's, of which it maps the first ``count`` references.
+    A document reads only the positions up to its own reference count,
+    so it never sees a key that a later version appended.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self, positions: dict[str, int], count: int):
+        super().__init__(positions)
+        self.count = count
+
+    def grown(self, count: int, tail: Sequence[Reference]) -> "_ReferenceIndex":
+        """The index of a document whose references are the first ``count``
+        of this index's list followed by ``tail``.
+
+        This index, grown in place, when it maps exactly ``count``
+        references: the document derives from the lineage's latest
+        version. Otherwise, a derivation from an older version, a copy of
+        the positions up to ``count``, grown; the two branches then never
+        see each other's keys.
+        """
+        with _INDEX_LOCK:
+            if self.count == count:
+                index = self
+            else:
+                index = _ReferenceIndex(
+                    {key: position for key, position in self.items() if position <= count}, count)
+            for position, reference in enumerate(tail, count + 1):
+                index.setdefault(reference.key, position)
+            index.count = count + len(tail)
+        return index
+
+
 @dataclass(frozen=True)
 class SurveyDocument:
     """A survey's content.
@@ -304,9 +377,9 @@ class SurveyDocument:
     # Section id -> position of its first section.
     _section_positions: dict[str, int] | None = field(
         default=None, init=False, repr=False, compare=False)
-    # Reference key -> position (from 1) of its first reference. Never
-    # changed once built: a derived document gets a copy to extend.
-    _reference_positions: dict[str, int] | None = field(
+    # The reference index of this document's lineage, of which it reads
+    # the positions up to ``len(references)``.
+    _reference_positions: _ReferenceIndex | None = field(
         default=None, init=False, repr=False, compare=False)
     # ``regions()``, once diffed.
     _regions: tuple[list, list, list] | None = field(default=None, init=False, repr=False,
@@ -334,10 +407,15 @@ class SurveyDocument:
     def reference_position(self, key: str) -> int | None:
         """The position (from 1) of the first reference with ``key``, None
         if none has it; found through the reference index."""
-        if self._reference_positions is None:
-            object.__setattr__(self, "_reference_positions", _first_positions(
-                (reference.key for reference in self.references), 1))
-        return self._reference_positions.get(key)
+        index = self._reference_positions
+        if index is None:
+            index = _ReferenceIndex(_first_positions(
+                (reference.key for reference in self.references), 1), len(self.references))
+            object.__setattr__(self, "_reference_positions", index)
+        position = index.get(key)
+        if position is not None and position <= len(self.references):
+            return position
+        return None
 
     def regions(self) -> tuple[list[tuple[str, ...]], list[str], list[int]]:
         """The maintained body as one token tuple per region, the region ids and their starts.
@@ -361,28 +439,21 @@ class SurveyDocument:
 
     def _derived(self, sections: tuple[Section, ...] | None = None,
                  tables: tuple[SurveyTable, ...] | None = None,
-                 references: tuple[Reference, ...] | None = None) -> "SurveyDocument":
-        """This document with the parts given in place of its own, handing on
-        both indexes; the caller keeps the section ids and their order. New
-        references that extend this document's get a copy of its reference
-        index with the appended keys added, so the indexes of two branches
-        never change each other; any other new references get an index of
-        their own."""
-        if references is None:
-            references = self.references
+                 tail: tuple[Reference, ...] = ()) -> "SurveyDocument":
+        """This document with the parts given in place of its own and ``tail``
+        appended to its references, handing on both indexes; the caller
+        keeps the section ids and their order. The references extend this
+        document's by construction, so the reference index is handed on
+        grown by the tail (``_ReferenceIndex.grown``), without comparing
+        the references before it."""
+        references = self.references + tail if tail else self.references
         doc = SurveyDocument(self.metadata, self.sections if sections is None else sections,
                              self.tables if tables is None else tables, references)
-        positions = self._reference_positions
-        if positions is not None and references is not self.references:
-            count = len(self.references)
-            if references[:count] == self.references:
-                positions = dict(positions)
-                for position in range(count + 1, len(references) + 1):
-                    positions.setdefault(references[position - 1].key, position)
-            else:
-                positions = None
+        index = self._reference_positions
+        if index is not None and tail:
+            index = index.grown(len(self.references), tail)
         object.__setattr__(doc, "_section_positions", self._section_positions)
-        object.__setattr__(doc, "_reference_positions", positions)
+        object.__setattr__(doc, "_reference_positions", index)
         return doc
 
     def _sections_with(self, new_section: Section) -> tuple[Section, ...]:
@@ -417,20 +488,27 @@ class SurveyDocument:
         return self._derived(tables=self._tables_with_row(table_id, row))
 
     def with_references(self, references: tuple[Reference, ...]) -> "SurveyDocument":
-        """The document with ``references``."""
-        return self._derived(references=references)
+        """The document with ``references``. When they extend this document's
+        the tail is appended through ``_derived``; any other list, such as
+        a renumbered one, gets a reference index of its own."""
+        count = len(self.references)
+        if references[:count] == self.references:
+            return self._derived(tail=references[count:])
+        doc = SurveyDocument(self.metadata, self.sections, self.tables, references)
+        object.__setattr__(doc, "_section_positions", self._section_positions)
+        return doc
 
-    def with_additions(self, new_section: Section, references: tuple[Reference, ...],
+    def with_additions(self, new_section: Section, tail: tuple[Reference, ...],
                        table_id: str | None = None,
                        row: Mapping[str, object] | None = None) -> "SurveyDocument":
-        """``replace_section(new_section).with_references(references)``, then
-        ``.append_table_row(table_id, row)`` when both are given, in one
-        derivation: what one update step merges. A row its table rejects
-        raises before anything is derived."""
+        """``replace_section(new_section)`` with ``tail`` appended to its
+        references, then ``.append_table_row(table_id, row)`` when both are
+        given, in one derivation: what one update step merges. A row its
+        table rejects raises before anything is derived."""
         tables = None
         if table_id is not None and row is not None:
             tables = self._tables_with_row(table_id, row)
-        return self._derived(self._sections_with(new_section), tables, references)
+        return self._derived(self._sections_with(new_section), tables, tail)
 
 
 # The name scoring and its callers use for ``SurveyDocument.regions``.
@@ -555,25 +633,41 @@ def validate_additions(
     section after it and ``inserted_ids`` the ids of its new sentences;
     ``references`` extends ``before.references`` by the appended tail.
     Each new sentence id must occur once in the section and its text
-    must not be blank; the tail must continue the dense numbering with
-    keys not used before, which ``before.reference_position`` tells
-    without reading the earlier references. Other sections and the
-    tables are not read (``append_table_row`` checks its row). When
-    ``before`` passed ``validate_document``, this raises exactly when
-    ``validate_document`` would raise on the result.
+    must not be blank; the section's kept id tuple (``sentence_ids``)
+    tells where, without reading the other sentences. The tail must
+    continue the dense numbering with keys not used before, which
+    ``before.reference_position`` tells without reading the earlier
+    references. Other sections and the tables are not read
+    (``append_table_row`` checks its row). When ``before`` passed
+    ``validate_document``, this raises exactly when ``validate_document``
+    would raise on the result.
+
+    A section that ``with_inserted`` derived from a checked section, whose
+    inserted ids these are, is checked once they pass: its other
+    sentences are the checked section's.
     """
     if inserted_ids:
-        wanted = set(inserted_ids)
-        seen: set[str] = set()
-        for sentence in section.sentences:
-            if sentence.id in wanted:
-                if sentence.id in seen:
-                    raise DocumentIntegrityError(
-                        f"duplicate sentence ids in section {section.id!r}")
-                seen.add(sentence.id)
-                if not sentence.text.strip():
-                    raise DocumentIntegrityError(
-                        f"empty sentence {sentence.id!r} in section {section.id!r}")
+        ids = section.sentence_ids()
+        # (position, problem) of each first blank occurrence and each
+        # second occurrence; the first in section order is raised.
+        problems = []
+        for sentence_id in inserted_ids:
+            try:
+                first = ids.index(sentence_id)
+            except ValueError:
+                continue
+            if not section.sentences[first].text.strip():
+                problems.append(
+                    (first, f"empty sentence {sentence_id!r} in section {section.id!r}"))
+            try:
+                problems.append((ids.index(sentence_id, first + 1),
+                                 f"duplicate sentence ids in section {section.id!r}"))
+            except ValueError:
+                pass
+        if problems:
+            raise DocumentIntegrityError(min(problems)[1])
+        if section._added is not None and tuple(inserted_ids) == section._added:
+            object.__setattr__(section, "_checked", True)
     appended_from = len(before.references)
     if appended_from < len(references):
         appended: set[str] = set()

@@ -10,7 +10,9 @@ A step checks only what it adds: ``validate_additions`` reads the new
 sentences and the appended reference, ``append_table_row`` the new row.
 Its cost therefore follows the size of its change, not of the survey.
 The whole survey is checked where it enters (``document_from_dict``) and
-once more in ``publish``, before the file is written.
+once more in ``publish``, before the file is written; a section that a
+step grew from a checked section is checked by the step, so ``publish``
+re-reads only sentences no check has read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import logging
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -38,9 +41,9 @@ from .corpus import PaperRecord, bib_key
 from .document import (
     Reference,
     Section,
-    Sentence,
     SurveyDocument,
     SurveyState,
+    _encode,
     serialize_document,
     validate_additions,
     validate_document,
@@ -99,9 +102,13 @@ class UpdateRecord:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(UpdateRecord))
-# The encoder of every audit line: ``json.dumps`` with options builds a
-# new encoder per call.
+# The encoder of an audit line off the template: ``json.dumps`` with
+# options builds a new encoder per call.
 _AUDIT_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+# The record's fields in the order ``_AUDIT_ENCODER`` sorts their keys,
+# and the line it writes with one slot for each field's JSON.
+_SORTED_FIELDS = attrgetter(*sorted(_RECORD_FIELDS))
+_AUDIT_TEMPLATE = "{{" + ", ".join(f'"{name}": {{}}' for name in sorted(_RECORD_FIELDS)) + "}}"
 
 
 def insert_paragraph(
@@ -111,27 +118,25 @@ def insert_paragraph(
 ) -> tuple[Section, tuple[str, ...]]:
     """Splice a paragraph into a section immediately after a sentence.
 
-    ``after`` is an existing sentence id or ``"append"``. The paragraph is
-    segmented into sentences which receive fresh monotonic ids; every
+    ``after`` is an existing sentence id or ``"append"``, found in the
+    section's kept id tuple. The paragraph is segmented into sentences
+    which receive fresh monotonic ids (``Section.with_inserted``); every
     pre-existing sentence keeps its id, text and relative order. An empty
     paragraph is a no-op.
     """
     if after == APPEND:
         position = len(section.sentences)
     else:
-        position = next(
-            (i for i, s in enumerate(section.sentences, start=1) if s.id == after), None)
-        if position is None:
+        try:
+            position = section.sentence_ids().index(after) + 1
+        except ValueError:
             raise ValueError(
-                f"insertion point {after!r} does not exist in section {section.id!r}")
+                f"insertion point {after!r} does not exist in section {section.id!r}") from None
     texts = segment_sentences(paragraph)
     if not texts:
         return section, ()
-    counter = section.next_sentence_counter()
-    inserted = tuple(
-        Sentence(id=f"{section.id}:{counter + i}", text=text) for i, text in enumerate(texts))
-    sentences = section.sentences[:position] + inserted + section.sentences[position:]
-    return section.with_sentences(sentences, counter + len(texts)), tuple(s.id for s in inserted)
+    new_section = section.with_inserted(position, texts)
+    return new_section, new_section.sentence_ids()[position:position + len(texts)]
 
 
 def resolve_citations(
@@ -148,24 +153,24 @@ def resolve_citations(
     (``validate_document`` checks it on load, ``validate_additions`` at
     every step), so that is the next number. The key is looked up with
     ``doc.reference_position``, which does not scan the references.
-    Returns the final text, the reference list and the cited key once
-    per placeholder.
+    Returns the final text, the appended tail of the references (the new
+    reference, or none) and the cited key once per placeholder.
     """
-    references = doc.references
     count = draft.count(CITE_PLACEHOLDER)
     if count == 0:
-        return draft, references, ()
+        return draft, (), ()
     if not bib:
         raise CitationError("draft contains a [cite] placeholder but no bib entry was provided")
     key = bib_key(bib)
     position = doc.reference_position(key)
+    tail: tuple[Reference, ...] = ()
     if position is not None:
-        number = references[position - 1].number
+        number = doc.references[position - 1].number
     else:
-        number = len(references) + 1
+        number = len(doc.references) + 1
         fields = {k: v for k, v in bib.items() if k != "key"}
-        references = (*references, Reference(key=key, number=number, bib=fields))
-    return draft.replace(CITE_PLACEHOLDER, f"[{number}]"), references, (key,) * count
+        tail = (Reference(key=key, number=number, bib=fields),)
+    return draft.replace(CITE_PLACEHOLDER, f"[{number}]"), tail, (key,) * count
 
 
 def _merge(
@@ -177,12 +182,16 @@ def _merge(
     row: dict | None,
     routed_table: str | None,
 ) -> tuple[SurveyDocument, tuple[str, ...], tuple[str, ...]]:
-    """Deterministic merge of synthesis outputs into a new document."""
-    resolved_text, references, resolved_keys = resolve_citations(draft, paper.bib, doc)
+    """Deterministic merge of synthesis outputs into a new document.
+
+    The document is derived, then its additions are checked: a step that
+    fails the check keeps the document before it.
+    """
+    resolved_text, tail, resolved_keys = resolve_citations(draft, paper.bib, doc)
     section = doc.section(routed_section)
     new_section, inserted_ids = insert_paragraph(section, insertion, resolved_text)
-    validate_additions(new_section, inserted_ids, references, doc)
-    new_doc = doc.with_additions(new_section, references, routed_table, row)
+    new_doc = doc.with_additions(new_section, tail, routed_table, row)
+    validate_additions(new_section, inserted_ids, new_doc.references, doc)
     return new_doc, inserted_ids, resolved_keys
 
 
@@ -360,14 +369,74 @@ def update_record_from_dict(data: dict) -> UpdateRecord:
     return record
 
 
+class _OffTemplate(Exception):
+    """A record field whose exact type the audit template does not write."""
+
+
+def _audit_string(value: object) -> str:
+    if type(value) is not str:
+        raise _OffTemplate
+    return _encode(value)
+
+
+def _audit_optional(value: object) -> str:
+    return "null" if value is None else _audit_string(value)
+
+
+def _audit_strings(values: object) -> str:
+    if type(values) is not tuple:
+        raise _OffTemplate
+    return "[" + ", ".join(map(_audit_string, values)) + "]"
+
+
+def _audit_votes(votes: object) -> str:
+    if type(votes) is not tuple:
+        raise _OffTemplate
+    pairs = []
+    for pair in votes:
+        if type(pair) is not tuple or len(pair) != 2 or type(pair[1]) is not bool:
+            raise _OffTemplate
+        pairs.append(f"[{_audit_string(pair[0])}, {'true' if pair[1] else 'false'}]")
+    return "[" + ", ".join(pairs) + "]"
+
+
+def _audit_line(record: UpdateRecord) -> str:
+    """``_AUDIT_ENCODER.encode(_record_fields(record))``, the record's audit line.
+
+    Written from ``_AUDIT_TEMPLATE`` when every field has the exact type
+    the template writes: a str, None for an optional str or for
+    ``inserted_row``, an int count, a tuple of str for each id list and a
+    tuple of (str, bool) tuples for the votes. Every string goes through
+    ``document._encode``, as the published survey's strings do, which
+    writes what ``json``'s encoder writes with ``ensure_ascii=False``. A
+    record with any other field (a row, a float, a subclass, a list)
+    goes whole to ``_AUDIT_ENCODER``.
+    """
+    (decision, draft_text, error, finished_at, inserted_row, inserted_ids, insertion,
+     paper_id, placeholder_count, ranked, keys, routed_section, routed_table, started_at,
+     table_error, votes) = _SORTED_FIELDS(record)
+    try:
+        if inserted_row is not None or type(placeholder_count) is not int:
+            raise _OffTemplate
+        return _AUDIT_TEMPLATE.format(
+            _audit_string(decision), _audit_string(draft_text), _audit_optional(error),
+            _audit_string(finished_at), "null", _audit_strings(inserted_ids),
+            _audit_optional(insertion), _audit_string(paper_id), int.__repr__(placeholder_count),
+            _audit_strings(ranked), _audit_strings(keys), _audit_optional(routed_section),
+            _audit_optional(routed_table), _audit_string(started_at),
+            _audit_optional(table_error), _audit_votes(votes))
+    except _OffTemplate:
+        return _AUDIT_ENCODER.encode(_record_fields(record))
+
+
 def write_audit_log(records: list[UpdateRecord], path: str | Path) -> None:
     """Store update records as newline-delimited JSON, replacing the file as ``publish`` does.
 
     Each line is ``json.dumps(update_record_to_dict(record),
-    ensure_ascii=False, sort_keys=True)``, encoded from the record's own
-    values: encoding reads them and copies none.
+    ensure_ascii=False, sort_keys=True)``, written by ``_audit_line`` from
+    the record's own values: writing reads them and copies none.
     """
-    lines = [_AUDIT_ENCODER.encode(_record_fields(r)) for r in records]
+    lines = [_audit_line(r) for r in records]
     jsonio.replace_text(Path(path), "\n".join(lines) + ("\n" if lines else ""))
 
 

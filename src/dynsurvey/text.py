@@ -57,7 +57,7 @@ def segment_sentences(text: str) -> list[str]:
     start = 0
     for match in _BOUNDARY.finditer(normalized):
         end = match.end(1)
-        word = normalized[:end].rsplit(" ", 1)[-1]
+        word = normalized[normalized.rfind(" ", 0, end) + 1:end]
         if word.lower() in _ABBREVIATIONS or _is_initial(word):
             continue
         sentences.append(normalized[start:end])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynsurvey import document
 from dynsurvey.document import (
     Reference,
     Section,
@@ -121,3 +122,44 @@ def test_a_valid_step_passes_and_may_reuse_ids_of_other_sections():
     new_doc, new_section = _apply(doc, "1", 3, inserted, _NEXT)
     validate_document(new_doc)
     validate_additions(new_section, ["1:4", "2:1"], new_doc.references, doc)
+
+
+def _checks(monkeypatch) -> list[str]:
+    """The ids of the sections whose sentences ``validate_document`` reads from now on."""
+    checked: list[str] = []
+    plain = Section._check_sentences
+    monkeypatch.setattr(Section, "_check_sentences",
+                        lambda section: checked.append(section.id) or plain(section))
+    return checked
+
+
+def test_a_step_on_a_checked_section_leaves_it_checked(monkeypatch):
+    doc = _document([3, 2], 1)
+    validate_document(doc)
+    section = doc.section("1")
+    grown = section.with_inserted(1, ["New claim.", "Another one."])
+    assert grown.sentence_ids() == ("1:1", "1:4", "1:5", "1:2", "1:3")
+    assert grown.next_sentence_counter() == 6 and not grown._checked
+    # Only the ids the derivation inserted make it checked.
+    validate_additions(grown, ["1:4"], doc.references, doc)
+    assert not grown._checked
+    validate_additions(grown, ("1:4", "1:5"), doc.references, doc)
+    assert grown._checked
+    checked = _checks(monkeypatch)
+    document.validate_document(doc.replace_section(grown))
+    assert checked == []
+
+
+def test_a_step_on_an_unchecked_section_leaves_it_unchecked(monkeypatch):
+    # A section built directly with a blank sentence, which no whole check
+    # has read: a step checks only its own sentences, so the whole check
+    # before publishing must still read the others.
+    blank = Section("1", "S", (Sentence("1:1", "Fine."), Sentence("1:2", " ")))
+    doc = SurveyDocument({}, (blank,), (), ())
+    grown = blank.with_inserted(2, ["New claim."])
+    validate_additions(grown, grown.sentence_ids()[2:], (), doc)
+    assert not grown._checked
+    checked = _checks(monkeypatch)
+    with pytest.raises(DocumentIntegrityError, match="empty sentence '1:2'"):
+        document.validate_document(doc.replace_section(grown))
+    assert checked == ["1"]

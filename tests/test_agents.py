@@ -233,7 +233,7 @@ def test_unknown_insertion_sentence_falls_back_to_append(full_state):
 
 def test_insertion_point_reads_a_section_id_holding_a_colon():
     section = make_section("a:b", "Colon", "First sentence. Second sentence.")
-    assert section.sentence_ids() == ["a:b:1", "a:b:2"]
+    assert section.sentence_ids() == ("a:b:1", "a:b:2")
     assert _choose_insertion("after a:b:1", section) == "a:b:1"
     assert _choose_insertion("Insert after a:b:2.", section) == "a:b:2"
     assert _choose_insertion("after b:1", section) == APPEND

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -225,6 +226,16 @@ def test_review_rejection_leaves_unapproved(workspace, monkeypatch):
     monkeypatch.setattr("builtins.input", lambda prompt="": "n")
     assert main(["--config", str(workspace["config"]), "review"]) == 0
     assert not load_outline(workspace["outline"]).approved
+
+
+def test_review_with_stdin_closed_answers_no(workspace, monkeypatch, capsys):
+    # ``review < /dev/null``: the prompt reads end of input, its default.
+    workspace["outline"].unlink()
+    assert main(["--config", str(workspace["config"]), "outline"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(["--config", str(workspace["config"]), "review"]) == 0
+    assert not load_outline(workspace["outline"]).approved
+    assert capsys.readouterr().out.endswith("[y/N] \noutline left unapproved\n")
 
 
 def test_outline_refuses_to_overwrite_approved_outline(workspace):

@@ -52,7 +52,7 @@ def test_parse_minimal_document():
     assert len(doc.sections) == 1
     section = doc.sections[0]
     assert [s.text for s in section.sentences] == ["A cat.", "A dog."]
-    assert section.sentence_ids() == ["1:1", "1:2"]
+    assert section.sentence_ids() == ("1:1", "1:2")
     assert doc.tables == ()
 
 
@@ -659,9 +659,8 @@ _COLUMNS_AB = (ColumnSpec("A"), ColumnSpec("B", "int"))
     SurveyDocument({}, (), (SurveyTable("t", "T", (ColumnSpec("B", "int", minimum=True),),
                                         ({"B": 1},)),), ()),
     SurveyDocument({}, (Section("s", "S", (Sentence("s:2", "A cat."),)),), (), ()),
-    SurveyDocument({}, (make_section("s", "S", "A cat. A dog.").with_sentences(
-        (Sentence("s:1", "A cat."), Sentence("s:3", "A cow."), Sentence("s:2", "A dog.")),
-        4),), (), ()),
+    SurveyDocument({}, (make_section("s", "S", "A cat. A dog.").with_inserted(1, ["A cow."]),),
+                   (), ()),
 ], ids=["bool_number", "int_bib_key", "nan_bib_value", "rows_out_of_schema_order",
         "text_column_values", "bool_bound", "gapped_section", "inserted_section"])
 def test_revision_parse_decodes_an_entry_that_does_not_read_back(previous):

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsurvey.text import normalize_whitespace, segment_sentences, tokenize
+from dynsurvey.text import (
+    _ABBREVIATIONS,
+    _BOUNDARY,
+    _is_initial,
+    normalize_whitespace,
+    segment_sentences,
+    tokenize,
+)
 
 
 def test_two_plain_sentences():
@@ -102,3 +109,48 @@ def test_tokenize_covers_all_non_whitespace(text):
 @given(st.text(max_size=80))
 def test_tokenize_deterministic(text):
     assert tokenize(text) == tokenize(text)
+
+
+def old_segment_sentences(text: str) -> list[str]:
+    """``segment_sentences`` as it read the closing word before: from a copy
+    of all the text before the terminator."""
+    normalized = normalize_whitespace(text)
+    if not normalized:
+        return []
+    sentences: list[str] = []
+    start = 0
+    for match in _BOUNDARY.finditer(normalized):
+        end = match.end(1)
+        word = normalized[:end].rsplit(" ", 1)[-1]
+        if word.lower() in _ABBREVIATIONS or _is_initial(word):
+            continue
+        sentences.append(normalized[start:end])
+        start = match.end()
+    tail = normalized[start:]
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# Every abbreviation in both cases, initials, terminators glued to words,
+# and whitespace runs, so closing words start at the text's start, after a
+# space and after a run of them.
+_closing_words = st.sampled_from(
+    sorted(_ABBREVIATIONS) + [a.upper() for a in _ABBREVIATIONS]
+    + ["J.", "a.", "Q.", "AB.", "x!", "Y?", "3.", "v1.2.", ".", "?!", "End.", "e.g.,"])
+_pieces = st.lists(_words | _closing_words | st.sampled_from([" ", "\n\t ", "Zeta"]),
+                   max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pieces, st.booleans())
+def test_segmentation_matches_the_copying_word_lookup(pieces, spaced):
+    text = (" " if spaced else "").join(pieces)
+    assert segment_sentences(text) == old_segment_sentences(text)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_words | _closing_words, min_size=200, max_size=800))
+def test_segmentation_of_long_texts_matches_the_copying_word_lookup(words):
+    text = " ".join(words)
+    assert segment_sentences(text) == old_segment_sentences(text)

@@ -2,10 +2,11 @@
 
 A document keeps a section id -> position index and a reference key ->
 position index, a section its next sentence counter, an outline its
-routing section list. A derived document extends a copy of the reference
-index. The copies below are the lookups as they were before the indexes:
-every derivation, branch and failed step must leave the indexed lookups
-giving what they give. A merge derives its document once
+routing section list. The documents of a lineage share one reference
+index, each reading its own prefix of it; a derivation from an older
+version gets a copy. The copies below are the lookups as they were
+before the indexes: every derivation, branch and failed step must leave
+the indexed lookups giving what they give. A merge derives its document once
 (``with_additions``); the chain of three derivations it replaced,
 ``replace_section``, ``with_references`` and ``append_table_row``, is its
 reference.
@@ -131,7 +132,10 @@ def _outcome(call):
 def _resolved(draft: str, key: str, doc: SurveyDocument, indexed: bool):
     bib = {"key": key, "title": key.upper()}
     if indexed:
-        return _outcome(lambda: resolve_citations(draft, bib, doc))
+        def resolved():
+            text, tail, keys = resolve_citations(draft, bib, doc)
+            return text, doc.references + tail, keys
+        return _outcome(resolved)
     return _outcome(lambda: old_resolve_citations(draft, bib, doc.references))
 
 
@@ -198,7 +202,8 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
     derived = derived.with_references(references)
     kept = doc._reference_positions
     kept_items = None if kept is None else dict(kept)
-    merged = _outcome(lambda: doc.with_additions(new_section, references, "t", row))
+    tail = references[len(doc.references):]
+    merged = _outcome(lambda: doc.with_additions(new_section, tail, "t", row))
     assert doc._reference_positions is kept
     assert kept_items is None or kept == kept_items
     if row is not None:
@@ -219,7 +224,8 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
 def test_a_key_appended_by_a_failed_step_stays_invisible_to_the_state_it_keeps():
     parent = _document("abc", [(1, 2), (1,), ()], 2)
     assert _step(parent, "a", "new1", row={"Name": "x", "Score": 9}) is None
-    # The failed step's merge added new1 -> 3 to its own copy of the index.
+    # The step's chain of derivations grew the parent's index by new1 -> 3;
+    # the parent reads only its own two positions.
     assert parent.reference_position("new1") is None
     second = _step(parent, "b", "new2")
     third = _step(second, "c", "new1")
@@ -279,11 +285,13 @@ def test_one_derivation_equals_the_chain_of_three(monkeypatch):
         derivations["all"] += 1
         return plain(doc, *args, **kwargs)
 
+    def lookups(doc):
+        return [doc.reference_position(key) for key in ("k1", "k2", "new1", "new2")]
+
     parent = _document("abc", [(1, 2), (1,), ()], 2)
     assert parent.section("b") is parent.sections[1]  # build both indexes
-    assert parent.reference_position("k2") == 2
-    sections, kept = parent._section_positions, parent._reference_positions
-    kept_items = dict(kept)
+    assert lookups(parent) == [1, 2, None, None]
+    sections = parent._section_positions
     paper = make_paper("p", bib={"key": "new1", "title": "New"})
     row = {"Score": 4, "Name": "x"}  # out of schema order
     monkeypatch.setattr(SurveyDocument, "_derived", counted)
@@ -292,14 +300,14 @@ def test_one_derivation_equals_the_chain_of_three(monkeypatch):
     assert derivations["all"] == 1
     monkeypatch.undo()
 
-    text, references, _ = resolve_citations("New [cite]. Fast.", paper.bib, parent)
+    text, tail, _ = resolve_citations("New [cite]. Fast.", paper.bib, parent)
     section, _ = insert_paragraph(parent.section("b"), APPEND, text)
-    chained = parent.replace_section(section).with_references(references) \
+    chained = parent.replace_section(section).with_references(parent.references + tail) \
         .append_table_row("t", row)
     assert _all_fields(merged) == _all_fields(chained)
     assert serialize_document(merged) == serialize_document(chained)
     assert merged._section_positions is sections
-    assert merged._reference_positions == {**kept_items, "new1": 3}
+    assert lookups(merged) == [1, 2, 3, None]
     assert list(merged.tables[0].rows[-1]) == ["Name", "Score"]
     assert merged.sections[0] is parent.sections[0] and merged.sections[2] is parent.sections[2]
 
@@ -320,10 +328,44 @@ def test_one_derivation_equals_the_chain_of_three(monkeypatch):
     state = SurveyState(parent, StructuredOutline((), ()))
     with pytest.raises(DocumentIntegrityError, match="produced sentence ids"):
         replay_update(state, late, make_paper("p", bib={"key": "late"}))
-    assert parent._reference_positions is kept and kept == kept_items
+    assert lookups(parent) == [1, 2, None, None]
+    assert lookups(merged) == [1, 2, 3, None]
+    assert lookups(branch) == [1, 2, None, 3]
     assert parent._section_positions is sections
-    assert parent.reference_position("new1") is None
     _assert_lookups_agree([parent, merged, branch])
+
+
+def test_a_lineage_shares_one_reference_index_and_a_branch_copies_it():
+    def lookups(doc):
+        return [doc.reference_position(key) for key in ("k1", "k2", "new1", "new2", "new3")]
+
+    def merged(doc, key, section_id):
+        return _merge(doc, make_paper(key, bib={"key": key}), section_id, APPEND,
+                      f"Claim of {key} [cite].", None, None)[0]
+
+    parent = _document("abc", [(1,), (2,), ()], 2)
+    assert lookups(parent) == [1, 2, None, None, None]
+    index = parent._reference_positions
+    child = merged(parent, "new1", "a")
+    grandchild = merged(child, "new2", "b")
+    again = merged(grandchild, "new1", "c")  # a key cited again appends nothing
+    # Extending merges grow the one index in place.
+    assert child._reference_positions is index
+    assert grandchild._reference_positions is index and again._reference_positions is index
+    # An older version never sees a later key.
+    assert lookups(parent) == [1, 2, None, None, None]
+    assert lookups(child) == [1, 2, 3, None, None]
+    assert lookups(grandchild) == lookups(again) == [1, 2, 3, 4, None]
+    # A branch from a version that is not the index's latest gets an index
+    # of its own, and neither side sees the other's keys.
+    branch = merged(child, "new3", "c")
+    assert branch._reference_positions is not index
+    assert lookups(branch) == [1, 2, 3, None, 4]
+    assert lookups(grandchild) == [1, 2, 3, 4, None]
+    twig = merged(branch, "new2", "a")
+    assert twig._reference_positions is branch._reference_positions
+    assert lookups(twig) == [1, 2, 3, 5, 4]
+    _assert_lookups_agree([parent, child, grandchild, again, branch, twig])
 
 
 # --- the differential ---------------------------------------------------------------
