@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -366,6 +368,54 @@ def test_a_lineage_shares_one_reference_index_and_a_branch_copies_it():
     assert twig._reference_positions is branch._reference_positions
     assert lookups(twig) == [1, 2, 3, 5, 4]
     _assert_lookups_agree([parent, child, grandchild, again, branch, twig])
+
+
+def test_lineages_that_race_from_one_document_each_see_only_their_own_keys():
+    # In each round every thread derives a chain from one new parent at
+    # once: one chain grows the parent's index in place while the others
+    # copy it.
+    parents = []
+
+    def new_parent() -> None:
+        parent = _document("abc", [(1,), (2,), ()], 2)
+        assert parent.reference_position("k2") == 2  # build the index the threads share
+        parents.append(parent)
+
+    rounds, threads_count = 40, 8
+    start = threading.Barrier(threads_count, action=new_parent, timeout=30)
+    finals = {}
+
+    def derive(thread: int) -> None:
+        try:
+            for round_ in range(rounds):
+                start.wait()
+                doc = parents[round_]
+                for step in range(10):
+                    tail = (Reference(f"t{thread}-{step}", len(doc.references) + 1, {}),)
+                    doc = doc.with_additions(doc.sections[0], tail)
+                finals[thread, round_] = doc
+        except BaseException:
+            start.abort()  # the other threads stop waiting for this one
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=derive, args=(n,)) for n in range(threads_count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finals) == threads_count * rounds
+    for (thread, round_), doc in finals.items():
+        for other in range(threads_count):
+            for step in (0, 9):
+                expected = 3 + step if other == thread else None
+                assert doc.reference_position(f"t{other}-{step}") == expected
+    assert all(parent.reference_position("t0-0") is None for parent in parents)
 
 
 # --- the differential ---------------------------------------------------------------
