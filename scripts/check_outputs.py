@@ -15,9 +15,8 @@ working tree and from an export of ``REV``:
   or a list in its free-text ``Venue`` column, and the survey metadata
   holds a nested value. So the published survey is written through both
   of ``document._encode``'s encoders and through the canonical
-  renderer's hand-over to ``json.dumps``, and the audit log through its
-  line template with both encoders and through the template's hand-over
-  to ``json``'s encoder;
+  renderer's hand-over to ``json.dumps``, and the audit log holds
+  non-ASCII text, U+007F and rows with floats and lists;
 - ``benchmark --methods framework`` on ``retro_framework_embed`` and
   ``benchmark --methods one_step,oracle`` on ``retro_baselines``,
   comparing ``report.csv`` and ``report.txt``;

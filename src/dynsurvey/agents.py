@@ -78,13 +78,19 @@ def _call(
     interpret: Callable[[str], _T],
     error_type: type[AgentError],
 ) -> _T:
-    """Run one agent call with bounded correction retries."""
+    """Run one agent call with bounded correction retries.
+
+    A reply holding a lone surrogate is rejected like a malformed one: no
+    UTF-8 file, survey or audit log, could hold it.
+    """
     max_retries = generator.max_retries
     current = prompt
     last_hint = ""
     for attempt in range(max_retries + 1):
         raw = generator.generate(GenerationRequest(role, key, attempt, current))
         try:
+            if not raw.isascii():
+                _check_encodable(raw)
             return interpret(raw)
         except ParseFailure as exc:
             last_hint = exc.hint
@@ -92,6 +98,14 @@ def _call(
                         role, key, attempt, exc.hint)
             current = prompt + f"\n\nCORRECTION: {exc.hint}"
     raise error_type(f"{role} failed for {key!r} after {max_retries + 1} attempts: {last_hint}")
+
+
+def _check_encodable(raw: str) -> None:
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseFailure(f"output holds a lone surrogate at character {exc.start}; "
+                           "send valid Unicode text") from None
 
 
 def _survey_body_text(doc: SurveyDocument, section_ids: list[str], table_ids: list[str]) -> str:

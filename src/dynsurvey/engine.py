@@ -21,9 +21,8 @@ import copy
 import itertools
 import json
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -43,7 +42,6 @@ from .document import (
     Section,
     SurveyDocument,
     SurveyState,
-    _encode,
     serialize_document,
     validate_additions,
     validate_document,
@@ -101,14 +99,9 @@ class UpdateRecord:
     table_error: str | None = None
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(UpdateRecord))
-# The encoder of an audit line off the template: ``json.dumps`` with
-# options builds a new encoder per call.
+# ``json.dumps`` with options builds a new encoder per call; the audit
+# log shares this one.
 _AUDIT_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-# The record's fields in the order ``_AUDIT_ENCODER`` sorts their keys,
-# and the line it writes with one slot for each field's JSON.
-_SORTED_FIELDS = attrgetter(*sorted(_RECORD_FIELDS))
-_AUDIT_TEMPLATE = "{{" + ", ".join(f'"{name}": {{}}' for name in sorted(_RECORD_FIELDS)) + "}}"
 
 
 def insert_paragraph(
@@ -333,9 +326,7 @@ def publish(state: SurveyState, out: str | Path) -> Path:
 
 def _record_fields(record: UpdateRecord) -> dict:
     """The record's fields by name, with each table vote as a list; no value is copied."""
-    data = {name: getattr(record, name) for name in _RECORD_FIELDS}
-    data["table_votes"] = [[table_id, vote] for table_id, vote in record.table_votes]
-    return data
+    return {**vars(record), "table_votes": [[t, v] for t, v in record.table_votes]}
 
 
 def update_record_to_dict(record: UpdateRecord) -> dict:
@@ -369,74 +360,15 @@ def update_record_from_dict(data: dict) -> UpdateRecord:
     return record
 
 
-class _OffTemplate(Exception):
-    """A record field whose exact type the audit template does not write."""
-
-
-def _audit_string(value: object) -> str:
-    if type(value) is not str:
-        raise _OffTemplate
-    return _encode(value)
-
-
-def _audit_optional(value: object) -> str:
-    return "null" if value is None else _audit_string(value)
-
-
-def _audit_strings(values: object) -> str:
-    if type(values) is not tuple:
-        raise _OffTemplate
-    return "[" + ", ".join(map(_audit_string, values)) + "]"
-
-
-def _audit_votes(votes: object) -> str:
-    if type(votes) is not tuple:
-        raise _OffTemplate
-    pairs = []
-    for pair in votes:
-        if type(pair) is not tuple or len(pair) != 2 or type(pair[1]) is not bool:
-            raise _OffTemplate
-        pairs.append(f"[{_audit_string(pair[0])}, {'true' if pair[1] else 'false'}]")
-    return "[" + ", ".join(pairs) + "]"
-
-
-def _audit_line(record: UpdateRecord) -> str:
-    """``_AUDIT_ENCODER.encode(_record_fields(record))``, the record's audit line.
-
-    Written from ``_AUDIT_TEMPLATE`` when every field has the exact type
-    the template writes: a str, None for an optional str or for
-    ``inserted_row``, an int count, a tuple of str for each id list and a
-    tuple of (str, bool) tuples for the votes. Every string goes through
-    ``document._encode``, as the published survey's strings do, which
-    writes what ``json``'s encoder writes with ``ensure_ascii=False``. A
-    record with any other field (a row, a float, a subclass, a list)
-    goes whole to ``_AUDIT_ENCODER``.
-    """
-    (decision, draft_text, error, finished_at, inserted_row, inserted_ids, insertion,
-     paper_id, placeholder_count, ranked, keys, routed_section, routed_table, started_at,
-     table_error, votes) = _SORTED_FIELDS(record)
-    try:
-        if inserted_row is not None or type(placeholder_count) is not int:
-            raise _OffTemplate
-        return _AUDIT_TEMPLATE.format(
-            _audit_string(decision), _audit_string(draft_text), _audit_optional(error),
-            _audit_string(finished_at), "null", _audit_strings(inserted_ids),
-            _audit_optional(insertion), _audit_string(paper_id), int.__repr__(placeholder_count),
-            _audit_strings(ranked), _audit_strings(keys), _audit_optional(routed_section),
-            _audit_optional(routed_table), _audit_string(started_at),
-            _audit_optional(table_error), _audit_votes(votes))
-    except _OffTemplate:
-        return _AUDIT_ENCODER.encode(_record_fields(record))
-
-
 def write_audit_log(records: list[UpdateRecord], path: str | Path) -> None:
     """Store update records as newline-delimited JSON, replacing the file as ``publish`` does.
 
     Each line is ``json.dumps(update_record_to_dict(record),
-    ensure_ascii=False, sort_keys=True)``, written by ``_audit_line`` from
-    the record's own values: writing reads them and copies none.
+    ensure_ascii=False, sort_keys=True)``, written by one shared encoder
+    from the record's own values (``_record_fields``): writing reads them
+    and copies none.
     """
-    lines = [_audit_line(r) for r in records]
+    lines = [_AUDIT_ENCODER.encode(_record_fields(r)) for r in records]
     jsonio.replace_text(Path(path), "\n".join(lines) + ("\n" if lines else ""))
 
 

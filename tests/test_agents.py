@@ -308,6 +308,24 @@ def test_text_synthesis_rejects_two_paragraphs():
         run_text_synthesis("Section.", make_summary("p1"), generator)
 
 
+def test_a_reply_with_a_lone_surrogate_is_retried_with_its_position():
+    generator = RecordingGenerator(make_generator({
+        "text_synthesis|p1|0": "Lone \ud800 Method [cite]: one claim.",
+        "text_synthesis|p1|1": "Lône Method [cite]: one claim.",
+    }))
+    assert run_text_synthesis("Section.", make_summary("p1"), generator) == \
+        "Lône Method [cite]: one claim."
+    assert "CORRECTION: output holds a lone surrogate at character 5" in \
+        generator.requests[1].prompt
+
+
+def test_a_lone_surrogate_in_every_reply_fails_the_call():
+    lone = "Method \udfff [cite]: one claim."
+    generator = make_generator({"text_synthesis|p1|0": lone, "text_synthesis|p1|1": lone})
+    with pytest.raises(SynthesisFormatError, match="lone surrogate at character 7"):
+        run_text_synthesis("Section.", make_summary("p1"), generator)
+
+
 def test_text_synthesis_accepts_zero_placeholders():
     draft = "Plain Method: a paragraph without any placeholder at all."
     generator = make_generator({"text_synthesis|p1|0": draft})

@@ -175,6 +175,20 @@ def test_update_applies_feed_and_writes_audit(workspace):
     assert {r["key"] for r in published["references"]} >= {"doe2024twostage", "kim2025burst"}
 
 
+def test_a_reply_with_a_lone_surrogate_fails_only_its_step(workspace):
+    scenario = json.loads(workspace["scenario"].read_text(encoding="utf-8"))
+    scenario["generation"]["text_synthesis|lateA|0"] = "Lone \ud800 Method [cite]: one claim."
+    # ``json.dumps`` escapes the surrogate, so the scenario file is valid UTF-8.
+    workspace["scenario"].write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["--config", str(workspace["config"]), "update"]) == 0
+    out = _config_dir(workspace) / "out"
+    records = read_audit_log(out / "audit.ndjson")
+    assert [(r.paper_id, r.decision) for r in records] == [("lateA", "failed"),
+                                                           ("lateB", "updated")]
+    published = json.loads((out / "survey.updated.json").read_text(encoding="utf-8"))
+    assert {r["key"] for r in published["references"]} >= {"kim2025burst"}
+
+
 def test_update_with_empty_feed_changes_nothing(workspace):
     empty = _config_dir(workspace) / "empty.ndjson"
     empty.write_text("")

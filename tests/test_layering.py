@@ -3,7 +3,8 @@
 ``text`` imports nothing else from the package, so ``document`` can
 tokenize; ``document`` imports neither ``metrics`` nor ``agents``. Every
 value kept on a frozen object is written in ``document`` only, and no
-other module reads or writes a private field of the kept-value classes.
+other module reads or writes a private field of the kept-value classes
+or imports another module's private name.
 """
 
 from __future__ import annotations
@@ -65,3 +66,10 @@ def test_no_other_module_touches_a_private_field(cls):
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr in private}
     assert touching == set()
+
+
+def test_no_module_imports_another_modules_private_name():
+    imported = {(name, node.module, alias.name) for name, tree in _sources().items()
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name.startswith("_")}
+    assert imported == set()
