@@ -36,6 +36,12 @@ working tree and from an export of ``REV``:
   the decode runs out of text. The error text is in the step digests,
   so both paths are compared.
 
+On each ``update`` run it also replays the working tree's ``audit.ndjson``
+(``engine.read_audit_log`` and ``engine.replay_update`` under the working
+tree's ``PYTHONPATH``), starting from the workspace's survey, outline and
+feed, and requires ``serialize_document`` of the replayed survey to equal
+the working tree's ``survey.updated.json`` byte for byte.
+
 On the framework run and the three baseline runs it also compares one digest
 line per step, written by a small in-process run of
 ``benchmark.run_method`` under each tree's ``PYTHONPATH``. A line holds
@@ -154,6 +160,27 @@ for spec in config.instances:
                   repr(scored.rouge_l_f), repr(scored.bert_sim), repr(scored.semantic_align),
                   repr(scored.local_coherence), sha(repr(ops)),
                   sha(repr(sentence_scripts(result.before, result.after))))
+"""
+
+# Replays the audit log named by argv[2] from the survey, outline and feed
+# of the config named by argv[1], and prints whether the replayed survey's
+# canonical text equals the file named by argv[3] byte for byte.
+REPLAY = """
+import sys
+from pathlib import Path
+from dynsurvey.config import load_config
+from dynsurvey.corpus import ingest_feed
+from dynsurvey.document import SurveyState, load_document, load_outline, serialize_document
+from dynsurvey.engine import read_audit_log, replay_update
+
+config = load_config(sys.argv[1])
+state = SurveyState(document=load_document(config.survey_path),
+                    outline=load_outline(config.outline_path))
+papers = {paper.id: paper for paper in ingest_feed(config.feed_path, config.candidate_filter)}
+for record in read_audit_log(sys.argv[2]):
+    state = replay_update(state, record, papers[record.paper_id])
+published = Path(sys.argv[3]).read_text(encoding="utf-8")
+print("same" if serialize_document(state.document) == published else "differs")
 """
 
 
@@ -303,6 +330,15 @@ def step_digests(tree: Path, workspace: Path, methods: str) -> str:
                           text=True).stdout
 
 
+def replays_to_published(workspace: Path, out: Path) -> bool:
+    """Whether replaying ``out/audit.ndjson`` gives ``out/survey.updated.json``'s bytes."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", REPLAY, str(workspace / "config.json"),
+                           str(out / "audit.ndjson"), str(out / "survey.updated.json")],
+                          check=True, env=env, cwd=workspace, capture_output=True, text=True)
+    return done.stdout.strip() == "same"
+
+
 def check(rev: str, seeds: list[int], scratch: Path) -> int:
     base = scratch / "rev"
     export(rev, base)
@@ -328,6 +364,10 @@ def check(rev: str, seeds: list[int], scratch: Path) -> int:
                 same = (outs["tree"] / name).read_bytes() == (outs["rev"] / name).read_bytes()
                 different += not same
                 print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {run}/{name}")
+            if args[0] == "update":
+                same = replays_to_published(workspace, outs["tree"])
+                different += not same
+                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {run}/audit replay")
             if workload in DIGESTED:
                 digests = {label: step_digests(tree, workspace, DIGESTED[workload])
                            for label, tree in (("tree", ROOT), ("rev", base))}

@@ -18,6 +18,7 @@ from . import jsonio, prompts
 from .corpus import PaperRecord
 from .document import (
     Reference,
+    Section,
     Sentence,
     SurveyDocument,
     SurveyState,
@@ -109,8 +110,7 @@ def save_span_annotations(annotations: list[SpanAnnotation], path: str | Path) -
         {"paper_id": a.paper_id, "section_id": a.section_id, "text": a.text}
         for a in annotations
     ]}
-    Path(path).write_text(json.dumps(data, indent=2, ensure_ascii=False) + "\n",
-                          encoding="utf-8")
+    jsonio.replace_text(path, json.dumps(data, indent=2, ensure_ascii=False) + "\n")
 
 
 def _find_span(sentences: list[Sentence], span_texts: list[str], label: str) -> tuple[int, int]:
@@ -137,9 +137,9 @@ def build_instance(
     """Withhold annotated spans and their references from a full survey.
 
     Each late paper needs exactly one annotation locating its span in one
-    section. The early state keeps the full survey's outline frozen;
-    references belonging to late papers are removed and the remaining
-    entries renumbered densely.
+    section; spans in one section are cut from it in turn. The early state
+    keeps the full survey's outline frozen; references belonging to late
+    papers are removed and the remaining entries renumbered densely.
     """
     if full_state.outline.scope is None:
         raise BenchmarkConstructionError("full survey outline carries no scope definition")
@@ -154,6 +154,8 @@ def build_instance(
             f"late and out-of-scope paper sets overlap: {sorted(overlap)}")
 
     doc = full_state.document
+    # Section id -> the section with its spans cut so far.
+    cut: dict[str, Section] = {}
     spans: list[GroundTruthSpan] = []
     for paper in late_papers:
         matching = by_paper.get(paper.id, [])
@@ -162,7 +164,7 @@ def build_instance(
                 f"late paper {paper.id!r} has {len(matching)} span annotations, expected 1")
         annotation = matching[0]
         try:
-            section = doc.section(annotation.section_id)
+            section = cut.get(annotation.section_id) or doc.section(annotation.section_id)
         except KeyError as exc:
             raise BenchmarkConstructionError(
                 f"span for {paper.id!r} names unknown section {annotation.section_id!r}") from exc
@@ -171,7 +173,7 @@ def build_instance(
             raise BenchmarkConstructionError(f"span for {paper.id!r} is empty")
         start, end = _find_span(list(section.sentences), span_texts, repr(paper.id))
         remaining = section.sentences[:start] + section.sentences[end:]
-        doc = doc.replace_section(replace(section, sentences=remaining))
+        cut[annotation.section_id] = replace(section, sentences=remaining)
         spans.append(GroundTruthSpan(section_id=annotation.section_id, text=" ".join(span_texts)))
 
     late_keys = set()
@@ -183,7 +185,8 @@ def build_instance(
     kept = [r for r in doc.references if r.key not in late_keys]
     renumbered = tuple(
         Reference(key=r.key, number=i, bib=r.bib) for i, r in enumerate(kept, start=1))
-    doc = doc.with_references(renumbered)
+    doc = SurveyDocument(doc.metadata, tuple(cut.get(s.id, s) for s in doc.sections),
+                         doc.tables, renumbered)
     validate_document(doc)
 
     early_state = full_state.with_document(doc)

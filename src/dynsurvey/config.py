@@ -36,6 +36,8 @@ _ENV_VAR = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 def _interpolate(value):
+    """``value`` with ``${VAR}`` replaced in every string; a string holding
+    a lone surrogate, as written or as interpolated, raises ConfigError."""
     if isinstance(value, str):
         def repl(match: re.Match) -> str:
             name = match.group(1)
@@ -43,7 +45,9 @@ def _interpolate(value):
                 raise ConfigError(f"environment variable {name!r} referenced but not set")
             return os.environ[name]
 
-        return _ENV_VAR.sub(repl, value)
+        value = _ENV_VAR.sub(repl, value)
+        jsonio.check_unicode(value, ConfigError, "config string")
+        return value
     if isinstance(value, list):
         return [_interpolate(v) for v in value]
     if isinstance(value, dict):

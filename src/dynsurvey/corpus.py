@@ -155,6 +155,9 @@ def filter_from_dict(data: dict) -> CandidateFilter:
 
 
 def record_from_dict(data: dict) -> PaperRecord:
+    """The record of a feed line; a string holding a lone surrogate raises
+    FeedError, before any step could carry it into the survey."""
+    jsonio.check_unicode(data, FeedError, "feed record string")
     return jsonio.build(PaperRecord, data, FeedError, "feed record")
 
 
@@ -176,4 +179,4 @@ def ingest_feed(feed: str | Path, candidate_filter: CandidateFilter) -> list[Pap
 
 def write_feed(records: list[PaperRecord], path: str | Path) -> None:
     lines = [json.dumps(record_to_dict(r), ensure_ascii=False) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    jsonio.replace_text(path, "\n".join(lines) + ("\n" if lines else ""))

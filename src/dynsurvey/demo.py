@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 from typing import Callable
 
+from . import jsonio
 from .benchmark import SpanAnnotation, build_instance, save_span_annotations
 from .corpus import PaperRecord, SurveyScope, write_feed
 from .document import (
@@ -515,5 +516,5 @@ def write_demo_workspace(directory: str | Path) -> dict[str, Path]:
             ]
         },
     }
-    paths["config"].write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
+    jsonio.replace_text(paths["config"], json.dumps(config, indent=2) + "\n")
     return paths

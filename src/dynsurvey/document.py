@@ -11,14 +11,14 @@ read-only mappings.
 
 A value derived from a frozen object and kept on it sits in a private
 field of its class (``init=False, compare=False, repr=False``), written
-only here: by the class's accessor, on first use, or by its one
-derivation constructor (``Section._numbered``,
-``SurveyDocument._derived``). ``_entries`` fills the JSON entries of a
-list in one render. A fill reads only the frozen object, so two fills
-that race store equal values. The one value shared between objects is
-the reference index of a lineage of documents (``_ReferenceIndex``):
-each document reads only its own prefix of it, and a lock guards its
-growth.
+only here: by the class's accessor, on first use, or by the one method
+that builds it from another (``Section._numbered``,
+``SurveyDocument.with_additions``). ``_entries`` fills the JSON entry of
+each object of a list that has none. A fill reads only the frozen
+object, so two fills that race store equal values. The one value shared
+between objects is the reference index of a lineage of documents
+(``_ReferenceIndex``): each document reads only its own prefix of it,
+and a lock guards its growth.
 
 Sentence identifiers are ``"{section_id}:{counter}"`` with counters
 assigned monotonically per section and never reused, which keeps
@@ -220,10 +220,11 @@ class SurveyTable:
     Each row is a read-only mapping that lists the schema's columns in
     schema order, then any column the schema lacks (a row
     ``validate_document`` rejects) in the order it came in.
-    ``make_table``, ``append_table_row`` and ``document_from_dict`` freeze
-    the rows. A table built directly from plain dict rows keeps them as
-    given: ``validate_document`` checks its rows on every call, and, as
-    with a bib dict, they must not be mutated once the table is rendered.
+    ``make_table``, ``SurveyDocument.with_additions`` and
+    ``document_from_dict`` freeze the rows. A table built directly from
+    plain dict rows keeps them as given: ``validate_document`` checks its
+    rows on every call, and, as with a bib dict, they must not be mutated
+    once the table is rendered.
     """
 
     id: str
@@ -279,7 +280,7 @@ class SurveyTable:
             try:
                 read = _table_from_dict(jsonio.check(json.loads(self._json), dict,
                                                      DocumentParseError, "table"))
-                same = read == self and _render_tables([read]) == [self._json]
+                same = read == self and _render(read, _table_entry) == self._json
             except (ValueError, DocumentParseError):
                 same = False
             object.__setattr__(self, "_reparses", same)
@@ -363,11 +364,10 @@ class SurveyDocument:
     Two lookups keep an index on the document, built on first use:
     section id -> position, and reference key -> position, which is the
     reference's number, numbering being dense. Each maps an id or key to
-    its first occurrence. ``replace_section``, ``with_references``,
-    ``append_table_row`` and ``with_additions`` hand both on
-    (``_derived``), so an update stream builds each once per loaded
-    document. The token regions that scoring diffs are kept too, once per
-    document.
+    its first occurrence. ``with_additions``, the one method that derives
+    a document from another, hands both on, so an update stream builds
+    each once per loaded document. The token regions that scoring diffs
+    are kept too, once per document.
     """
 
     metadata: dict
@@ -437,78 +437,46 @@ class SurveyDocument:
             object.__setattr__(self, "_regions", (parts, ids, starts))
         return self._regions
 
-    def _derived(self, sections: tuple[Section, ...] | None = None,
-                 tables: tuple[SurveyTable, ...] | None = None,
-                 tail: tuple[Reference, ...] = ()) -> "SurveyDocument":
-        """This document with the parts given in place of its own and ``tail``
-        appended to its references, handing on both indexes; the caller
-        keeps the section ids and their order. The references extend this
-        document's by construction, so the reference index is handed on
-        grown by the tail (``_ReferenceIndex.grown``), without comparing
-        the references before it."""
-        references = self.references + tail if tail else self.references
-        doc = SurveyDocument(self.metadata, self.sections if sections is None else sections,
-                             self.tables if tables is None else tables, references)
+    def with_additions(self, new_section: Section, tail: tuple[Reference, ...],
+                       table_id: str | None = None,
+                       row: Mapping[str, object] | None = None) -> "SurveyDocument":
+        """This document with ``new_section`` in place of the first section of
+        its id, ``tail`` appended to its references and, when ``table_id``
+        and ``row`` are both given, ``row`` appended to that table: what one
+        update step merges, and the one derivation of a document.
+
+        No section of the id or no table ``table_id`` raises ``KeyError``,
+        and a row the table's schema rejects ``DocumentIntegrityError``,
+        before anything is derived. The new document shares the section
+        index. Its references extend this document's by construction, so
+        the reference index is handed on grown by the tail
+        (``_ReferenceIndex.grown``), without comparing the references
+        before it.
+        """
+        position = self._section_position(new_section.id)
+        if position is None:
+            raise KeyError(f"no section {new_section.id!r}")
+        tables = self.tables
+        if table_id is not None and row is not None:
+            table = self.table(table_id)
+            problems = table.check_row(row)
+            if problems:
+                raise DocumentIntegrityError("; ".join(problems))
+            # Schema column order, whatever order the row came in: the audit
+            # log stores rows with sorted keys, and replay must give the same bytes.
+            new_table = SurveyTable(table.id, table.title, table.schema,
+                                    table.rows + (_frozen_row(row, table.schema),))
+            tables = tuple(new_table if t.id == table_id else t for t in tables)
+        sections = self.sections
+        doc = SurveyDocument(self.metadata,
+                             (*sections[:position], new_section, *sections[position + 1:]),
+                             tables, self.references + tail if tail else self.references)
         index = self._reference_positions
         if index is not None and tail:
             index = index.grown(len(self.references), tail)
         object.__setattr__(doc, "_section_positions", self._section_positions)
         object.__setattr__(doc, "_reference_positions", index)
         return doc
-
-    def _sections_with(self, new_section: Section) -> tuple[Section, ...]:
-        """The sections with ``new_section`` in place of the first of its id;
-        with no such section, the same sections."""
-        position = self._section_position(new_section.id)
-        sections = self.sections
-        if position is not None:
-            sections = (*sections[:position], new_section, *sections[position + 1:])
-        return sections
-
-    def _tables_with_row(self, table_id: str, row: Mapping[str, object]) -> tuple[SurveyTable, ...]:
-        """The tables with ``row`` appended to table ``table_id``; raise
-        ``KeyError`` for no such table, ``DocumentIntegrityError`` for a row
-        its schema rejects."""
-        table = self.table(table_id)
-        problems = table.check_row(row)
-        if problems:
-            raise DocumentIntegrityError("; ".join(problems))
-        # Schema column order, whatever order the row came in: the audit
-        # log stores rows with sorted keys, and replay must give the same bytes.
-        new_table = SurveyTable(table.id, table.title, table.schema,
-                                table.rows + (_frozen_row(row, table.schema),))
-        return tuple(new_table if t.id == table_id else t for t in self.tables)
-
-    def replace_section(self, new_section: Section) -> "SurveyDocument":
-        """The document with ``new_section`` in place of the first section
-        of its id; with no such section, the same sections."""
-        return self._derived(sections=self._sections_with(new_section))
-
-    def append_table_row(self, table_id: str, row: dict) -> "SurveyDocument":
-        return self._derived(tables=self._tables_with_row(table_id, row))
-
-    def with_references(self, references: tuple[Reference, ...]) -> "SurveyDocument":
-        """The document with ``references``. When they extend this document's
-        the tail is appended through ``_derived``; any other list, such as
-        a renumbered one, gets a reference index of its own."""
-        count = len(self.references)
-        if references[:count] == self.references:
-            return self._derived(tail=references[count:])
-        doc = SurveyDocument(self.metadata, self.sections, self.tables, references)
-        object.__setattr__(doc, "_section_positions", self._section_positions)
-        return doc
-
-    def with_additions(self, new_section: Section, tail: tuple[Reference, ...],
-                       table_id: str | None = None,
-                       row: Mapping[str, object] | None = None) -> "SurveyDocument":
-        """``replace_section(new_section)`` with ``tail`` appended to its
-        references, then ``.append_table_row(table_id, row)`` when both are
-        given, in one derivation: what one update step merges. A row its
-        table rejects raises before anything is derived."""
-        tables = None
-        if table_id is not None and row is not None:
-            tables = self._tables_with_row(table_id, row)
-        return self._derived(self._sections_with(new_section), tables, tail)
 
 
 # The name scoring and its callers use for ``SurveyDocument.regions``.
@@ -638,7 +606,7 @@ def validate_additions(
     continue the dense numbering with keys not used before, which
     ``before.reference_position`` tells without reading the earlier
     references. Other sections and the tables are not read
-    (``append_table_row`` checks its row). When ``before`` passed
+    (``with_additions`` checks its row). When ``before`` passed
     ``validate_document``, this raises exactly when ``validate_document``
     would raise on the result.
 
@@ -1090,49 +1058,21 @@ def _canonical(value: object, indent: str) -> str:
     return _dumps(value, indent)
 
 
-def _render_sections(sections: list[Section]) -> list[str]:
-    """Each section as an entry of the canonical document's ``sections`` list.
-
-    The JSON of ``_section_entry``, written out, so that each text is
-    copied only by its encode.
-    """
-    entries = []
-    for section in sections:
-        flag = ',\n      "non_maintained": true' if section.non_maintained else ""
-        entries.append(f'    {{\n      "id": {_encode(section.id)},\n'
-                       f'      "title": {_encode(section.title)},\n'
-                       f'      "text": {_encode(section.body_text())}{flag}\n    }}')
-    return entries
-
-
-def _render_tables(tables: list[SurveyTable]) -> list[str]:
-    """Each table as an entry of the canonical document's ``tables`` list."""
-    return ["    " + _canonical(_table_entry(t), "    ") for t in tables]
-
-
-def _render_references(references: list[Reference]) -> list[str]:
-    """Each reference as an entry of the canonical document's ``references`` list.
-
-    The JSON of ``_reference_entry``, its keys written out and its values
-    through ``_canonical``.
-    """
-    return [f'    {{\n      "key": {_canonical(r.key, "      ")},\n'
-            f'      "number": {_canonical(r.number, "      ")},\n'
-            f'      "bib": {_canonical(dict(r.bib), "      ")}\n    }}' for r in references]
+def _render(obj: Section | SurveyTable | Reference, entry: Callable[..., dict]) -> str:
+    """``obj`` as an entry of a list of the canonical document: its entry
+    dict (``entry(obj)``) as ``_canonical`` writes it, one key deep."""
+    return "    " + _canonical(entry(obj), "    ")
 
 
 def _entries(objects: Sequence[Section] | Sequence[SurveyTable] | Sequence[Reference],
-             render: Callable[[list], list[str]]) -> list[str]:
-    """The canonical entry of each object, rendered once per object and kept on it.
-
-    The objects are frozen, so a kept entry cannot go stale. Those without
-    one are rendered together.
-    """
-    cold = [o for o in objects if o._json is None]
-    if cold:
-        for obj, entry in zip(cold, render(cold)):
-            object.__setattr__(obj, "_json", entry)
-    return [o._json for o in objects]
+             entry: Callable[..., dict]) -> list[str]:
+    """The canonical entry of each object (``_render``), rendered once per
+    object and kept on it; the objects are frozen, so a kept entry cannot
+    go stale."""
+    for obj in objects:
+        if obj._json is None:
+            object.__setattr__(obj, "_json", _render(obj, entry))
+    return [obj._json for obj in objects]
 
 
 def _add_list(parts: list[str], entries: Sequence[str]) -> None:
@@ -1154,16 +1094,16 @@ def serialize_document(doc: SurveyDocument) -> str:
     section, table and reference renders once and keeps. An object that
     an earlier serialize rendered costs one lookup, so a baseline step
     re-renders only what its reply changed. Everything is written by
-    ``_canonical`` and the entry templates, which hand a value they do not
-    write themselves to ``json.dumps``. The metadata is rendered on every
-    call; for a few flat keys that costs a few microseconds.
+    ``_canonical``, which hands a value it does not write itself to
+    ``json.dumps``. The metadata is rendered on every call; for a few
+    flat keys that costs a few microseconds.
     """
     parts = ['{\n  "metadata": ', _canonical(dict(doc.metadata), "  "), ',\n  "sections": ']
-    _add_list(parts, _entries(doc.sections, _render_sections))
+    _add_list(parts, _entries(doc.sections, _section_entry))
     parts.append(',\n  "tables": ')
-    _add_list(parts, _entries(doc.tables, _render_tables))
+    _add_list(parts, _entries(doc.tables, _table_entry))
     parts.append(',\n  "references": ')
-    _add_list(parts, _entries(doc.references, _render_references))
+    _add_list(parts, _entries(doc.references, _reference_entry))
     parts.append("\n}\n")
     return "".join(parts)
 
@@ -1173,7 +1113,7 @@ def load_document(path: str | Path) -> SurveyDocument:
 
 
 def save_document(doc: SurveyDocument, path: str | Path) -> None:
-    Path(path).write_text(serialize_document(doc), encoding="utf-8")
+    jsonio.replace_text(path, serialize_document(doc))
 
 
 def outline_entries_from_dict(
@@ -1234,7 +1174,7 @@ def load_outline(path: str | Path) -> StructuredOutline:
 
 
 def save_outline(outline: StructuredOutline, path: str | Path) -> None:
-    Path(path).write_text(serialize_outline(outline), encoding="utf-8")
+    jsonio.replace_text(path, serialize_outline(outline))
 
 
 def outline_fingerprint(outline: StructuredOutline) -> str:

@@ -7,7 +7,7 @@ never rewrites, reorders or deletes existing content and never touches
 the outline. Those guarantees hold by construction.
 
 A step checks only what it adds: ``validate_additions`` reads the new
-sentences and the appended reference, ``append_table_row`` the new row.
+sentences and the appended reference, ``with_additions`` the new row.
 Its cost therefore follows the size of its change, not of the survey.
 The whole survey is checked where it enters (``document_from_dict``) and
 once more in ``publish``, before the file is written; a section that a
@@ -369,7 +369,7 @@ def write_audit_log(records: list[UpdateRecord], path: str | Path) -> None:
     and copies none.
     """
     lines = [_AUDIT_ENCODER.encode(_record_fields(r)) for r in records]
-    jsonio.replace_text(Path(path), "\n".join(lines) + ("\n" if lines else ""))
+    jsonio.replace_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_audit_log(path: str | Path) -> list[UpdateRecord]:

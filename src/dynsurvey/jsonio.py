@@ -13,8 +13,10 @@ is built only on failure. ``where`` names the object a field sits in:
 a string, or a ``(label, id)`` pair that is then formatted as
 ``label 'id'``.
 
-The published survey, the audit log and the two reports are written
-whole through ``replace_text``, so a failed write leaves the old file.
+Every file the package writes is written whole through ``replace_text``,
+so a failed write leaves the old file: the survey and its outline, span
+annotations, a mock scenario, a feed, the demo config, the published
+survey, the audit log and the two reports.
 """
 
 from __future__ import annotations
@@ -48,12 +50,13 @@ def read_text(path: str | Path, error: type[Exception], what: str) -> str:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def replace_text(path: Path, text: str) -> None:
+def replace_text(path: str | Path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path`` and move it over ``path``.
 
     A reader sees the old file or the new one, never a torn file. A failed
     write removes the temporary file and leaves ``path`` as it was.
     """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.tmp")
     try:
@@ -93,6 +96,31 @@ def read_lines(path: str | Path, error: type[Exception], what: str,
             except error as exc:
                 raise error(f"{what} {path} line {number}: {exc}") from exc
     return records
+
+
+def check_unicode(value: Any, error: type[Exception], what: str) -> None:
+    """Raise ``error`` naming ``what`` when a string of the JSON value
+    ``value``, a key or a value at any depth, holds a lone surrogate.
+
+    A JSON escape such as ``\\ud800`` reads as one, and no UTF-8 file can
+    hold it, so the survey or audit log it reached could not be written.
+    An ASCII string costs one ``str.isascii()``.
+    """
+    kind = type(value)
+    if kind is str:
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise error(f"{what} {reprlib.repr(value)} holds a lone surrogate "
+                            f"at character {exc.start}") from None
+    elif kind is list:
+        for item in value:
+            check_unicode(item, error, what)
+    elif kind is dict:
+        for key, item in value.items():
+            check_unicode(key, error, what)
+            check_unicode(item, error, what)
 
 
 def check(value: Any, kind: type | tuple, error: type[Exception], what: Any) -> Any:

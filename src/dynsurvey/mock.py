@@ -167,6 +167,5 @@ def hash_embedding_from_scenario(data: dict) -> HashEmbedding | None:
 
 
 def save_scenario(data: dict, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8")
+    jsonio.replace_text(
+        path, json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n")

@@ -46,8 +46,7 @@ def _apply(
     section = doc.section(section_id)
     sentences = section.sentences[:position] + tuple(inserted) + section.sentences[position:]
     new_section = replace(section, sentences=sentences)
-    new_doc = doc.replace_section(new_section).with_references(
-        doc.references + tuple(appended))
+    new_doc = doc.with_additions(new_section, tuple(appended))
     return new_doc, new_section
 
 
@@ -146,7 +145,7 @@ def test_a_step_on_a_checked_section_leaves_it_checked(monkeypatch):
     validate_additions(grown, ("1:4", "1:5"), doc.references, doc)
     assert grown._checked
     checked = _checks(monkeypatch)
-    document.validate_document(doc.replace_section(grown))
+    document.validate_document(doc.with_additions(grown, ()))
     assert checked == []
 
 
@@ -161,5 +160,5 @@ def test_a_step_on_an_unchecked_section_leaves_it_unchecked(monkeypatch):
     assert not grown._checked
     checked = _checks(monkeypatch)
     with pytest.raises(DocumentIntegrityError, match="empty sentence '1:2'"):
-        document.validate_document(doc.replace_section(grown))
+        document.validate_document(doc.with_additions(grown, ()))
     assert checked == ["1"]

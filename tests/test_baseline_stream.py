@@ -205,8 +205,8 @@ def _gapped_instance():
     full = demo.demo_full_state()
     doc = full.document
     for section in doc.sections[1:]:
-        doc = doc.replace_section(make_section(
-            section.id, section.title, section.body_text() + " A closing sentence stays here."))
+        closed = section.body_text() + " A closing sentence stays here."
+        doc = doc.with_additions(make_section(section.id, section.title, closed), ())
     instance = build_instance("gapped", full.with_document(doc), demo.demo_late_papers(),
                               demo.demo_span_annotations(), demo.demo_out_of_scope_papers())
     ids = [int(s.id.rsplit(":", 1)[1]) for s in instance.early_state.document.sections[1].sentences]
@@ -327,18 +327,15 @@ def test_a_step_renders_only_the_sections_its_reply_changed(monkeypatch, kinds):
     instance = demo.demo_instance()
     generator = _scripted(instance, ONE_STEP, kinds)
     renders = {"sections": 0, "tables": 0, "references": 0}
+    kinds_by_entry = {document._section_entry: "sections", document._table_entry: "tables",
+                      document._reference_entry: "references"}
+    render = document._render
 
-    def counting(kind, render):
-        def counted(objects):
-            renders[kind] += len(objects)
-            return render(objects)
-        return counted
+    def counted(obj, entry):
+        renders[kinds_by_entry[entry]] += 1
+        return render(obj, entry)
 
-    monkeypatch.setattr(document, "_render_sections",
-                        counting("sections", document._render_sections))
-    monkeypatch.setattr(document, "_render_tables", counting("tables", document._render_tables))
-    monkeypatch.setattr(document, "_render_references",
-                        counting("references", document._render_references))
+    monkeypatch.setattr(document, "_render", counted)
     per_document = {}
     plain = benchmark.serialize_document
 

@@ -60,6 +60,27 @@ def test_build_instance_removes_spans_and_references(full_state):
     assert [r.number for r in early.references] == list(range(1, 9))
 
 
+def test_two_spans_in_one_section_are_both_withheld(full_state):
+    full = full_state.document
+    section = full.section("3")
+    # lateB's span is the section's last two sentences; lateC's is its
+    # second, and lateC cites the survey's second reference.
+    late = [*demo.demo_late_papers(), make_paper("lateC", bib={"key": "donoho1995shrink"})]
+    annotations = [*demo.demo_span_annotations(),
+                   SpanAnnotation("lateC", "3", section.sentences[1].text)]
+    instance = build_instance("two-in-one", full_state, late, annotations, [])
+    early = instance.early_state.document
+    assert early.section("3").sentences == tuple(section.sentences[i] for i in (0, 2, 3, 4))
+    assert len(early.section("2").sentences) == len(full.section("2").sentences) - 2
+    assert [(paper.id, span.section_id) for paper, span in instance.late_papers] == \
+        [("lateA", "2"), ("lateB", "3"), ("lateC", "3")]
+    assert instance.late_papers[2][1].text == section.sentences[1].text
+    withheld = {"doe2024twostage", "kim2025burst", "donoho1995shrink"}
+    assert [r.key for r in early.references] == \
+        [r.key for r in full.references if r.key not in withheld]
+    assert [r.number for r in early.references] == list(range(1, 8))
+
+
 def test_zero_late_refs_keeps_survey_intact(full_state):
     instance = build_instance("noop", full_state, [], [], demo.demo_out_of_scope_papers())
     assert serialize_document(instance.early_state.document) == \

@@ -16,8 +16,8 @@ import pytest
 from dynsurvey import cli
 from dynsurvey.cli import main
 from dynsurvey.config import make_embedder
-from dynsurvey.demo import write_demo_workspace
-from dynsurvey.document import load_outline
+from dynsurvey.demo import demo_outline, write_demo_workspace
+from dynsurvey.document import load_outline, save_outline
 from dynsurvey.engine import read_audit_log
 from dynsurvey.errors import EXIT_CONFIG, EXIT_PARSE
 from dynsurvey.evaluation import StepEvaluation, evaluate_step
@@ -187,6 +187,50 @@ def test_a_reply_with_a_lone_surrogate_fails_only_its_step(workspace):
                                                            ("lateB", "updated")]
     published = json.loads((out / "survey.updated.json").read_text(encoding="utf-8"))
     assert {r["key"] for r in published["references"]} >= {"kim2025burst"}
+
+
+def _input_bytes(workspace) -> dict[str, bytes]:
+    return {name: workspace[name].read_bytes() for name in ("survey", "outline")}
+
+
+def test_a_feed_record_with_a_lone_surrogate_is_a_read_error(workspace, capsys):
+    before = _input_bytes(workspace)
+    lines = workspace["late_feed"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record.update(title="Burst \ud800 title", bib={**record["bib"], "key": "burst2025new"})
+    # ``json.dumps`` escapes the surrogate, so the feed file is valid UTF-8.
+    workspace["late_feed"].write_text(lines[0] + "\n" + json.dumps(record) + "\n",
+                                      encoding="utf-8")
+    assert main(["--config", str(workspace["config"]), "update"]) == EXIT_PARSE
+    assert "line 2: feed record string" in capsys.readouterr().err
+    assert not (_config_dir(workspace) / "out").exists()
+    assert _input_bytes(workspace) == before
+
+
+@pytest.mark.parametrize("command", ["outline", "update"])
+def test_a_config_string_with_a_lone_surrogate_is_a_config_error(workspace, capsys, command):
+    before = _input_bytes(workspace)
+    config = json.loads(workspace["config"].read_text(encoding="utf-8"))
+    config["scope"] = {"title": "Lone \ud800 title"}
+    workspace["config"].write_text(json.dumps(config), encoding="utf-8")
+    args = ["outline", "--force"] if command == "outline" else [command]
+    assert main(["--config", str(workspace["config"]), *args]) == EXIT_CONFIG
+    assert "config string 'Lone \\ud800 title' holds a lone surrogate" in capsys.readouterr().err
+    assert not (_config_dir(workspace) / "out").exists()
+    assert _input_bytes(workspace) == before
+
+
+def test_a_failed_outline_write_keeps_the_old_outline(workspace, monkeypatch):
+    before = workspace["outline"].read_bytes()
+
+    def failing_replace(source, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_outline(demo_outline(approved=False), workspace["outline"])
+    assert workspace["outline"].read_bytes() == before
+    assert not any(path.name.endswith(".tmp") for path in workspace["outline"].parent.iterdir())
 
 
 def test_update_with_empty_feed_changes_nothing(workspace):

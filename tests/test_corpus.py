@@ -57,6 +57,30 @@ def test_malformed_record_names_line(tmp_path):
         ingest_feed(path, PERMISSIVE)
 
 
+@pytest.mark.parametrize("fields", [
+    {"abstract": "Ends in \udfff"},
+    {"categories": ["cs.CV", "\ud800"]},
+    {"bib": {"key": "k", "venue": {"name": ["Caf\u00e9 \udc80"]}}},
+    {"bib": {"key": "k", "\ud83d": "a key"}},
+])
+def test_a_lone_surrogate_anywhere_in_a_record_names_its_line(tmp_path, fields):
+    path = tmp_path / "feed.ndjson"
+    lines = [json.dumps(record_to_dict(make_paper(f"p{i}"))) for i in (1, 2)]
+    record = {**record_to_dict(make_paper("p3")), **fields}
+    path.write_text("\n".join([*lines, json.dumps(record)]) + "\n", encoding="utf-8")
+    with pytest.raises(FeedError, match="line 3: feed record string .* lone surrogate"):
+        ingest_feed(path, PERMISSIVE)
+
+
+def test_text_outside_ascii_reads_as_given(tmp_path):
+    # ``json.dumps`` writes the astral character as an escaped surrogate pair.
+    paper = make_paper("p1", title="Caf\u00e9 \U0001F600", bib={"key": "k", "n": ["\u00fc"]})
+    path = tmp_path / "feed.ndjson"
+    path.write_text(json.dumps(record_to_dict(paper)) + "\n", encoding="utf-8")
+    assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+    assert ingest_feed(path, PERMISSIVE) == [paper]
+
+
 def test_missing_feed_file(tmp_path):
     with pytest.raises(FeedError, match="cannot read"):
         ingest_feed(tmp_path / "absent.ndjson", PERMISSIVE)

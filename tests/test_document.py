@@ -289,8 +289,8 @@ def test_table_memo_is_bounded():
 
 def test_parsed_and_appended_rows_are_read_only():
     doc = parse_document(serialize_document(demo.demo_full_document()))
-    grown = doc.append_table_row(
-        "t2", {"Noise": "Real", "Dataset": "New", "Scenes": 3})
+    grown = doc.with_additions(doc.sections[0], (), "t2",
+                               {"Noise": "Real", "Dataset": "New", "Scenes": 3})
     for row in (doc.table("t1").rows[0], grown.table("t2").rows[-1]):
         with pytest.raises(TypeError):
             row["Method"] = "Changed"  # type: ignore[index]
@@ -300,7 +300,8 @@ def test_parsed_and_appended_rows_are_read_only():
 
 def test_mutating_the_row_given_to_append_leaves_the_table_alone():
     row = {"Score": 4, "Method": "New", "Domain": "Hybrid", "Supervision": "Supervised"}
-    grown = demo.demo_full_document().append_table_row("t1", row)
+    doc = demo.demo_full_document()
+    grown = doc.with_additions(doc.sections[0], (), "t1", row)
     text = serialize_document(grown)
     row["Method"] = "Mutated"
     row["Extra"] = 1
@@ -408,7 +409,7 @@ def test_an_unchanged_section_is_checked_once(monkeypatch):
     blank = dataclasses.replace(section, sentences=section.sentences + (
         Sentence(f"{section.id}:{section.next_sentence_counter()}", " "),))
     with pytest.raises(DocumentIntegrityError, match="empty sentence"):
-        document.validate_document(second.replace_section(blank))
+        document.validate_document(second.with_additions(blank, ()))
 
 
 def test_a_directly_built_section_with_a_list_of_sentences_is_checked_every_time():

@@ -342,8 +342,8 @@ def test_update_steps_check_only_their_additions(full_state, monkeypatch, tmp_pa
 
 def test_publish_refuses_an_invalid_document(full_state, tmp_path):
     doubled = full_state.document.references[0]
-    broken = full_state.document.with_references(
-        full_state.document.references + (doubled,))
+    broken = replace(full_state.document,
+                     references=full_state.document.references + (doubled,))
     with pytest.raises(DocumentIntegrityError):
         publish(full_state.with_document(broken), tmp_path / "survey.json")
     assert not (tmp_path / "survey.json").exists()
@@ -497,7 +497,7 @@ def test_failed_publish_keeps_the_old_survey(full_state, tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", torn_write)
     doc = full_state.document
-    edited = doc.replace_section(replace(doc.sections[0], title="Renamed"))
+    edited = doc.with_additions(replace(doc.sections[0], title="Renamed"), ())
     with pytest.raises(OSError, match="disk full"):
         publish(full_state.with_document(edited), path)
     assert path.read_bytes() == before

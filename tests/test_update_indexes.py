@@ -7,19 +7,18 @@ index, each reading its own prefix of it; a derivation from an older
 version gets a copy. The copies below are the lookups as they were
 before the indexes: every derivation, branch and failed step must leave
 the indexed lookups giving what they give. A merge derives its document once
-(``with_additions``); the chain of three derivations it replaced,
-``replace_section``, ``with_references`` and ``append_table_row``, is its
-reference.
+(``with_additions``, the one derivation of a document); the scans that
+replace a section and append a row are its reference.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +34,6 @@ from dynsurvey.document import (
     Sentence,
     StructuredOutline,
     SurveyDocument,
-    SurveyState,
     make_table,
     serialize_document,
     validate_additions,
@@ -69,6 +67,20 @@ def old_section(doc: SurveyDocument, section_id: str) -> Section:
 def old_replace_section(doc: SurveyDocument, new_section: Section) -> SurveyDocument:
     sections = tuple(new_section if s.id == new_section.id else s for s in doc.sections)
     return replace(doc, sections=sections)
+
+
+def old_append_table_row(doc: SurveyDocument, table_id: str, row: dict) -> tuple:
+    for table in doc.tables:
+        if table.id == table_id:
+            break
+    else:
+        raise KeyError(f"no table {table_id!r}")
+    problems = table.check_row(row)
+    if problems:
+        raise DocumentIntegrityError("; ".join(problems))
+    frozen = MappingProxyType({column.name: row[column.name] for column in table.schema})
+    return tuple(replace(t, rows=t.rows + (frozen,)) if t.id == table_id else t
+                 for t in doc.tables)
 
 
 def old_next_sentence_counter(section: Section) -> int:
@@ -163,20 +175,14 @@ def _document(section_ids, counters, reference_count: int) -> SurveyDocument:
     return SurveyDocument({}, sections, (_TABLE,), references)
 
 
-def _all_fields(doc: SurveyDocument) -> list[tuple[str, object]]:
-    """Every field of a document by name, the kept indexes and regions included."""
-    return [(f.name, getattr(doc, f.name)) for f in dataclasses.fields(doc)]
-
-
 def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = None):
-    """``engine._merge``'s derivation, checked against the scans and against
-    the chain of three derivations it replaces as it goes.
+    """``engine._merge``'s derivation, checked against the scans as it goes.
 
-    Returns the derived document, or None when the step fails (a bad row
-    fails after the chain appended the reference, and before the one
-    derivation derives anything). With repeated section ids, which
-    ``validate_document`` rejects wherever a document enters,
-    ``replace_section`` replaces the first section of the id only.
+    Returns the derived document, or None when the step fails: a bad row
+    fails before anything is derived, so the reference index is not grown.
+    With repeated section ids, which ``validate_document`` rejects wherever
+    a document enters, ``with_additions`` replaces the first section of
+    the id only.
     """
     draft = f"Claim of {key} [cite]. More."
     outcome = _resolved(draft, key, doc, True)
@@ -191,33 +197,31 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
     assert _outcome(lambda: validate_additions(new_section, inserted, references, doc)) == \
         _outcome(lambda: old_validate_additions(new_section, inserted, references,
                                                 len(doc.references)))
-    derived = doc.replace_section(new_section)
     ids = [s.id for s in doc.sections]
     if len(set(ids)) == len(ids):
-        assert derived.sections == old_replace_section(doc, new_section).sections
+        sections = old_replace_section(doc, new_section).sections
     else:
         with pytest.raises(DocumentIntegrityError, match="duplicate section ids"):
             validate_document(doc)
         position = ids.index(section_id)
-        assert derived.sections == (*doc.sections[:position], new_section,
-                                    *doc.sections[position + 1:])
-    derived = derived.with_references(references)
+        sections = (*doc.sections[:position], new_section, *doc.sections[position + 1:])
+    tables = _outcome(lambda: doc.tables if row is None else old_append_table_row(doc, "t", row))
     kept = doc._reference_positions
-    kept_items = None if kept is None else dict(kept)
+    kept_items = None if kept is None else (dict(kept), kept.count)
     tail = references[len(doc.references):]
     merged = _outcome(lambda: doc.with_additions(new_section, tail, "t", row))
     assert doc._reference_positions is kept
-    assert kept_items is None or kept == kept_items
-    if row is not None:
-        try:
-            derived = derived.append_table_row("t", row)
-        except DocumentIntegrityError as exc:
-            assert merged == ("DocumentIntegrityError", str(exc))
-            return None
+    if tables[0] != "ok":
+        assert merged == tables
+        assert kept_items is None or (dict(kept), kept.count) == kept_items
+        return None
     assert merged[0] == "ok"
-    assert _all_fields(merged[1]) == _all_fields(derived)
-    assert merged[1]._section_positions is doc._section_positions
-    return merged[1]
+    derived = merged[1]
+    expected = SurveyDocument(doc.metadata, sections, tables[1], references)
+    assert derived == expected
+    assert serialize_document(derived) == serialize_document(expected)
+    assert derived._section_positions is doc._section_positions
+    return derived
 
 
 # --- named cases ---------------------------------------------------------------
@@ -226,8 +230,8 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
 def test_a_key_appended_by_a_failed_step_stays_invisible_to_the_state_it_keeps():
     parent = _document("abc", [(1, 2), (1,), ()], 2)
     assert _step(parent, "a", "new1", row={"Name": "x", "Score": 9}) is None
-    # The step's chain of derivations grew the parent's index by new1 -> 3;
-    # the parent reads only its own two positions.
+    # The row failed the step before its derivation could grow the
+    # parent's index by new1 -> 3.
     assert parent.reference_position("new1") is None
     second = _step(parent, "b", "new2")
     third = _step(second, "c", "new1")
@@ -263,78 +267,36 @@ def test_repeated_section_ids_are_rejected_and_read_as_the_first():
         validate_document(doc)
     assert doc.section("a") is doc.sections[0]
     grown = Section("a", "A", (Sentence("a:9", "New."),))
-    assert doc.replace_section(grown).sections == (grown, *doc.sections[1:])
-    missing = Section("d", "D", ())
-    assert doc.replace_section(missing).sections == doc.sections
-    _assert_lookups_agree([doc, doc.replace_section(grown)])
+    assert doc.with_additions(grown, ()).sections == (grown, *doc.sections[1:])
+    _assert_lookups_agree([doc, doc.with_additions(grown, ())])
 
 
-def test_references_that_do_not_extend_the_document_get_a_new_index():
-    doc = _document("abc", [(), (), ()], 3)
-    assert doc.reference_position("k3") == 3
-    renumbered = doc.with_references(
-        (Reference("k1", 1, {}), Reference("k3", 2, {})))
-    assert renumbered.reference_position("k3") == 2
-    assert renumbered.reference_position("k2") is None
-    _assert_lookups_agree([doc, renumbered])
-
-
-def test_one_derivation_equals_the_chain_of_three(monkeypatch):
-    derivations = Counter()
-    plain = SurveyDocument._derived
-
-    def counted(doc, *args, **kwargs):
-        derivations["all"] += 1
-        return plain(doc, *args, **kwargs)
-
-    def lookups(doc):
-        return [doc.reference_position(key) for key in ("k1", "k2", "new1", "new2")]
-
-    parent = _document("abc", [(1, 2), (1,), ()], 2)
-    assert parent.section("b") is parent.sections[1]  # build both indexes
-    assert lookups(parent) == [1, 2, None, None]
-    sections = parent._section_positions
-    paper = make_paper("p", bib={"key": "new1", "title": "New"})
-    row = {"Score": 4, "Name": "x"}  # out of schema order
-    monkeypatch.setattr(SurveyDocument, "_derived", counted)
-    merged, inserted, keys = _merge(parent, paper, "b", APPEND, "New [cite]. Fast.", row, "t")
-    assert (inserted, keys) == (("b:2", "b:3"), ("new1",))
-    assert derivations["all"] == 1
-    monkeypatch.undo()
-
-    text, tail, _ = resolve_citations("New [cite]. Fast.", paper.bib, parent)
-    section, _ = insert_paragraph(parent.section("b"), APPEND, text)
-    chained = parent.replace_section(section).with_references(parent.references + tail) \
-        .append_table_row("t", row)
-    assert _all_fields(merged) == _all_fields(chained)
-    assert serialize_document(merged) == serialize_document(chained)
-    assert merged._section_positions is sections
-    assert lookups(merged) == [1, 2, 3, None]
-    assert list(merged.tables[0].rows[-1]) == ["Name", "Score"]
-    assert merged.sections[0] is parent.sections[0] and merged.sections[2] is parent.sections[2]
-
-    # A branch from the same parent, and merges that fail: a row the table
-    # rejects fails before anything is derived, a replay whose recorded ids
-    # disagree fails after its merge derived a document.
-    monkeypatch.setattr(SurveyDocument, "_derived", counted)
-    branch, _, _ = _merge(parent, make_paper("q", bib={"key": "new2"}), "a", APPEND,
-                          "Other [cite].", None, "t")
-    assert (branch.reference_position("new2"), branch.reference_position("new1")) == (3, None)
-    assert branch.tables is parent.tables
+def test_an_unknown_id_or_a_rejected_row_raises_before_anything_is_derived(monkeypatch):
+    # An unknown section id raises too; a derivation that kept the same
+    # sections for it would append a paper's reference with no sentence.
+    parent = _document("abc", [(1,), (2,), ()], 2)
+    assert parent.reference_position("k2") == 2  # build the index a derivation grows
+    index = parent._reference_positions
+    before = (dict(index), index.count)
+    built = []
+    init = SurveyDocument.__init__
+    monkeypatch.setattr(SurveyDocument, "__init__",
+                        lambda doc, *args: built.append(doc) or init(doc, *args))
+    grown = Section("a", "A", (Sentence("a:9", "New."),))
+    tail = (Reference("new1", 3, {}),)
+    with pytest.raises(KeyError, match="no section 'd'"):
+        parent.with_additions(Section("d", "D", ()), tail)
+    with pytest.raises(KeyError, match="no table 'u'"):
+        parent.with_additions(grown, tail, "u", {"Name": "x", "Score": 3})
     with pytest.raises(DocumentIntegrityError, match="above maximum"):
-        _merge(parent, paper, "b", APPEND, "New [cite].", {"Name": "x", "Score": 9}, "t")
-    assert derivations["all"] == 2  # the branch's; the rejected row derived nothing
-    monkeypatch.undo()
-    late = UpdateRecord(paper_id="p", decision="updated", routed_section="c",
-                        draft_text="Late [cite].", inserted_sentence_ids=("c:999",))
-    state = SurveyState(parent, StructuredOutline((), ()))
-    with pytest.raises(DocumentIntegrityError, match="produced sentence ids"):
-        replay_update(state, late, make_paper("p", bib={"key": "late"}))
-    assert lookups(parent) == [1, 2, None, None]
-    assert lookups(merged) == [1, 2, 3, None]
-    assert lookups(branch) == [1, 2, None, 3]
-    assert parent._section_positions is sections
-    _assert_lookups_agree([parent, merged, branch])
+        parent.with_additions(grown, tail, "t", {"Name": "x", "Score": 9})
+    assert built == []
+    assert (dict(index), index.count) == before
+    # The parent is still its lineage's latest version, so a derivation
+    # grows the same index in place.
+    child = parent.with_additions(grown, tail, "t", {"Name": "x", "Score": 3})
+    assert len(built) == 1 and child._reference_positions is index
+    assert (parent.reference_position("new1"), child.reference_position("new1")) == (None, 3)
 
 
 def test_a_lineage_shares_one_reference_index_and_a_branch_copies_it():
