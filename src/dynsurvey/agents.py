@@ -27,6 +27,7 @@ from .endpoints import GenerationRequest, TextGenerator
 from .errors import (
     AgentError,
     AnalysisParseError,
+    ConfigError,
     DocumentParseError,
     OutlineNotApprovedError,
     RoutingError,
@@ -52,6 +53,9 @@ _T = TypeVar("_T")
 # A sentence id ``"{section_id}:{counter}"``: the section part runs up to
 # the last colon, so a section id may hold colons.
 _SENTENCE_ID = re.compile(r"\S+:\d+")
+# What a reply may write before an id: code, quote and emphasis marks and
+# opening brackets.
+_ID_DECORATION = "`'\"*_([{<"
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ def run_outline_agent(
     unknown = [i for i in allowed_sections if i not in doc_sections]
     unknown += [i for i in allowed_tables if i not in doc_tables]
     if unknown:
-        raise ValueError(f"allowed ids {unknown} do not exist in the document")
+        raise ConfigError(f"allowed ids {unknown} do not exist in the document")
 
     titles = {s.id: s.title for s in doc.sections}
     table_titles = {t.id: t.title for t in doc.tables}
@@ -200,9 +204,10 @@ def approve_outline(outline: StructuredOutline) -> StructuredOutline:
 
 
 def run_analysis_agent(paper: PaperRecord, generator: TextGenerator) -> PaperSummary:
-    """Summarize a paper into methods, novelty and results fields."""
+    """Summarize a paper into methods, novelty and results fields; a paper
+    with no full text fails without a call."""
     if not paper.full_text.strip():
-        raise ValueError(f"paper {paper.id!r} has empty full_text")
+        raise AnalysisParseError(f"paper {paper.id!r} has empty full_text")
     prompt = prompts.render(prompts.ANALYSIS, paper_text=paper.full_text)
 
     def interpret(raw: str) -> PaperSummary:
@@ -225,10 +230,9 @@ def run_abstention_agent(
     """Decide whether the paper enters the routing stage at all.
 
     An answer that stays unparseable through retries counts as abstention:
-    survey integrity beats coverage.
+    survey integrity beats coverage. ``apply_update`` rejects a scope with
+    no core criterion before the step's first call.
     """
-    if not scope.core_criterion.strip():
-        raise ValueError("survey scope has an empty core criterion")
     prompt = prompts.render(
         prompts.ABSTENTION,
         title=scope.title,
@@ -254,12 +258,19 @@ def run_abstention_agent(
 
 
 def _choose_insertion(raw: str, section: Section) -> str:
-    """Pick the insertion sentence from a part-2 response; fall back to append."""
+    """Pick the insertion sentence from a part-2 response; fall back to append.
+
+    The first id-shaped word is taken as written or, when the section has
+    no such id, without the marks a reply may write before it
+    (`` `2:2` ``, ``"2:2"``, ``**2:2**``, ``[2:2]``).
+    """
     cleaned = strip_reasoning(raw)
     match = _SENTENCE_ID.search(cleaned)
-    if match and match.group(0) in section.sentence_ids():
-        return match.group(0)
     if match:
+        ids = section.sentence_ids()
+        for candidate in (match.group(0), match.group(0).lstrip(_ID_DECORATION)):
+            if candidate in ids:
+                return candidate
         logger.info("insertion point %r not in section %s; appending",
                     match.group(0), section.id)
     return APPEND
@@ -398,7 +409,7 @@ def run_table_synthesis(
 ) -> dict:
     """Produce one schema-conforming candidate row for the routed table."""
     if not table.schema:
-        raise ValueError(f"table {table.id!r} has an empty schema")
+        raise TableSynthesisError(f"table {table.id!r} has an empty schema")
     prompt = prompts.render(
         prompts.TABLE_SYNTHESIS,
         field_specs="\n".join(_field_spec(c) for c in table.schema),

@@ -45,6 +45,15 @@ def _load_state(config: RunConfig) -> SurveyState:
     return state
 
 
+def _make_out_dir(config: RunConfig) -> None:
+    """Create the output directory before the run makes any call."""
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {config.out_dir}: {exc.strerror or exc}") from exc
+
+
 def cmd_outline(config: RunConfig, force: bool) -> int:
     if config.survey_path is None or config.outline_path is None:
         raise ConfigError("outline command needs survey and outline paths in the config")
@@ -96,6 +105,7 @@ def cmd_update(config: RunConfig) -> int:
     if config.feed_path is None:
         raise ConfigError("update command needs a feed path in the config")
     papers = ingest_feed(config.feed_path, config.candidate_filter)
+    _make_out_dir(config)
     generator = make_generator(config)
     clock = make_step_clock() if uses_mock_generation(config) else utc_clock
     records = []
@@ -105,7 +115,6 @@ def cmd_update(config: RunConfig) -> int:
         print(f"  {paper.id}: {record.decision}"
               + (f" -> section {record.routed_section}" if record.routed_section else ""))
     out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     publish(state, out_dir / "survey.updated.json")
     write_audit_log(records, out_dir / "audit.ndjson")
     print(f"published {out_dir / 'survey.updated.json'} with {len(records)} audit records")
@@ -123,6 +132,7 @@ def cmd_benchmark(config: RunConfig, methods: list[str]) -> int:
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ConfigError(f"methods {repeated} given more than once")
+    _make_out_dir(config)
     generator = make_generator(config)
     embedder = make_embedder(config)
     evaluations = []

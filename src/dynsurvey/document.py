@@ -100,8 +100,8 @@ class Section:
     # ``sentence_ids()``, once found or set by ``with_inserted``.
     _ids: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
     # Set by ``with_inserted`` on a section derived from a checked one: the
-    # ids of the sentences it inserted. Once ``validate_additions`` has
-    # checked exactly those, the section is checked.
+    # ids of the sentences it inserted. Once ``_check_added`` has passed
+    # exactly those, the section is checked.
     _added: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -180,6 +180,32 @@ class Section:
                 raise DocumentIntegrityError(
                     f"empty sentence {sentence.id!r} in section {self.id!r}")
         if type(self.sentences) is tuple:
+            object.__setattr__(self, "_checked", True)
+
+    def _check_added(self, added: Sequence[str]) -> None:
+        """Raise on the first blank sentence or repeated id, in section order,
+        among ``added`` (``SurveyDocument.with_additions``), read through the
+        kept id tuple. A section ``with_inserted`` derived from a checked
+        one is checked once exactly its inserted ids pass."""
+        ids = self.sentence_ids()
+        # (position, problem) of each first blank occurrence and each
+        # second occurrence.
+        problems = []
+        for sentence_id in added:
+            try:
+                first = ids.index(sentence_id)
+            except ValueError:
+                continue
+            if not self.sentences[first].text.strip():
+                problems.append((first, f"empty sentence {sentence_id!r} in section {self.id!r}"))
+            try:
+                problems.append((ids.index(sentence_id, first + 1),
+                                 f"duplicate sentence ids in section {self.id!r}"))
+            except ValueError:
+                pass
+        if problems:
+            raise DocumentIntegrityError(min(problems)[1])
+        if tuple(added) == self._added:
             object.__setattr__(self, "_checked", True)
 
 
@@ -437,31 +463,46 @@ class SurveyDocument:
             object.__setattr__(self, "_regions", (parts, ids, starts))
         return self._regions
 
-    def with_additions(self, new_section: Section, tail: tuple[Reference, ...],
-                       table_id: str | None = None,
+    def with_additions(self, new_section: Section, inserted_ids: Sequence[str],
+                       tail: tuple[Reference, ...], table_id: str | None = None,
                        row: Mapping[str, object] | None = None) -> "SurveyDocument":
         """This document with ``new_section`` in place of the first section of
         its id, ``tail`` appended to its references and, when ``table_id``
         and ``row`` are both given, ``row`` appended to that table: what one
         update step merges, and the one derivation of a document.
 
-        No section of the id or no table ``table_id`` raises ``KeyError``,
-        and a row the table's schema rejects ``DocumentIntegrityError``,
-        before anything is derived. The new document shares the section
-        index. Its references extend this document's by construction, so
-        the reference index is handed on grown by the tail
-        (``_ReferenceIndex.grown``), without comparing the references
-        before it.
+        What the step adds is checked before anything is derived or an
+        index grows: no section of the id or no table ``table_id`` raises
+        ``KeyError``; a row the schema rejects, a blank or repeated sentence
+        of ``inserted_ids`` (``Section._check_added``) or a tail that breaks
+        the dense numbering or repeats a key (``reference_position``)
+        ``DocumentIntegrityError``. From a document that passed
+        ``validate_document``, it raises exactly when ``validate_document``
+        would on the result. The new document shares the section index and
+        hands on the reference index grown by the tail
+        (``_ReferenceIndex.grown``): its references extend this document's
+        by construction, so none before the tail is compared.
         """
         position = self._section_position(new_section.id)
         if position is None:
             raise KeyError(f"no section {new_section.id!r}")
-        tables = self.tables
-        if table_id is not None and row is not None:
-            table = self.table(table_id)
+        table = None if table_id is None else self.table(table_id)
+        if table is not None and row is not None:
             problems = table.check_row(row)
             if problems:
                 raise DocumentIntegrityError("; ".join(problems))
+        new_section._check_added(inserted_ids)
+        appended: set[str] = set()
+        for number, reference in enumerate(tail, len(self.references) + 1):
+            if reference.number != number:
+                raise DocumentIntegrityError(
+                    f"appended reference {reference.key!r} has number {reference.number}, "
+                    f"expected {number} for dense 1..n")
+            if reference.key in appended or self.reference_position(reference.key) is not None:
+                raise DocumentIntegrityError(f"duplicate reference keys: {reference.key!r}")
+            appended.add(reference.key)
+        tables = self.tables
+        if table is not None and row is not None:
             # Schema column order, whatever order the row came in: the audit
             # log stores rows with sorted keys, and replay must give the same bytes.
             new_table = SurveyTable(table.id, table.title, table.schema,
@@ -587,66 +628,6 @@ def validate_document(doc: SurveyDocument) -> None:
     for table in doc.tables:
         if not table._rows_checked:
             table._check_rows()
-
-
-def validate_additions(
-    section: Section,
-    inserted_ids: Sequence[str],
-    references: Sequence[Reference],
-    before: SurveyDocument,
-) -> None:
-    """Check what one additive step added to a valid document; raise on violation.
-
-    ``before`` is the document before the step, ``section`` the routed
-    section after it and ``inserted_ids`` the ids of its new sentences;
-    ``references`` extends ``before.references`` by the appended tail.
-    Each new sentence id must occur once in the section and its text
-    must not be blank; the section's kept id tuple (``sentence_ids``)
-    tells where, without reading the other sentences. The tail must
-    continue the dense numbering with keys not used before, which
-    ``before.reference_position`` tells without reading the earlier
-    references. Other sections and the tables are not read
-    (``with_additions`` checks its row). When ``before`` passed
-    ``validate_document``, this raises exactly when ``validate_document``
-    would raise on the result.
-
-    A section that ``with_inserted`` derived from a checked section, whose
-    inserted ids these are, is checked once they pass: its other
-    sentences are the checked section's.
-    """
-    if inserted_ids:
-        ids = section.sentence_ids()
-        # (position, problem) of each first blank occurrence and each
-        # second occurrence; the first in section order is raised.
-        problems = []
-        for sentence_id in inserted_ids:
-            try:
-                first = ids.index(sentence_id)
-            except ValueError:
-                continue
-            if not section.sentences[first].text.strip():
-                problems.append(
-                    (first, f"empty sentence {sentence_id!r} in section {section.id!r}"))
-            try:
-                problems.append((ids.index(sentence_id, first + 1),
-                                 f"duplicate sentence ids in section {section.id!r}"))
-            except ValueError:
-                pass
-        if problems:
-            raise DocumentIntegrityError(min(problems)[1])
-        if section._added is not None and tuple(inserted_ids) == section._added:
-            object.__setattr__(section, "_checked", True)
-    appended_from = len(before.references)
-    if appended_from < len(references):
-        appended: set[str] = set()
-        for number, reference in enumerate(references[appended_from:], start=appended_from + 1):
-            if reference.number != number:
-                raise DocumentIntegrityError(
-                    f"appended reference {reference.key!r} has number {reference.number}, "
-                    f"expected {number} for dense 1..n")
-            if reference.key in appended or before.reference_position(reference.key) is not None:
-                raise DocumentIntegrityError(f"duplicate reference keys: {reference.key!r}")
-            appended.add(reference.key)
 
 
 def validate_state(state: SurveyState) -> None:
@@ -1190,6 +1171,5 @@ __all__ = [
     "make_reference", "make_section", "make_table", "outline_entries_from_dict",
     "outline_fingerprint", "outline_from_dict", "outline_to_dict", "parse_document",
     "parse_outline", "region_id", "revise_document", "save_document", "save_outline",
-    "serialize_document", "serialize_outline", "validate_additions", "validate_document",
-    "validate_state",
+    "serialize_document", "serialize_outline", "validate_document", "validate_state",
 ]

@@ -6,13 +6,14 @@ at most one reference, the bib entry of the paper it integrates; it
 never rewrites, reorders or deletes existing content and never touches
 the outline. Those guarantees hold by construction.
 
-A step checks only what it adds: ``validate_additions`` reads the new
-sentences and the appended reference, ``with_additions`` the new row.
-Its cost therefore follows the size of its change, not of the survey.
-The whole survey is checked where it enters (``document_from_dict``) and
-once more in ``publish``, before the file is written; a section that a
-step grew from a checked section is checked by the step, so ``publish``
-re-reads only sentences no check has read.
+A step checks only what it adds, before anything is derived:
+``with_additions`` reads the new sentences, the appended reference and
+the new row, for an applied and a replayed step alike. Its cost therefore
+follows the size of its change, not of the survey. The whole survey is
+checked where it enters (``document_from_dict``) and once more in
+``publish``, before the file is written; a section that a step grew from
+a checked section is checked by the step, so ``publish`` re-reads only
+sentences no check has read.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .document import (
     SurveyDocument,
     SurveyState,
     serialize_document,
-    validate_additions,
     validate_document,
 )
 from .endpoints import TextGenerator
@@ -143,8 +143,8 @@ def resolve_citations(
     cites that paper's bib entry ``bib`` (empty when the feed gave none).
     A key ``doc``'s references already hold keeps its number; a new key
     is appended as ``len(references) + 1``. Numbering is dense
-    (``validate_document`` checks it on load, ``validate_additions`` at
-    every step), so that is the next number. The key is looked up with
+    (``validate_document`` checks it on load, ``with_additions`` at every
+    step), so that is the next number. The key is looked up with
     ``doc.reference_position``, which does not scan the references.
     Returns the final text, the appended tail of the references (the new
     reference, or none) and the cited key once per placeholder.
@@ -177,14 +177,13 @@ def _merge(
 ) -> tuple[SurveyDocument, tuple[str, ...], tuple[str, ...]]:
     """Deterministic merge of synthesis outputs into a new document.
 
-    The document is derived, then its additions are checked: a step that
-    fails the check keeps the document before it.
+    ``with_additions`` checks the additions before it derives anything: a
+    step that fails the check keeps the document before it.
     """
-    resolved_text, tail, resolved_keys = resolve_citations(draft, paper.bib, doc)
     section = doc.section(routed_section)
+    resolved_text, tail, resolved_keys = resolve_citations(draft, paper.bib, doc)
     new_section, inserted_ids = insert_paragraph(section, insertion, resolved_text)
-    new_doc = doc.with_additions(new_section, tail, routed_table, row)
-    validate_additions(new_section, inserted_ids, new_doc.references, doc)
+    new_doc = doc.with_additions(new_section, inserted_ids, tail, routed_table, row)
     return new_doc, inserted_ids, resolved_keys
 
 
@@ -207,6 +206,8 @@ def apply_update(
         raise OutlineNotApprovedError("updates require an approved outline")
     if state.outline.scope is None:
         raise ConfigError("outline carries no scope definition; abstention cannot run")
+    if not state.outline.scope.core_criterion.strip():
+        raise ConfigError("survey scope has an empty core criterion")
     now = clock or utc_clock
     started = now()
 
@@ -270,37 +271,22 @@ def replay_update(
     record: UpdateRecord,
     paper: PaperRecord,
 ) -> SurveyState:
-    """Reproduce a recorded state delta without invoking any agent."""
+    """Reproduce a recorded state delta without invoking any agent, through
+    the merge a step runs; a record that does not merge raises
+    ``DocumentIntegrityError`` naming the paper."""
     if record.decision != "updated":
         return state
     if record.routed_section is None:
         raise DocumentIntegrityError(
             f"audit record of {record.paper_id} is 'updated' but names no routed section")
-    doc = state.document
-    for kind, lookup, target in (("section", doc.section, record.routed_section),
-                                 ("table", doc.table, record.routed_table)):
-        if target is None:
-            continue
-        try:
-            lookup(target)
-        except KeyError:
-            raise DocumentIntegrityError(
-                f"audit record of {record.paper_id} routes to {kind} {target!r}, "
-                f"which the survey does not have") from None
-    insertion = record.insertion_sentence_id or APPEND
-    if insertion != APPEND and insertion not in doc.section(record.routed_section).sentence_ids():
+    try:
+        new_doc, inserted_ids, _ = _merge(
+            state.document, paper, record.routed_section,
+            record.insertion_sentence_id or APPEND, record.draft_text,
+            record.inserted_row, record.routed_table)
+    except (KeyError, ValueError, DocumentIntegrityError) as exc:
         raise DocumentIntegrityError(
-            f"audit record of {record.paper_id} inserts after sentence {insertion!r}, "
-            f"which section {record.routed_section!r} does not have")
-    if record.inserted_row is not None and record.routed_table is not None:
-        problems = doc.table(record.routed_table).check_row(record.inserted_row)
-        if problems:
-            raise DocumentIntegrityError(
-                f"audit record of {record.paper_id} inserts a row that table "
-                f"{record.routed_table!r} rejects: " + "; ".join(problems))
-    new_doc, inserted_ids, _ = _merge(
-        doc, paper, record.routed_section, insertion, record.draft_text,
-        record.inserted_row, record.routed_table)
+            f"audit record of {record.paper_id} does not replay: {exc.args[0]}") from exc
     if inserted_ids != record.inserted_sentence_ids:
         raise DocumentIntegrityError(
             f"replay of {record.paper_id} produced sentence ids {inserted_ids}, "

@@ -1,9 +1,9 @@
 """The per-step delta check agrees with the whole-document check.
 
-``validate_additions`` reads only what a step added: the new sentences of
-the routed section and the appended tail of the reference list. Starting
-from a valid document, it must raise exactly when ``validate_document``
-raises on the document the step produced.
+``SurveyDocument.with_additions`` reads only what a step adds: the new
+sentences of the routed section and the appended tail of the reference
+list. Starting from a valid document, it must raise exactly when
+``validate_document`` raises on the same document built directly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dynsurvey.document import (
     Sentence,
     SurveyDocument,
     make_section,
-    validate_additions,
     validate_document,
 )
 from dynsurvey.errors import DocumentIntegrityError
@@ -43,11 +42,13 @@ def _apply(
     inserted: list[Sentence],
     appended: list[Reference],
 ) -> tuple[SurveyDocument, Section]:
+    """The step's document built directly, without a check, and its new section."""
     section = doc.section(section_id)
     sentences = section.sentences[:position] + tuple(inserted) + section.sentences[position:]
     new_section = replace(section, sentences=sentences)
-    new_doc = doc.with_additions(new_section, tuple(appended))
-    return new_doc, new_section
+    sections = tuple(new_section if s.id == section_id else s for s in doc.sections)
+    return replace(doc, sections=sections, references=doc.references + tuple(appended)), \
+        new_section
 
 
 def _raises(check, *args) -> bool:
@@ -88,8 +89,8 @@ def test_delta_check_raises_exactly_when_the_full_check_does(step):
     doc, section_id, position, inserted, appended = step
     new_doc, new_section = _apply(doc, section_id, position, inserted, appended)
     expected = _raises(validate_document, new_doc)
-    observed = _raises(validate_additions, new_section, [s.id for s in inserted],
-                       new_doc.references, doc)
+    observed = _raises(doc.with_additions, new_section, [s.id for s in inserted],
+                       tuple(appended))
     assert observed == expected
 
 
@@ -112,7 +113,7 @@ def test_each_broken_invariant_is_caught(inserted, appended, message):
     with pytest.raises(DocumentIntegrityError):
         validate_document(new_doc)
     with pytest.raises(DocumentIntegrityError, match=message):
-        validate_additions(new_section, [s.id for s in inserted], new_doc.references, doc)
+        doc.with_additions(new_section, [s.id for s in inserted], tuple(appended))
 
 
 def test_a_valid_step_passes_and_may_reuse_ids_of_other_sections():
@@ -120,7 +121,7 @@ def test_a_valid_step_passes_and_may_reuse_ids_of_other_sections():
     inserted = [Sentence("1:4", "Fresh claim."), Sentence("2:1", "Same id, other section.")]
     new_doc, new_section = _apply(doc, "1", 3, inserted, _NEXT)
     validate_document(new_doc)
-    validate_additions(new_section, ["1:4", "2:1"], new_doc.references, doc)
+    assert doc.with_additions(new_section, ["1:4", "2:1"], tuple(_NEXT)) == new_doc
 
 
 def _checks(monkeypatch) -> list[str]:
@@ -140,12 +141,12 @@ def test_a_step_on_a_checked_section_leaves_it_checked(monkeypatch):
     assert grown.sentence_ids() == ("1:1", "1:4", "1:5", "1:2", "1:3")
     assert grown.next_sentence_counter() == 6 and not grown._checked
     # Only the ids the derivation inserted make it checked.
-    validate_additions(grown, ["1:4"], doc.references, doc)
+    doc.with_additions(grown, ["1:4"], ())
     assert not grown._checked
-    validate_additions(grown, ("1:4", "1:5"), doc.references, doc)
+    merged = doc.with_additions(grown, ("1:4", "1:5"), ())
     assert grown._checked
     checked = _checks(monkeypatch)
-    document.validate_document(doc.with_additions(grown, ()))
+    document.validate_document(merged)
     assert checked == []
 
 
@@ -156,9 +157,9 @@ def test_a_step_on_an_unchecked_section_leaves_it_unchecked(monkeypatch):
     blank = Section("1", "S", (Sentence("1:1", "Fine."), Sentence("1:2", " ")))
     doc = SurveyDocument({}, (blank,), (), ())
     grown = blank.with_inserted(2, ["New claim."])
-    validate_additions(grown, grown.sentence_ids()[2:], (), doc)
+    merged = doc.with_additions(grown, grown.sentence_ids()[2:], ())
     assert not grown._checked
     checked = _checks(monkeypatch)
     with pytest.raises(DocumentIntegrityError, match="empty sentence '1:2'"):
-        document.validate_document(doc.with_additions(grown, ()))
+        document.validate_document(merged)
     assert checked == ["1"]

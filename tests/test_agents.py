@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,14 +23,17 @@ from dynsurvey.agents import (
 )
 from dynsurvey.document import (
     ColumnSpec,
+    SurveyState,
     SurveyTable,
     make_section,
     outline_fingerprint,
     outline_to_dict,
     serialize_outline,
 )
+from dynsurvey.engine import apply_update
 from dynsurvey.errors import (
     AnalysisParseError,
+    ConfigError,
     OutlineNotApprovedError,
     RoutingError,
     SchemaViolationError,
@@ -110,7 +114,7 @@ def test_outline_agent_repairs_trailing_comma(full_state):
 
 def test_outline_agent_checks_allowed_ids_exist(full_state):
     generator = make_generator({})
-    with pytest.raises(ValueError, match="do not exist"):
+    with pytest.raises(ConfigError, match="do not exist"):
         run_outline_agent(full_state.document, ["1", "404"], [], generator)
 
 
@@ -147,8 +151,10 @@ def test_analysis_agent_retries_then_fails_on_missing_heading():
 
 
 def test_analysis_agent_rejects_empty_full_text():
-    with pytest.raises(ValueError, match="empty full_text"):
-        run_analysis_agent(make_paper("p1", full_text="  "), make_generator({}))
+    generator = RecordingGenerator(make_generator({}))
+    with pytest.raises(AnalysisParseError, match="'p1' has empty full_text"):
+        run_analysis_agent(make_paper("p1", full_text="  "), generator)
+    assert generator.requests == []
 
 
 def test_abstention_true_and_false():
@@ -172,12 +178,14 @@ def test_unparseable_abstention_becomes_abstain():
     assert run_abstention_agent(make_summary("p1"), scope, generator) is False
 
 
-def test_abstention_requires_core_criterion():
-    scope = demo.demo_scope()
-    empty = type(scope)(title=scope.title, keywords=scope.keywords,
-                        abstract=scope.abstract, core_criterion=" ")
-    with pytest.raises(ValueError, match="core criterion"):
-        run_abstention_agent(make_summary("p1"), empty, make_generator({}))
+def test_abstention_requires_core_criterion(full_state):
+    # Checked where a step starts, before its analysis call.
+    outline = full_state.outline
+    empty = replace(outline, scope=replace(outline.scope, core_criterion=" "))
+    generator = RecordingGenerator(make_generator({}))
+    with pytest.raises(ConfigError, match="empty core criterion"):
+        apply_update(SurveyState(full_state.document, empty), make_paper("p1"), generator)
+    assert generator.requests == []
 
 
 def test_section_routing_happy_path(full_state):
@@ -240,6 +248,19 @@ def test_insertion_point_reads_a_section_id_holding_a_colon():
     # The last colon, not the first one followed by digits.
     numbered = make_section("v:2", "Numbered", "First sentence. Second sentence.")
     assert _choose_insertion("after v:2:1", numbered) == "v:2:1"
+
+
+@pytest.mark.parametrize("written", ["`2:2`", '"2:2"', "**2:2**", "[2:2]", "(2:2)"])
+def test_insertion_point_reads_a_decorated_id(written):
+    section = make_section("2", "Two", "First sentence. Second sentence.")
+    assert _choose_insertion(f"Insert after {written}.", section) == "2:2"
+    assert _choose_insertion(f"{written}", section) == "2:2"
+
+
+def test_insertion_point_prefers_the_id_as_written():
+    section = make_section("_s", "Underscored", "First sentence. Second sentence.")
+    assert _choose_insertion("after _s:2", section) == "_s:2"
+    assert _choose_insertion("after __s:2", section) == APPEND
 
 
 def test_routing_requires_approved_outline(full_state):
@@ -385,5 +406,7 @@ def test_table_synthesis_accepts_fenced_object():
 
 def test_table_synthesis_requires_nonempty_schema():
     empty = SurveyTable(id="e", title="E", schema=())
-    with pytest.raises(ValueError, match="empty schema"):
-        run_table_synthesis(empty, make_summary("p1"), make_generator({}))
+    generator = RecordingGenerator(make_generator({}))
+    with pytest.raises(TableSynthesisError, match="empty schema"):
+        run_table_synthesis(empty, make_summary("p1"), generator)
+    assert generator.requests == []

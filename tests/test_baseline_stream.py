@@ -206,7 +206,7 @@ def _gapped_instance():
     doc = full.document
     for section in doc.sections[1:]:
         closed = section.body_text() + " A closing sentence stays here."
-        doc = doc.with_additions(make_section(section.id, section.title, closed), ())
+        doc = doc.with_additions(make_section(section.id, section.title, closed), (), ())
     instance = build_instance("gapped", full.with_document(doc), demo.demo_late_papers(),
                               demo.demo_span_annotations(), demo.demo_out_of_scope_papers())
     ids = [int(s.id.rsplit(":", 1)[1]) for s in instance.early_state.document.sections[1].sentences]

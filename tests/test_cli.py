@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import RecordingGenerator
 from dynsurvey import cli
 from dynsurvey.cli import main
-from dynsurvey.config import make_embedder
+from dynsurvey.config import make_embedder, make_generator
 from dynsurvey.demo import demo_outline, write_demo_workspace
 from dynsurvey.document import load_outline, save_outline
 from dynsurvey.engine import read_audit_log
@@ -312,6 +313,97 @@ def test_out_flag_overrides_configured_directory(workspace, tmp_path):
                  "benchmark", "--methods", "framework"]) == 0
     assert (target / "report.csv").exists()
     assert not (_config_dir(workspace) / "out").exists()
+
+
+# --- bad input fails its own step or stops the run before any call -----------
+
+
+def _recorded_requests(monkeypatch) -> list:
+    """The requests of every generator the command line makes from now on."""
+    requests: list = []
+
+    def recording(config):
+        generator = RecordingGenerator(make_generator(config))
+        generator.requests = requests
+        return generator
+
+    monkeypatch.setattr(cli, "make_generator", recording)
+    return requests
+
+
+def _rewrite_json(path: Path, change) -> None:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    change(data)
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def test_a_paper_without_full_text_fails_only_its_step(workspace, monkeypatch):
+    lines = workspace["late_feed"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["full_text"] = " "
+    workspace["late_feed"].write_text(json.dumps(record) + "\n" + lines[1] + "\n",
+                                      encoding="utf-8")
+    requests = _recorded_requests(monkeypatch)
+    assert main(["--config", str(workspace["config"]), "update"]) == 0
+    records = read_audit_log(_config_dir(workspace) / "out" / "audit.ndjson")
+    assert [(r.paper_id, r.decision) for r in records] == [("lateA", "failed"),
+                                                           ("lateB", "updated")]
+    assert records[0].error == "paper 'lateA' has empty full_text"
+    assert requests and all(not r.key.startswith("lateA") for r in requests)
+    assert (_config_dir(workspace) / "out" / "survey.updated.json").exists()
+
+
+def test_a_scope_without_core_criterion_stops_update_before_any_call(workspace, monkeypatch,
+                                                                     capsys):
+    _rewrite_json(workspace["outline"],
+                  lambda outline: outline["scope"].update(core_criterion=""))
+    requests = _recorded_requests(monkeypatch)
+    assert main(["--config", str(workspace["config"]), "update"]) == EXIT_CONFIG
+    assert "empty core criterion" in capsys.readouterr().err
+    assert requests == []
+    assert not (_config_dir(workspace) / "out" / "survey.updated.json").exists()
+
+
+def test_a_table_without_schema_leaves_its_step_text_only(workspace, monkeypatch):
+    def empty_first_table(survey) -> None:
+        survey["tables"][0].update(schema=[], rows=[])
+
+    _rewrite_json(workspace["survey"], empty_first_table)
+    requests = _recorded_requests(monkeypatch)
+    assert main(["--config", str(workspace["config"]), "update"]) == 0
+    records = read_audit_log(_config_dir(workspace) / "out" / "audit.ndjson")
+    assert [(r.paper_id, r.decision) for r in records] == [("lateA", "updated"),
+                                                           ("lateB", "updated")]
+    assert (records[0].routed_table, records[0].inserted_row) == ("t1", None)
+    assert records[0].table_error == "table 't1' has an empty schema"
+    assert not any(r.role == "table_synthesis" and r.key == "lateA:t1" for r in requests)
+    assert records[1].inserted_row is not None
+
+
+@pytest.mark.parametrize("field, ids", [("allowed_sections", ["1", "404"]),
+                                        ("allowed_tables", ["t9"])])
+def test_outline_with_unknown_allowed_ids_is_a_config_error(workspace, monkeypatch, capsys,
+                                                            field, ids):
+    before = workspace["outline"].read_bytes()
+    _rewrite_json(workspace["config"], lambda config: config.update({field: ids}))
+    requests = _recorded_requests(monkeypatch)
+    assert main(["--config", str(workspace["config"]), "outline", "--force"]) == EXIT_CONFIG
+    assert "do not exist in the document" in capsys.readouterr().err
+    assert requests == []
+    assert workspace["outline"].read_bytes() == before
+
+
+@pytest.mark.parametrize("command", [["update"], ["benchmark", "--methods", "framework"]])
+def test_an_unwritable_out_directory_fails_before_any_call(workspace, monkeypatch, capsys,
+                                                           command):
+    blocker = _config_dir(workspace) / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    requests = _recorded_requests(monkeypatch)
+    out = blocker / "out"
+    assert main(["--config", str(workspace["config"]), "--out", str(out), *command]) == \
+        EXIT_CONFIG
+    assert f"cannot create output directory {out}" in capsys.readouterr().err
+    assert requests == []
 
 
 def test_missing_config_is_config_error(tmp_path):

@@ -289,7 +289,7 @@ def test_table_memo_is_bounded():
 
 def test_parsed_and_appended_rows_are_read_only():
     doc = parse_document(serialize_document(demo.demo_full_document()))
-    grown = doc.with_additions(doc.sections[0], (), "t2",
+    grown = doc.with_additions(doc.sections[0], (), (), "t2",
                                {"Noise": "Real", "Dataset": "New", "Scenes": 3})
     for row in (doc.table("t1").rows[0], grown.table("t2").rows[-1]):
         with pytest.raises(TypeError):
@@ -301,7 +301,7 @@ def test_parsed_and_appended_rows_are_read_only():
 def test_mutating_the_row_given_to_append_leaves_the_table_alone():
     row = {"Score": 4, "Method": "New", "Domain": "Hybrid", "Supervision": "Supervised"}
     doc = demo.demo_full_document()
-    grown = doc.with_additions(doc.sections[0], (), "t1", row)
+    grown = doc.with_additions(doc.sections[0], (), (), "t1", row)
     text = serialize_document(grown)
     row["Method"] = "Mutated"
     row["Extra"] = 1
@@ -409,7 +409,7 @@ def test_an_unchanged_section_is_checked_once(monkeypatch):
     blank = dataclasses.replace(section, sentences=section.sentences + (
         Sentence(f"{section.id}:{section.next_sentence_counter()}", " "),))
     with pytest.raises(DocumentIntegrityError, match="empty sentence"):
-        document.validate_document(second.with_additions(blank, ()))
+        document.validate_document(second.with_additions(blank, (), ()))
 
 
 def test_a_directly_built_section_with_a_list_of_sentences_is_checked_every_time():

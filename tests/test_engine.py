@@ -17,6 +17,7 @@ from dynsurvey import demo, engine
 from dynsurvey.corpus import CandidateFilter, ingest_feed, write_feed
 from dynsurvey.document import (
     SurveyState,
+    SurveyTable,
     make_section,
     outline_fingerprint,
     serialize_document,
@@ -416,8 +417,7 @@ def test_replay_of_record_routed_outside_the_survey_names_the_paper(full_state, 
     kind = field.removeprefix("routed_")
     with pytest.raises(DocumentIntegrityError) as failure:
         replay_update(full_state, update_record_from_dict(data), paper)
-    assert str(failure.value) == \
-        f"audit record of pR routes to {kind} 'nope', which the survey does not have"
+    assert str(failure.value) == f"audit record of pR does not replay: no {kind} 'nope'"
 
 
 def test_replay_of_record_inserting_after_a_missing_sentence_names_the_paper(full_state):
@@ -429,8 +429,8 @@ def test_replay_of_record_inserting_after_a_missing_sentence_names_the_paper(ful
     data["insertion_sentence_id"] = "1:9999"
     with pytest.raises(DocumentIntegrityError) as failure:
         replay_update(full_state, update_record_from_dict(data), paper)
-    assert str(failure.value) == \
-        "audit record of pI inserts after sentence '1:9999', which section '1' does not have"
+    assert str(failure.value) == ("audit record of pI does not replay: "
+                                  "insertion point '1:9999' does not exist in section '1'")
 
 
 def test_replay_of_record_with_a_row_the_table_rejects_names_the_paper(full_state):
@@ -445,7 +445,7 @@ def test_replay_of_record_with_a_row_the_table_rejects_names_the_paper(full_stat
     with pytest.raises(DocumentIntegrityError) as failure:
         replay_update(full_state, update_record_from_dict(data), paper)
     assert str(failure.value) == (
-        "audit record of pW inserts a row that table 't1' rejects: "
+        "audit record of pW does not replay: "
         "row missing columns ['Domain', 'Supervision', 'Score'] of table 't1'")
 
 
@@ -497,7 +497,7 @@ def test_failed_publish_keeps_the_old_survey(full_state, tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", torn_write)
     doc = full_state.document
-    edited = doc.with_additions(replace(doc.sections[0], title="Renamed"), ())
+    edited = doc.with_additions(replace(doc.sections[0], title="Renamed"), (), ())
     with pytest.raises(OSError, match="disk full"):
         publish(full_state.with_document(edited), path)
     assert path.read_bytes() == before
@@ -698,6 +698,35 @@ def test_audit_replay_reproduces_published_bytes(full_state, tmp_path):
     assert serialize_document(replayed.document) == published
     assert list(state.document.table("t1").rows[-1]) == [
         "Method", "Domain", "Supervision", "Score"]
+
+
+def test_replay_checks_each_row_once(full_state, tmp_path, monkeypatch):
+    t1_row = '{"Method": "Counted", "Domain": "Spatial", "Supervision": "None", "Score": 3}'
+    t2_row = '{"Dataset": "Counted", "Scenes": 3, "Noise": "Real"}'
+    steps = [
+        ("pC1", _framework_script("pC1", "1", "append", {"t1": "yes", "t2": "no"},
+                                  "One Method [cite]: One claim.", t1_row)),
+        ("pC2", _framework_script("pC2", "2", "2:1", {"t1": "no", "t2": "no"},
+                                  "Two Method [cite]: Two claims. Both new.")),
+        ("pC3", _framework_script("pC3", "3", "append", {"t1": "no", "t2": "yes"},
+                                  "Three Method [cite]: One claim.", t2_row)),
+    ]
+    state, papers, records = full_state, {}, []
+    for paper_id, script in steps:
+        papers[paper_id] = make_paper(paper_id)
+        state, record = apply_update(state, papers[paper_id], make_generator(script))
+        records.append(record)
+    assert [r.decision for r in records] == ["updated"] * 3
+    write_audit_log(records, tmp_path / "audit.ndjson")
+    checked = []
+    check_row = SurveyTable.check_row
+    monkeypatch.setattr(SurveyTable, "check_row",
+                        lambda table, row: checked.append(table.id) or check_row(table, row))
+    replayed = full_state
+    for logged in read_audit_log(tmp_path / "audit.ndjson"):
+        replayed = replay_update(replayed, logged, papers[logged.paper_id])
+    assert serialize_document(replayed.document) == serialize_document(state.document)
+    assert checked == ["t1", "t2"]
 
 
 def test_step_clock_is_deterministic():

@@ -448,7 +448,7 @@ def _step_results(draw, texts=_section_text):
     section = sections[index]
     anchor = draw(st.sampled_from(["append", *section.sentence_ids()]))
     new_section, inserted_ids = insert_paragraph(section, anchor, draw(texts))
-    after = before.with_additions(new_section, ())
+    after = before.with_additions(new_section, inserted_ids, ())
     inserted = tuple(s for s in new_section.sentences if s.id in inserted_ids)
     gt_span = draw(st.one_of(
         st.none(), texts.map(lambda text: GroundTruthSpan(section.id, text))))

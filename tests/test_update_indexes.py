@@ -6,9 +6,10 @@ routing section list. The documents of a lineage share one reference
 index, each reading its own prefix of it; a derivation from an older
 version gets a copy. The copies below are the lookups as they were
 before the indexes: every derivation, branch and failed step must leave
-the indexed lookups giving what they give. A merge derives its document once
-(``with_additions``, the one derivation of a document); the scans that
-replace a section and append a row are its reference.
+the indexed lookups giving what they give. A merge checks its additions
+and derives its document in one call (``with_additions``, the one
+derivation of a document); the scans that replace a section, append a row
+and check the additions are its reference.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dynsurvey.document import (
     SurveyDocument,
     make_table,
     serialize_document,
-    validate_additions,
     validate_document,
     validate_state,
 )
@@ -178,8 +178,9 @@ def _document(section_ids, counters, reference_count: int) -> SurveyDocument:
 def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = None):
     """``engine._merge``'s derivation, checked against the scans as it goes.
 
-    Returns the derived document, or None when the step fails: a bad row
-    fails before anything is derived, so the reference index is not grown.
+    Returns the derived document, or None when the step fails: a failed
+    check raises before anything is derived, so the reference index is not
+    grown.
     With repeated section ids, which ``validate_document`` rejects wherever
     a document enters, ``with_additions`` replaces the first section of
     the id only.
@@ -194,9 +195,6 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
     new_section, inserted = insert_paragraph(section, APPEND, text)
     assert inserted == (f"{section_id}:{counter}", f"{section_id}:{counter + 1}")
     assert new_section.next_sentence_counter() == old_next_sentence_counter(new_section)
-    assert _outcome(lambda: validate_additions(new_section, inserted, references, doc)) == \
-        _outcome(lambda: old_validate_additions(new_section, inserted, references,
-                                                len(doc.references)))
     ids = [s.id for s in doc.sections]
     if len(set(ids)) == len(ids):
         sections = old_replace_section(doc, new_section).sections
@@ -206,10 +204,13 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
         position = ids.index(section_id)
         sections = (*doc.sections[:position], new_section, *doc.sections[position + 1:])
     tables = _outcome(lambda: doc.tables if row is None else old_append_table_row(doc, "t", row))
+    if tables[0] == "ok":
+        tables = _outcome(lambda: old_validate_additions(
+            new_section, inserted, references, len(doc.references)) or tables[1])
     kept = doc._reference_positions
     kept_items = None if kept is None else (dict(kept), kept.count)
     tail = references[len(doc.references):]
-    merged = _outcome(lambda: doc.with_additions(new_section, tail, "t", row))
+    merged = _outcome(lambda: doc.with_additions(new_section, inserted, tail, "t", row))
     assert doc._reference_positions is kept
     if tables[0] != "ok":
         assert merged == tables
@@ -267,8 +268,8 @@ def test_repeated_section_ids_are_rejected_and_read_as_the_first():
         validate_document(doc)
     assert doc.section("a") is doc.sections[0]
     grown = Section("a", "A", (Sentence("a:9", "New."),))
-    assert doc.with_additions(grown, ()).sections == (grown, *doc.sections[1:])
-    _assert_lookups_agree([doc, doc.with_additions(grown, ())])
+    assert doc.with_additions(grown, ("a:9",), ()).sections == (grown, *doc.sections[1:])
+    _assert_lookups_agree([doc, doc.with_additions(grown, ("a:9",), ())])
 
 
 def test_an_unknown_id_or_a_rejected_row_raises_before_anything_is_derived(monkeypatch):
@@ -285,18 +286,48 @@ def test_an_unknown_id_or_a_rejected_row_raises_before_anything_is_derived(monke
     grown = Section("a", "A", (Sentence("a:9", "New."),))
     tail = (Reference("new1", 3, {}),)
     with pytest.raises(KeyError, match="no section 'd'"):
-        parent.with_additions(Section("d", "D", ()), tail)
+        parent.with_additions(Section("d", "D", ()), (), tail)
     with pytest.raises(KeyError, match="no table 'u'"):
-        parent.with_additions(grown, tail, "u", {"Name": "x", "Score": 3})
+        parent.with_additions(grown, ("a:9",), tail, "u", {"Name": "x", "Score": 3})
+    with pytest.raises(KeyError, match="no table 'u'"):  # with or without a row
+        parent.with_additions(grown, ("a:9",), tail, "u")
     with pytest.raises(DocumentIntegrityError, match="above maximum"):
-        parent.with_additions(grown, tail, "t", {"Name": "x", "Score": 9})
+        parent.with_additions(grown, ("a:9",), tail, "t", {"Name": "x", "Score": 9})
     assert built == []
     assert (dict(index), index.count) == before
     # The parent is still its lineage's latest version, so a derivation
     # grows the same index in place.
-    child = parent.with_additions(grown, tail, "t", {"Name": "x", "Score": 3})
+    child = parent.with_additions(grown, ("a:9",), tail, "t", {"Name": "x", "Score": 3})
     assert len(built) == 1 and child._reference_positions is index
     assert (parent.reference_position("new1"), child.reference_position("new1")) == (None, 3)
+
+
+@pytest.mark.parametrize("inserted, tail, message", [
+    ((Sentence("a:9", "New."), Sentence("a:9", "Again.")), (Reference("new1", 3, {}),),
+     "duplicate sentence ids"),
+    ((Sentence("a:9", " "),), (Reference("new1", 3, {}),), "empty sentence 'a:9'"),
+    ((Sentence("a:9", "New."),), (Reference("new1", 4, {}),), "dense"),
+    ((Sentence("a:9", "New."),), (Reference("new1", 3, {}), Reference("new1", 4, {})),
+     "duplicate reference keys"),
+    ((Sentence("a:9", "New."),), (Reference("k1", 3, {}),), "duplicate reference keys"),
+])
+def test_a_failed_addition_check_leaves_the_parents_index_as_it_was(monkeypatch, inserted,
+                                                                     tail, message):
+    parent = _document("abc", [(1,), (2,), ()], 2)
+    assert parent.reference_position("k2") == 2  # build the index a derivation grows
+    index = parent._reference_positions
+    before = (dict(index), index.count)
+    built = []
+    init = SurveyDocument.__init__
+    monkeypatch.setattr(SurveyDocument, "__init__",
+                        lambda doc, *args: built.append(doc) or init(doc, *args))
+    section = parent.section("a")
+    grown = replace(section, sentences=section.sentences + inserted)
+    with pytest.raises(DocumentIntegrityError, match=message):
+        parent.with_additions(grown, tuple(s.id for s in inserted), tail)
+    assert built == []
+    assert parent._reference_positions is index
+    assert (dict(index), index.count) == before
 
 
 def test_a_lineage_shares_one_reference_index_and_a_branch_copies_it():
@@ -354,7 +385,7 @@ def test_lineages_that_race_from_one_document_each_see_only_their_own_keys():
                 doc = parents[round_]
                 for step in range(10):
                     tail = (Reference(f"t{thread}-{step}", len(doc.references) + 1, {}),)
-                    doc = doc.with_additions(doc.sections[0], tail)
+                    doc = doc.with_additions(doc.sections[0], (), tail)
                 finals[thread, round_] = doc
         except BaseException:
             start.abort()  # the other threads stop waiting for this one
@@ -407,8 +438,14 @@ def test_indexed_lookups_match_the_scans_along_any_lineage(data):
             Reference(key, len(doc.references) + 1 + i + offset, {})
             for i, (key, offset) in enumerate(tail))
         section = doc.sections[0]
-        assert _outcome(lambda: validate_additions(section, (), references, doc)) == \
-            _outcome(lambda: old_validate_additions(section, (), references, len(doc.references)))
+        kept = doc._reference_positions
+        kept_items = None if kept is None else (dict(kept), kept.count)
+        outcome = _outcome(
+            lambda: doc.with_additions(section, (), references[len(doc.references):]).references)
+        assert outcome == _outcome(lambda: old_validate_additions(
+            section, (), references, len(doc.references)) or references)
+        if outcome[0] != "ok":
+            assert kept_items is None or (dict(kept), kept.count) == kept_items
         _assert_lookups_agree(pool)
 
 
