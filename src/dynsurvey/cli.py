@@ -132,26 +132,29 @@ def cmd_benchmark(config: RunConfig, methods: list[str]) -> int:
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ConfigError(f"methods {repeated} given more than once")
+    # Every instance is read and built before the first call, so a bad
+    # input in a later instance costs none of the earlier ones' calls.
+    instances = []
+    for spec in config.instances:
+        full_state = SurveyState(document=load_document(spec.survey),
+                                 outline=load_outline(spec.outline))
+        annotations = load_span_annotations(spec.spans)
+        late = ingest_feed(spec.late_feed, config.candidate_filter)
+        oos = ingest_feed(spec.oos_feed, config.candidate_filter)
+        instances.append(build_instance(spec.name, full_state, late, annotations, oos))
     _make_out_dir(config)
     generator = make_generator(config)
     embedder = make_embedder(config)
     evaluations = []
-    for spec in config.instances:
-        document = load_document(spec.survey)
-        outline = load_outline(spec.outline)
-        full_state = SurveyState(document=document, outline=outline)
-        annotations = load_span_annotations(spec.spans)
-        late = ingest_feed(spec.late_feed, config.candidate_filter)
-        oos = ingest_feed(spec.oos_feed, config.candidate_filter)
-        instance = build_instance(spec.name, full_state, late, annotations, oos)
+    for instance in instances:
         for method in methods:
             results = run_method(method, instance, generator, clock=make_step_clock())
             evaluations.extend(
-                evaluate_step(result, spec.name, embedder=embedder,
+                evaluate_step(result, instance.name, embedder=embedder,
                               coherence_window=config.metrics.coherence_window,
                               rouge_beta=config.metrics.rouge_beta)
                 for result in results)
-            print(f"  {spec.name}/{method}: {len(results)} steps")
+            print(f"  {instance.name}/{method}: {len(results)} steps")
     knobs = ReportKnobs(
         rouge_beta=config.metrics.rouge_beta,
         coherence_window=config.metrics.coherence_window,

@@ -12,7 +12,7 @@ read-only mappings.
 A value derived from a frozen object and kept on it sits in a private
 field of its class (``init=False, compare=False, repr=False``), written
 only here: by the class's accessor, on first use, or by the one method
-that builds it from another (``Section._numbered``,
+that builds it from another (``Section.with_inserted``,
 ``SurveyDocument.with_additions``). ``_entries`` fills the JSON entry of
 each object of a list that has none. A fill reads only the frozen
 object, so two fills that race store equal values. The one value shared
@@ -89,7 +89,8 @@ class Section:
     _json: str | None = field(default=None, init=False, repr=False, compare=False)
     # ``tokens()``, once diffed or streamed.
     _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    # Set once ``_check_sentences`` has passed a tuple of sentences.
+    # Set once ``_check_sentences`` has passed the sentences, and by
+    # ``with_inserted`` on a section it grows from a checked one.
     _checked: bool = field(default=False, init=False, repr=False, compare=False)
     # Set by ``make_section``: the sentences are its segmentation of the
     # body text, numbered from 1, so parsing the section's entry
@@ -99,10 +100,12 @@ class Section:
     _next_counter: int | None = field(default=None, init=False, repr=False, compare=False)
     # ``sentence_ids()``, once found or set by ``with_inserted``.
     _ids: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    # Set by ``with_inserted`` on a section derived from a checked one: the
-    # ids of the sentences it inserted. Once ``_check_added`` has passed
-    # exactly those, the section is checked.
-    _added: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Sentences given as a list are kept as a tuple, so that what is
+        # found or checked from them stays true.
+        if type(self.sentences) is not tuple:
+            object.__setattr__(self, "sentences", tuple(self.sentences))
 
     @classmethod
     def _numbered(cls, section_id: str, title: str, sentences: tuple[Sentence, ...],
@@ -115,14 +118,11 @@ class Section:
         return section
 
     def sentence_ids(self) -> tuple[str, ...]:
-        """The sentence ids in order; kept once found when the sentences are a
-        tuple, and set by ``with_inserted`` on the section it builds."""
-        if self._ids is not None:
-            return self._ids
-        ids = tuple(s.id for s in self.sentences)
-        if type(self.sentences) is tuple:
-            object.__setattr__(self, "_ids", ids)
-        return ids
+        """The sentence ids in order; kept once found, and set by
+        ``with_inserted`` on the section it builds."""
+        if self._ids is None:
+            object.__setattr__(self, "_ids", tuple(s.id for s in self.sentences))
+        return self._ids
 
     def body_text(self) -> str:
         return " ".join(map(_TEXT, self.sentences))
@@ -136,26 +136,24 @@ class Section:
     def next_sentence_counter(self) -> int:
         """One more than the largest counter of the sentence ids, 1 for no sentences.
 
-        Parsed from the ids once per section whose sentences are a tuple
-        and kept; ``make_section`` and ``with_inserted`` set it on the
-        section they build, so a step reads only the counters of a
-        section it has not touched before.
+        Parsed from the ids once per section and kept; ``make_section`` and
+        ``with_inserted`` set it on the section they build, so a step reads
+        only the counters of a section it has not touched before.
         """
-        if self._next_counter is not None:
-            return self._next_counter
-        counters = [int(s.id.rsplit(":", 1)[1]) for s in self.sentences]
-        counter = max(counters, default=0) + 1
-        if type(self.sentences) is tuple:
-            object.__setattr__(self, "_next_counter", counter)
-        return counter
+        if self._next_counter is None:
+            counters = [int(s.id.rsplit(":", 1)[1]) for s in self.sentences]
+            object.__setattr__(self, "_next_counter", max(counters, default=0) + 1)
+        return self._next_counter
 
     def with_inserted(self, position: int, texts: Sequence[str]) -> "Section":
         """This section with one sentence per text after its first ``position``
         sentences, numbered on from ``next_sentence_counter``.
 
         Every sentence before keeps its id, text and order. The new
-        section keeps its sentence ids and next counter, and, when this
-        section is checked, the inserted ids (``_added``).
+        section keeps its sentence ids and next counter. It is checked
+        when this section is and no text is blank: each new id
+        ``"{id}:{n}"`` has an ``n`` above every counter this section's ids
+        parse to, so it repeats no id, old or new.
         """
         counter = self.next_sentence_counter()
         added = tuple(f"{self.id}:{counter + i}" for i in range(len(texts)))
@@ -166,12 +164,13 @@ class Section:
             self.non_maintained, counter + len(texts), False)
         ids = self.sentence_ids()
         object.__setattr__(section, "_ids", ids[:position] + added + ids[position:])
-        if self._checked:
-            object.__setattr__(section, "_added", added)
+        if self._checked and all(text.strip() for text in texts):
+            object.__setattr__(section, "_checked", True)
         return section
 
     def _check_sentences(self) -> None:
-        """Raise on a repeated sentence id or a blank sentence (``validate_document``)."""
+        """Raise on a repeated sentence id or a blank sentence (``validate_document``,
+        and ``with_additions`` on a section that is not checked)."""
         ids = self.sentence_ids()
         if len(ids) != len(set(ids)):
             raise DocumentIntegrityError(f"duplicate sentence ids in section {self.id!r}")
@@ -179,34 +178,7 @@ class Section:
             if not sentence.text.strip():
                 raise DocumentIntegrityError(
                     f"empty sentence {sentence.id!r} in section {self.id!r}")
-        if type(self.sentences) is tuple:
-            object.__setattr__(self, "_checked", True)
-
-    def _check_added(self, added: Sequence[str]) -> None:
-        """Raise on the first blank sentence or repeated id, in section order,
-        among ``added`` (``SurveyDocument.with_additions``), read through the
-        kept id tuple. A section ``with_inserted`` derived from a checked
-        one is checked once exactly its inserted ids pass."""
-        ids = self.sentence_ids()
-        # (position, problem) of each first blank occurrence and each
-        # second occurrence.
-        problems = []
-        for sentence_id in added:
-            try:
-                first = ids.index(sentence_id)
-            except ValueError:
-                continue
-            if not self.sentences[first].text.strip():
-                problems.append((first, f"empty sentence {sentence_id!r} in section {self.id!r}"))
-            try:
-                problems.append((ids.index(sentence_id, first + 1),
-                                 f"duplicate sentence ids in section {self.id!r}"))
-            except ValueError:
-                pass
-        if problems:
-            raise DocumentIntegrityError(min(problems)[1])
-        if tuple(added) == self._added:
-            object.__setattr__(self, "_checked", True)
+        object.__setattr__(self, "_checked", True)
 
 
 @dataclass(frozen=True)
@@ -463,8 +435,8 @@ class SurveyDocument:
             object.__setattr__(self, "_regions", (parts, ids, starts))
         return self._regions
 
-    def with_additions(self, new_section: Section, inserted_ids: Sequence[str],
-                       tail: tuple[Reference, ...], table_id: str | None = None,
+    def with_additions(self, new_section: Section, tail: tuple[Reference, ...],
+                       table_id: str | None = None,
                        row: Mapping[str, object] | None = None) -> "SurveyDocument":
         """This document with ``new_section`` in place of the first section of
         its id, ``tail`` appended to its references and, when ``table_id``
@@ -474,14 +446,16 @@ class SurveyDocument:
         What the step adds is checked before anything is derived or an
         index grows: no section of the id or no table ``table_id`` raises
         ``KeyError``; a row the schema rejects, a blank or repeated sentence
-        of ``inserted_ids`` (``Section._check_added``) or a tail that breaks
-        the dense numbering or repeats a key (``reference_position``)
-        ``DocumentIntegrityError``. From a document that passed
-        ``validate_document``, it raises exactly when ``validate_document``
-        would on the result. The new document shares the section index and
-        hands on the reference index grown by the tail
-        (``_ReferenceIndex.grown``): its references extend this document's
-        by construction, so none before the tail is compared.
+        of a ``new_section`` that is not checked (``_check_sentences``: a
+        section ``with_inserted`` grew from a checked one is checked by
+        construction) or a tail that breaks the dense numbering or repeats
+        a key (``reference_position``) ``DocumentIntegrityError``. From a
+        document that passed ``validate_document``, it raises exactly when
+        ``validate_document`` would on the result. A table grown by the
+        checked, frozen row keeps its parent's row check. The new document
+        shares the section index and hands on the reference index grown by
+        the tail (``_ReferenceIndex.grown``): its references extend this
+        document's by construction, so none before the tail is compared.
         """
         position = self._section_position(new_section.id)
         if position is None:
@@ -491,7 +465,8 @@ class SurveyDocument:
             problems = table.check_row(row)
             if problems:
                 raise DocumentIntegrityError("; ".join(problems))
-        new_section._check_added(inserted_ids)
+        if not new_section._checked:
+            new_section._check_sentences()
         appended: set[str] = set()
         for number, reference in enumerate(tail, len(self.references) + 1):
             if reference.number != number:
@@ -507,6 +482,7 @@ class SurveyDocument:
             # log stores rows with sorted keys, and replay must give the same bytes.
             new_table = SurveyTable(table.id, table.title, table.schema,
                                     table.rows + (_frozen_row(row, table.schema),))
+            object.__setattr__(new_table, "_rows_checked", table._rows_checked)
             tables = tuple(new_table if t.id == table_id else t for t in tables)
         sections = self.sections
         doc = SurveyDocument(self.metadata,
@@ -599,11 +575,11 @@ def validate_document(doc: SurveyDocument) -> None:
     """Check the structural invariants of a document; raise on violation.
 
     Ids must be unique and reference numbers dense on every call. A
-    section's sentences (unique ids, no blank text) and a table's rows
-    (the schema) are checked once per object when they cannot change: a
-    ``Section`` whose sentences are a tuple, a table whose rows are
-    read-only mappings. A baseline step therefore checks only the
-    sections and tables its reply changed.
+    section's sentences (unique ids, no blank text) are checked once per
+    section, and a table's rows (the schema) once per table whose rows
+    are read-only mappings. A baseline step therefore checks only the
+    sections and tables its reply changed, and an update step's sections
+    and tables are checked by ``with_additions``.
     """
     section_ids = [s.id for s in doc.sections]
     if len(section_ids) != len(set(section_ids)):
@@ -620,8 +596,7 @@ def validate_document(doc: SurveyDocument) -> None:
     # The sentences of a section, and the rows of a table with frozen
     # rows, are checked once per object: an unchanged section or table
     # that ``make_section`` or ``make_table`` shared costs nothing here.
-    # Sentences held in a list, and rows that can still change, are
-    # checked on every call.
+    # Rows that can still change are checked on every call.
     for section in doc.sections:
         if not section._checked:
             section._check_sentences()

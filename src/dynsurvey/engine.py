@@ -7,13 +7,13 @@ never rewrites, reorders or deletes existing content and never touches
 the outline. Those guarantees hold by construction.
 
 A step checks only what it adds, before anything is derived:
-``with_additions`` reads the new sentences, the appended reference and
-the new row, for an applied and a replayed step alike. Its cost therefore
-follows the size of its change, not of the survey. The whole survey is
-checked where it enters (``document_from_dict``) and once more in
-``publish``, before the file is written; a section that a step grew from
-a checked section is checked by the step, so ``publish`` re-reads only
-sentences no check has read.
+``with_additions`` reads the appended reference and the new row, for an
+applied and a replayed step alike, and the new sentences are checked by
+construction (``Section.with_inserted``). Its cost therefore follows the
+size of its change, not of the survey. The whole survey is checked where
+it enters (``document_from_dict``) and once more in ``publish``, before
+the file is written; ``publish`` reads no sentence and no row that a
+step derived from a checked survey.
 """
 
 from __future__ import annotations
@@ -182,9 +182,8 @@ def _merge(
     """
     section = doc.section(routed_section)
     resolved_text, tail, resolved_keys = resolve_citations(draft, paper.bib, doc)
-    new_section, inserted_ids = insert_paragraph(section, insertion, resolved_text)
-    new_doc = doc.with_additions(new_section, inserted_ids, tail, routed_table, row)
-    return new_doc, inserted_ids, resolved_keys
+    new_section, inserted = insert_paragraph(section, insertion, resolved_text)
+    return doc.with_additions(new_section, tail, routed_table, row), inserted, resolved_keys
 
 
 def apply_update(

@@ -1,9 +1,11 @@
 """The per-step delta check agrees with the whole-document check.
 
-``SurveyDocument.with_additions`` reads only what a step adds: the new
-sentences of the routed section and the appended tail of the reference
-list. Starting from a valid document, it must raise exactly when
-``validate_document`` raises on the same document built directly.
+``SurveyDocument.with_additions`` reads only what a step adds: the
+appended tail of the reference list, and the sentences of a new section
+that is not checked. A section ``Section.with_inserted`` grows from a
+checked one is checked by construction. Starting from a valid document,
+``with_additions`` must raise exactly when ``validate_document`` raises
+on the same document built directly.
 """
 
 from __future__ import annotations
@@ -89,8 +91,7 @@ def test_delta_check_raises_exactly_when_the_full_check_does(step):
     doc, section_id, position, inserted, appended = step
     new_doc, new_section = _apply(doc, section_id, position, inserted, appended)
     expected = _raises(validate_document, new_doc)
-    observed = _raises(doc.with_additions, new_section, [s.id for s in inserted],
-                       tuple(appended))
+    observed = _raises(doc.with_additions, new_section, tuple(appended))
     assert observed == expected
 
 
@@ -113,7 +114,7 @@ def test_each_broken_invariant_is_caught(inserted, appended, message):
     with pytest.raises(DocumentIntegrityError):
         validate_document(new_doc)
     with pytest.raises(DocumentIntegrityError, match=message):
-        doc.with_additions(new_section, [s.id for s in inserted], tuple(appended))
+        doc.with_additions(new_section, tuple(appended))
 
 
 def test_a_valid_step_passes_and_may_reuse_ids_of_other_sections():
@@ -121,7 +122,7 @@ def test_a_valid_step_passes_and_may_reuse_ids_of_other_sections():
     inserted = [Sentence("1:4", "Fresh claim."), Sentence("2:1", "Same id, other section.")]
     new_doc, new_section = _apply(doc, "1", 3, inserted, _NEXT)
     validate_document(new_doc)
-    assert doc.with_additions(new_section, ["1:4", "2:1"], tuple(_NEXT)) == new_doc
+    assert doc.with_additions(new_section, tuple(_NEXT)) == new_doc
 
 
 def _checks(monkeypatch) -> list[str]:
@@ -139,27 +140,78 @@ def test_a_step_on_a_checked_section_leaves_it_checked(monkeypatch):
     section = doc.section("1")
     grown = section.with_inserted(1, ["New claim.", "Another one."])
     assert grown.sentence_ids() == ("1:1", "1:4", "1:5", "1:2", "1:3")
-    assert grown.next_sentence_counter() == 6 and not grown._checked
-    # Only the ids the derivation inserted make it checked.
-    doc.with_additions(grown, ["1:4"], ())
-    assert not grown._checked
-    merged = doc.with_additions(grown, ("1:4", "1:5"), ())
-    assert grown._checked
+    # Checked by construction: neither the merge nor the whole check reads it.
+    assert grown.next_sentence_counter() == 6 and grown._checked
     checked = _checks(monkeypatch)
+    merged = doc.with_additions(grown, ())
     document.validate_document(merged)
     assert checked == []
+    # A blank text leaves the grown section unchecked, and the merge reads it whole.
+    blank = section.with_inserted(1, ["New claim.", " "])
+    assert not blank._checked
+    with pytest.raises(DocumentIntegrityError, match="empty sentence '1:5'"):
+        doc.with_additions(blank, ())
+    assert checked == ["1"]
 
 
-def test_a_step_on_an_unchecked_section_leaves_it_unchecked(monkeypatch):
+def test_a_step_on_an_unchecked_section_checks_it_whole(monkeypatch):
     # A section built directly with a blank sentence, which no whole check
-    # has read: a step checks only its own sentences, so the whole check
-    # before publishing must still read the others.
+    # has read: a section grown from it is not checked, so the merge reads
+    # all of its sentences, the parent's too.
     blank = Section("1", "S", (Sentence("1:1", "Fine."), Sentence("1:2", " ")))
     doc = SurveyDocument({}, (blank,), (), ())
     grown = blank.with_inserted(2, ["New claim."])
-    merged = doc.with_additions(grown, grown.sentence_ids()[2:], ())
     assert not grown._checked
     checked = _checks(monkeypatch)
     with pytest.raises(DocumentIntegrityError, match="empty sentence '1:2'"):
-        document.validate_document(merged)
+        doc.with_additions(grown, ())
     assert checked == ["1"]
+    # Grown from an unchecked but valid section, it is checked once, by the merge.
+    fine = Section("1", "S", (Sentence("1:1", "Fine."),))
+    grown = fine.with_inserted(1, ["New claim."])
+    merged = SurveyDocument({}, (fine,), (), ()).with_additions(grown, ())
+    assert grown._checked and checked == ["1", "1"]
+    document.validate_document(merged)
+    assert checked == ["1", "1"]
+
+
+# Sentence ids of hand-built parents: any prefix, the section's id or
+# another, colons included, and counters gapped and in any order.
+_PREFIXES = ["s", "a:b", "a", "b:2"]
+_TEXTS = ["New claim.", "Another one.", "", " ", "\t\n"]
+
+
+@st.composite
+def parents(draw):
+    section_id = draw(st.sampled_from(_PREFIXES))
+    ids = draw(st.lists(
+        st.builds("{}:{}".format, st.sampled_from(_PREFIXES), st.integers(0, 40)),
+        unique=True, max_size=6))
+    section = Section(section_id, "S", tuple(Sentence(i, f"Claim {i}.") for i in ids))
+    return section, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(parents(), st.lists(st.sampled_from(_TEXTS), max_size=3))
+def test_inserted_ids_are_fresh_and_a_grown_section_is_checked_by_construction(parent, texts):
+    section, checked = parent
+    doc = SurveyDocument({}, (section,), (), ())
+    if checked:
+        validate_document(doc)
+    old_ids = set(section.sentence_ids())
+    blank = not all(text.strip() for text in texts)
+    for position in range(len(section.sentences) + 1):
+        grown = section.with_inserted(position, texts)
+        assert grown.sentence_ids() == tuple(s.id for s in grown.sentences)
+        added = grown.sentence_ids()[position:position + len(texts)]
+        assert len(set(added)) == len(added) and not old_ids & set(added)
+        assert [s.text for s in grown.sentences[position:position + len(texts)]] == texts
+        assert grown._checked == (checked and not blank)
+        if blank:
+            with pytest.raises(DocumentIntegrityError, match="empty sentence") as merge_error:
+                doc.with_additions(grown, ())
+            with pytest.raises(DocumentIntegrityError) as full_error:
+                validate_document(SurveyDocument({}, (grown,), (), ()))
+            assert str(merge_error.value) == str(full_error.value)
+        else:
+            validate_document(doc.with_additions(grown, ()))

@@ -406,6 +406,23 @@ def test_an_unwritable_out_directory_fails_before_any_call(workspace, monkeypatc
     assert requests == []
 
 
+def test_a_bad_later_instance_stops_benchmark_before_any_call(workspace, monkeypatch, capsys):
+    # The first instance is whole; the second one's spans file does not parse.
+    (_config_dir(workspace) / "spans_broken.json").write_text("{broken", encoding="utf-8")
+
+    def second_instance(config):
+        first = config["benchmark"]["instances"][0]
+        config["benchmark"]["instances"].append(
+            {**first, "name": "broken-demo", "spans": "spans_broken.json"})
+
+    _rewrite_json(workspace["config"], second_instance)
+    requests = _recorded_requests(monkeypatch)
+    assert main(["--config", str(workspace["config"]), "benchmark"]) == EXIT_PARSE
+    assert "error:" in capsys.readouterr().err
+    assert requests == []
+    assert not (_config_dir(workspace) / "out" / "report.csv").exists()
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json"), "update"]) == EXIT_CONFIG
 

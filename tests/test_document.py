@@ -289,7 +289,7 @@ def test_table_memo_is_bounded():
 
 def test_parsed_and_appended_rows_are_read_only():
     doc = parse_document(serialize_document(demo.demo_full_document()))
-    grown = doc.with_additions(doc.sections[0], (), (), "t2",
+    grown = doc.with_additions(doc.sections[0], (), "t2",
                                {"Noise": "Real", "Dataset": "New", "Scenes": 3})
     for row in (doc.table("t1").rows[0], grown.table("t2").rows[-1]):
         with pytest.raises(TypeError):
@@ -301,7 +301,7 @@ def test_parsed_and_appended_rows_are_read_only():
 def test_mutating_the_row_given_to_append_leaves_the_table_alone():
     row = {"Score": 4, "Method": "New", "Domain": "Hybrid", "Supervision": "Supervised"}
     doc = demo.demo_full_document()
-    grown = doc.with_additions(doc.sections[0], (), (), "t1", row)
+    grown = doc.with_additions(doc.sections[0], (), "t1", row)
     text = serialize_document(grown)
     row["Method"] = "Mutated"
     row["Extra"] = 1
@@ -386,6 +386,17 @@ def test_a_directly_built_table_with_plain_rows_is_row_checked_every_time():
     assert frozen._rows_checked and not table._rows_checked
 
 
+def test_a_row_appended_to_an_unchecked_table_leaves_its_rows_to_the_whole_check():
+    table = SurveyTable("t", "T", (ColumnSpec("Method"), ColumnSpec("Year", "int")),
+                        ({"Method": "M", "Year": "not a year"},))
+    section = Section("s", "S", (Sentence("s:1", "A cat."),))
+    doc = SurveyDocument({}, (section,), (table,), ())
+    grown = doc.with_additions(section, (), "t", {"Method": "N", "Year": 2002})
+    assert not grown.table("t")._rows_checked
+    with pytest.raises(DocumentIntegrityError, match="row 0"):
+        document.validate_document(grown)
+
+
 def test_an_unchanged_section_is_checked_once(monkeypatch):
     make_section.cache_clear()
     text = serialize_document(demo.demo_full_document())
@@ -409,24 +420,22 @@ def test_an_unchanged_section_is_checked_once(monkeypatch):
     blank = dataclasses.replace(section, sentences=section.sentences + (
         Sentence(f"{section.id}:{section.next_sentence_counter()}", " "),))
     with pytest.raises(DocumentIntegrityError, match="empty sentence"):
-        document.validate_document(second.with_additions(blank, (), ()))
+        document.validate_document(second.with_additions(blank, ()))
 
 
-def test_a_directly_built_section_with_a_list_of_sentences_is_checked_every_time():
+def test_a_directly_built_section_keeps_its_sentences_as_a_tuple():
     sentences = [Sentence("s:1", "A cat.")]
     section = Section("s", "S", sentences)
+    assert section.sentences == (Sentence("s:1", "A cat."),)
+    assert section == Section("s", "S", (Sentence("s:1", "A cat."),))
     doc = SurveyDocument({}, (section,), (), ())
     document.validate_document(doc)
+    # Changing the list later changes nothing the section holds or found.
     sentences.append(Sentence("s:2", " "))
-    for _ in range(2):
-        with pytest.raises(DocumentIntegrityError, match="empty sentence 's:2'"):
-            document.validate_document(doc)
-    sentences[1] = Sentence("s:1", "A dog.")
-    with pytest.raises(DocumentIntegrityError, match="duplicate sentence ids"):
-        document.validate_document(doc)
-    frozen = Section("s", "S", (Sentence("s:1", "A cat."),))
-    document.validate_document(SurveyDocument({}, (frozen,), (), ()))
-    assert frozen._checked and not section._checked
+    sentences[0] = Sentence("s:2", "A dog.")
+    document.validate_document(doc)
+    assert section._checked and section.sentence_ids() == ("s:1",)
+    assert section.next_sentence_counter() == 2
 
 
 def _valid_table_entry() -> dict:

@@ -16,10 +16,12 @@ from conftest import make_generator, make_paper
 from dynsurvey import demo, engine
 from dynsurvey.corpus import CandidateFilter, ingest_feed, write_feed
 from dynsurvey.document import (
+    Section,
     SurveyState,
     SurveyTable,
     make_section,
     outline_fingerprint,
+    parse_document,
     serialize_document,
 )
 from dynsurvey.engine import (
@@ -341,6 +343,32 @@ def test_update_steps_check_only_their_additions(full_state, monkeypatch, tmp_pa
     assert calls == [state.document]
 
 
+def test_publish_reads_no_sentence_or_row_a_step_derived(full_state, monkeypatch, tmp_path):
+    # A survey as ``update`` loads it, checked whole on the way in.
+    loaded = parse_document(serialize_document(full_state.document))
+    state = SurveyState(loaded, full_state.outline)
+    row = '{{"Method": "M{0}", "Domain": "Spatial", "Supervision": "Supervised", "Score": 2}}'
+    for n in range(48):
+        section = "123"[n % 3]
+        tables = {"t1": "yes" if n % 2 else "no", "t2": "no"}
+        script = _framework_script(f"pL{n}", section, "append" if n % 4 < 2 else f"{section}:1",
+                                   tables, f"Method {n} [cite]: One claim. Another claim.",
+                                   row.format(n) if n % 2 else None)
+        state, record = apply_update(state, make_paper(f"pL{n}"), make_generator(script))
+        assert record.decision == "updated" and record.inserted_row == (
+            json.loads(row.format(n)) if n % 2 else None)
+    assert len(state.document.table("t1").rows) == len(loaded.table("t1").rows) + 24
+    sentence_checks, row_checks = [], []
+    check_sentences, check_row = Section._check_sentences, SurveyTable.check_row
+    monkeypatch.setattr(Section, "_check_sentences",
+                        lambda section: sentence_checks.append(section.id)
+                        or check_sentences(section))
+    monkeypatch.setattr(SurveyTable, "check_row",
+                        lambda table, row: row_checks.append(table.id) or check_row(table, row))
+    publish(state, tmp_path / "survey.json")
+    assert (sentence_checks, row_checks) == ([], [])
+
+
 def test_publish_refuses_an_invalid_document(full_state, tmp_path):
     doubled = full_state.document.references[0]
     broken = replace(full_state.document,
@@ -497,7 +525,7 @@ def test_failed_publish_keeps_the_old_survey(full_state, tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", torn_write)
     doc = full_state.document
-    edited = doc.with_additions(replace(doc.sections[0], title="Renamed"), (), ())
+    edited = doc.with_additions(replace(doc.sections[0], title="Renamed"), ())
     with pytest.raises(OSError, match="disk full"):
         publish(full_state.with_document(edited), path)
     assert path.read_bytes() == before

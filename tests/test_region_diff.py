@@ -287,7 +287,7 @@ def test_evaluate_step_flattens_only_the_changed_section(monkeypatch):
     sections = [_section(str(i), [["a", "b", "c"]] * 20) for i in range(8)]
     before = _document(sections, [{"Method": "a", "Note": "b"}])
     grown = _section("3", [["a", "b", "c"]] * 20 + [["d", "e"]] * 2)
-    after = before.with_additions(grown, (), ())
+    after = before.with_additions(grown, ())
     windows = []
 
     class RecordingStream(metrics._Stream):

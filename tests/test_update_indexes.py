@@ -210,7 +210,7 @@ def _step(doc: SurveyDocument, section_id: str, key: str, row: dict | None = Non
     kept = doc._reference_positions
     kept_items = None if kept is None else (dict(kept), kept.count)
     tail = references[len(doc.references):]
-    merged = _outcome(lambda: doc.with_additions(new_section, inserted, tail, "t", row))
+    merged = _outcome(lambda: doc.with_additions(new_section, tail, "t", row))
     assert doc._reference_positions is kept
     if tables[0] != "ok":
         assert merged == tables
@@ -268,8 +268,8 @@ def test_repeated_section_ids_are_rejected_and_read_as_the_first():
         validate_document(doc)
     assert doc.section("a") is doc.sections[0]
     grown = Section("a", "A", (Sentence("a:9", "New."),))
-    assert doc.with_additions(grown, ("a:9",), ()).sections == (grown, *doc.sections[1:])
-    _assert_lookups_agree([doc, doc.with_additions(grown, ("a:9",), ())])
+    assert doc.with_additions(grown, ()).sections == (grown, *doc.sections[1:])
+    _assert_lookups_agree([doc, doc.with_additions(grown, ())])
 
 
 def test_an_unknown_id_or_a_rejected_row_raises_before_anything_is_derived(monkeypatch):
@@ -286,18 +286,18 @@ def test_an_unknown_id_or_a_rejected_row_raises_before_anything_is_derived(monke
     grown = Section("a", "A", (Sentence("a:9", "New."),))
     tail = (Reference("new1", 3, {}),)
     with pytest.raises(KeyError, match="no section 'd'"):
-        parent.with_additions(Section("d", "D", ()), (), tail)
+        parent.with_additions(Section("d", "D", ()), tail)
     with pytest.raises(KeyError, match="no table 'u'"):
-        parent.with_additions(grown, ("a:9",), tail, "u", {"Name": "x", "Score": 3})
+        parent.with_additions(grown, tail, "u", {"Name": "x", "Score": 3})
     with pytest.raises(KeyError, match="no table 'u'"):  # with or without a row
-        parent.with_additions(grown, ("a:9",), tail, "u")
+        parent.with_additions(grown, tail, "u")
     with pytest.raises(DocumentIntegrityError, match="above maximum"):
-        parent.with_additions(grown, ("a:9",), tail, "t", {"Name": "x", "Score": 9})
+        parent.with_additions(grown, tail, "t", {"Name": "x", "Score": 9})
     assert built == []
     assert (dict(index), index.count) == before
     # The parent is still its lineage's latest version, so a derivation
     # grows the same index in place.
-    child = parent.with_additions(grown, ("a:9",), tail, "t", {"Name": "x", "Score": 3})
+    child = parent.with_additions(grown, tail, "t", {"Name": "x", "Score": 3})
     assert len(built) == 1 and child._reference_positions is index
     assert (parent.reference_position("new1"), child.reference_position("new1")) == (None, 3)
 
@@ -324,7 +324,7 @@ def test_a_failed_addition_check_leaves_the_parents_index_as_it_was(monkeypatch,
     section = parent.section("a")
     grown = replace(section, sentences=section.sentences + inserted)
     with pytest.raises(DocumentIntegrityError, match=message):
-        parent.with_additions(grown, tuple(s.id for s in inserted), tail)
+        parent.with_additions(grown, tail)
     assert built == []
     assert parent._reference_positions is index
     assert (dict(index), index.count) == before
@@ -385,7 +385,7 @@ def test_lineages_that_race_from_one_document_each_see_only_their_own_keys():
                 doc = parents[round_]
                 for step in range(10):
                     tail = (Reference(f"t{thread}-{step}", len(doc.references) + 1, {}),)
-                    doc = doc.with_additions(doc.sections[0], (), tail)
+                    doc = doc.with_additions(doc.sections[0], tail)
                 finals[thread, round_] = doc
         except BaseException:
             start.abort()  # the other threads stop waiting for this one
@@ -441,7 +441,7 @@ def test_indexed_lookups_match_the_scans_along_any_lineage(data):
         kept = doc._reference_positions
         kept_items = None if kept is None else (dict(kept), kept.count)
         outcome = _outcome(
-            lambda: doc.with_additions(section, (), references[len(doc.references):]).references)
+            lambda: doc.with_additions(section, references[len(doc.references):]).references)
         assert outcome == _outcome(lambda: old_validate_additions(
             section, (), references, len(doc.references)) or references)
         if outcome[0] != "ok":
