@@ -69,16 +69,26 @@ interrupted run leaves nothing registered in the repository. Prints one
 line per compared file (and per digest file) and exits 1 if any differs or
 a command fails.
 
+``--write-digests FILE`` runs the working tree alone and writes one
+SHA-256 per compared file and per step-digest set, the audit replays'
+outcomes, the seeds and the Python version to ``FILE`` as JSON.
+``tests/test_output_digests.py`` reruns that pass and names every entry
+that differs from ``tests/data/output_digests.json``; ``--against`` then
+finds the step that moved.
+
 Usage:
     python3 scripts/check_outputs.py --against HEAD~1 --seeds 1 2
+    python3 scripts/check_outputs.py --write-digests tests/data/output_digests.json
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
+import platform
 import random
 import re
 import subprocess
@@ -339,16 +349,18 @@ def replays_to_published(workspace: Path, out: Path) -> bool:
     return done.stdout.strip() == "same"
 
 
-def check(rev: str, seeds: list[int], scratch: Path) -> int:
-    base = scratch / "rev"
-    export(rev, base)
-    different = 0
+def workspaces(seeds: list[int], scratch: Path):
+    """Write the workspace of each run for each seed under ``scratch``.
+
+    Yields the run's entry prefix (``"seed 1 update_feed"``), workload,
+    command-line arguments, compared file names and workspace.
+    """
     for seed in seeds:
         for run, workload, args, names in RUNS:
             workspace = scratch / f"{run}-seed{seed}"
             subprocess.run([sys.executable, str(ROOT / "perfbench" / "workspace.py"),
                             "--workload", workload, "--seed", str(seed),
-                            "--out", str(workspace)], check=True)
+                            "--out", str(workspace)], check=True, capture_output=True)
             if run == "update_feed_unicode":
                 print(f"seed {seed}  {run}: {widen_update_feed(workspace)}")
             if run == "retro_baselines_indent1":
@@ -356,39 +368,87 @@ def check(rev: str, seeds: list[int], scratch: Path) -> int:
                       f"re-indented")
             if run == "retro_baselines_cut":
                 print(f"seed {seed}  {run}: {rewrite_replies(workspace, cutter(seed))} replies cut")
-            outs = {}
-            for label, tree in (("tree", ROOT), ("rev", base)):
-                outs[label] = workspace / f"out-{label}"
-                run_cli(tree, workspace, outs[label], args)
-            for name in names:
-                same = (outs["tree"] / name).read_bytes() == (outs["rev"] / name).read_bytes()
-                different += not same
-                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {run}/{name}")
-            if args[0] == "update":
-                same = replays_to_published(workspace, outs["tree"])
-                different += not same
-                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {run}/audit replay")
-            if workload in DIGESTED:
-                digests = {label: step_digests(tree, workspace, DIGESTED[workload])
-                           for label, tree in (("tree", ROOT), ("rev", base))}
-                same = digests["tree"] == digests["rev"] and digests["tree"] != ""
-                different += not same
-                steps = len(digests["tree"].splitlines())
-                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {run}/"
-                      f"step digests ({steps} steps)")
+            yield f"seed {seed} {run}", workload, args, names, workspace
+
+
+def outputs(tree: Path, label: str, workload: str, args: list[str], names,
+            workspace: Path) -> dict[str, bytes]:
+    """The compared outputs of ``tree`` on ``workspace``, by entry name.
+
+    Runs the command line into ``workspace/out-{label}`` and returns each
+    named file's bytes, plus the step digest lines on a digested workload.
+    """
+    out = workspace / f"out-{label}"
+    run_cli(tree, workspace, out, args)
+    found = {name: (out / name).read_bytes() for name in names}
+    if workload in DIGESTED:
+        found["step digests"] = step_digests(tree, workspace, DIGESTED[workload]).encode("utf-8")
+    return found
+
+
+def check(rev: str, seeds: list[int], scratch: Path) -> int:
+    """Compare the working tree's outputs with ``rev``'s; returns how many differ."""
+    base = scratch / "rev"
+    export(rev, base)
+    different = 0
+    for prefix, workload, args, names, workspace in workspaces(seeds, scratch):
+        tree = outputs(ROOT, "tree", workload, args, names, workspace)
+        rev_outputs = outputs(base, "rev", workload, args, names, workspace)
+        for entry, data in tree.items():
+            same = data == rev_outputs[entry] and data != b""
+            different += not same
+            label = f"{prefix}/{entry}"
+            if entry == "step digests":
+                label += f" ({len(data.splitlines())} steps)"
+            print(f"{'same' if same else 'DIFFERENT'}  {label}")
+        if args[0] == "update":
+            same = replays_to_published(workspace, workspace / "out-tree")
+            different += not same
+            print(f"{'same' if same else 'DIFFERENT'}  {prefix}/audit replay")
     return different
+
+
+def tree_digests(seeds: list[int], scratch: Path) -> dict[str, str]:
+    """The working tree's outputs alone, as one SHA-256 per entry.
+
+    An entry is an output file or a run's step digest lines, named
+    ``"seed 1 update_feed/audit.ndjson"``; an update run's audit replay
+    is the entry ``.../audit replay``, which reads ``same`` or
+    ``differs``.
+    """
+    entries = {}
+    for prefix, workload, args, names, workspace in workspaces(seeds, scratch):
+        for entry, data in outputs(ROOT, "tree", workload, args, names, workspace).items():
+            entries[f"{prefix}/{entry}"] = hashlib.sha256(data).hexdigest()
+        if args[0] == "update":
+            same = replays_to_published(workspace, workspace / "out-tree")
+            entries[f"{prefix}/audit replay"] = "same" if same else "differs"
+    return entries
+
+
+def write_digests(path: Path, seeds: list[int], scratch: Path) -> None:
+    digests = {"python": platform.python_version(), "seeds": seeds,
+               "entries": tree_digests(seeds, scratch)}
+    path.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests['entries'])} digests to {path}")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--against", required=True, metavar="REV",
-                        help="git revision to compare the working tree with")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--against", metavar="REV",
+                      help="git revision to compare the working tree with")
+    mode.add_argument("--write-digests", type=Path, metavar="FILE",
+                      help="write the working tree's output digests to FILE")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
                         help="perfbench workspace seeds (default: 1 2)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="check-outputs-") as scratch:
         try:
+            if args.write_digests:
+                write_digests(args.write_digests, args.seeds, Path(scratch))
+                return 0
             different = check(args.against, args.seeds, Path(scratch))
         except subprocess.CalledProcessError as exc:
             stderr = exc.stderr or ""
