@@ -15,7 +15,6 @@ import bisect
 import logging
 import math
 import operator
-from collections import Counter
 from itertools import accumulate, repeat
 from typing import Mapping, NamedTuple, Sequence
 
@@ -474,15 +473,6 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str],
     return (1 + beta * beta) * precision * recall / denominator
 
 
-def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    """Counts of the ``order``-grams of ``tokens``, as tuples.
-
-    Zipping ``order`` shifted slices yields every n-gram in one C-level
-    pass; a list shorter than ``order`` has none.
-    """
-    return Counter(zip(*(tokens[i:] for i in range(order))))
-
-
 def bleu_4(candidate: Sequence[str], reference: Sequence[str]) -> float:
     """BLEU-4 of two token sequences, with brevity penalty and add-one smoothing on zero orders.
 
@@ -491,24 +481,45 @@ def bleu_4(candidate: Sequence[str], reference: Sequence[str]) -> float:
     n-grams both sides hold match, each up to the smaller of its two
     counts. An order with zero matches is smoothed to ``1 / (total + 1)``;
     orders the candidate is too short to populate contribute a factor of
-    one. An empty candidate scores 0. Order 1 counts the tokens
-    themselves, which gives the same counts as their 1-tuples.
+    one. An empty candidate scores 0.
+
+    The n-grams are counted as integers. The reference's distinct tokens
+    are numbered in first-seen order, and a candidate token the reference
+    lacks gets one more id, ``absent``. An n-gram's key is its ids as the
+    digits of a number in base ``absent + 1``, so two n-grams of one order
+    share a key exactly when they hold the same tokens. A key holding the
+    ``absent`` digit is in no reference count, so it counts only toward
+    ``total``. Each candidate key the reference still holds matches and
+    uses one of the reference's counts up, which sums the same smaller
+    counts. The float operations are those of counting the token tuples,
+    in the same order, so the score is the same to the last bit.
     """
     if not candidate:
         return 0.0
+    ids = {token: i for i, token in enumerate(dict.fromkeys(reference))}
+    absent = len(ids)
+    base = absent + 1
+    candidate_ids = [ids.get(token, absent) for token in candidate]
+    reference_ids = [ids[token] for token in reference]
+    keys, reference_keys = candidate_ids, reference_ids
     log_sum = 0.0
     for order in range(1, 5):
-        total = max(len(candidate) - order + 1, 0)
-        if total == 0:
-            continue  # factor of one after smoothing over an empty order
-        if order == 1:
-            counts, reference_counts = Counter(candidate), Counter(reference)
-        else:
-            counts = _ngram_counts(candidate, order)
-            reference_counts = _ngram_counts(reference, order)
-        common = counts.keys() & reference_counts.keys()
-        matched = sum(map(min, map(counts.__getitem__, common),
-                          map(reference_counts.__getitem__, common)))
+        total = len(candidate) - order + 1
+        if total <= 0:
+            break  # factor of one after smoothing over this and every longer order
+        if order > 1:
+            keys = [key * base + i for key, i in zip(keys, candidate_ids[order - 1:])]
+            reference_keys = [key * base + i
+                              for key, i in zip(reference_keys, reference_ids[order - 1:])]
+        reference_counts: dict[int, int] = {}
+        for key in reference_keys:
+            reference_counts[key] = reference_counts.get(key, 0) + 1
+        matched = 0
+        for key in keys:
+            left = reference_counts.get(key)
+            if left:
+                reference_counts[key] = left - 1
+                matched += 1
         if matched == 0:
             precision = 1.0 / (total + 1)
         else:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -16,7 +15,6 @@ from dynsurvey.errors import EvaluationError
 from dynsurvey.evaluation import StepEvaluation, aggregate
 from dynsurvey.metrics import (
     EditOp,
-    _ngram_counts,
     bleu_4,
     cosine,
     delta_out,
@@ -163,18 +161,6 @@ def test_bleu_empty_candidate():
 @given(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=12).map(" ".join))
 def test_bleu_self_similarity_is_one(text):
     assert bleu_4(tokenize(text), tokenize(text)) == pytest.approx(1.0)
-
-
-def slice_ngram_counts(tokens: list[str], order: int) -> Counter:
-    """One slice per n-gram: the counting the zipped version replaced."""
-    return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
-
-
-@given(st.lists(st.sampled_from(VOCAB[:3]), max_size=12), st.integers(1, 5))
-def test_ngram_counts_match_slice_counting(tokens, order):
-    counts = _ngram_counts(tokens, order)
-    # Same grams, counts and first-seen order, so BLEU sums them alike.
-    assert list(counts.items()) == list(slice_ngram_counts(tokens, order).items())
 
 
 # --- token edit scripts -----------------------------------------------------

@@ -240,10 +240,31 @@ def test_lcs_length_pinned_cases():
 # part of one.
 _SCORED_WORDS = ["model", "noise", "model noise", "naïve", "Ünïcode", "日本語", "x_1", "42",
                  "e.g.", "(deep)", "[1]", "—", "…", "’s", "e\u0301", "a", "a a"]
+# A 220-word passage over up to 150 words, drawn log-uniformly as in
+# prose: a few words recur often, the first of a slice included, and most
+# are rare. Slices of it are long and share runs of four and more over
+# many distinct tokens.
+_PASSAGE = [f"w{int(150 ** random.Random(i).random())}" for i in range(220)]
+
+
+@st.composite
+def _passage_text(draw, absent: bool) -> str:
+    """A slice of up to 200 words of ``_PASSAGE``; with ``absent``, most of its
+    words are swapped for words no other text holds but another such one."""
+    start = draw(st.integers(0, len(_PASSAGE)))
+    words = _PASSAGE[start:start + draw(st.integers(0, 200))]
+    if absent:
+        swaps = draw(st.lists(st.integers(0, 3), min_size=len(words), max_size=len(words)))
+        words = [f"{word}_{swap}" if swap else word for word, swap in zip(words, swaps)]
+    return " ".join(words)
+
+
 _scored_text = st.one_of(
     st.text(max_size=40),
     st.lists(st.sampled_from(_SCORED_WORDS), max_size=14).map(" ".join),
     st.lists(st.sampled_from(_SCORED_WORDS), max_size=3).map("".join),
+    _passage_text(absent=False),
+    _passage_text(absent=True),
 )
 
 
