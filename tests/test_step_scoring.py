@@ -249,8 +249,8 @@ _PASSAGE = [f"w{int(150 ** random.Random(i).random())}" for i in range(220)]
 
 @st.composite
 def _passage_text(draw, absent: bool) -> str:
-    """A slice of up to 200 words of ``_PASSAGE``; with ``absent``, most of its
-    words are swapped for words no other text holds but another such one."""
+    """A slice of up to 200 words of ``_PASSAGE``; with ``absent``, about three
+    in four of its words get a suffix, so most are words no plain slice holds."""
     start = draw(st.integers(0, len(_PASSAGE)))
     words = _PASSAGE[start:start + draw(st.integers(0, 200))]
     if absent:
